@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 
@@ -70,16 +71,6 @@ def mat_vec(A: IntMatrix, v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     if A and len(A[0]) != len(v):
         raise ShapeMismatch(f"matrix {mat_shape(A)} times vector of length {len(v)}")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
-
-
-def mat_transpose(M: IntMatrix) -> IntMatrix:
-    if not M:
-        return []
-    return [list(col) for col in zip(*M)]
-
-
-def mat_is_zero(M: IntMatrix) -> bool:
-    return all(x == 0 for row in M for x in row)
 
 
 def mat_hstack(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -334,15 +325,6 @@ def in_lattice(A: IntMatrix, v: tuple[int, ...] | list[int]) -> bool:
     return solve_integer(A, v) is not None
 
 
-def lattices_equal(A: IntMatrix, B: IntMatrix, nrows: int) -> bool:
-    """Whether the column lattices of ``A`` and ``B`` in ``Z^nrows`` agree."""
-    A = A if A else zeros(nrows, 0)
-    B = B if B else zeros(nrows, 0)
-    return all(in_lattice(B, c) for c in columns(A)) and all(
-        in_lattice(A, c) for c in columns(B)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -443,9 +425,6 @@ class FgAbGroup:
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
         return cls((0,) * rank)
-
-    def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
-        return FgAbGroup.from_factors(self.invariant_factors + other.invariant_factors)
 
     # -- basic data --------------------------------------------------------
 
@@ -629,10 +608,6 @@ class AbMap:
     @classmethod
     def zero_map(cls, source: FgAbGroup, target: FgAbGroup) -> "AbMap":
         return cls(source, target, zeros(target.ngens, source.ngens))
-
-    @classmethod
-    def identity_map(cls, group: FgAbGroup) -> "AbMap":
-        return cls(group, group, identity(group.ngens))
 
     def respects_relations(self) -> tuple[bool, str | None]:
         """Each finite source factor must annihilate its image column."""
@@ -1029,21 +1004,7 @@ def quadratic_functor(kind: str, A: FgAbGroup) -> FgAbGroup:
     >>> quadratic_functor("sym2", FgAbGroup((3,)))
     FgAbGroup((3,))
     """
-    if kind not in QUADRATIC_KINDS:
-        raise ValueError(f"unknown quadratic functor kind: {kind!r}")
-    fs = A.invariant_factors
-    parts: list[int] = []
-    for d in fs:
-        parts.extend(_cyclic_value(kind, d))
-    cross = "tor" if kind == "omega" else "tensor"
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            parts.extend(
-                binary_functor(
-                    cross, FgAbGroup.from_factors([fs[i]]), FgAbGroup.from_factors([fs[j]])
-                ).invariant_factors
-            )
-    return FgAbGroup.from_factors(parts)
+    return quadratic_on_decomposition(kind, A.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1218,7 +1179,7 @@ def _oracle_elements(A: FgAbGroup, bound: int) -> list[tuple[int, ...]]:
     return A.elements(bound=max(bound, n))
 
 
-def quadratic_on_decomposition(kind: str, orders: list[int]) -> FgAbGroup:
+def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
     """The quadratic-functor rule applied to a raw cyclic decomposition.
 
     Used to check that the structural rule is independent of the chosen

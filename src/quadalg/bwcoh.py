@@ -14,6 +14,7 @@ Smith normal form with certified witnesses.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
@@ -21,11 +22,11 @@ from .abelian import (
     AbMap,
     FgAbGroup,
     HomologyResult,
+    columns,
     from_columns,
     homology_at,
     identity as identity_matrix,
     mat_hstack,
-    mat_shape,
     mat_vec,
     matmul,
     quotient_presentation,
@@ -366,6 +367,37 @@ class _Level:
         return self.grp.reduce(mat_vec(self.proj, self.assemble(cochain)))
 
 
+def _level_size(C: FinCat, D: NatSystem, n: int, normalized: bool) -> int:
+    """Generators of cochain level ``n``, counted without listing the chains.
+
+    Chains are counted by their composite and the domain of their last
+    morphism, which is all that extending a chain and its coefficient
+    group depend on.
+    """
+    if n == 0:
+        return sum(D.group_at(C.identity(o)).ngens for o in C.objects)
+    pool = [f for f in C.morphisms if not (normalized and C.is_identity(f))]
+    counts = Counter((f, C.dom[f]) for f in pool)
+    for _ in range(n - 1):
+        longer: Counter = Counter()
+        for (h, d), k in counts.items():
+            for g in pool:
+                if d == C.cod[g]:
+                    longer[(C.compose(h, g), C.dom[g])] += k
+        counts = longer
+    return sum(k * D.group_at(h).ngens for (h, _), k in counts.items())
+
+
+def _check_level_sizes(
+    C: FinCat, D: NatSystem, degrees: Sequence[int], normalized: bool, cap: int
+) -> None:
+    """Refuse before any level is built when one of them exceeds ``cap``."""
+    for n in degrees:
+        total = _level_size(C, D, n, normalized)
+        if total > cap:
+            raise InfeasibleSize(f"cochain level {n} needs {total} generators (cap {cap})")
+
+
 def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) -> _Level:
     if n == 0:
         keys = list(C.objects)
@@ -383,7 +415,7 @@ def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) ->
             )
     cols = []
     for k in keys:
-        for col in _columns_of(blocks[k].relation_matrix()):
+        for col in columns(blocks[k].relation_matrix()):
             full = [0] * total
             for i, c in enumerate(col):
                 full[offset[k] + i] = c
@@ -394,11 +426,6 @@ def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) ->
         keys=keys, block=blocks, offset=offset, ngens=total, rels=rels,
         grp=grp, proj=proj, lift=lift,
     )
-
-
-def _columns_of(M) -> list[list[int]]:
-    m, n = mat_shape(M)
-    return [[M[i][j] for i in range(m)] for j in range(n)]
 
 
 def _coboundary_terms(C: FinCat, T: tuple):
@@ -492,6 +519,9 @@ def cohomology(
         )
     if normalized is None:
         normalized = degree > 2
+    _check_level_sizes(
+        C, D, [degree, degree + 1] + ([degree - 1] if degree else []), normalized, max_generators
+    )
     mid = _build_level(C, D, degree, normalized, max_generators)
     nxt = _build_level(C, D, degree + 1, normalized, max_generators)
     d_out = _canonical_map(_d_presented(C, D, mid, nxt), mid, nxt)
@@ -619,10 +649,13 @@ def _relative_window(
     lo: int, hi: int, normalized: bool, cap: int,
 ) -> _RelativeWindow:
     DK = _pulled_system(K, D, p)
-    levelsC = {j: _build_level(C, D, j, normalized, cap) for j in range(max(lo, 0), hi + 1)}
-    levelsK = {j: _build_level(K, DK, j, normalized, cap) for j in range(max(lo, 0), hi + 1)}
+    degrees = range(max(lo, 0), hi + 1)
+    _check_level_sizes(C, D, degrees, normalized, cap)
+    _check_level_sizes(K, DK, degrees, normalized, cap)
+    levelsC = {j: _build_level(C, D, j, normalized, cap) for j in degrees}
+    levelsK = {j: _build_level(K, DK, j, normalized, cap) for j in degrees}
     rho, q_grp, q_proj, q_lift = {}, {}, {}, {}
-    for j in range(max(lo, 0), hi + 1):
+    for j in degrees:
         rho[j] = _rho_presented(levelsC[j], levelsK[j], p, j)
         grp, proj, lift = quotient_presentation(
             levelsK[j].ngens, mat_hstack(levelsK[j].rels, rho[j])

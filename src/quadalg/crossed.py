@@ -43,22 +43,23 @@ from .errors import (
     TooLarge,
 )
 from .nil2 import (
+    DEFAULT_ENUM_BOUND,
     AbelianCarrier,
     Carrier,
     FreeAbelianCarrier,
     FreeNil2Carrier,
     FreePairsCarrier,
+    Law,
     Qpm,
     SgMorphism,
     SquareGroup,
     _finite_elements,
-    _tuples,
+    check_laws,
+    counterexample,
     square_group_verify,
 )
 from .reports import Report
 from .sqring import QuadraticRing, SquareRing, linear_elements, verify_ring
-
-DEFAULT_ENUM_BOUND = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -166,166 +167,62 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
     r.extend(square_group_verify(ext.fibre(), samples, seed), prefix="fibre: ")
 
     c0, c1, cee = ext.c0, ext.c1, ext.cee
-    mul, d = ext.ring.mul, ext.boundary
-
-    for x, y in _tuples([c1, c1], samples, rng):
-        if d(c1.add(x, y)) != c0.add(d(x), d(y)):
-            r.add("boundary additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("boundary additive", True)
-
-    for x, s, y in _tuples([c0, c1, c0], samples, rng):
-        if ext.act_right(ext.act_left(x, s), y) != ext.act_left(x, ext.act_right(s, y)):
-            r.add("left and right actions commute", False, f"x={x!r} s={s!r} y={y!r}")
-            break
-    else:
-        r.add("left and right actions commute", True)
-
-    for x, y, s in _tuples([c0, c0, c1], samples, rng):
-        left = ext.act_left(mul(x, y), s) == ext.act_left(x, ext.act_left(y, s))
-        right = ext.act_right(s, mul(x, y)) == ext.act_right(ext.act_right(s, x), y)
-        if not (left and right):
-            r.add("actions associate with multiplication", False, f"x={x!r} y={y!r} s={s!r}")
-            break
-    else:
-        r.add("actions associate with multiplication", True)
-
-    for (s,) in _tuples([c1], samples, rng):
-        if ext.act_left(ext.ring.one, s) != s or ext.act_right(s, ext.ring.one) != s:
-            r.add("actions unital", False, f"s={s!r}")
-            break
-    else:
-        r.add("actions unital", True)
-
-    for x, a, y in _tuples([c0, cee, c0], samples, rng):
-        lhs = ext.P(ext.ee_right(ext.ee_pair(x, x, a), y))
-        rhs = ext.act_right(ext.act_left(x, ext.P(a)), y)
-        if lhs != rhs:
-            r.add("(i) P conjugates the quadratic action", False, f"x={x!r} a={a!r} y={y!r}")
-            break
-    else:
-        r.add("(i) P conjugates the quadratic action", True)
-
-    for x, a in _tuples([c0, cee], samples, rng):
-        if ext.act_left(x, ext.P(a)) != ext.P(ext.ee_pair(x, x, a)):
-            r.add("left action on P images", False, f"x={x!r} a={a!r}")
-            break
-    else:
-        r.add("left action on P images", True)
-
-    for a, y in _tuples([cee, c0], samples, rng):
-        if ext.act_right(ext.P(a), y) != ext.P(ext.ee_right(a, y)):
-            r.add("right action on P images", False, f"a={a!r} y={y!r}")
-            break
-    else:
-        r.add("right action on P images", True)
-
-    for x, s, y in _tuples([c0, c1, c0], samples, rng):
-        if d(ext.act_right(ext.act_left(x, s), y)) != mul(mul(x, d(s)), y):
-            r.add("(ii) boundary is equivariant", False, f"x={x!r} s={s!r} y={y!r}")
-            break
-    else:
-        r.add("(ii) boundary is equivariant", True)
-
-    for s, t in _tuples([c1, c1], samples, rng):
-        if ext.act_left(d(s), t) != ext.act_right(s, d(t)):
-            r.add("(iii) crossed symmetry", False, f"s={s!r} t={t!r}")
-            break
-    else:
-        r.add("(iii) crossed symmetry", True)
-
-    for x, s, t in _tuples([c0, c1, c1], samples, rng):
-        if ext.act_left(x, c1.add(s, t)) != c1.add(ext.act_left(x, s), ext.act_left(x, t)):
-            r.add("(iv) left action additive", False, f"x={x!r} s={s!r} t={t!r}")
-            break
-    else:
-        r.add("(iv) left action additive", True)
-
-    for s, x, y in _tuples([c1, c0, c0], samples, rng):
-        lhs = ext.act_right(s, c0.add(x, y))
-        rhs = c1.add(ext.act_right(s, x), ext.act_right(s, y))
-        if lhs != rhs:
-            r.add("(v) right action additive in the ring", False, f"s={s!r} x={x!r} y={y!r}")
-            break
-    else:
-        r.add("(v) right action additive in the ring", True)
-
-    for x, y, s in _tuples([c0, c0, c1], samples, rng):
-        lhs = ext.act_left(c0.add(x, y), s)
-        rhs = c1.add(
-            c1.add(ext.act_left(x, s), ext.act_left(y, s)),
-            ext.P(ext.ee_pair(x, y, ext.H(d(s)))),
-        )
-        if lhs != rhs:
-            r.add("(vi) left action crossed on sums", False, f"x={x!r} y={y!r} s={s!r}")
-            break
-    else:
-        r.add("(vi) left action crossed on sums", True)
-
-    for s, t, x in _tuples([c1, c1, c0], samples, rng):
-        lhs = ext.act_right(c1.add(s, t), x)
-        rhs = c1.add(
-            c1.add(ext.act_right(s, x), ext.act_right(t, x)),
-            ext.P(ext.ee_pair(d(s), d(t), ext.H(x))),
-        )
-        if lhs != rhs:
-            r.add("(vii) right action crossed on sums", False, f"s={s!r} t={t!r} x={x!r}")
-            break
-    else:
-        r.add("(vii) right action crossed on sums", True)
-
-    # quotient ring
+    mul, d, P, H = ext.ring.mul, ext.boundary, ext.P, ext.H
+    left, right, one = ext.act_left, ext.act_right, ext.ring.one
     R, q = ext.quot, ext.quot.q
-    for x, y in _tuples([c0, c0], samples, rng):
-        if q(c0.add(x, y)) != R.carrier.add(q(x), q(y)):
-            r.add("q additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("q additive", True)
-    for x, y in _tuples([c0, c0], samples, rng):
-        if q(mul(x, y)) != R.mul(q(x), q(y)):
-            r.add("q multiplicative", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("q multiplicative", True)
-    r.add("q unital", q(ext.ring.one) == R.one, f"q(1)={q(ext.ring.one)!r}")
-    for (s,) in _tuples([c1], samples, rng):
-        if not R.carrier.is_zero(q(d(s))):
-            r.add("q kills boundary images", False, f"s={s!r}")
-            break
-    else:
-        r.add("q kills boundary images", True)
-
-    # module end
     M, inc = ext.module, ext.include
-    for m, n in _tuples([M, M], samples, rng):
-        if inc(M.add(m, n)) != c1.add(inc(m), inc(n)):
-            r.add("include additive", False, f"m={m!r} n={n!r}")
-            break
-    else:
-        r.add("include additive", True)
-    for (m,) in _tuples([M], samples, rng):
-        if not c0.is_zero(d(inc(m))):
-            r.add("boundary kills the module", False, f"m={m!r}")
-            break
-    else:
-        r.add("boundary kills the module", True)
-    for m, s in _tuples([M, c1], samples, rng):
-        if c1.add(inc(m), s) != c1.add(s, inc(m)):
-            r.add("module image central", False, f"m={m!r} s={s!r}")
-            break
-    else:
-        r.add("module image central", True)
-    for x, s, m in _tuples([c0, c1, M], samples, rng):
-        shifted = c0.add(x, d(s))
-        left = ext.act_left(shifted, inc(m)) == ext.act_left(x, inc(m))
-        right = ext.act_right(inc(m), shifted) == ext.act_right(inc(m), x)
-        if not (left and right):
-            r.add("module action descends to R", False, f"x={x!r} s={s!r} m={m!r}")
-            break
-    else:
-        r.add("module action descends to R", True)
+    check_laws(r, [
+        Law("boundary additive", [c1, c1],
+            lambda x, y: d(c1.add(x, y)) == c0.add(d(x), d(y)), "x y"),
+        Law("left and right actions commute", [c0, c1, c0],
+            lambda x, s, y: right(left(x, s), y) == left(x, right(s, y)), "x s y"),
+        Law("actions associate with multiplication", [c0, c0, c1],
+            lambda x, y, s: (left(mul(x, y), s) == left(x, left(y, s)))
+            & (right(s, mul(x, y)) == right(right(s, x), y)),
+            "x y s"),
+        Law("actions unital", [c1], lambda s: left(one, s) == s and right(s, one) == s, "s"),
+        Law("(i) P conjugates the quadratic action", [c0, cee, c0],
+            lambda x, a, y: P(ext.ee_right(ext.ee_pair(x, x, a), y)) == right(left(x, P(a)), y),
+            "x a y"),
+        Law("left action on P images", [c0, cee],
+            lambda x, a: left(x, P(a)) == P(ext.ee_pair(x, x, a)), "x a"),
+        Law("right action on P images", [cee, c0],
+            lambda a, y: right(P(a), y) == P(ext.ee_right(a, y)), "a y"),
+        Law("(ii) boundary is equivariant", [c0, c1, c0],
+            lambda x, s, y: d(right(left(x, s), y)) == mul(mul(x, d(s)), y), "x s y"),
+        Law("(iii) crossed symmetry", [c1, c1],
+            lambda s, t: left(d(s), t) == right(s, d(t)), "s t"),
+        Law("(iv) left action additive", [c0, c1, c1],
+            lambda x, s, t: left(x, c1.add(s, t)) == c1.add(left(x, s), left(x, t)), "x s t"),
+        Law("(v) right action additive in the ring", [c1, c0, c0],
+            lambda s, x, y: right(s, c0.add(x, y)) == c1.add(right(s, x), right(s, y)), "s x y"),
+        Law("(vi) left action crossed on sums", [c0, c0, c1],
+            lambda x, y, s: left(c0.add(x, y), s)
+            == c1.add(c1.add(left(x, s), left(y, s)), P(ext.ee_pair(x, y, H(d(s))))),
+            "x y s"),
+        Law("(vii) right action crossed on sums", [c1, c1, c0],
+            lambda s, t, x: right(c1.add(s, t), x)
+            == c1.add(c1.add(right(s, x), right(t, x)), P(ext.ee_pair(d(s), d(t), H(x)))),
+            "s t x"),
+        # quotient ring
+        Law("q additive", [c0, c0],
+            lambda x, y: q(c0.add(x, y)) == R.carrier.add(q(x), q(y)), "x y"),
+        Law("q multiplicative", [c0, c0], lambda x, y: q(mul(x, y)) == R.mul(q(x), q(y)), "x y"),
+    ], samples, rng)
+    r.add("q unital", q(one) == R.one, f"q(1)={q(one)!r}")
+    check_laws(r, [
+        Law("q kills boundary images", [c1], lambda s: R.carrier.is_zero(q(d(s))), "s"),
+        # module end
+        Law("include additive", [M, M],
+            lambda m, n: inc(M.add(m, n)) == c1.add(inc(m), inc(n)), "m n"),
+        Law("boundary kills the module", [M], lambda m: c0.is_zero(d(inc(m))), "m"),
+        Law("module image central", [M, c1],
+            lambda m, s: c1.add(inc(m), s) == c1.add(s, inc(m)), "m s"),
+        Law("module action descends to R", [c0, c1, M],
+            lambda x, s, m: (left(shifted := c0.add(x, d(s)), inc(m)) == left(x, inc(m)))
+            & (right(inc(m), shifted) == right(inc(m), x)),
+            "x s m"),
+    ], samples, rng)
 
     _exactness_checks(ext, r, samples, rng)
 
@@ -354,12 +251,10 @@ def _exactness_checks(ext: CrossedExtension, r: Report, samples: int, rng: rando
             None if kernel == set(images) else f"difference {kernel ^ set(images)!r}",
         )
     else:
-        for m, n in _tuples([ext.module, ext.module], samples, rng):
-            if m != n and ext.include(m) == ext.include(n):
-                r.add("include injective (sampled)", False, f"{m!r} and {n!r} collide")
-                break
-        else:
-            r.add("include injective (sampled)", True)
+        bad = counterexample([ext.module, ext.module],
+                             lambda m, n: m == n or ext.include(m) != ext.include(n), samples, rng)
+        r.add("include injective (sampled)", bad is None,
+              bad and f"{bad[0]!r} and {bad[1]!r} collide")
         r.note("kernel of the boundary compared on finite carriers only")
 
     c0_pool = _finite_elements(ext.c0, DEFAULT_ENUM_BOUND)
@@ -487,11 +382,9 @@ def nu_class(
     is_zero = c1.is_zero(nu)
     if not is_zero and not c1.is_zero(c1.add(nu, nu)):
         raise ValueError("nu does not have order dividing two; the input is not a crossed extension")
-    invariant = True
-    for (x,) in _tuples([ext.c0], samples, rng):
-        if ext.act_left(x, nu) != ext.act_right(nu, x):
-            invariant = False
-            break
+    invariant = counterexample(
+        [ext.c0], lambda x: ext.act_left(x, nu) == ext.act_right(nu, x), samples, rng
+    ) is None
     factors = generates = None
     kernel_pool = _finite_elements(ext.c1, bound)
     if kernel_pool is not None:
@@ -855,24 +748,30 @@ def pullback_extension(
     """
     rng = random.Random(seed)
     old = ext.ring
-    for (c,) in _tuples([old.e], samples, rng):
-        if f.e(section(c)) != c:
-            raise NotSurjective(f"section misses {c!r}")
-    for x, y in _tuples([ring_new.e, ring_new.e], samples, rng):
-        if f.e(ring_new.e.add(x, y)) != old.e.add(f.e(x), f.e(y)):
-            raise PullbackDegenerate(f"f not additive at ({x!r}, {y!r})")
-        if f.e(ring_new.mul(x, y)) != old.mul(f.e(x), f.e(y)):
-            raise PullbackDegenerate(f"f not multiplicative at ({x!r}, {y!r})")
+    bad = counterexample([old.e], lambda c: f.e(section(c)) == c, samples, rng)
+    if bad is not None:
+        raise NotSurjective(f"section misses {bad[0]!r}")
+    additive = lambda x, y: f.e(ring_new.e.add(x, y)) == old.e.add(f.e(x), f.e(y))
+    bad = counterexample(
+        [ring_new.e, ring_new.e],
+        lambda x, y: additive(x, y) and f.e(ring_new.mul(x, y)) == old.mul(f.e(x), f.e(y)),
+        samples, rng,
+    )
+    if bad is not None:
+        kind = "multiplicative" if additive(*bad) else "additive"
+        raise PullbackDegenerate(f"f not {kind} at {bad!r}")
     if f.e(ring_new.one) != old.one:
         raise PullbackDegenerate("f does not preserve the unit")
-    for (a,) in _tuples([ring_new.ee], samples, rng):
-        lhs = ext.boundary(ext.P(f.ee(a)))
-        rhs = f.e(ring_new.P(a))
-        if lhs != rhs:
-            raise PullbackDegenerate(f"P images disagree at {a!r}: {lhs!r} vs {rhs!r}")
-    for (x,) in _tuples([ring_new.e], samples, rng):
-        if f.ee(ring_new.H(x)) != old.H(f.e(x)):
-            raise PullbackDegenerate(f"H images disagree at {x!r}")
+    bad = counterexample(
+        [ring_new.ee], lambda a: ext.boundary(ext.P(f.ee(a))) == f.e(ring_new.P(a)), samples, rng
+    )
+    if bad is not None:
+        (a,) = bad
+        lhs, rhs = ext.boundary(ext.P(f.ee(a))), f.e(ring_new.P(a))
+        raise PullbackDegenerate(f"P images disagree at {a!r}: {lhs!r} vs {rhs!r}")
+    bad = counterexample([ring_new.e], lambda x: f.ee(ring_new.H(x)) == old.H(f.e(x)), samples, rng)
+    if bad is not None:
+        raise PullbackDegenerate(f"H images disagree at {bad[0]!r}")
 
     def matches(c, w):
         return ext.boundary(c) == f.e(w)

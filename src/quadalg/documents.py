@@ -2,15 +2,16 @@
 
 Every input file is a JSON object with two required fields:
 ``schema_version`` (currently 1) and ``kind``. The remaining fields
-depend on the kind; ``docs/formats.md`` lists every format with a
-worked example. Construction-style documents name one of the built-in
+depend on the kind. Construction-style documents name one of the built-in
 constructions (``znil``, ``cyclic_ring``, ``one_object_cyclic``,
 ``dm``, ``ztilde``) and its parameters; ``explicit`` documents carry
 full tables.
 
-Malformed documents raise :class:`~quadalg.errors.DocumentError`.
-Failed axioms never raise: :func:`verify_document` returns a report in
-which the failures are data.
+Malformed documents raise :class:`~quadalg.errors.DocumentError`; so do
+explicit categories whose tables fail the category laws, since every
+computation on a category reads those tables. Other failed axioms never
+raise: :func:`verify_document` returns a report in which the failures
+are data.
 """
 from __future__ import annotations
 
@@ -383,7 +384,7 @@ def _build_category(doc: dict) -> FinCat:
         if (f, g) in table:
             raise DocumentError(f"category: composition row for ({f!r}, {g!r}) repeats")
         table[(f, g)] = h
-    return FinCat(
+    cat = FinCat(
         objects=tuple(objects),
         morphisms=tuple(morphisms),
         dom=dom,
@@ -392,6 +393,10 @@ def _build_category(doc: dict) -> FinCat:
         ids=dict(ids_raw),
         name=doc.get("name", "explicit category"),
     )
+    failure = cat.validate().first_failure()
+    if failure is not None:
+        raise DocumentError(f"category: {failure.name} fails at {failure.witness}")
+    return cat
 
 
 def _build_natural_system(

@@ -35,10 +35,6 @@ class BasisMismatch(QuadAlgError):
     """Two normal-form elements live over different generator universes."""
 
 
-class NotASquareGroup(QuadAlgError):
-    """The input failed the square-group axioms where a square group is required."""
-
-
 class NotASquareRing(QuadAlgError):
     """The input failed the square-ring contract where a square ring is required."""
 

@@ -648,6 +648,45 @@ def _tuples(
     return [tuple(c.sample(rng) for c in carriers) for _ in range(samples)]
 
 
+def counterexample(
+    carriers: Sequence[Carrier], holds: Callable[..., bool], samples: int, rng: random.Random
+) -> tuple | None:
+    """The first tuple from :func:`_tuples` on which ``holds`` fails, or ``None``.
+
+    Every tuple is drawn before any is checked, so where a law fails
+    never changes what later laws draw from ``rng``.
+    """
+    return next((t for t in _tuples(carriers, samples, rng) if not holds(*t)), None)
+
+
+@dataclass(frozen=True)
+class Law:
+    """A named identity ``holds(*t)`` on tuples ``t`` drawn from ``carriers``.
+
+    ``names`` labels the slots of a failing tuple in the witness, as in
+    ``"x y z"``. A law made of several equations joins them with ``and``
+    when a failed equation makes the later ones moot, and with ``&`` when
+    every equation is evaluated on every tuple, so that an exception
+    raised by any of them surfaces.
+    """
+
+    name: str
+    carriers: Sequence[Carrier]
+    holds: Callable[..., bool]
+    names: str
+
+
+def _witness(names: str, values: Sequence) -> str:
+    return " ".join(f"{n}={v!r}" for n, v in zip(names.split(), values))
+
+
+def check_laws(report: Report, laws: Iterable[Law], samples: int, rng: random.Random) -> None:
+    """Add one check per law, in order, witnessed by its first failing tuple."""
+    for law in laws:
+        bad = counterexample(law.carriers, law.holds, samples, rng)
+        report.add(law.name, bad is None, bad and _witness(law.names, bad))
+
+
 def square_group_verify(
     sg: SquareGroup, samples: int = 1000, seed: int = 0
 ) -> Report:
@@ -658,112 +697,35 @@ def square_group_verify(
     mistakes early.
     """
     rng = random.Random(seed)
-    e, ee = sg.e, sg.ee
+    e, ee, H, P = sg.e, sg.ee, sg.H, sg.P
     r = Report(title=f"square group: {sg.name}", samples=samples, seed=seed)
-
-    for a, b in _tuples([ee, ee], samples, rng):
-        if ee.add(a, b) != ee.add(b, a):
-            r.add("ee abelian", False, f"a={a!r} b={b!r}")
-            break
-    else:
-        r.add("ee abelian", True)
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        if e.add(e.add(x, y), z) != e.add(x, e.add(y, z)):
-            r.add("e associative", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("e associative", True)
-
-    for (x,) in _tuples([e], samples, rng):
-        if not e.is_zero(e.add(x, e.neg(x))) or not e.is_zero(e.add(e.neg(x), x)):
-            r.add("e inverses", False, f"x={x!r}")
-            break
-    else:
-        r.add("e inverses", True)
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        k = e.commutator(x, y)
-        if e.add(k, z) != e.add(z, k):
-            r.add("e commutators central", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("e commutators central", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        lhs = e.add(e.add(x, y), e.neg(x))
-        rhs = e.add(y, sg.bracket(x, y))
-        if lhs != rhs:
-            r.add("conjugation x+y-x = y+[x,y]", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("conjugation x+y-x = y+[x,y]", True)
-
-    for a, b in _tuples([ee, ee], samples, rng):
-        if sg.P(ee.add(a, b)) != e.add(sg.P(a), sg.P(b)):
-            r.add("P additive", False, f"a={a!r} b={b!r}")
-            break
-    else:
-        r.add("P additive", True)
-
-    r.add("H(0) = 0", ee.is_zero(sg.H(e.zero())), f"H(0)={sg.H(e.zero())!r}")
-
-    for a, y in _tuples([ee, e], samples, rng):
-        got = sg.cross(sg.P(a), y)
-        if not ee.is_zero(got):
-            r.add("(Pa|y)_H = 0", False, f"a={a!r} y={y!r} cross={got!r}")
-            break
-    else:
-        r.add("(Pa|y)_H = 0", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        if sg.P(sg.cross(x, y)) != sg.bracket(x, y):
-            r.add("P(x|y)_H = [x,y]", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("P(x|y)_H = [x,y]", True)
-
-    for (a,) in _tuples([ee], samples, rng):
-        pa = sg.P(a)
-        if sg.P(sg.H(pa)) != e.add(pa, pa):
-            r.add("PHP = 2P", False, f"a={a!r}")
-            break
-    else:
-        r.add("PHP = 2P", True)
-
-    for (a,) in _tuples([ee], samples, rng):
-        if sg.tmap(sg.tmap(a)) != a:
-            r.add("T squares to identity", False, f"a={a!r}")
-            break
-    else:
-        r.add("T squares to identity", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        lhs = sg.cross(y, x)
-        rhs = ee.neg(sg.tmap(sg.cross(x, y)))
-        if lhs != rhs:
-            r.add("(y|x)_H = -T(x|y)_H", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("(y|x)_H = -T(x|y)_H", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        lhs = sg.delta(e.add(x, y))
-        rhs = ee.add(sg.delta(x), sg.delta(y))
-        if lhs != rhs:
-            r.add("Delta additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("Delta additive", True)
-
-    for a, x in _tuples([ee, e], samples, rng):
-        pa = sg.P(a)
-        if e.add(pa, x) != e.add(x, pa):
-            r.add("P lands in the centre", False, f"a={a!r} x={x!r}")
-            break
-    else:
-        r.add("P lands in the centre", True)
-
+    check_laws(r, [
+        Law("ee abelian", [ee, ee], lambda a, b: ee.add(a, b) == ee.add(b, a), "a b"),
+        Law("e associative", [e, e, e],
+            lambda x, y, z: e.add(e.add(x, y), z) == e.add(x, e.add(y, z)), "x y z"),
+        Law("e inverses", [e],
+            lambda x: e.is_zero(e.add(x, e.neg(x))) and e.is_zero(e.add(e.neg(x), x)), "x"),
+        Law("e commutators central", [e, e, e],
+            lambda x, y, z: e.add(k := e.commutator(x, y), z) == e.add(z, k), "x y z"),
+        Law("conjugation x+y-x = y+[x,y]", [e, e],
+            lambda x, y: e.add(e.add(x, y), e.neg(x)) == e.add(y, sg.bracket(x, y)), "x y"),
+        Law("P additive", [ee, ee], lambda a, b: P(ee.add(a, b)) == e.add(P(a), P(b)), "a b"),
+    ], samples, rng)
+    r.add("H(0) = 0", ee.is_zero(H(e.zero())), f"H(0)={H(e.zero())!r}")
+    bad = counterexample([ee, e], lambda a, y: ee.is_zero(sg.cross(P(a), y)), samples, rng)
+    r.add("(Pa|y)_H = 0", bad is None,
+          bad and f"{_witness('a y', bad)} cross={sg.cross(P(bad[0]), bad[1])!r}")
+    check_laws(r, [
+        Law("P(x|y)_H = [x,y]", [e, e], lambda x, y: P(sg.cross(x, y)) == sg.bracket(x, y), "x y"),
+        Law("PHP = 2P", [ee], lambda a: P(H(pa := P(a))) == e.add(pa, pa), "a"),
+        Law("T squares to identity", [ee], lambda a: sg.tmap(sg.tmap(a)) == a, "a"),
+        Law("(y|x)_H = -T(x|y)_H", [e, e],
+            lambda x, y: sg.cross(y, x) == ee.neg(sg.tmap(sg.cross(x, y))), "x y"),
+        Law("Delta additive", [e, e],
+            lambda x, y: sg.delta(e.add(x, y)) == ee.add(sg.delta(x), sg.delta(y)), "x y"),
+        Law("P lands in the centre", [ee, e],
+            lambda a, x: e.add(pa := P(a), x) == e.add(x, pa), "a x"),
+    ], samples, rng)
     return r
 
 
@@ -777,30 +739,14 @@ def morphism_verify(
         samples=samples,
         seed=seed,
     )
-    for x, y in _tuples([dom.e, dom.e], samples, rng):
-        if f.e(dom.e.add(x, y)) != cod.e.add(f.e(x), f.e(y)):
-            r.add("e-level additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("e-level additive", True)
-    for a, b in _tuples([dom.ee, dom.ee], samples, rng):
-        if f.ee(dom.ee.add(a, b)) != cod.ee.add(f.ee(a), f.ee(b)):
-            r.add("ee-level additive", False, f"a={a!r} b={b!r}")
-            break
-    else:
-        r.add("ee-level additive", True)
-    for (x,) in _tuples([dom.e], samples, rng):
-        if f.ee(dom.H(x)) != cod.H(f.e(x)):
-            r.add("commutes with H", False, f"x={x!r}")
-            break
-    else:
-        r.add("commutes with H", True)
-    for (a,) in _tuples([dom.ee], samples, rng):
-        if f.e(dom.P(a)) != cod.P(f.ee(a)):
-            r.add("commutes with P", False, f"a={a!r}")
-            break
-    else:
-        r.add("commutes with P", True)
+    check_laws(r, [
+        Law("e-level additive", [dom.e, dom.e],
+            lambda x, y: f.e(dom.e.add(x, y)) == cod.e.add(f.e(x), f.e(y)), "x y"),
+        Law("ee-level additive", [dom.ee, dom.ee],
+            lambda a, b: f.ee(dom.ee.add(a, b)) == cod.ee.add(f.ee(a), f.ee(b)), "a b"),
+        Law("commutes with H", [dom.e], lambda x: f.ee(dom.H(x)) == cod.H(f.e(x)), "x"),
+        Law("commutes with P", [dom.ee], lambda a: f.e(dom.P(a)) == cod.P(f.ee(a)), "a"),
+    ], samples, rng)
     return r
 
 
@@ -836,22 +782,21 @@ def semidirect(
     ``P(action(x, h))`` and ``H(g, x) = (H(g), H(x) - T(action(x, g)))``.
     """
     rng = random.Random(seed)
-    for x, y, g in _tuples([A.e, A.e, G.e], samples, rng):
-        lhs = action(A.e.add(x, y), g)
-        rhs = A.ee.add(action(x, g), action(y, g))
-        if lhs != rhs:
-            raise ActionShapeMismatch(f"action not additive in the module slot: x={x!r} y={y!r} g={g!r}")
-    for x, g, h in _tuples([A.e, G.e, G.e], samples, rng):
-        lhs = action(x, G.e.add(g, h))
-        rhs = A.ee.add(action(x, g), action(x, h))
-        if lhs != rhs:
-            raise ActionShapeMismatch(f"action not additive in the group slot: x={x!r} g={g!r} h={h!r}")
-    for a, g in _tuples([A.ee, G.e], samples, rng):
-        if not A.ee.is_zero(action(A.P(a), g)):
-            raise ActionShapeMismatch(f"action does not kill P-images on the left: a={a!r} g={g!r}")
-    for x, u in _tuples([A.e, G.ee], samples, rng):
-        if not A.ee.is_zero(action(x, G.P(u))):
-            raise ActionShapeMismatch(f"action does not kill P-images on the right: x={x!r} u={u!r}")
+    for law in [
+        Law("action not additive in the module slot", [A.e, A.e, G.e],
+            lambda x, y, g: action(A.e.add(x, y), g) == A.ee.add(action(x, g), action(y, g)),
+            "x y g"),
+        Law("action not additive in the group slot", [A.e, G.e, G.e],
+            lambda x, g, h: action(x, G.e.add(g, h)) == A.ee.add(action(x, g), action(x, h)),
+            "x g h"),
+        Law("action does not kill P-images on the left", [A.ee, G.e],
+            lambda a, g: A.ee.is_zero(action(A.P(a), g)), "a g"),
+        Law("action does not kill P-images on the right", [A.e, G.ee],
+            lambda x, u: A.ee.is_zero(action(x, G.P(u))), "x u"),
+    ]:
+        bad = counterexample(law.carriers, law.holds, samples, rng)
+        if bad is not None:
+            raise ActionShapeMismatch(f"{law.name}: {_witness(law.names, bad)}")
 
     e = TwistedProductCarrier(G.e, A.e, lambda x, h: A.P(action(x, h)))
     ee = DirectSumCarrier(G.ee, A.ee)
@@ -967,22 +912,12 @@ def crossed_square_group_verify(
     r.extend(square_group_verify(G, samples, seed), prefix="base: ")
     r.extend(square_group_verify(A, samples, seed), prefix="fibre: ")
     r.extend(morphism_verify(A, G, boundary, samples, seed), prefix="boundary: ")
-    for x, g in _tuples([A.e, G.e], samples, rng):
-        lhs = boundary.ee(action(x, g))
-        rhs = G.cross(boundary.e(x), g)
-        if lhs != rhs:
-            r.add("boundary of action is a cross effect", False, f"x={x!r} g={g!r}")
-            break
-    else:
-        r.add("boundary of action is a cross effect", True)
-    for x, y in _tuples([A.e, A.e], samples, rng):
-        lhs = action(x, boundary.e(y))
-        rhs = A.cross(x, y)
-        if lhs != rhs:
-            r.add("action along the boundary is the cross effect", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("action along the boundary is the cross effect", True)
+    check_laws(r, [
+        Law("boundary of action is a cross effect", [A.e, G.e],
+            lambda x, g: boundary.ee(action(x, g)) == G.cross(boundary.e(x), g), "x g"),
+        Law("action along the boundary is the cross effect", [A.e, A.e],
+            lambda x, y: action(x, boundary.e(y)) == A.cross(x, y), "x y"),
+    ], samples, rng)
     return r
 
 
@@ -1032,44 +967,22 @@ def qpm_verify(Q: Qpm, samples: int = 500, seed: int = 0) -> Report:
     r.extend(square_group_verify(Q.level0(), samples, seed), prefix="level 0: ")
     r.extend(square_group_verify(Q.level1(), samples, seed), prefix="level 1: ")
 
-    for x, y in _tuples([Q.c1, Q.c1], samples, rng):
-        if Q.boundary(Q.c1.add(x, y)) != Q.c0.add(Q.boundary(x), Q.boundary(y)):
-            r.add("boundary additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("boundary additive", True)
-
-    for x, a in _tuples([Q.c0, Q.cee], samples, rng):
-        shift = Q.boundary(Q.P(a))
-        lhs = Q.H(Q.c0.add(x, shift))
-        rhs = Q.cee.add(Q.H(x), Q.H(shift))
-        if lhs != rhs:
-            r.add("H additive along boundary P images", False, f"x={x!r} a={a!r}")
-            break
-    else:
-        r.add("H additive along boundary P images", True)
-
-    for x, y in _tuples([Q.c1, Q.c1], samples, rng):
-        lhs = Q.P(Q.H(Q.c0.add(Q.boundary(x), Q.boundary(y))))
-        rhs = Q.c1.add(
-            Q.c1.add(Q.P(Q.H(Q.boundary(x))), Q.P(Q.H(Q.boundary(y)))),
-            Q.c1.commutator(y, x),
-        )
-        if lhs != rhs:
-            r.add("PH crossed on boundary sums", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("PH crossed on boundary sums", True)
-
-    for x, y in _tuples([Q.c0, Q.c0], samples, rng):
-        dph = lambda w: Q.boundary(Q.P(Q.H(w)))
-        lhs = dph(Q.c0.add(x, y))
-        rhs = Q.c0.add(Q.c0.add(dph(x), dph(y)), Q.c0.commutator(y, x))
-        if lhs != rhs:
-            r.add("dPH crossed on sums", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("dPH crossed on sums", True)
+    c0, c1, d = Q.c0, Q.c1, Q.boundary
+    dph = lambda w: d(Q.P(Q.H(w)))
+    check_laws(r, [
+        Law("boundary additive", [c1, c1],
+            lambda x, y: d(c1.add(x, y)) == c0.add(d(x), d(y)), "x y"),
+        Law("H additive along boundary P images", [c0, Q.cee],
+            lambda x, a: Q.H(c0.add(x, shift := d(Q.P(a)))) == Q.cee.add(Q.H(x), Q.H(shift)),
+            "x a"),
+        Law("PH crossed on boundary sums", [c1, c1],
+            lambda x, y: Q.P(Q.H(c0.add(d(x), d(y))))
+            == c1.add(c1.add(Q.P(Q.H(d(x))), Q.P(Q.H(d(y)))), c1.commutator(y, x)),
+            "x y"),
+        Law("dPH crossed on sums", [c0, c0],
+            lambda x, y: dph(c0.add(x, y)) == c0.add(c0.add(dph(x), dph(y)), c0.commutator(y, x)),
+            "x y"),
+    ], samples, rng)
 
     kernel = _kernel_elements(Q, DEFAULT_ENUM_BOUND)
     if kernel is None:
@@ -1207,69 +1120,47 @@ def groupoid_verify(gpd: SquareGroupoid, samples: int = 400, seed: int = 0) -> R
     r.extend(morphism_verify(gpd.arr, gpd.obj, gpd.target, samples, seed), prefix="target: ")
     r.extend(morphism_verify(gpd.obj, gpd.arr, gpd.unit, samples, seed), prefix="unit: ")
 
-    for (g,) in _tuples([gpd.obj.e], samples, rng):
-        if gpd.source.e(gpd.unit.e(g)) != g or gpd.target.e(gpd.unit.e(g)) != g:
-            r.add("unit arrows are endo", False, f"g={g!r}")
-            break
-    else:
-        r.add("unit arrows are endo", True)
+    arr, src, tgt, unit, compose = gpd.arr.e, gpd.source.e, gpd.target.e, gpd.unit.e, gpd.compose
+    check_laws(r, [
+        Law("unit arrows are endo", [gpd.obj.e],
+            lambda g: src(unit(g)) == g and tgt(unit(g)) == g, "g"),
+    ], samples, rng)
 
-    def composable_mate(f, h):
+    def mate(f, h):
         """Adjust ``h`` so that it composes after ``f``."""
-        shift = gpd.arr.e.add(
-            gpd.unit.e(gpd.target.e(f)),
-            gpd.arr.e.sub(h, gpd.unit.e(gpd.source.e(h))),
-        )
-        return shift
+        return arr.add(unit(tgt(f)), arr.sub(h, unit(src(h))))
 
-    pairs = _tuples([gpd.arr.e, gpd.arr.e], samples, rng)
-    for f, h in pairs:
-        g = composable_mate(f, h)
-        if not gpd.composable(f, g):
-            r.add("composable mates align", False, f"f={f!r} h={h!r}")
-            break
-    else:
-        r.add("composable mates align", True)
+    def endpoints(f, g):
+        m = compose(f, g)
+        return src(m) == src(f) and tgt(m) == tgt(g)
 
-    for f, h in pairs:
-        g = composable_mate(f, h)
-        m = gpd.compose(f, g)
-        if gpd.source.e(m) != gpd.source.e(f) or gpd.target.e(m) != gpd.target.e(g):
-            r.add("composition endpoints", False, f"f={f!r} g={g!r}")
-            break
-    else:
-        r.add("composition endpoints", True)
+    def chain(f, h, k):
+        g = mate(f, h)
+        return f, g, mate(g, k)
 
-    for (f,) in _tuples([gpd.arr.e], samples, rng):
-        lu = gpd.compose(gpd.unit.e(gpd.source.e(f)), f)
-        ru = gpd.compose(f, gpd.unit.e(gpd.target.e(f)))
-        if lu != f or ru != f:
-            r.add("unit laws", False, f"f={f!r}")
-            break
-    else:
-        r.add("unit laws", True)
+    def associative(f, g, w):
+        return compose(compose(f, g), w) == compose(f, compose(g, w))
 
-    for f, h, k in _tuples([gpd.arr.e, gpd.arr.e, gpd.arr.e], samples, rng):
-        g = composable_mate(f, h)
-        w = composable_mate(g, k)
-        lhs = gpd.compose(gpd.compose(f, g), w)
-        rhs = gpd.compose(f, gpd.compose(g, w))
-        if lhs != rhs:
-            r.add("composition associative", False, f"f={f!r} g={g!r} w={w!r}")
-            break
-    else:
-        r.add("composition associative", True)
+    def additive(f1, g1, f2, g2):
+        lhs = compose(arr.add(f1, f2), arr.add(g1, g2))
+        return lhs == arr.add(compose(f1, g1), compose(f2, g2))
 
-    for f1, h1, f2, h2 in _tuples([gpd.arr.e] * 4, samples, rng):
-        g1 = composable_mate(f1, h1)
-        g2 = composable_mate(f2, h2)
-        lhs = gpd.compose(gpd.arr.e.add(f1, f2), gpd.arr.e.add(g1, g2))
-        rhs = gpd.arr.e.add(gpd.compose(f1, g1), gpd.compose(f2, g2))
-        if lhs != rhs:
-            r.add("composition additive", False, f"f1={f1!r} f2={f2!r}")
-            break
-    else:
-        r.add("composition additive", True)
+    # the first two composition laws read one shared draw
+    pairs = _tuples([arr, arr], samples, rng)
+    bad = next((p for p in pairs if not gpd.composable(p[0], mate(*p))), None)
+    r.add("composable mates align", bad is None, bad and _witness("f h", bad))
+    bad = next((p for p in pairs if not endpoints(p[0], mate(*p))), None)
+    r.add("composition endpoints", bad is None, bad and _witness("f g", (bad[0], mate(*bad))))
+    check_laws(r, [
+        Law("unit laws", [arr],
+            lambda f: (compose(unit(src(f)), f) == f) & (compose(f, unit(tgt(f))) == f), "f"),
+    ], samples, rng)
+    bad = counterexample([arr] * 3, lambda *t: associative(*chain(*t)), samples, rng)
+    r.add("composition associative", bad is None, bad and _witness("f g w", chain(*bad)))
+    bad = counterexample(
+        [arr] * 4, lambda f1, h1, f2, h2: additive(f1, mate(f1, h1), f2, mate(f2, h2)), samples, rng
+    )
+    r.add("composition additive", bad is None, bad and _witness("f1 f2", bad[::2]))
     return r
 
 
@@ -1322,33 +1213,13 @@ def qpm_groupoid_roundtrip(Q: Qpm, samples: int = 400, seed: int = 0) -> Report:
 
     embed = lambda x: (Q.c0.zero(), x)
 
-    for x, y in _tuples([Q.c1, Q.c1], samples, rng):
-        if embed(Q.c1.add(x, y)) != back.c1.add(embed(x), embed(y)):
-            r.add("kernel embedding additive", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("kernel embedding additive", True)
-
-    for (x,) in _tuples([Q.c1], samples, rng):
-        if back.boundary(embed(x)) != Q.boundary(x):
-            r.add("boundary preserved", False, f"x={x!r}")
-            break
-    else:
-        r.add("boundary preserved", True)
-
-    for (a,) in _tuples([Q.cee], samples, rng):
-        if back.P(a) != embed(Q.P(a)):
-            r.add("P preserved", False, f"a={a!r}")
-            break
-    else:
-        r.add("P preserved", True)
-
-    for (g,) in _tuples([Q.c0], samples, rng):
-        if back.H(g) != Q.H(g):
-            r.add("H preserved", False, f"g={g!r}")
-            break
-    else:
-        r.add("H preserved", True)
+    check_laws(r, [
+        Law("kernel embedding additive", [Q.c1, Q.c1],
+            lambda x, y: embed(Q.c1.add(x, y)) == back.c1.add(embed(x), embed(y)), "x y"),
+        Law("boundary preserved", [Q.c1], lambda x: back.boundary(embed(x)) == Q.boundary(x), "x"),
+        Law("P preserved", [Q.cee], lambda a: back.P(a) == embed(Q.P(a)), "a"),
+        Law("H preserved", [Q.c0], lambda g: back.H(g) == Q.H(g), "g"),
+    ], samples, rng)
 
     try:
         members = set(back.c1.elements())

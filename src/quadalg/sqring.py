@@ -28,9 +28,10 @@ from .nil2 import (
     Carrier,
     FreeNil2Carrier,
     FreePairsCarrier,
+    Law,
     Nil2Element,
     SquareGroup,
-    _tuples,
+    check_laws,
     square_group_verify,
 )
 from .reports import Report
@@ -140,166 +141,77 @@ def verify_ring(R, samples: int = 1000, seed: int = 0) -> Report:
     raise TypeError(f"expected a SquareRing or QuadraticRing, got {type(R).__name__}")
 
 
-def _verify_monoid(R, r: Report, samples: int, rng: random.Random) -> None:
-    e = R.e
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        if R.mul(R.mul(x, y), z) != R.mul(x, R.mul(y, z)):
-            r.add("multiplication associative", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("multiplication associative", True)
-    for (x,) in _tuples([e], samples, rng):
-        if R.mul(R.one, x) != x or R.mul(x, R.one) != x:
-            r.add("one is a unit", False, f"x={x!r}")
-            break
-    else:
-        r.add("one is a unit", True)
+def _ring_laws(R) -> list[Law]:
+    """The monoid on ``e`` and the ring on ``ee``, shared by both ring kinds."""
+    e, ee, mul, eemul = R.e, R.ee, R.mul, R.eemul
+    return [
+        Law("multiplication associative", [e, e, e],
+            lambda x, y, z: mul(mul(x, y), z) == mul(x, mul(y, z)), "x y z"),
+        Law("one is a unit", [e], lambda x: mul(R.one, x) == x and mul(x, R.one) == x, "x"),
+        Law("ee product associative", [ee, ee, ee],
+            lambda a, b, c: eemul(eemul(a, b), c) == eemul(a, eemul(b, c)), "a b c"),
+        Law("ee product bilinear", [ee, ee, ee],
+            lambda a, b, c: (eemul(a, ee.add(b, c)) == ee.add(eemul(a, b), eemul(a, c)))
+            & (eemul(ee.add(a, b), c) == ee.add(eemul(a, c), eemul(b, c))),
+            "a b c"),
+    ]
 
 
-def _verify_ee_ring(R, r: Report, samples: int, rng: random.Random) -> None:
-    ee = R.ee
-    for a, b, c in _tuples([ee, ee, ee], samples, rng):
-        if R.eemul(R.eemul(a, b), c) != R.eemul(a, R.eemul(b, c)):
-            r.add("ee product associative", False, f"a={a!r} b={b!r} c={c!r}")
-            break
-    else:
-        r.add("ee product associative", True)
-    for a, b, c in _tuples([ee, ee, ee], samples, rng):
-        left = R.eemul(a, ee.add(b, c)) == ee.add(R.eemul(a, b), R.eemul(a, c))
-        right = R.eemul(ee.add(a, b), c) == ee.add(R.eemul(a, c), R.eemul(b, c))
-        if not (left and right):
-            r.add("ee product bilinear", False, f"a={a!r} b={b!r} c={c!r}")
-            break
-    else:
-        r.add("ee product bilinear", True)
+def _left_distributive(R) -> Law:
+    e, mul = R.e, R.mul
+    return Law("(i) left distributive", [e, e, e],
+               lambda x, y, z: mul(x, e.add(y, z)) == e.add(mul(x, y), mul(x, z)), "x y z")
 
 
 def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
     rng = random.Random(seed)
     r = Report(title=f"square ring: {R.name}", samples=samples, seed=seed)
     r.extend(square_group_verify(R.square_group(), samples, seed), prefix="additive: ")
-    _verify_monoid(R, r, samples, rng)
-    _verify_ee_ring(R, r, samples, rng)
     e, ee, sg = R.e, R.ee, R.square_group()
-
-    for x, y, a, b in _tuples([e, e, ee, ee], samples, rng):
-        if R.act_pair(x, y, ee.add(a, b)) != ee.add(R.act_pair(x, y, a), R.act_pair(x, y, b)):
-            r.add("pair action additive in ee", False, f"x={x!r} y={y!r} a={a!r} b={b!r}")
-            break
-    else:
-        r.add("pair action additive in ee", True)
-
-    for x, u, y, a in _tuples([e, e, e, ee], samples, rng):
-        first = R.act_pair(e.add(x, u), y, a) == ee.add(R.act_pair(x, y, a), R.act_pair(u, y, a))
-        second = R.act_pair(y, e.add(x, u), a) == ee.add(R.act_pair(y, x, a), R.act_pair(y, u, a))
-        if not (first and second):
-            r.add("pair action biadditive in e", False, f"x={x!r} u={u!r} y={y!r} a={a!r}")
-            break
-    else:
-        r.add("pair action biadditive in e", True)
-
-    for x, y, a, c in _tuples([e, e, ee, ee], samples, rng):
-        first = R.act_pair(e.add(x, R.P(c)), y, a) == R.act_pair(x, y, a)
-        second = R.act_pair(x, e.add(y, R.P(c)), a) == R.act_pair(x, y, a)
-        if not (first and second):
-            r.add("pair action kills P images", False, f"x={x!r} y={y!r} a={a!r} c={c!r}")
-            break
-    else:
-        r.add("pair action kills P images", True)
-
-    for a, b, z in _tuples([ee, ee, e], samples, rng):
-        if R.act_right(ee.add(a, b), z) != ee.add(R.act_right(a, z), R.act_right(b, z)):
-            r.add("right action additive in ee", False, f"a={a!r} b={b!r} z={z!r}")
-            break
-    else:
-        r.add("right action additive in ee", True)
-
-    for a, z, w, c in _tuples([ee, e, e, ee], samples, rng):
-        additive = R.act_right(a, e.add(z, w)) == ee.add(R.act_right(a, z), R.act_right(a, w))
-        kills = R.act_right(a, e.add(z, R.P(c))) == R.act_right(a, z)
-        if not (additive and kills):
-            r.add("right action additive through the quotient", False,
-                  f"a={a!r} z={z!r} w={w!r} c={c!r}")
-            break
-    else:
-        r.add("right action additive through the quotient", True)
-
-    for x, y, u, v, a in _tuples([e, e, e, e, ee], samples, rng):
-        lhs = R.act_pair(x, y, R.act_pair(u, v, a))
-        rhs = R.act_pair(R.mul(x, u), R.mul(y, v), a)
-        if lhs != rhs:
-            r.add("pair action multiplicative", False, f"x={x!r} y={y!r} u={u!r} v={v!r} a={a!r}")
-            break
-    else:
-        r.add("pair action multiplicative", True)
-
-    for a, y, z in _tuples([ee, e, e], samples, rng):
-        if R.act_right(R.act_right(a, y), z) != R.act_right(a, R.mul(y, z)):
-            r.add("right action multiplicative", False, f"a={a!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("right action multiplicative", True)
-
-    for x, y, a, z in _tuples([e, e, ee, e], samples, rng):
-        if R.act_pair(x, y, R.act_right(a, z)) != R.act_right(R.act_pair(x, y, a), z):
-            r.add("pair and right actions commute", False, f"x={x!r} y={y!r} a={a!r} z={z!r}")
-            break
-    else:
-        r.add("pair and right actions commute", True)
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        if R.mul(x, e.add(y, z)) != e.add(R.mul(x, y), R.mul(x, z)):
-            r.add("(i) left distributive", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("(i) left distributive", True)
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        lhs = R.mul(e.add(x, y), z)
-        rhs = e.add(e.add(R.mul(x, z), R.mul(y, z)), R.P(R.act_pair(x, y, R.H(z))))
-        if lhs != rhs:
-            r.add("(ii) right distributive with correction", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("(ii) right distributive with correction", True)
-
-    htwo = R.H(R.two())
-    for x, y in _tuples([e, e], samples, rng):
-        if sg.cross(x, y) != R.act_pair(y, x, htwo):
-            r.add("(iii) cross effect from H(2)", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("(iii) cross effect from H(2)", True)
-
-    for x, y, a, z in _tuples([e, e, ee, e], samples, rng):
-        if sg.tmap(R.tri(x, y, a, z)) != R.tri(y, x, sg.tmap(a), z):
-            r.add("(iv) T twists the pair action", False, f"x={x!r} y={y!r} a={a!r} z={z!r}")
-            break
-    else:
-        r.add("(iv) T twists the pair action", True)
-
-    for a, x in _tuples([ee, e], samples, rng):
-        if R.P(R.act_right(a, x)) != R.mul(R.P(a), x):
-            r.add("(v) P respects the right action", False, f"a={a!r} x={x!r}")
-            break
-    else:
-        r.add("(v) P respects the right action", True)
-
-    for x, a in _tuples([e, ee], samples, rng):
-        if R.P(R.act_pair(x, x, a)) != R.mul(x, R.P(a)):
-            r.add("(vi) P respects the diagonal action", False, f"x={x!r} a={a!r}")
-            break
-    else:
-        r.add("(vi) P respects the diagonal action", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        lhs = R.H(R.mul(x, y))
-        rhs = ee.add(R.act_pair(x, x, R.H(y)), R.act_right(R.H(x), y))
-        if lhs != rhs:
-            r.add("(vii) H is multiplicative with correction", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("(vii) H is multiplicative with correction", True)
+    H, P, mul, pair, right = R.H, R.P, R.mul, R.act_pair, R.act_right
+    htwo = H(R.two())
+    check_laws(r, _ring_laws(R) + [
+        Law("pair action additive in ee", [e, e, ee, ee],
+            lambda x, y, a, b: pair(x, y, ee.add(a, b)) == ee.add(pair(x, y, a), pair(x, y, b)),
+            "x y a b"),
+        Law("pair action biadditive in e", [e, e, e, ee],
+            lambda x, u, y, a: (pair(e.add(x, u), y, a) == ee.add(pair(x, y, a), pair(u, y, a)))
+            & (pair(y, e.add(x, u), a) == ee.add(pair(y, x, a), pair(y, u, a))),
+            "x u y a"),
+        Law("pair action kills P images", [e, e, ee, ee],
+            lambda x, y, a, c: (pair(e.add(x, P(c)), y, a) == pair(x, y, a))
+            & (pair(x, e.add(y, P(c)), a) == pair(x, y, a)),
+            "x y a c"),
+        Law("right action additive in ee", [ee, ee, e],
+            lambda a, b, z: right(ee.add(a, b), z) == ee.add(right(a, z), right(b, z)), "a b z"),
+        Law("right action additive through the quotient", [ee, e, e, ee],
+            lambda a, z, w, c: (right(a, e.add(z, w)) == ee.add(right(a, z), right(a, w)))
+            & (right(a, e.add(z, P(c))) == right(a, z)),
+            "a z w c"),
+        Law("pair action multiplicative", [e, e, e, e, ee],
+            lambda x, y, u, v, a: pair(x, y, pair(u, v, a)) == pair(mul(x, u), mul(y, v), a),
+            "x y u v a"),
+        Law("right action multiplicative", [ee, e, e],
+            lambda a, y, z: right(right(a, y), z) == right(a, mul(y, z)), "a y z"),
+        Law("pair and right actions commute", [e, e, ee, e],
+            lambda x, y, a, z: pair(x, y, right(a, z)) == right(pair(x, y, a), z), "x y a z"),
+        _left_distributive(R),
+        Law("(ii) right distributive with correction", [e, e, e],
+            lambda x, y, z: mul(e.add(x, y), z)
+            == e.add(e.add(mul(x, z), mul(y, z)), P(pair(x, y, H(z)))),
+            "x y z"),
+        Law("(iii) cross effect from H(2)", [e, e],
+            lambda x, y: sg.cross(x, y) == pair(y, x, htwo), "x y"),
+        Law("(iv) T twists the pair action", [e, e, ee, e],
+            lambda x, y, a, z: sg.tmap(R.tri(x, y, a, z)) == R.tri(y, x, sg.tmap(a), z),
+            "x y a z"),
+        Law("(v) P respects the right action", [ee, e],
+            lambda a, x: P(right(a, x)) == mul(P(a), x), "a x"),
+        Law("(vi) P respects the diagonal action", [e, ee],
+            lambda x, a: P(pair(x, x, a)) == mul(x, P(a)), "x a"),
+        Law("(vii) H is multiplicative with correction", [e, e],
+            lambda x, y: H(mul(x, y)) == ee.add(pair(x, x, H(y)), right(H(x), y)), "x y"),
+    ], samples, rng)
     return r
 
 
@@ -307,64 +219,27 @@ def _verify_quadratic_ring(R: QuadraticRing, samples: int, seed: int) -> Report:
     rng = random.Random(seed)
     r = Report(title=f"quadratic ring: {R.name}", samples=samples, seed=seed)
     r.extend(square_group_verify(R.square_group(), samples, seed), prefix="additive: ")
-    _verify_monoid(R, r, samples, rng)
-    _verify_ee_ring(R, r, samples, rng)
     e, ee, sg = R.e, R.ee, R.square_group()
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        if R.mul(x, e.add(y, z)) != e.add(R.mul(x, y), R.mul(x, z)):
-            r.add("(i) left distributive", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("(i) left distributive", True)
-
-    for x, y, z in _tuples([e, e, e], samples, rng):
-        lhs = R.mul(e.add(x, y), z)
-        rhs = e.add(e.add(R.mul(x, z), R.mul(y, z)), R.P(R.eemul(sg.cross(y, x), R.H(z))))
-        if lhs != rhs:
-            r.add("(ii) right distributive with correction", False, f"x={x!r} y={y!r} z={z!r}")
-            break
-    else:
-        r.add("(ii) right distributive with correction", True)
-
-    for x, y, u, v in _tuples([e, e, e, e], samples, rng):
-        lhs = R.eemul(sg.cross(x, y), sg.cross(u, v))
-        rhs = sg.cross(R.mul(x, u), R.mul(y, v))
-        if lhs != rhs:
-            r.add("(iii) cross effects multiply", False, f"x={x!r} y={y!r} u={u!r} v={v!r}")
-            break
-    else:
-        r.add("(iii) cross effects multiply", True)
-
-    for a, b in _tuples([ee, ee], samples, rng):
-        if sg.tmap(R.eemul(a, b)) != ee.neg(R.eemul(sg.tmap(a), sg.tmap(b))):
-            r.add("(iv) T is anti multiplicative", False, f"a={a!r} b={b!r}")
-            break
-    else:
-        r.add("(iv) T is anti multiplicative", True)
-
-    for a, x in _tuples([ee, e], samples, rng):
-        if R.P(R.eemul(a, sg.delta(x))) != R.mul(R.P(a), x):
-            r.add("(v) P respects Delta on the right", False, f"a={a!r} x={x!r}")
-            break
-    else:
-        r.add("(v) P respects Delta on the right", True)
-
-    for x, a in _tuples([e, ee], samples, rng):
-        if R.P(R.eemul(sg.cross(x, x), a)) != R.mul(x, R.P(a)):
-            r.add("(vi) P respects the diagonal cross effect", False, f"x={x!r} a={a!r}")
-            break
-    else:
-        r.add("(vi) P respects the diagonal cross effect", True)
-
-    for x, y in _tuples([e, e], samples, rng):
-        lhs = R.H(R.mul(x, y))
-        rhs = ee.add(R.eemul(sg.cross(x, x), R.H(y)), R.eemul(R.H(x), sg.delta(y)))
-        if lhs != rhs:
-            r.add("(vii) H is multiplicative with correction", False, f"x={x!r} y={y!r}")
-            break
-    else:
-        r.add("(vii) H is multiplicative with correction", True)
+    H, P, mul, eemul, cross = R.H, R.P, R.mul, R.eemul, sg.cross
+    check_laws(r, _ring_laws(R) + [
+        _left_distributive(R),
+        Law("(ii) right distributive with correction", [e, e, e],
+            lambda x, y, z: mul(e.add(x, y), z)
+            == e.add(e.add(mul(x, z), mul(y, z)), P(eemul(cross(y, x), H(z)))),
+            "x y z"),
+        Law("(iii) cross effects multiply", [e, e, e, e],
+            lambda x, y, u, v: eemul(cross(x, y), cross(u, v)) == cross(mul(x, u), mul(y, v)),
+            "x y u v"),
+        Law("(iv) T is anti multiplicative", [ee, ee],
+            lambda a, b: sg.tmap(eemul(a, b)) == ee.neg(eemul(sg.tmap(a), sg.tmap(b))), "a b"),
+        Law("(v) P respects Delta on the right", [ee, e],
+            lambda a, x: P(eemul(a, sg.delta(x))) == mul(P(a), x), "a x"),
+        Law("(vi) P respects the diagonal cross effect", [e, ee],
+            lambda x, a: P(eemul(cross(x, x), a)) == mul(x, P(a)), "x a"),
+        Law("(vii) H is multiplicative with correction", [e, e],
+            lambda x, y: H(mul(x, y)) == ee.add(eemul(cross(x, x), H(y)), eemul(H(x), sg.delta(y))),
+            "x y"),
+    ], samples, rng)
     return r
 
 
@@ -610,7 +485,7 @@ def znil_monoid(
     ``sample_length`` so that sampled triple products stay inside the
     bound.
 
-    >>> R = znil_monoid(["s", "t"], length_bound=4)
+    >>> R = znil_monoid(["s", "t"], length_bound=6)
     >>> x = R.e.atom(("s",)); y = R.e.atom(("t",))
     >>> R.mul(x, y) == R.e.atom(("s", "t"))
     True

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from quadalg.abelian import FgAbGroup, mat_vec
 from quadalg.bwcoh import (
     FinCat,
     _build_level,
+    _level_size,
     _canonical_map,
     _d_presented,
     bar_cohomology,
@@ -277,3 +279,20 @@ class TestGuards:
         C, D = cyclic_setup(4)
         with pytest.raises(InfeasibleSize, match="cap 5"):
             cohomology(C, D, 2, max_generators=5)
+
+    def test_generator_cap_is_checked_before_any_level_is_built(self):
+        # level 3 (20,127 generators) is under the default cap and would go
+        # into a dense Smith form; level 4 (325,154) is not
+        C, D = dm_natural_system(2, 2)
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleSize, match="level 4 needs 325154 generators"):
+            cohomology(C, D, 3)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_level_sizes_match_the_built_levels(self, normalized):
+        for C, D in [cyclic_setup(4), dm_natural_system(4, 1)]:
+            for n in range(4):
+                assert _level_size(C, D, n, normalized) == _build_level(
+                    C, D, n, normalized, 100000
+                ).ngens

@@ -8,6 +8,7 @@ import pytest
 from quadalg.cli import main
 
 from .test_documents import (
+    CAT_EXPLICIT,
     CAT_Z4,
     COEFF_Z4,
     EXT_C42,
@@ -134,6 +135,16 @@ class TestCohomology:
         captured = capsys.readouterr()
         assert code == 3
         assert "cap 5" in captured.err
+
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_incomplete_explicit_category_exits_two(self, docs, tmp_path, capsys, degree):
+        rows = [row for row in CAT_EXPLICIT["composition"] if row != ["iy", "a", "a"]]
+        cat = write_json(tmp_path, "partial.json", dict(CAT_EXPLICIT, composition=rows))
+        code = main(["cohomology", cat, docs["coeff"], "--degree", degree])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert "identities neutral" in captured.err
 
     def test_first_argument_must_be_a_category(self, docs, capsys):
         code = main(["cohomology", docs["ring"], docs["coeff"], "--degree", "1"])
