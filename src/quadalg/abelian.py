@@ -14,13 +14,21 @@ Conventions
 * A map is stored by the matrix whose column ``j`` is the image of the
   ``j``-th generator of the source.
 * A relation matrix for a presentation has one column per relation.
+
+Linear solves go through :class:`Factorization`, which computes the Smith
+normal form of one matrix once and then answers ``solve(b)`` and
+``contains(b)`` for any number of right-hand sides. A matrix that is
+already in Smith form (diagonal, nonnegative, each entry dividing the next)
+is not re-factored: :func:`smith` returns it with identity certificates.
+Membership in the relation lattice of a group in invariant-factor form
+needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CompositionNonzero, ShapeMismatch, TooLarge
@@ -49,7 +57,7 @@ def mat_shape(M: IntMatrix) -> tuple[int, int]:
 
 
 def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Matrix product ``A @ B``.
+    """Matrix product ``A @ B``; zero entries of ``A`` cost nothing.
 
     >>> matmul([[1, 2]], [[3], [4]])
     [[11]]
@@ -63,7 +71,11 @@ def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     for row in A:
         if len(row) != len(B):
             raise ShapeMismatch(f"cannot multiply {mat_shape(A)} by {mat_shape(B)}")
-        out.append([sum(row[k] * B[k][j] for k in range(len(B))) for j in range(n)])
+        acc = [0] * n
+        for a, brow in zip(row, B):
+            if a:
+                acc = [s + a * x for s, x in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
@@ -128,17 +140,33 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _in_smith_form(M: IntMatrix) -> bool:
+    """Whether ``M`` is diagonal with nonnegative entries, each dividing the
+    next (so zeros come last)."""
+    prev = 1
+    for i, row in enumerate(M):
+        d = row[i] if i < len(row) else 0
+        if d < 0 or any(row[:i]) or any(row[i + 1 :]) or (d % prev if prev else d):
+            return False
+        prev = d
+    return True
+
+
 def smith(M: IntMatrix) -> SnfResult:
     """Full Smith normal form with tracked certificates.
 
     The pivot rule is deterministic: among nonzero entries of the working
     submatrix pick one of minimal absolute value, breaking ties by smallest
-    row index, then smallest column index.
+    row index, then smallest column index. A matrix already in Smith form
+    is returned with identity certificates, which is what the elimination
+    below would return after doing nothing.
     """
     A = mat_copy(M)
     m, n = mat_shape(A)
     U, Uinv = identity(m), identity(m)
     V, Vinv = identity(n), identity(n)
+    if _in_smith_form(A):
+        return SnfResult(A, U, V, Uinv, Vinv)
 
     def row_swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
@@ -268,29 +296,57 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return r.S, r.U, r.V
 
 
+class Factorization:
+    """The Smith normal form of one matrix ``A``, reused for every solve.
+
+    Each :meth:`solve` or :meth:`contains` costs two matrix-vector
+    products; the factorization itself is computed once, here.
+
+    >>> f = Factorization([[2, 0], [0, 3]])
+    >>> f.solve((4, 9))
+    (2, 3)
+    >>> f.contains((3, 0)), f.contains((0, 3))
+    (False, True)
+    """
+
+    __slots__ = ("snf", "_diagonal")
+
+    def __init__(self, A: IntMatrix):
+        self.snf = smith(A)
+        self._diagonal = self.snf.diagonal
+
+    def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
+        """One integer solution ``x`` of ``A @ x = b``, or ``None``."""
+        r, diag = self.snf, self._diagonal
+        if len(b) != len(r.U):
+            raise ShapeMismatch("right-hand side length does not match row count")
+        y = [0] * len(r.V)
+        for i, c in enumerate(mat_vec(r.U, tuple(b))):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                if c % d:
+                    return None
+                y[i] = c // d
+            elif c:
+                return None
+        return mat_vec(r.V, tuple(y))
+
+    def contains(self, b: tuple[int, ...] | list[int]) -> bool:
+        """Whether ``b`` lies in the lattice spanned by the columns of ``A``."""
+        return self.solve(b) is not None
+
+
 def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
     """One integer solution ``x`` of ``A @ x = b``, or ``None``.
+
+    Factors ``A`` on every call; use :class:`Factorization` for many ``b``.
 
     >>> solve_integer([[2, 0], [0, 3]], (4, 9))
     (2, 3)
     >>> solve_integer([[2]], (3,)) is None
     True
     """
-    m, n = mat_shape(A)
-    if len(b) != m:
-        raise ShapeMismatch("right-hand side length does not match row count")
-    r = smith(A)
-    c = mat_vec(r.U, tuple(b))
-    y = [0] * n
-    for i in range(m):
-        d = r.S[i][i] if i < min(m, n) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return mat_vec(r.V, tuple(y))
+    return Factorization(A).solve(b)
 
 
 def kernel_basis(A: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]]:
@@ -322,7 +378,7 @@ def in_lattice(A: IntMatrix, v: tuple[int, ...] | list[int]) -> bool:
     """Whether ``v`` lies in the lattice spanned by the columns of ``A``."""
     if not A:
         return all(x == 0 for x in v)
-    return solve_integer(A, v) is not None
+    return Factorization(A).contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +705,12 @@ class AbMap:
         return AbMap(self.source, self.target, M)
 
     def is_zero_map(self) -> bool:
-        """Whether the map is zero as a homomorphism (not just as a matrix)."""
-        rel = self.target.relation_matrix()
-        return all(in_lattice(rel, c) if rel else all(x == 0 for x in c)
-                   for c in columns(self.matrix))
+        """Whether the map is zero as a homomorphism (not just as a matrix).
+
+        A column lies in the target's relation lattice exactly when it
+        reduces to zero modulo the invariant factors.
+        """
+        return not any(any(self.target.reduce(c)) for c in columns(self.matrix))
 
     def image_contains(self, coords) -> tuple[int, ...] | None:
         """A source solution of ``f(x) = v``, or ``None``."""
@@ -739,7 +797,9 @@ class HomologyResult:
     """``ker(d2)/im(d1)`` together with a witness.
 
     ``kernel_basis`` lists middle-group coordinate tuples generating the
-    kernel; :meth:`express` sends a kernel element to its class.
+    kernel; :meth:`express` sends a kernel element to its class. Both
+    directions solve against one factorization each, made at most once per
+    result.
     """
 
     group: FgAbGroup
@@ -747,6 +807,8 @@ class HomologyResult:
     _basis_matrix: IntMatrix
     _project: IntMatrix
     middle: FgAbGroup
+    _kernel: Factorization = field(repr=False, compare=False)
+    _classes: Factorization | None = field(default=None, repr=False, compare=False)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -757,11 +819,10 @@ class HomologyResult:
         if isinstance(coords, AbElement):
             coords = coords.coords
         v = self.middle.reduce(coords)
-        k = len(self.kernel_basis)
-        sol = solve_integer(self._basis_matrix, v) if k else (None if any(v) else ())
+        sol = self._kernel.solve(v)
         if sol is None:
             raise ShapeMismatch(f"element {v} is not in the kernel")
-        return self.group.reduce(mat_vec(self._project, sol)) if k else self.group.zero()
+        return self.group.reduce(mat_vec(self._project, sol))
 
     def representative(self, class_coords) -> tuple[int, ...]:
         """A middle-group cocycle representing the given class.
@@ -770,14 +831,16 @@ class HomologyResult:
         coordinates express back to ``class_coords``.
         """
         h = self.group.reduce(class_coords)
-        k = len(self.kernel_basis)
-        if k == 0:
+        if self.group.is_trivial():
             return self.middle.zero()
-        system = mat_hstack(self._project, self.group.relation_matrix())
-        sol = solve_integer(system, h)
+        if self._classes is None:
+            self._classes = Factorization(
+                mat_hstack(self._project, self.group.relation_matrix())
+            )
+        sol = self._classes.solve(h)
         if sol is None:
             raise ShapeMismatch(f"class {h} has no kernel representative")
-        return self.middle.reduce(mat_vec(self._basis_matrix, sol[:k]))
+        return self.middle.reduce(mat_vec(self._basis_matrix, sol[: len(self.kernel_basis)]))
 
 
 def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
@@ -815,10 +878,11 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     basis = lattice_basis(span) if ker_span else []
     BK = from_columns(basis, b) if basis else zeros(b, 0)
     k = len(basis)
+    kernel = Factorization(BK)
     den = mat_hstack(d1.matrix, B.relation_matrix())
     rel_cols = []
     for c in columns(den):
-        sol = solve_integer(BK, c) if k else (None if any(c) else ())
+        sol = kernel.solve(c)
         if sol is None:
             raise CompositionNonzero(
                 f"image element {c} does not lie in the kernel lattice"
@@ -832,6 +896,7 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
         _basis_matrix=BK,
         _project=project,
         middle=B,
+        _kernel=kernel,
     )
 
 
@@ -862,9 +927,10 @@ class PresentedMap:
     matrix: IntMatrix
 
     def well_defined(self) -> tuple[bool, str | None]:
+        relations = Factorization(self.dst.rel_matrix())
         for j, c in enumerate(columns(self.src.rel_matrix())):
             img = mat_vec(self.matrix, c)
-            if not in_lattice(self.dst.rel_matrix(), img):
+            if not relations.contains(img):
                 return False, f"relation {j} maps to {img}, outside the relations"
         return True, None
 
@@ -888,30 +954,31 @@ def exact_at(
     if f.dst is not g.src and f.dst != g.src:
         return False, "maps do not share the middle presentation"
     mid_rels = f.dst.rel_matrix()
-    img = mat_hstack(f.image_lattice(), mid_rels)
-    ker = mat_hstack(g.kernel_lattice(), mid_rels)
-    for c in columns(f.image_lattice()):
-        if not in_lattice(ker, c):
+    image, kernel = f.image_lattice(), g.kernel_lattice()
+    in_kernel = Factorization(mat_hstack(kernel, mid_rels))
+    for c in columns(image):
+        if not in_kernel.contains(c):
             return False, f"image generator {c} is not in the kernel"
-    for c in columns(g.kernel_lattice()):
-        if not in_lattice(img, c):
+    in_image = Factorization(mat_hstack(image, mid_rels))
+    for c in columns(kernel):
+        if not in_image.contains(c):
             return False, f"kernel generator {c} is not in the image"
     return True, None
 
 
 def injective_presented(f: PresentedMap) -> tuple[bool, str | None]:
-    ker = f.kernel_lattice()
-    for c in columns(ker):
-        if not in_lattice(f.src.rel_matrix(), c):
+    relations = Factorization(f.src.rel_matrix())
+    for c in columns(f.kernel_lattice()):
+        if not relations.contains(c):
             return False, f"kernel element {c} is nonzero in the source"
     return True, None
 
 
 def surjective_presented(f: PresentedMap) -> tuple[bool, str | None]:
-    span = mat_hstack(f.image_lattice(), f.dst.rel_matrix())
+    span = Factorization(mat_hstack(f.image_lattice(), f.dst.rel_matrix()))
     for i in range(f.dst.ngens):
         e = tuple(int(i == j) for j in range(f.dst.ngens))
-        if not in_lattice(span, e):
+        if not span.contains(e):
             return False, f"generator {i} of the target is not hit"
     return True, None
 
@@ -1277,9 +1344,8 @@ def short_exact_checks(
     ok, w = g.well_defined()
     out.append(("second map well defined", ok, w))
     comp = matmul(g.matrix, f.matrix) if f.matrix and g.matrix else []
-    zero = all(
-        in_lattice(g.dst.rel_matrix(), c) for c in columns(comp)
-    ) if comp else True
+    relations = Factorization(g.dst.rel_matrix())
+    zero = all(relations.contains(c) for c in columns(comp))
     out.append(("composite is zero", zero, None if zero else "nonzero composite"))
     ok, w = injective_presented(f)
     out.append(("first map injective", ok, w))

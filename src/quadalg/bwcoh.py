@@ -20,6 +20,7 @@ from typing import Callable, Hashable, Sequence
 
 from .abelian import (
     AbMap,
+    Factorization,
     FgAbGroup,
     HomologyResult,
     columns,
@@ -30,7 +31,6 @@ from .abelian import (
     mat_vec,
     matmul,
     quotient_presentation,
-    solve_integer,
     zeros,
 )
 from .errors import (
@@ -110,8 +110,9 @@ class FinCat:
         r.add("identities present", ok, witness)
         ok, witness = True, None
         for f in self.morphisms:
-            left = self.table.get((f, self.ids[self.dom[f]]))
-            right = self.table.get((self.ids[self.cod[f]], f))
+            # A missing identity fails here too, as a composite not in the table.
+            left = self.table.get((f, self.ids.get(self.dom[f])))
+            right = self.table.get((self.ids.get(self.cod[f]), f))
             if left != f or right != f:
                 ok, witness = False, f"morphism {f!r}"
                 break
@@ -772,11 +773,12 @@ def les_report(
 
     def push_delta(j):
         lkn, lcn = win.levelsK[j + 1], win.levelsC[j + 1]
+        restricted = Factorization(mat_hstack(win.rho[j + 1], lkn.rels))
 
         def go(rep):
             v = mat_vec(win.q_lift[j], rep)
             w = mat_vec(win.dK_pres[j], v)
-            sol = solve_integer(mat_hstack(win.rho[j + 1], lkn.rels), w)
+            sol = restricted.solve(w)
             if sol is None:
                 raise ValueError("boundary of a lifted relative cocycle escapes the image")
             x = sol[: lcn.ngens]

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import (
+    Factorization,
     FgAbGroup,
     finite_abelian_invariants,
     from_columns,
     identity,
-    in_lattice,
-    lattice_basis,
     mat_hstack,
     mat_vec,
     quotient_presentation,
@@ -326,11 +325,10 @@ def linearly_generated(ext: CrossedExtension, pool: Sequence | None = None) -> t
             for s, n in img:
                 v[index[s]] = n
             cols.append(v)
-        matrix = from_columns(cols, len(symbols))
-        basis = from_columns(lattice_basis(matrix), len(symbols))
+        span = Factorization(from_columns(cols, len(symbols)))
         for s in symbols:
             unit = tuple(1 if t == s else 0 for t in symbols)
-            if not in_lattice(basis, unit):
+            if not span.contains(unit):
                 return (False, f"basis symbol {s!r} not generated")
         return (True, None)
     return (False, f"cannot decide generation for {carrier.describe()}")

@@ -988,9 +988,10 @@ def qpm_verify(Q: Qpm, samples: int = 500, seed: int = 0) -> Report:
     if kernel is None:
         r.note("kernel centrality skipped on infinite carriers")
     else:
+        elements = Q.c1.elements()
         for k in kernel:
             bad = next(
-                (x for x in Q.c1.elements() if Q.c1.add(k, x) != Q.c1.add(x, k)),
+                (x for x in elements if Q.c1.add(k, x) != Q.c1.add(x, k)),
                 None,
             )
             if bad is not None:

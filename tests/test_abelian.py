@@ -160,6 +160,13 @@ class TestHomology:
         assert h.express((1,)) != h.group.zero()
         assert h.express((2,)) == h.group.zero()
 
+    def test_trivial_homology_with_a_nonzero_kernel(self):
+        Z = FgAbGroup.free(1)
+        h = homology_at(AbMap(Z, Z, [[1]]), AbMap.zero_map(Z, Z))
+        assert h.group.is_trivial() and h.kernel_basis == [(1,)]
+        assert h.representative(()) == (0,)
+        assert h.express((3,)) == ()
+
     def test_composition_guard(self):
         Z = FgAbGroup.free(1)
         with pytest.raises(CompositionNonzero):

@@ -80,6 +80,17 @@ class TestFinCat:
         assert not report.passed
         assert any(c.name == "composition closed" for c in report.failures)
 
+    def test_validate_reports_a_missing_identity(self):
+        C = FinCat(
+            objects=("x",), morphisms=("f",), dom={"f": "x"}, cod={"f": "x"},
+            table={}, ids={},
+        )
+        report = C.validate()
+        assert not report.passed
+        assert [c.name for c in report.failures][:2] == [
+            "identities present", "identities neutral",
+        ]
+
     def test_matrix_category_validates(self):
         cat, _ = dm_natural_system(2, 1)
         report = cat.validate()
