@@ -20,6 +20,10 @@ normal form of one matrix once and then answers ``solve(b)`` and
 ``contains(b)`` for any number of right-hand sides. A matrix that is
 already in Smith form (diagonal, nonnegative, each entry dividing the next)
 is not re-factored: :func:`smith` returns it with identity certificates.
+:func:`smith` eliminates on the matrix alone and logs its elementary
+operations; each of the certificates ``U``, ``V``, ``Uinv`` and ``Vinv`` is
+built from that log the first time a caller reads it, so a caller pays only
+for the certificates it uses.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 """
@@ -29,6 +33,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CompositionNonzero, ShapeMismatch, TooLarge
@@ -115,20 +120,76 @@ def from_columns(cols: list[tuple[int, ...]] | list[list[int]], nrows: int) -> I
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+# Kinds of logged elementary operation, each acting on the rows of an
+# identity matrix when a certificate is built: ``(_SWAP, i, j, 0)`` swaps rows
+# ``i`` and ``j``, ``(_ADD, i, j, q)`` adds ``q`` times row ``j`` to row ``i``
+# and ``(_NEG, i, i, 0)`` negates row ``i``.
+_SWAP, _ADD, _NEG = range(3)
+
+
+def _add_row(M: IntMatrix, i: int, j: int, q: int) -> None:
+    """Row ``i`` of ``M`` += ``q`` times row ``j``, in place; the zero
+    entries of row ``j``, most of them in a sparse matrix, cost nothing."""
+    Mi, Mj = M[i], M[j]
+    for k in itertools.compress(range(len(Mj)), Mj):
+        Mi[k] += q * Mj[k]
+
+
+def _replay(ops: list[tuple[int, int, int, int]], n: int, inverse_transpose: bool) -> IntMatrix:
+    """``identity(n)`` with the logged row operations applied in order.
+
+    With ``inverse_transpose`` each operation is replaced by its inverse
+    transpose: a swap or a negation is its own, and adding ``q`` times row
+    ``j`` to row ``i`` becomes subtracting ``q`` times row ``i`` from row ``j``.
+    """
+    M = identity(n)
+    for kind, i, j, q in ops:
+        if kind == _ADD:
+            if inverse_transpose:
+                i, j, q = j, i, -q
+            _add_row(M, i, j, q)
+        elif kind == _SWAP:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+def _transpose(M: IntMatrix) -> IntMatrix:
+    return [list(col) for col in zip(*M)]
+
+
 @dataclass
 class SnfResult:
     """Smith normal form ``S = U @ M @ V`` with both certificates invertible.
 
-    ``Uinv`` and ``Vinv`` are the integer inverses of ``U`` and ``V``;
-    ``diagonal`` lists the diagonal entries of ``S`` and ``rank`` counts the
-    nonzero ones.
+    ``smith`` records its row operations in ``row_ops`` and its column
+    operations in ``col_ops``. ``U``, ``V`` and their integer inverses
+    ``Uinv`` and ``Vinv`` are built from these logs the first time each is
+    read, and kept. ``diagonal`` lists the diagonal entries of ``S`` and
+    ``rank`` counts the nonzero ones.
     """
 
     S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    row_ops: list[tuple[int, int, int, int]] = field(repr=False)
+    col_ops: list[tuple[int, int, int, int]] = field(repr=False)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self.row_ops, len(self.S), False)
+
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return _transpose(_replay(self.row_ops, len(self.S), True))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        # A column operation on V is the same operation on the rows of V^T.
+        return _transpose(_replay(self.col_ops, mat_shape(self.S)[1], False))
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return _replay(self.col_ops, mat_shape(self.S)[1], True)
 
     @property
     def diagonal(self) -> list[int]:
@@ -153,77 +214,66 @@ def _in_smith_form(M: IntMatrix) -> bool:
 
 
 def smith(M: IntMatrix) -> SnfResult:
-    """Full Smith normal form with tracked certificates.
+    """Smith normal form of ``M``, with certificates built on demand.
+
+    The elimination works on a copy of ``M`` only and logs each elementary
+    row and column operation; :class:`SnfResult` builds ``U``, ``V``,
+    ``Uinv`` and ``Vinv`` from the logs when a caller first reads them.
 
     The pivot rule is deterministic: among nonzero entries of the working
     submatrix pick one of minimal absolute value, breaking ties by smallest
     row index, then smallest column index. A matrix already in Smith form
-    is returned with identity certificates, which is what the elimination
-    below would return after doing nothing.
+    is returned with empty logs, and so with identity certificates: what
+    the elimination below would return after doing nothing.
     """
     A = mat_copy(M)
     m, n = mat_shape(A)
-    U, Uinv = identity(m), identity(m)
-    V, Vinv = identity(n), identity(n)
+    row_ops: list[tuple[int, int, int, int]] = []
+    col_ops: list[tuple[int, int, int, int]] = []
     if _in_smith_form(A):
-        return SnfResult(A, U, V, Uinv, Vinv)
+        return SnfResult(A, row_ops, col_ops)
 
     def row_swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+        row_ops.append((_SWAP, i, j, 0))
 
     def row_addmul(i: int, j: int, q: int) -> None:
-        # row i += q * row j
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            Ai[k] += q * Aj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] += q * Uj[k]
-        for r in Uinv:
-            r[j] -= q * r[i]
+        _add_row(A, i, j, q)
+        row_ops.append((_ADD, i, j, q))
 
     def row_neg(i: int) -> None:
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        row_ops.append((_NEG, i, i, 0))
 
     def col_swap(i: int, j: int) -> None:
         for r in A:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        col_ops.append((_SWAP, i, j, 0))
 
     def col_addmul(j: int, i: int, q: int) -> None:
         # col j += q * col i
         for r in A:
-            r[j] += q * r[i]
-        for r in V:
-            r[j] += q * r[i]
-        Vi, Vj = Vinv[i], Vinv[j]
-        for k in range(n):
-            Vi[k] -= q * Vj[k]
+            x = r[i]
+            if x:
+                r[j] += q * x
+        col_ops.append((_ADD, j, i, q))
 
     t = 0
     while t < min(m, n):
-        # Locate the pivot: minimal absolute value, ties by row then column.
+        # Locate the pivot: minimal absolute value, ties by row then column,
+        # and no row after the first one holding a unit is looked at.
         pivot = None
-        best = None
+        best = 0
         for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
+            tail = A[i][t:]
+            if not any(tail):
+                continue
+            v = min(map(abs, filter(None, tail)))
+            if not best or v < best:
+                best = v
+                pivot = (i, t + list(map(abs, tail)).index(v))
+                if v == 1:
+                    break
         if pivot is None:
             break
         if pivot != (t, t):
@@ -261,23 +311,22 @@ def smith(M: IntMatrix) -> SnfResult:
             if swapped:
                 continue
             # Divisibility sweep: the pivot must divide the remaining block.
-            stray = None
+            # A unit divides everything, so it needs no sweep.
             p = A[t][t]
-            for i in range(t + 1, m):
-                row = A[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            if p in (1, -1):
+                break
+            rem = p.__rmod__  # rem(x) == x % p
+            stray = next(
+                (i for i in range(t + 1, m) if any(map(rem, filter(None, A[i][t + 1 :])))),
+                None,
+            )
             if stray is None:
                 break
             row_addmul(t, stray, 1)
         if A[t][t] < 0:
             row_neg(t)
         t += 1
-    return SnfResult(A, U, V, Uinv, Vinv)
+    return SnfResult(A, row_ops, col_ops)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -352,6 +401,9 @@ def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ..
 def kernel_basis(A: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice ``{x : A @ x = 0}``.
 
+    The basis is the last ``n - rank`` columns of the Smith certificate
+    ``V``, the only certificate this builds.
+
     >>> kernel_basis([[1, 1]])
     [(-1, 1)]
     """
@@ -360,17 +412,18 @@ def kernel_basis(A: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]
         n = ncols or 0
         return [tuple(int(i == j) for i in range(n)) for j in range(n)] if m == 0 else []
     r = smith(A)
-    return [tuple(r.V[i][j] for i in range(n)) for j in range(r.rank, n)]
+    return list(zip(*r.V))[r.rank :]
 
 
 def lattice_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the lattice spanned by the columns of ``A``."""
     m, _ = mat_shape(A)
     r = smith(A)
+    Uinv = r.Uinv
     out = []
     for j in range(r.rank):
         d = r.S[j][j]
-        out.append(tuple(d * r.Uinv[i][j] for i in range(m)))
+        out.append(tuple(d * Uinv[i][j] for i in range(m)))
     return out
 
 
@@ -783,8 +836,9 @@ def quotient_presentation(
     kept = [i for i, d in enumerate(diag) if d != 1]
     factors = tuple(diag[i] for i in kept)
     group = FgAbGroup(factors)
-    project = [r.U[i][:] for i in kept]
-    lift = [[r.Uinv[i][j] for j in kept] for i in range(rank)]
+    U, Uinv = r.U, r.Uinv
+    project = [U[i][:] for i in kept]
+    lift = [[Uinv[i][j] for j in kept] for i in range(rank)]
     return group, project, lift
 
 

@@ -29,7 +29,13 @@ import sys
 from .abelian import FgAbGroup, identity, mat_shape, matmul, smith
 from .bwcoh import DEFAULT_GENERATOR_CAP, cohomology
 from .crossed import nu_class, ztilde_construction
-from .documents import build_document, build_natural_system_over, load_document, verify_document
+from .documents import (
+    _int_matrix,
+    build_document,
+    build_natural_system_over,
+    load_document,
+    verify_document,
+)
 from .errors import (
     DegreeTooHigh,
     DocumentError,
@@ -164,13 +170,9 @@ def _load_matrix(path: str) -> list[list[int]]:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(raw, dict):
         raw = raw.get("matrix")
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
+    if not isinstance(raw, list) or not raw:
         raise DocumentError(f"{path}: expected a nonempty JSON array of rows")
-    width = len(raw[0])
-    for row in raw:
-        if len(row) != width or not all(isinstance(v, int) for v in row):
-            raise DocumentError(f"{path}: rows must be equal-length integer lists")
-    return [list(row) for row in raw]
+    return _int_matrix(raw, path)
 
 
 def _cmd_snf(args) -> int:

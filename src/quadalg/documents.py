@@ -92,17 +92,23 @@ def check_envelope(doc: dict) -> str:
     return kind
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: ``bool`` is a subclass of
+    ``int`` in Python, but ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, key: str, types, where: str):
     if key not in doc:
         raise DocumentError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    if not (_is_int(value) if types is int else isinstance(value, types)):
         raise DocumentError(f"{where}: field {key!r} has the wrong type")
     return value
 
 
 def _factors(raw, where: str) -> FgAbGroup:
-    if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise DocumentError(f"{where}: invariant factors must be a list of integers")
     try:
         return FgAbGroup(tuple(raw))
@@ -116,12 +122,15 @@ def _int_matrix(raw, where: str) -> list[list[int]]:
     out = []
     width = None
     for row in raw:
-        if not all(isinstance(v, int) for v in row):
+        if not all(map(_is_int, row)):
             raise DocumentError(f"{where}: matrix entries must be integers")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise DocumentError(f"{where}: matrix rows have unequal lengths")
+            raise DocumentError(
+                f"{where}: matrix rows have unequal lengths;"
+                " rows must be equal-length integer lists"
+            )
         out.append(list(row))
     return out
 
@@ -181,7 +190,7 @@ def _build_abelian_map(doc: dict) -> AbMapDocument:
 def _coords(raw, group: FgAbGroup, where: str) -> tuple:
     if not isinstance(raw, list) or len(raw) != group.ngens:
         raise DocumentError(f"{where}: expected {group.ngens} coordinates")
-    if not all(isinstance(v, int) for v in raw):
+    if not all(map(_is_int, raw)):
         raise DocumentError(f"{where}: coordinates must be integers")
     return group.reduce(tuple(raw))
 
@@ -238,7 +247,7 @@ def _build_ring(doc: dict, kind: str):
             raise DocumentError(f"{kind}: symbols must be a nonempty list of strings")
         length_bound = doc.get("length_bound", 6)
         sample_length = doc.get("sample_length", 2)
-        if not isinstance(length_bound, int) or not isinstance(sample_length, int):
+        if not _is_int(length_bound) or not _is_int(sample_length):
             raise DocumentError(f"{kind}: length_bound and sample_length must be integers")
         try:
             return znil_monoid(
@@ -421,7 +430,7 @@ def _build_natural_system(
         modulus = _field(doc, "modulus", int, "natural_system")
         max_rank = _field(doc, "max_rank", int, "natural_system")
         coeff = doc.get("coefficient_modulus")
-        if coeff is not None and not isinstance(coeff, int):
+        if coeff is not None and not _is_int(coeff):
             raise DocumentError("natural_system: coefficient_modulus must be an integer")
         try:
             return dm_natural_system(modulus, max_rank, coeff)
@@ -466,7 +475,7 @@ def _element_decoders(ring_doc: dict, ring):
         group_ee = ring.ee.group
 
         def decode_int(raw, group, where):
-            if not isinstance(raw, int):
+            if not _is_int(raw):
                 raise DocumentError(f"{where}: expected an integer entry")
             if group.ngens == 0:
                 return group.zero()
@@ -487,12 +496,12 @@ def _element_decoders(ring_doc: dict, ring):
             raise DocumentError(f"{where}: expected an object with linear and comm parts")
         linear = {}
         for row in raw.get("linear", []):
-            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[1], int)):
+            if not (isinstance(row, list) and len(row) == 2 and _is_int(row[1])):
                 raise DocumentError(f"{where}: linear rows must be [word, coefficient]")
             linear[word(row[0], where)] = row[1]
         comm = {}
         for row in raw.get("comm", []):
-            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], int)):
+            if not (isinstance(row, list) and len(row) == 3 and _is_int(row[2])):
                 raise DocumentError(f"{where}: comm rows must be [word, word, coefficient]")
             comm[(word(row[0], where), word(row[1], where))] = row[2]
         try:
@@ -505,7 +514,7 @@ def _element_decoders(ring_doc: dict, ring):
             raise DocumentError(f"{where}: expected a list of [word, word, coefficient] rows")
         coeffs = {}
         for row in raw:
-            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], int)):
+            if not (isinstance(row, list) and len(row) == 3 and _is_int(row[2])):
                 raise DocumentError(f"{where}: rows must be [word, word, coefficient]")
             coeffs[(word(row[0], where), word(row[1], where))] = row[2]
         try:
@@ -548,7 +557,7 @@ def _build_modq_program(doc: dict) -> ModQProgram:
             idx = _field(block, "rows", list, where)
             if not (
                 len(idx) == 2
-                and all(isinstance(v, int) for v in idx)
+                and all(map(_is_int, idx))
                 and 0 <= idx[0] < idx[1] < nrows
             ):
                 raise DocumentError(f"{where}: pair rows must be ordered row indices")

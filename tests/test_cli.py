@@ -63,6 +63,12 @@ class TestVerify:
         assert captured.err.startswith("error: ")
         assert "unknown document kind" in captured.err
 
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],
+               "matrix": [[True]]}
+        assert main(["verify", write_json(tmp_path, "bool_map.json", doc)]) == 2
+        assert "matrix entries must be integers" in capsys.readouterr().err
+
     def test_machine_format_is_json_lines(self, docs, capsys):
         code = main(["verify", docs["ring_c5"], "--samples", "100", "--format", "machine"])
         out = capsys.readouterr().out
@@ -226,6 +232,11 @@ class TestSnf:
         assert "equal-length integer lists" in capsys.readouterr().err
         assert main(["snf", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys):
+        path = write_json(tmp_path, "bool.json", [[True, 2], [3, 4]])
+        assert main(["snf", path]) == 2
+        assert "matrix entries must be integers" in capsys.readouterr().err
 
 
 class TestModqProgram:

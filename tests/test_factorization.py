@@ -1,7 +1,8 @@
 """Property tests of Smith forms, factor-once solves and zero maps.
 
 The oracle is ``sympy``'s ``smith_normal_form``, which shares no code with
-``quadalg``. Lattice membership is decided from it by an index count: ``b``
+``quadalg``; the certificates are checked against ``smith_reference``, the
+eager Smith form that ``smith`` replaced. Lattice membership is decided from it by an index count: ``b``
 lies in the column lattice of ``A`` exactly when appending ``b`` changes
 neither the rank nor the product of the nonzero invariant factors.
 """
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
+from quadalg import abelian
 from quadalg.abelian import (
     AbMap,
     Factorization,
@@ -24,9 +26,13 @@ from quadalg.abelian import (
     mat_vec,
     smith,
 )
+from quadalg.bwcoh import cohomology, one_object_cyclic, trivial_system
 from quadalg.errors import ShapeMismatch
 
+from .oracles import smith_reference
+
 PROPERTY = settings(max_examples=150, deadline=None)
+CERTIFICATES = ("U", "V", "Uinv", "Vinv")
 
 
 @st.composite
@@ -81,6 +87,36 @@ class TestSmith:
         assert r.S == M
         assert (r.U, r.Uinv) == (identity(m), identity(m))
         assert (r.V, r.Vinv) == (identity(n), identity(n))
+
+    @PROPERTY
+    @given(st.one_of(matrices(max_dim=8).map(lambda case: case[0]), smith_forms()), st.data())
+    def test_agrees_with_the_eager_reference(self, M, data):
+        ref = smith_reference(M)
+        r = smith(M)
+        assert r.S == ref.S
+        order = data.draw(st.permutations(CERTIFICATES))
+        for name in order[: data.draw(st.integers(1, len(order)))]:
+            assert getattr(r, name) == getattr(ref, name), name
+
+    def test_agrees_with_the_eager_reference_on_a_cohomology_kernel(self, monkeypatch):
+        # The matrix whose kernel gives the 1-cocycles of Z/10 with trivial
+        # Z/10 coefficients: d^1 beside the relations of the target level.
+        seen = []
+
+        def recording_kernel_basis(A, ncols=None):
+            seen.append(A)
+            return kernel_basis(A, ncols)
+
+        kernel_basis = abelian.kernel_basis
+        monkeypatch.setattr(abelian, "kernel_basis", recording_kernel_basis)
+        cat = one_object_cyclic(10)
+        cohomology(cat, trivial_system(cat, FgAbGroup((10,))), 1, normalized=False)
+        (M,) = [A for A in seen if (len(A), len(A[0])) == (100, 110)]
+        ref = smith_reference(M)
+        r = smith(M)
+        assert r.S == ref.S
+        for name in CERTIFICATES:
+            assert getattr(r, name) == getattr(ref, name), name
 
     def test_negative_or_unordered_diagonals_are_factored(self):
         assert smith([[-2, 0], [0, 4]]).S == [[2, 0], [0, 4]]
