@@ -53,6 +53,12 @@ def projection_fixture():
     return C, K, p
 
 
+def cyclic_projection_fixture():
+    """Reduction ``Z/4 -> Z/2`` of one-object cyclic categories."""
+    K, C = one_object_cyclic(4), one_object_cyclic(2)
+    return C, K, {a: a % 2 for a in K.morphisms}
+
+
 class TestFinCat:
     def test_cyclic_category_validates(self):
         C = one_object_cyclic(4)
@@ -246,6 +252,18 @@ class TestRelative:
         report = les_report(C, K, p, D, max_degree=2)
         assert report.passed, report.render()
         assert len(report.checks) == 7
+
+    def test_cyclic_reduction(self):
+        C, K, p = cyclic_projection_fixture()
+        validate_projection(C, K, p)
+        D = trivial_system(C, FgAbGroup.cyclic(2))
+        groups = [relative_cohomology(C, K, p, D, j) for j in (1, 2, 3)]
+        assert groups == [FgAbGroup.trivial(), FgAbGroup((2,)), FgAbGroup((2, 2))]
+        report = les_report(C, K, p, D, max_degree=2)
+        assert report.passed, report.render()
+        assert len(report.checks) == 7
+        assert "note: H^1(C, K) = 0" in report.render()
+        assert "note: H^2(C, K) = Z/2" in report.render()
 
     def test_projection_guards(self):
         C, K, p = projection_fixture()

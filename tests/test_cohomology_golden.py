@@ -4,8 +4,9 @@ Each cohomology case pins a sha256 digest of everything a change to the
 solver must leave unchanged: the invariant factors, the kernel basis with
 the basis and projection matrices of the homology witness, both
 differentials, and the representative and class of every generator class.
-One more case pins the rendered long exact sequence report of the
-projection fixture in ``tests/test_bwcoh.py``.
+The projection cases pin, for each projection fixture in
+``tests/test_bwcoh.py``, the rendered long exact sequence report and the
+invariant factors of the relative groups in degrees 1 to 3.
 
 After a deliberate change to these values, rewrite
 ``tests/golden/cohomology.json`` with
@@ -20,9 +21,15 @@ from pathlib import Path
 import pytest
 
 from quadalg.abelian import FgAbGroup, mat_vec
-from quadalg.bwcoh import cohomology, dm_natural_system, les_report, trivial_system
+from quadalg.bwcoh import (
+    cohomology,
+    dm_natural_system,
+    les_report,
+    relative_cohomology,
+    trivial_system,
+)
 
-from tests.test_bwcoh import cyclic_setup, projection_fixture
+from tests.test_bwcoh import cyclic_projection_fixture, cyclic_setup, projection_fixture
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology.json"
 
@@ -68,9 +75,26 @@ def cohomology_witnesses(name: str) -> dict:
     }
 
 
-def les_render() -> str:
-    C, K, p = projection_fixture()
-    return les_report(C, K, p, trivial_system(C, FgAbGroup.cyclic(2)), max_degree=2).render()
+# name -> projection fixture, each with constant Z/2 coefficients
+PROJECTION_CASES = {
+    "projection": projection_fixture,
+    "cyclic_projection": cyclic_projection_fixture,
+}
+
+
+def projection_setup(name: str):
+    C, K, p = PROJECTION_CASES[name]()
+    return C, K, p, trivial_system(C, FgAbGroup.cyclic(2))
+
+
+def les_render(name: str = "projection") -> str:
+    C, K, p, D = projection_setup(name)
+    return les_report(C, K, p, D, max_degree=2).render()
+
+
+def relative_factors(name: str) -> dict:
+    C, K, p, D = projection_setup(name)
+    return {f"h{j}": relative_cohomology(C, K, p, D, j).invariant_factors for j in (1, 2, 3)}
 
 
 def digests() -> dict:
@@ -78,7 +102,9 @@ def digests() -> dict:
         name: {key: digest(v) for key, v in cohomology_witnesses(name).items()}
         for name in COHOMOLOGY_CASES
     }
-    out["les_projection"] = {"render": digest(les_render())}
+    for name in PROJECTION_CASES:
+        out[f"les_{name}"] = {"render": digest(les_render(name))}
+        out[f"relative_{name}"] = {key: digest(v) for key, v in relative_factors(name).items()}
     return out
 
 
@@ -95,6 +121,16 @@ def test_cohomology_witnesses(golden, name):
 
 def test_long_exact_sequence_report(golden):
     assert {"render": digest(les_render())} == golden["les_projection"]
+
+
+def test_cyclic_long_exact_sequence_report(golden):
+    assert {"render": digest(les_render("cyclic_projection"))} == golden["les_cyclic_projection"]
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_CASES))
+def test_relative_invariant_factors(golden, name):
+    got = {key: digest(v) for key, v in relative_factors(name).items()}
+    assert got == golden[f"relative_{name}"]
 
 
 if __name__ == "__main__":
