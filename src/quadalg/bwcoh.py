@@ -9,13 +9,17 @@ with alternating signs.
 
 Everything is exact integer arithmetic: cochain levels are presented
 groups, differentials are integer matrices, and cohomology comes out of
-Smith normal form with certified witnesses.
+Smith normal form with certified witnesses. One :class:`CochainComplex`
+per category and coefficients builds each level and differential once;
+absolute cohomology, relative cohomology (over the quotient complex of a
+projection) and the long exact sequence all read theirs from one.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Sequence
 
 from .abelian import (
@@ -159,35 +163,34 @@ class FinCat:
         )
 
     @classmethod
-    def mod_r(cls, modulus: int, max_rank: int, name: str | None = None) -> "FinCat":
-        """Objects are ranks ``0..max_rank``; morphisms ``y -> x`` are
-        ``x`` by ``y`` matrices over ``Z/modulus``, composed by matrix
-        product. A morphism is stored as ``(x, y, rows)``."""
-        if modulus < 2:
-            raise ValueError("the matrix category needs a modulus of at least 2")
-        if modulus ** (max_rank * max_rank) > 4096:
-            raise TooLarge(
-                f"hom set of size {modulus}^{max_rank * max_rank} is too large to tabulate"
-            )
+    def matrices(
+        cls, entries: Sequence, dot: Callable, one, zero, max_rank: int, name: str
+    ) -> "FinCat":
+        """Objects are ranks ``0..max_rank``; morphisms ``y -> x`` are all
+        ``x`` by ``y`` matrices with entries from ``entries``, stored as
+        ``(x, y, rows)``. Composition is the matrix product whose entries
+        are ``dot(row, column)``; identities have ``one`` on the diagonal
+        and ``zero`` elsewhere."""
         objects = tuple(range(max_rank + 1))
         morphisms = []
         for x in objects:
             for y in objects:
-                for flat in itertools.product(range(modulus), repeat=x * y):
+                for flat in itertools.product(entries, repeat=x * y):
                     rows = tuple(tuple(flat[i * y + k] for k in range(y)) for i in range(x))
                     morphisms.append((x, y, rows))
+        cols = {
+            m: tuple(tuple(m[2][k][j] for k in range(m[0])) for j in range(m[1]))
+            for m in morphisms
+        }
         table = {}
         for x, y, a in morphisms:
-            for y2, z, b in morphisms:
-                if y2 != y:
+            for b in morphisms:
+                if b[0] != y:
                     continue
-                rows = tuple(
-                    tuple(sum(a[i][k] * b[k][j] for k in range(y)) % modulus for j in range(z))
-                    for i in range(x)
-                )
-                table[((x, y, a), (y, z, b))] = (x, z, rows)
+                rows = tuple(tuple(dot(row, col) for col in cols[b]) for row in a)
+                table[((x, y, a), b)] = (x, b[1], rows)
         ids = {
-            x: (x, x, tuple(tuple(int(i == j) for j in range(x)) for i in range(x)))
+            x: (x, x, tuple(tuple(one if i == j else zero for j in range(x)) for i in range(x)))
             for x in objects
         }
         return cls(
@@ -197,7 +200,24 @@ class FinCat:
             cod={m: m[0] for m in morphisms},
             table=table,
             ids=ids,
-            name=name or f"mod-Z/{modulus} ranks <= {max_rank}",
+            name=name,
+        )
+
+    @classmethod
+    def mod_r(cls, modulus: int, max_rank: int, name: str | None = None) -> "FinCat":
+        """The matrices over ``Z/modulus`` of rank at most ``max_rank``,
+        composed by matrix product (see :meth:`matrices`)."""
+        if modulus < 2:
+            raise ValueError("the matrix category needs a modulus of at least 2")
+        if modulus ** (max_rank * max_rank) > 4096:
+            raise TooLarge(
+                f"hom set of size {modulus}^{max_rank * max_rank} is too large to tabulate"
+            )
+        return cls.matrices(
+            range(modulus),
+            lambda row, col: sum(map(operator.mul, row, col)) % modulus,
+            1, 0, max_rank,
+            name or f"mod-Z/{modulus} ranks <= {max_rank}",
         )
 
 
@@ -470,6 +490,58 @@ def _canonical_map(dpres, src: _Level, tgt: _Level) -> AbMap:
     return AbMap(src.grp, tgt.grp, matmul(matmul(tgt.proj, dpres), src.lift))
 
 
+class CochainComplex:
+    """The cochain complex of ``C`` with coefficients in ``D``.
+
+    Levels, presented differentials and their maps of presented groups
+    are built on first use and kept, so every degree asked of one complex
+    shares them. Levels above ``cap`` generators are refused; call
+    :meth:`check_sizes` first to refuse before anything is built.
+
+    >>> C = one_object_cyclic(2)
+    >>> cx = CochainComplex(C, trivial_system(C, FgAbGroup.cyclic(2)), False)
+    >>> [cx.homology(n).group.describe() for n in range(3)]
+    ['Z/2', 'Z/2', 'Z/2']
+    """
+
+    def __init__(
+        self, C: FinCat, D: NatSystem, normalized: bool, cap: int = DEFAULT_GENERATOR_CAP
+    ):
+        self.C, self.D, self.normalized, self.cap = C, D, normalized, cap
+        self._levels: dict = {}
+        self._d_presented: dict = {}
+        self._d: dict = {}
+
+    def check_sizes(self, degrees: Sequence[int]) -> None:
+        _check_level_sizes(self.C, self.D, degrees, self.normalized, self.cap)
+
+    def _build_level(self, n: int) -> _Level:
+        return _build_level(self.C, self.D, n, self.normalized, self.cap)
+
+    def level(self, n: int) -> _Level:
+        if n not in self._levels:
+            self._levels[n] = self._build_level(n)
+        return self._levels[n]
+
+    def d_presented(self, n: int) -> list:
+        """The differential out of level ``n`` on generators."""
+        if n not in self._d_presented:
+            self._d_presented[n] = _d_presented(self.C, self.D, self.level(n), self.level(n + 1))
+        return self._d_presented[n]
+
+    def d(self, n: int) -> AbMap:
+        """The differential out of degree ``n``; below 0, the zero map into degree 0."""
+        if n not in self._d:
+            if n < 0:
+                self._d[n] = AbMap.zero_map(FgAbGroup.trivial(), self.level(0).grp)
+            else:
+                self._d[n] = _canonical_map(self.d_presented(n), self.level(n), self.level(n + 1))
+        return self._d[n]
+
+    def homology(self, n: int) -> HomologyResult:
+        return homology_at(self.d(n - 1), self.d(n))
+
+
 # ---------------------------------------------------------------------------
 # Absolute cohomology
 # ---------------------------------------------------------------------------
@@ -499,6 +571,15 @@ class CohomologyResult:
         return self.d_out.target.reduce(self.d_out.apply(v)) == self.d_out.target.zero()
 
 
+def _check_degree(degree: int, what: str) -> None:
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree > MAX_ABSOLUTE_DEGREE:
+        raise DegreeTooHigh(
+            f"{what} implemented for degree <= {MAX_ABSOLUTE_DEGREE}, got {degree}"
+        )
+
+
 def cohomology(
     C: FinCat,
     D: NatSystem,
@@ -512,29 +593,15 @@ def cohomology(
     subcomplex (chains without identities) is used by default, which
     computes the same groups on far fewer generators.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_ABSOLUTE_DEGREE:
-        raise DegreeTooHigh(
-            f"absolute cohomology is implemented for degree <= {MAX_ABSOLUTE_DEGREE}, got {degree}"
-        )
+    _check_degree(degree, "absolute cohomology is")
     if normalized is None:
         normalized = degree > 2
-    _check_level_sizes(
-        C, D, [degree, degree + 1] + ([degree - 1] if degree else []), normalized, max_generators
-    )
-    mid = _build_level(C, D, degree, normalized, max_generators)
-    nxt = _build_level(C, D, degree + 1, normalized, max_generators)
-    d_out = _canonical_map(_d_presented(C, D, mid, nxt), mid, nxt)
-    if degree == 0:
-        d_in = AbMap.zero_map(FgAbGroup.trivial(), mid.grp)
-    else:
-        prv = _build_level(C, D, degree - 1, normalized, max_generators)
-        d_in = _canonical_map(_d_presented(C, D, prv, mid), prv, mid)
-    hom = homology_at(d_in, d_out)
+    cx = CochainComplex(C, D, normalized, max_generators)
+    cx.check_sizes([degree, degree + 1] + ([degree - 1] if degree else []))
+    hom = cx.homology(degree)
     return CohomologyResult(
         degree=degree, normalized=normalized, group=hom.group, hom=hom,
-        level=mid, d_in=d_in, d_out=d_out,
+        level=cx.level(degree), d_in=cx.d(degree - 1), d_out=cx.d(degree),
     )
 
 
@@ -548,12 +615,7 @@ def coboundary(
     count as zero. This route never builds matrices, so it doubles as
     an independent check on the matrix differential.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_ABSOLUTE_DEGREE:
-        raise DegreeTooHigh(
-            f"coboundaries are implemented for degree <= {MAX_ABSOLUTE_DEGREE}, got {degree}"
-        )
+    _check_degree(degree, "coboundaries are")
     def value_at(key, group):
         if key in cochain:
             return group.reduce(tuple(cochain[key]))
@@ -629,45 +691,39 @@ def _rho_presented(levelC: _Level, levelK: _Level, p: dict, degree: int) -> list
     return M
 
 
-@dataclass
-class _RelativeWindow:
-    levelsC: dict
-    levelsK: dict
-    q_grp: dict
-    q_proj: dict
-    q_lift: dict
-    dC_pres: dict
-    dK_pres: dict
-    rho: dict
+class _QuotientComplex(CochainComplex):
+    """The cokernel of the cochain restriction along ``p: K -> C``.
 
-    def dq(self, j: int) -> AbMap:
-        mat = matmul(matmul(self.q_proj[j + 1], self.dK_pres[j]), self.q_lift[j])
-        return AbMap(self.q_grp[j], self.q_grp[j + 1], mat)
+    Level ``n`` is ``K``'s level ``n`` modulo the image of ``C``'s under
+    :meth:`rho`, and the differential is ``K``'s. Homology in degree
+    ``j`` is the relative group ``H^(j+1)(C, K)``.
+    """
 
+    def __init__(self, C: FinCat, K: FinCat, p: dict, D: NatSystem, normalized: bool, cap: int):
+        self.of_c = CochainComplex(C, D, normalized, cap)
+        self.of_k = CochainComplex(K, _pulled_system(K, D, p), normalized, cap)
+        super().__init__(K, self.of_k.D, normalized, cap)
+        self.p = p
+        self._rho: dict = {}
 
-def _relative_window(
-    C: FinCat, K: FinCat, p: dict, D: NatSystem,
-    lo: int, hi: int, normalized: bool, cap: int,
-) -> _RelativeWindow:
-    DK = _pulled_system(K, D, p)
-    degrees = range(max(lo, 0), hi + 1)
-    _check_level_sizes(C, D, degrees, normalized, cap)
-    _check_level_sizes(K, DK, degrees, normalized, cap)
-    levelsC = {j: _build_level(C, D, j, normalized, cap) for j in degrees}
-    levelsK = {j: _build_level(K, DK, j, normalized, cap) for j in degrees}
-    rho, q_grp, q_proj, q_lift = {}, {}, {}, {}
-    for j in degrees:
-        rho[j] = _rho_presented(levelsC[j], levelsK[j], p, j)
-        grp, proj, lift = quotient_presentation(
-            levelsK[j].ngens, mat_hstack(levelsK[j].rels, rho[j])
-        )
-        q_grp[j], q_proj[j], q_lift[j] = grp, proj, lift
-    dC = {j: _d_presented(C, D, levelsC[j], levelsC[j + 1]) for j in range(max(lo, 0), hi)}
-    dK = {j: _d_presented(K, DK, levelsK[j], levelsK[j + 1]) for j in range(max(lo, 0), hi)}
-    return _RelativeWindow(
-        levelsC=levelsC, levelsK=levelsK, q_grp=q_grp, q_proj=q_proj,
-        q_lift=q_lift, dC_pres=dC, dK_pres=dK, rho=rho,
-    )
+    def check_sizes(self, degrees: Sequence[int]) -> None:
+        self.of_c.check_sizes(degrees)
+        self.of_k.check_sizes(degrees)
+
+    def rho(self, n: int) -> list:
+        """The restriction from ``C``'s level ``n`` to ``K``'s on generators."""
+        if n not in self._rho:
+            self._rho[n] = _rho_presented(self.of_c.level(n), self.of_k.level(n), self.p, n)
+        return self._rho[n]
+
+    def _build_level(self, n: int) -> _Level:
+        lk = self.of_k.level(n)
+        rels = mat_hstack(lk.rels, self.rho(n))
+        grp, proj, lift = quotient_presentation(lk.ngens, rels)
+        return replace(lk, rels=rels, grp=grp, proj=proj, lift=lift)
+
+    def d_presented(self, n: int) -> list:
+        return self.of_k.d_presented(n)
 
 
 def relative_cohomology(
@@ -696,13 +752,9 @@ def relative_cohomology(
         normalized = degree - 1 > 2
     validate_projection(C, K, p)
     j = degree - 1
-    win = _relative_window(C, K, p, D, j - 1, j + 1, normalized, max_generators)
-    d_out = win.dq(j)
-    if j == 0:
-        d_in = AbMap.zero_map(FgAbGroup.trivial(), win.q_grp[0])
-    else:
-        d_in = win.dq(j - 1)
-    return homology_at(d_in, d_out).group
+    cx = _QuotientComplex(C, K, p, D, normalized, max_generators)
+    cx.check_sizes(range(max(j - 1, 0), j + 2))
+    return cx.homology(j).group
 
 
 def les_report(
@@ -718,41 +770,18 @@ def les_report(
 
     Builds ``H^j(C) -> H^j(K) -> H^(j+1)(C,K) -> H^(j+1)(C)`` maps from
     explicit cocycle representatives and checks exactness at every node
-    up to the requested degree.
+    up to the requested degree, which runs from 0 to 3 as in
+    :func:`cohomology`.
     """
+    _check_degree(max_degree, "the long exact sequence is")
     validate_projection(C, K, p)
     r = Report(title=f"long exact sequence: {C.name} relative {K.name}")
-    win = _relative_window(C, K, p, D, 0, max_degree + 1, normalized, max_generators)
-    DK = _pulled_system(K, D, p)
-
-    def homC(j):
-        d_in = (
-            AbMap.zero_map(FgAbGroup.trivial(), win.levelsC[0].grp)
-            if j == 0
-            else _canonical_map(win.dC_pres[j - 1], win.levelsC[j - 1], win.levelsC[j])
-        )
-        d_out = _canonical_map(win.dC_pres[j], win.levelsC[j], win.levelsC[j + 1])
-        return homology_at(d_in, d_out)
-
-    def homK(j):
-        d_in = (
-            AbMap.zero_map(FgAbGroup.trivial(), win.levelsK[0].grp)
-            if j == 0
-            else _canonical_map(win.dK_pres[j - 1], win.levelsK[j - 1], win.levelsK[j])
-        )
-        d_out = _canonical_map(win.dK_pres[j], win.levelsK[j], win.levelsK[j + 1])
-        return homology_at(d_in, d_out)
-
-    def homQ(j):
-        d_out = win.dq(j)
-        d_in = (
-            AbMap.zero_map(FgAbGroup.trivial(), win.q_grp[0]) if j == 0 else win.dq(j - 1)
-        )
-        return homology_at(d_in, d_out)
-
-    HC = {j: homC(j) for j in range(max_degree + 1)}
-    HK = {j: homK(j) for j in range(max_degree + 1)}
-    HQ = {j: homQ(j) for j in range(max_degree)}
+    cxQ = _QuotientComplex(C, K, p, D, normalized, max_generators)
+    cxC, cxK = cxQ.of_c, cxQ.of_k
+    cxQ.check_sizes(range(max_degree + 2))
+    HC = {j: cxC.homology(j) for j in range(max_degree + 1)}
+    HK = {j: cxK.homology(j) for j in range(max_degree + 1)}
+    HQ = {j: cxQ.homology(j) for j in range(max_degree)}
 
     def induced(hsrc: HomologyResult, hdst: HomologyResult, push: Callable) -> AbMap:
         cols = []
@@ -762,27 +791,22 @@ def les_report(
         return AbMap.from_columns(hsrc.group, hdst.group, cols)
 
     def push_a(j):
-        lc, lk = win.levelsC[j], win.levelsK[j]
-        return lambda rep: lk.grp.reduce(
-            mat_vec(lk.proj, mat_vec(win.rho[j], mat_vec(lc.lift, rep)))
-        )
+        lc, lk, rho = cxC.level(j), cxK.level(j), cxQ.rho(j)
+        return lambda rep: lk.grp.reduce(mat_vec(lk.proj, mat_vec(rho, mat_vec(lc.lift, rep))))
 
     def push_b(j):
-        lk = win.levelsK[j]
-        return lambda rep: tuple(mat_vec(win.q_proj[j], mat_vec(lk.lift, rep)))
+        lk, lq = cxK.level(j), cxQ.level(j)
+        return lambda rep: tuple(mat_vec(lq.proj, mat_vec(lk.lift, rep)))
 
     def push_delta(j):
-        lkn, lcn = win.levelsK[j + 1], win.levelsC[j + 1]
-        restricted = Factorization(mat_hstack(win.rho[j + 1], lkn.rels))
+        lq, dK, lcn = cxQ.level(j), cxK.d_presented(j), cxC.level(j + 1)
+        restricted = Factorization(mat_hstack(cxQ.rho(j + 1), cxK.level(j + 1).rels))
 
         def go(rep):
-            v = mat_vec(win.q_lift[j], rep)
-            w = mat_vec(win.dK_pres[j], v)
-            sol = restricted.solve(w)
+            sol = restricted.solve(mat_vec(dK, mat_vec(lq.lift, rep)))
             if sol is None:
                 raise ValueError("boundary of a lifted relative cocycle escapes the image")
-            x = sol[: lcn.ngens]
-            return lcn.grp.reduce(mat_vec(lcn.proj, x))
+            return lcn.grp.reduce(mat_vec(lcn.proj, sol[: lcn.ngens]))
 
         return go
 
@@ -829,12 +853,7 @@ def bar_cohomology(modulus: int, degree: int) -> FgAbGroup:
     >>> bar_cohomology(2, 2).describe()
     'Z/2'
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_ABSOLUTE_DEGREE:
-        raise DegreeTooHigh(
-            f"the bar oracle is implemented for degree <= {MAX_ABSOLUTE_DEGREE}, got {degree}"
-        )
+    _check_degree(degree, "the bar oracle is")
     m = modulus
 
     def level(n):

@@ -17,7 +17,6 @@ degree-three obstruction cocycle on the quotient's matrix category.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -769,7 +768,12 @@ class ModQTrackExtension:
             raise TooLarge(
                 f"{count} quotient matrices up to rank {max_rank} exceed the cap {max_morphisms}"
             )
-        self.base = _matrix_category(ext, relems, max_rank)
+        car, mul = ext.quot.carrier, ext.quot.mul
+        self.base = FinCat.matrices(
+            relems, lambda row, col: car.sum(map(mul, row, col)),
+            ext.quot.one, car.zero(), max_rank,
+            f"matrices over the quotient of {ext.name}",
+        )
 
         self._pre: dict = {}
         for v in ext.c0.elements(enum_bound):
@@ -909,41 +913,6 @@ class ModQTrackExtension:
                     coords[j * cells + (i * y + k)] = m[j]
         block = self.system.group_at((x, y, None))
         return block.reduce(coords)
-
-
-def _matrix_category(ext: CrossedExtension, relems, max_rank: int) -> FinCat:
-    car, mul = ext.quot.carrier, ext.quot.mul
-    one, zero = ext.quot.one, car.zero()
-    objects = tuple(range(max_rank + 1))
-    morphisms = []
-    for x in objects:
-        for y in objects:
-            for flat in itertools.product(relems, repeat=x * y):
-                rows = tuple(tuple(flat[i * y + k] for k in range(y)) for i in range(x))
-                morphisms.append((x, y, rows))
-    table = {}
-    for x, y, a in morphisms:
-        for y2, z, b in morphisms:
-            if y2 != y:
-                continue
-            rows = tuple(
-                tuple(car.sum(mul(a[i][k], b[k][j]) for k in range(y)) for j in range(z))
-                for i in range(x)
-            )
-            table[((x, y, a), (y, z, b))] = (x, z, rows)
-    ids = {
-        x: (x, x, tuple(tuple(one if i == j else zero for j in range(x)) for i in range(x)))
-        for x in objects
-    }
-    return FinCat(
-        objects=objects,
-        morphisms=tuple(morphisms),
-        dom={m: m[1] for m in morphisms},
-        cod={m: m[0] for m in morphisms},
-        table=table,
-        ids=ids,
-        name=f"matrices over the quotient of {ext.name}",
-    )
 
 
 def obstruction_cocycle(te, section: Callable | None = None) -> dict:

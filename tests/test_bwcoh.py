@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from quadalg import bwcoh
 from quadalg.abelian import FgAbGroup, mat_vec
 from quadalg.bwcoh import (
+    CochainComplex,
     FinCat,
     _build_level,
     _level_size,
@@ -129,6 +131,28 @@ class TestBarAgreement:
         assert bar_cohomology(4, 2) == FgAbGroup((4,))
         C, D = cyclic_setup(4)
         assert cohomology(C, D, 2).group.invariant_factors == (4,)
+
+
+class TestCochainComplex:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_complex_serves_every_degree(self, m):
+        C, D = cyclic_setup(m)
+        cx = CochainComplex(C, D, normalized=False)
+        for n in range(4):
+            group = cx.homology(n).group
+            assert group == cohomology(C, D, n).group == bar_cohomology(m, n)
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        C, D = cyclic_setup(2)
+        built = []
+        build = bwcoh._build_level
+        monkeypatch.setattr(
+            bwcoh, "_build_level", lambda C, D, n, *args: built.append(n) or build(C, D, n, *args)
+        )
+        cx = CochainComplex(C, D, normalized=False)
+        for n in range(4):
+            cx.homology(n)
+        assert sorted(built) == [0, 1, 2, 3, 4]
 
 
 class TestDifferential:
@@ -292,6 +316,30 @@ class TestRelative:
             relative_cohomology(C, K, p, D, 0)
         with pytest.raises(DegreeTooHigh):
             relative_cohomology(C, K, p, D, 5)
+
+    def test_long_exact_sequence_rejects_a_negative_degree(self):
+        C, K, p = projection_fixture()
+        D = trivial_system(C, FgAbGroup.cyclic(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            les_report(C, K, p, D, max_degree=-1)
+
+    def test_long_exact_sequence_degree_limit(self):
+        C, K, p = projection_fixture()
+        D = trivial_system(C, FgAbGroup.cyclic(2))
+        with pytest.raises(DegreeTooHigh, match="degree <= 3, got 4"):
+            les_report(C, K, p, D, max_degree=4)
+
+    def test_relative_groups_build_no_differential_of_the_base(self, monkeypatch):
+        C, K, p = projection_fixture()
+        D = trivial_system(C, FgAbGroup.cyclic(2))
+        built = []
+        d_presented = bwcoh._d_presented
+        monkeypatch.setattr(
+            bwcoh, "_d_presented",
+            lambda cat, *args: built.append(cat.name) or d_presented(cat, *args),
+        )
+        relative_cohomology(C, K, p, D, 2)
+        assert built == [K.name, K.name]
 
 
 class TestGuards:
