@@ -7,14 +7,16 @@ import time
 import pytest
 
 from quadalg import bwcoh
-from quadalg.abelian import FgAbGroup, mat_vec
+from quadalg.abelian import AbMap, FgAbGroup, identity, mat_vec
 from quadalg.bwcoh import (
     CochainComplex,
     FinCat,
+    NatSystem,
     _build_level,
     _level_size,
     _canonical_map,
     _d_presented,
+    _pulled_system,
     bar_cohomology,
     coboundary,
     cohomology,
@@ -59,6 +61,51 @@ def cyclic_projection_fixture():
     """Reduction ``Z/4 -> Z/2`` of one-object cyclic categories."""
     K, C = one_object_cyclic(4), one_object_cyclic(2)
     return C, K, {a: a % 2 for a in K.morphisms}
+
+
+def _arrows(arrows: tuple, name: str) -> FinCat:
+    """Objects a and b, their identities, and the given arrows a -> b."""
+    table = {("ia", "ia"): "ia", ("ib", "ib"): "ib"}
+    for f in arrows:
+        table[(f, "ia")] = table[("ib", f)] = f
+    return FinCat(
+        objects=("a", "b"),
+        morphisms=("ia", "ib") + arrows,
+        dom={"ia": "a", "ib": "b", **{f: "a" for f in arrows}},
+        cod={"ia": "a", "ib": "b", **{f: "b" for f in arrows}},
+        table=table,
+        ids={"a": "ia", "b": "ib"},
+        name=name,
+    )
+
+
+def arrow_fixture(top: FgAbGroup = FgAbGroup.cyclic(6)):
+    """The arrow f: a -> b with D(ia) = Z/2, D(ib) = Z/3 and D(f) = ``top``.
+
+    Extending ia or ib to f multiplies by 3 or by 2 (into the zero group
+    when ``top`` is trivial). The level factors 2, 3 and 6 form no
+    divisibility chain.
+    """
+    C = _arrows(("f",), "arrow")
+    groups = {"ia": FgAbGroup.cyclic(2), "ib": FgAbGroup.cyclic(3), "f": top}
+    scale = {"ia": 3, "ib": 2}
+
+    def act(nu, alpha, psi):
+        beta = C.compose(psi, C.compose(alpha, nu))
+        src, dst = groups[alpha], groups[beta]
+        if alpha == beta:
+            return AbMap(src, dst, identity(src.ngens))
+        return AbMap(src, dst, [[scale[alpha]]] * dst.ngens)
+
+    return C, NatSystem(C, groups.__getitem__, act, name=f"arrow into {top.describe()}")
+
+
+def pair_projection_fixture():
+    """The parallel pair f, g: a -> b onto the arrow by g -> f, with the
+    arrow's coefficients."""
+    C, D = arrow_fixture()
+    K = _arrows(("f", "g"), "parallel pair")
+    return C, K, {"ia": "ia", "ib": "ib", "f": "f", "g": "f"}, D
 
 
 class TestFinCat:
@@ -256,6 +303,28 @@ class TestMatrixBimodule:
         assert D.name == "bimodule Z/2 matrices"
 
 
+class TestArrow:
+    def test_systems_are_natural(self):
+        for top in (FgAbGroup.cyclic(6), FgAbGroup.trivial()):
+            C, D = arrow_fixture(top)
+            assert C.validate().passed
+            assert natsystem_verify(D).passed, top
+        C, K, p, D = pair_projection_fixture()
+        assert K.validate().passed
+        validate_projection(C, K, p)
+        assert natsystem_verify(_pulled_system(K, D, p)).passed
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_groups(self, normalized):
+        def groups(C, D):
+            return [cohomology(C, D, n, normalized=normalized).group.describe() for n in range(4)]
+
+        assert groups(*arrow_fixture()) == ["0", "0", "0", "0"]
+        assert groups(*arrow_fixture(FgAbGroup.trivial())) == ["Z/6", "0", "0", "0"]
+        C, K, p, D = pair_projection_fixture()
+        assert groups(K, _pulled_system(K, D, p)) == ["0", "Z/6", "0", "0"]
+
+
 class TestRelative:
     def test_projection_validates(self):
         C, K, p = projection_fixture()
@@ -288,6 +357,14 @@ class TestRelative:
         assert len(report.checks) == 7
         assert "note: H^1(C, K) = 0" in report.render()
         assert "note: H^2(C, K) = Z/2" in report.render()
+
+    def test_parallel_pair(self):
+        C, K, p, D = pair_projection_fixture()
+        groups = [relative_cohomology(C, K, p, D, j) for j in (1, 2, 3)]
+        assert groups == [FgAbGroup.trivial(), FgAbGroup((6,)), FgAbGroup.trivial()]
+        report = les_report(C, K, p, D, max_degree=2)
+        assert report.passed, report.render()
+        assert len(report.checks) == 7
 
     def test_projection_guards(self):
         C, K, p = projection_fixture()
