@@ -17,13 +17,10 @@ Conventions
 
 Linear solves go through :class:`Factorization`, which computes the Smith
 normal form of one matrix once and then answers ``solve(b)`` and
-``contains(b)`` for any number of right-hand sides. A matrix that is
-already in Smith form (diagonal, nonnegative, each entry dividing the next)
-is not re-factored: :func:`smith` returns it with identity certificates.
-:func:`smith` eliminates on the matrix alone and logs its elementary
-operations; each of the certificates ``U``, ``V``, ``Uinv`` and ``Vinv`` is
-built from that log the first time a caller reads it, so a caller pays only
-for the certificates it uses.
+``contains(b)`` for any number of right-hand sides. :func:`smith`
+eliminates on the matrix alone and logs its elementary operations; each
+certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` is built from that log when
+a caller first reads it, so a caller pays only for those it uses.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 """
@@ -201,18 +198,6 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _in_smith_form(M: IntMatrix) -> bool:
-    """Whether ``M`` is diagonal with nonnegative entries, each dividing the
-    next (so zeros come last)."""
-    prev = 1
-    for i, row in enumerate(M):
-        d = row[i] if i < len(row) else 0
-        if d < 0 or any(row[:i]) or any(row[i + 1 :]) or (d % prev if prev else d):
-            return False
-        prev = d
-    return True
-
-
 def smith(M: IntMatrix) -> SnfResult:
     """Smith normal form of ``M``, with certificates built on demand.
 
@@ -222,16 +207,14 @@ def smith(M: IntMatrix) -> SnfResult:
 
     The pivot rule is deterministic: among nonzero entries of the working
     submatrix pick one of minimal absolute value, breaking ties by smallest
-    row index, then smallest column index. A matrix already in Smith form
-    is returned with empty logs, and so with identity certificates: what
-    the elimination below would return after doing nothing.
+    row index, then smallest column index. On a matrix already in Smith
+    form every pivot is the diagonal entry in place and no operation is
+    performed, so it comes back unchanged with identity certificates.
     """
     A = mat_copy(M)
     m, n = mat_shape(A)
     row_ops: list[tuple[int, int, int, int]] = []
     col_ops: list[tuple[int, int, int, int]] = []
-    if _in_smith_form(A):
-        return SnfResult(A, row_ops, col_ops)
 
     def row_swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
@@ -814,9 +797,10 @@ class AbMap:
 
 
 def quotient_presentation(
-    rank: int, rels: IntMatrix
+    rank: int, rels: IntMatrix | Factorization
 ) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
-    """Structure of ``Z^rank`` modulo the column lattice of ``rels``.
+    """Structure of ``Z^rank`` modulo the column lattice of ``rels``, a
+    matrix or the :class:`Factorization` of one.
 
     Returns ``(group, project, lift)`` where ``project`` maps old coordinates
     onto the group's invariant coordinates and ``lift`` sends each new
@@ -829,13 +813,12 @@ def quotient_presentation(
     """
     if rank == 0:
         return FgAbGroup.trivial(), [], []
-    rels = rels if rels else zeros(rank, 0)
-    r = smith(rels)
-    nrels = len(rels[0]) if rels and rels[0] else 0
-    diag = [r.S[i][i] if i < min(rank, nrels) else 0 for i in range(rank)]
+    if not isinstance(rels, Factorization):
+        rels = Factorization(rels or zeros(rank, 0))
+    r = rels.snf
+    diag = r.diagonal + [0] * (rank - len(r.diagonal))
     kept = [i for i, d in enumerate(diag) if d != 1]
-    factors = tuple(diag[i] for i in kept)
-    group = FgAbGroup(factors)
+    group = FgAbGroup(tuple(diag[i] for i in kept))
     U, Uinv = r.U, r.Uinv
     project = [U[i][:] for i in kept]
     lift = [[Uinv[i][j] for j in kept] for i in range(rank)]

@@ -7,10 +7,12 @@ composable ``n``-tuples with values in the group of the composite; the
 coboundary pushes through the outer morphisms and merges inner pairs
 with alternating signs.
 
-Everything is exact integer arithmetic: cochain levels are presented
-groups, differentials are integer matrices, and cohomology comes out of
-Smith normal form with certified witnesses. One :class:`CochainComplex`
-per category and coefficients builds each level and differential once;
+Everything is exact integer arithmetic: a cochain level is a sum of cyclic
+groups, in invariant-factor form when their orders sort into a divisibility
+chain and presented by its relations otherwise, differentials are integer
+matrices, and cohomology comes out of Smith normal form with certified
+witnesses. One :class:`CochainComplex` per category and coefficients
+builds each level and differential once;
 absolute cohomology, relative cohomology (over the quotient complex of a
 projection) and the long exact sequence all read theirs from one.
 """
@@ -27,8 +29,6 @@ from .abelian import (
     Factorization,
     FgAbGroup,
     HomologyResult,
-    columns,
-    from_columns,
     homology_at,
     identity as identity_matrix,
     mat_hstack,
@@ -358,34 +358,58 @@ def natsystem_verify(D: NatSystem, max_pairs: int = 20000) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Cochain levels as presented groups
+# Cochain levels
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Level:
+    """The sum of the groups ``block[k]``; ``index[k]`` lists block ``k``'s
+    level coordinates. These are ``grp``'s own unless ``proj`` and ``lift``,
+    read off ``factored`` (the Smith form of :attr:`rels`), translate."""
+
     keys: list
     block: dict
-    offset: dict
+    index: dict
     ngens: int
-    rels: list
-    grp: FgAbGroup
-    proj: list
-    lift: list
+    grp: FgAbGroup | None = None
+    proj: list | None = None
+    lift: list | None = None
+    extra: list | None = None
+    factored: Factorization | None = None
+
+    @property
+    def rels(self) -> list:
+        """One column per finite block factor, in key order, then ``extra``."""
+        cols = []
+        for k in self.keys:
+            cols += [(i, d) for i, d in zip(self.index[k], self.block[k].invariant_factors) if d]
+        M = zeros(self.ngens, len(cols))
+        for j, (i, d) in enumerate(cols):
+            M[i][j] = d
+        return M if self.extra is None else mat_hstack(M, self.extra)
+
+    def presented(self, extra: list | None = None) -> "_Level":
+        """This level modulo its block relations and the columns of ``extra``."""
+        level = replace(self, extra=extra)
+        level.factored = Factorization(level.rels)
+        level.grp, level.proj, level.lift = quotient_presentation(self.ngens, level.factored)
+        return level
+
+    def to_group(self, v) -> tuple[int, ...]:
+        return self.grp.reduce(v if self.proj is None else mat_vec(self.proj, v))
+
+    def from_group(self, g) -> tuple[int, ...]:
+        """Level coordinates of a representative of ``g``."""
+        return tuple(g) if self.lift is None else mat_vec(self.lift, g)
 
     def assemble(self, cochain: dict) -> list[int]:
         v = [0] * self.ngens
         for key, val in cochain.items():
-            if key not in self.offset:
+            if key not in self.index:
                 raise ValueError(f"unknown cochain index {key!r}")
-            block = self.block[key]
-            coords = block.reduce(tuple(val))
-            off = self.offset[key]
-            for i, c in enumerate(coords):
-                v[off + i] = c
+            for i, c in zip(self.index[key], self.block[key].reduce(tuple(val))):
+                v[i] = c
         return v
-
-    def canonical(self, cochain: dict) -> tuple[int, ...]:
-        return self.grp.reduce(mat_vec(self.proj, self.assemble(cochain)))
 
 
 def _level_size(C: FinCat, D: NatSystem, n: int, normalized: bool) -> int:
@@ -420,33 +444,34 @@ def _check_level_sizes(
 
 
 def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) -> _Level:
+    """Level ``n``: if a stable sort of the blocks' factors (zeros last) is a
+    divisibility chain, it is the level's group and orders the coordinates;
+    otherwise they stay in key order and a Smith form gives the group."""
     if n == 0:
         keys = list(C.objects)
         blocks = {o: D.group_at(C.identity(o)) for o in keys}
     else:
         keys = C.composable_tuples(n, normalized)
         blocks = {t: D.group_at(C.product(t)) for t in keys}
-    offset, total = {}, 0
+    factors = []
     for k in keys:
-        offset[k] = total
-        total += blocks[k].ngens
-        if total > cap:
+        factors += blocks[k].invariant_factors
+        if len(factors) > cap:
             raise InfeasibleSize(
-                f"cochain level {n} needs at least {total} generators (cap {cap})"
+                f"cochain level {n} needs at least {len(factors)} generators (cap {cap})"
             )
-    cols = []
-    for k in keys:
-        for col in columns(blocks[k].relation_matrix()):
-            full = [0] * total
-            for i, c in enumerate(col):
-                full[offset[k] + i] = c
-            cols.append(full)
-    rels = from_columns(cols, total) if cols else zeros(total, 0)
-    grp, proj, lift = quotient_presentation(total, rels)
-    return _Level(
-        keys=keys, block=blocks, offset=offset, ngens=total, rels=rels,
-        grp=grp, proj=proj, lift=lift,
-    )
+    order = sorted(range(len(factors)), key=lambda i: (factors[i] == 0, factors[i]))
+    finite = [factors[i] for i in order if factors[i]]
+    chained = not any(b % a for a, b in zip(finite, finite[1:]))
+    if not chained:
+        order = range(len(factors))
+    coord = iter(sorted(range(len(factors)), key=order.__getitem__))  # inverse of order
+    index = {k: [next(coord) for _ in range(blocks[k].ngens)] for k in keys}
+    level = _Level(keys=keys, block=blocks, index=index, ngens=len(factors))
+    if not chained:
+        return level.presented()
+    level.grp = FgAbGroup(tuple(factors[i] for i in order))
+    return level
 
 
 def _coboundary_terms(C: FinCat, T: tuple):
@@ -470,24 +495,22 @@ def _coboundary_terms(C: FinCat, T: tuple):
 def _d_presented(C: FinCat, D: NatSystem, src: _Level, tgt: _Level) -> list:
     M = zeros(tgt.ngens, src.ngens)
     for T in tgt.keys:
-        row0 = tgt.offset[T]
+        rows = tgt.index[T]
         for arg, sign, act3 in _coboundary_terms(C, T):
-            if arg not in src.offset:
+            if arg not in src.index:
                 continue
-            col0 = src.offset[arg]
-            if act3 is None:
-                amat = identity_matrix(src.block[arg].ngens)
-            else:
-                amat = D.map_for(*act3).matrix
-            for i, row in enumerate(amat):
-                for j, c in enumerate(row):
-                    if c:
-                        M[row0 + i][col0 + j] += sign * c
+            cols = src.index[arg]
+            amat = identity_matrix(len(cols)) if act3 is None else D.map_for(*act3).matrix
+            for r, arow in zip(rows, amat):
+                for c, a in zip(cols, arow):
+                    if a:
+                        M[r][c] += sign * a
     return M
 
 
 def _canonical_map(dpres, src: _Level, tgt: _Level) -> AbMap:
-    return AbMap(src.grp, tgt.grp, matmul(matmul(tgt.proj, dpres), src.lift))
+    M = dpres if tgt.proj is None else matmul(tgt.proj, dpres)
+    return AbMap(src.grp, tgt.grp, M if src.lift is None else matmul(M, src.lift))
 
 
 class CochainComplex:
@@ -564,10 +587,10 @@ class CohomologyResult:
 
     def class_of(self, cochain: dict) -> tuple[int, ...]:
         """Cohomology class of a cocycle given as ``{index: coords}``."""
-        return self.hom.express(self.level.canonical(cochain))
+        return self.hom.express(self.level.to_group(self.level.assemble(cochain)))
 
     def is_cocycle(self, cochain: dict) -> bool:
-        v = self.level.canonical(cochain)
+        v = self.level.to_group(self.level.assemble(cochain))
         return self.d_out.target.reduce(self.d_out.apply(v)) == self.d_out.target.zero()
 
 
@@ -683,11 +706,9 @@ def _rho_presented(levelC: _Level, levelK: _Level, p: dict, degree: int) -> list
     M = zeros(levelK.ngens, levelC.ngens)
     for t in levelK.keys:
         s = t if degree == 0 else tuple(p[f] for f in t)
-        if s not in levelC.offset:
-            continue
-        r0, c0 = levelK.offset[t], levelC.offset[s]
-        for i in range(levelK.block[t].ngens):
-            M[r0 + i][c0 + i] = 1
+        if s in levelC.index:
+            for r, c in zip(levelK.index[t], levelC.index[s]):
+                M[r][c] = 1
     return M
 
 
@@ -717,10 +738,7 @@ class _QuotientComplex(CochainComplex):
         return self._rho[n]
 
     def _build_level(self, n: int) -> _Level:
-        lk = self.of_k.level(n)
-        rels = mat_hstack(lk.rels, self.rho(n))
-        grp, proj, lift = quotient_presentation(lk.ngens, rels)
-        return replace(lk, rels=rels, grp=grp, proj=proj, lift=lift)
+        return self.of_k.level(n).presented(self.rho(n))
 
     def d_presented(self, n: int) -> list:
         return self.of_k.d_presented(n)
@@ -791,22 +809,21 @@ def les_report(
         return AbMap.from_columns(hsrc.group, hdst.group, cols)
 
     def push_a(j):
-        lc, lk, rho = cxC.level(j), cxK.level(j), cxQ.rho(j)
-        return lambda rep: lk.grp.reduce(mat_vec(lk.proj, mat_vec(rho, mat_vec(lc.lift, rep))))
+        return lambda rep: cxK.level(j).to_group(mat_vec(cxQ.rho(j), cxC.level(j).from_group(rep)))
 
     def push_b(j):
-        lk, lq = cxK.level(j), cxQ.level(j)
-        return lambda rep: tuple(mat_vec(lq.proj, mat_vec(lk.lift, rep)))
+        return lambda rep: cxQ.level(j).to_group(cxK.level(j).from_group(rep))
 
     def push_delta(j):
-        lq, dK, lcn = cxQ.level(j), cxK.d_presented(j), cxC.level(j + 1)
-        restricted = Factorization(mat_hstack(cxQ.rho(j + 1), cxK.level(j + 1).rels))
+        # Level j + 1 of the quotient is factored with the restriction's
+        # columns last, so the solution's tail is a cochain on C.
+        lq, dK, lqn, lcn = cxQ.level(j), cxK.d_presented(j), cxQ.level(j + 1), cxC.level(j + 1)
 
         def go(rep):
-            sol = restricted.solve(mat_vec(dK, mat_vec(lq.lift, rep)))
+            sol = lqn.factored.solve(mat_vec(dK, lq.from_group(rep)))
             if sol is None:
                 raise ValueError("boundary of a lifted relative cocycle escapes the image")
-            return lcn.grp.reduce(mat_vec(lcn.proj, sol[: lcn.ngens]))
+            return lcn.to_group(sol[len(sol) - lcn.ngens :])
 
         return go
 

@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from quadalg import bwcoh
-from quadalg.abelian import AbMap, FgAbGroup, identity, mat_vec
+from quadalg import abelian, bwcoh
+from quadalg.abelian import AbMap, FgAbGroup, columns, identity, mat_vec
 from quadalg.bwcoh import (
+    DEFAULT_GENERATOR_CAP,
     CochainComplex,
     FinCat,
     NatSystem,
+    _QuotientComplex,
     _build_level,
     _level_size,
     _canonical_map,
@@ -28,6 +32,7 @@ from quadalg.bwcoh import (
     trivial_system,
     validate_projection,
 )
+from quadalg.crossed import cyclic_ring_extension
 from quadalg.errors import (
     DegreeTooHigh,
     InfeasibleSize,
@@ -35,6 +40,7 @@ from quadalg.errors import (
     NotSurjective,
     TooLarge,
 )
+from quadalg.modq import CyclicTrackExtension, ModQTrackExtension
 
 
 def cyclic_setup(m: int):
@@ -61,6 +67,13 @@ def cyclic_projection_fixture():
     """Reduction ``Z/4 -> Z/2`` of one-object cyclic categories."""
     K, C = one_object_cyclic(4), one_object_cyclic(2)
     return C, K, {a: a % 2 for a in K.morphisms}
+
+
+def cochain_of(res, coords) -> dict:
+    """The cochain ``{chain: block coordinates}`` lifting group coordinates."""
+    level = res.level
+    v = level.from_group(coords)
+    return {k: tuple(v[i] for i in level.index[k]) for k in level.keys}
 
 
 def _arrows(arrows: tuple, name: str) -> FinCat:
@@ -202,6 +215,86 @@ class TestCochainComplex:
         assert sorted(built) == [0, 1, 2, 3, 4]
 
 
+def modq_system(extension):
+    return extension.base, extension.system
+
+
+# name -> category and coefficients whose level factors sort into a chain
+CHAIN_SYSTEMS = {
+    "dm": lambda: dm_natural_system(4, 1),
+    "constant": lambda: (
+        one_object_cyclic(4),
+        trivial_system(one_object_cyclic(4), FgAbGroup.from_factors([2, 4])),
+    ),
+    "modq_cyclic": lambda: modq_system(CyclicTrackExtension(4, 2)),
+    "modq_matrix": lambda: modq_system(
+        ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
+    ),
+}
+
+
+class TestLevelLayout:
+    def record_factoring(self, monkeypatch) -> list:
+        calls = []
+        for module, name in ((abelian, "smith"), (bwcoh, "quotient_presentation"), (bwcoh, "matmul")):
+            f = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a)
+            )
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_SYSTEMS))
+    def test_chain_levels_need_no_smith_form(self, monkeypatch, name):
+        C, D = CHAIN_SYSTEMS[name]()
+        calls = self.record_factoring(monkeypatch)
+        for normalized in (False, True):
+            cx = CochainComplex(C, D, normalized)
+            for n in range(3):
+                cx.d(n)
+            assert all(cx.level(n).proj is None for n in range(4))
+        assert calls == []
+
+    def test_a_level_without_a_chain_is_presented(self, monkeypatch):
+        C, D = arrow_fixture()
+        calls = self.record_factoring(monkeypatch)
+        cx = CochainComplex(C, D, False)
+        cx.d(0)
+        assert "quotient_presentation" in calls
+        assert cx.level(0).grp == FgAbGroup((6,))
+        assert cx.level(0).proj is not None
+
+    def test_coordinates_follow_the_sorted_factors(self):
+        C = one_object_cyclic(2)
+        level = _build_level(C, trivial_system(C, FgAbGroup.from_factors([2, 4])), 1, False, 100)
+        assert level.grp == FgAbGroup((2, 2, 4, 4))
+        assert level.index == {(0,): [0, 2], (1,): [1, 3]}
+
+    def test_a_rank_two_level_is_built_in_little_memory(self):
+        cx = CochainComplex(*dm_natural_system(2, 2), False)
+        tracemalloc.start()
+        try:
+            level = cx.level(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert level.ngens == 1405
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize("m, normalized", [(2, False), (4, True)])
+    def test_multi_factor_coefficients_add_up(self, m, normalized):
+        C = one_object_cyclic(m)
+
+        def res(factors, n):
+            return cohomology(C, trivial_system(C, FgAbGroup.from_factors(factors)), n, normalized)
+
+        for n in range(4):
+            both = res([2, 4], n)
+            parts = res([2], n).invariant_factors + res([4], n).invariant_factors
+            assert both.group == FgAbGroup.from_factors(parts), n
+            for g in both.group.generators():
+                assert both.class_of(cochain_of(both, both.hom.representative(g))) == g
+
+
 class TestDifferential:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("normalized", [False, True])
@@ -246,10 +339,7 @@ class TestDifferential:
             via_matrix = mat_vec(dmat, src.assemble(cochain))
             for key in tgt.keys:
                 block = tgt.block[key]
-                off = tgt.offset[key]
-                want = block.reduce(
-                    tuple(via_matrix[off + i] for i in range(block.ngens))
-                )
+                want = block.reduce(tuple(via_matrix[i] for i in tgt.index[key]))
                 got = block.reduce(tuple(image.get(key, block.zero())))
                 assert want == got, (degree, key)
 
@@ -366,6 +456,26 @@ class TestRelative:
         assert report.passed, report.render()
         assert len(report.checks) == 7
 
+    @pytest.mark.parametrize("fixture", ["projection", "pair"])
+    def test_no_quotient_relations_are_factored_twice(self, monkeypatch, fixture):
+        if fixture == "pair":
+            C, K, p, D = pair_projection_fixture()
+        else:
+            C, K, p = projection_fixture()
+            D = trivial_system(C, FgAbGroup.cyclic(2))
+
+        def relations(M):
+            return len(M), tuple(sorted(columns(M)))
+
+        factored = Counter()
+        smith = abelian.smith
+        monkeypatch.setattr(abelian, "smith", lambda M: factored.update([relations(M)]) or smith(M))
+        les_report(C, K, p, D, max_degree=2)
+        monkeypatch.undo()
+        # the connecting maps solve against quotient levels 1 and 2
+        cx = _QuotientComplex(C, K, p, D, False, DEFAULT_GENERATOR_CAP)
+        assert [factored[relations(cx.level(j).rels)] for j in (1, 2)] == [1, 1]
+
     def test_projection_guards(self):
         C, K, p = projection_fixture()
         K2 = FinCat.from_monoid((0, 1), lambda a, b: (a + b) % 2, 0, name="Z/2 additive")
@@ -435,8 +545,9 @@ class TestGuards:
             cohomology(C, D, 2, max_generators=5)
 
     def test_generator_cap_is_checked_before_any_level_is_built(self):
-        # level 3 (20,127 generators) is under the default cap and would go
-        # into a dense Smith form; level 4 (325,154) is not
+        # level 3 (20,127 generators) is under the default cap and its
+        # homology would need dense matrices of that size; level 4 (325,154)
+        # is over it
         C, D = dm_natural_system(2, 2)
         start = time.perf_counter()
         with pytest.raises(InfeasibleSize, match="level 4 needs 325154 generators"):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from quadalg.abelian import FgAbGroup, mat_vec
+from quadalg.abelian import FgAbGroup
 from quadalg.bwcoh import (
     _pulled_system,
     cohomology,
@@ -37,6 +37,7 @@ from quadalg.bwcoh import (
 
 from tests.test_bwcoh import (
     arrow_fixture,
+    cochain_of,
     cyclic_projection_fixture,
     cyclic_setup,
     pair_projection_fixture,
@@ -70,16 +71,6 @@ COHOMOLOGY_CASES = {
 
 def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
-def cochain_of(res, coords) -> dict:
-    """The cochain ``{chain: block coordinates}`` lifting level coordinates."""
-    level = res.level
-    v = mat_vec(level.lift, coords)
-    return {
-        k: tuple(v[level.offset[k] : level.offset[k] + level.block[k].ngens])
-        for k in level.keys
-    }
 
 
 def cohomology_witnesses(name: str) -> dict:
