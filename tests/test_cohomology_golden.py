@@ -5,8 +5,9 @@ solver must leave unchanged: the invariant factors, the kernel basis with
 the basis and projection matrices of the homology witness, both
 differentials, and the representative and class of every generator class.
 The cases cover both chain kinds on the arrow of ``tests/test_bwcoh.py``,
-whose level factors form no divisibility chain, and on the parallel pair
-with the arrow's coefficients pulled back. The projection cases pin, for
+whose level factors form no divisibility chain, on the parallel pair
+with the arrow's coefficients pulled back, and on full chains of the
+rank <= 1 lifting problem of ``cyclic_ring_extension(4, 2)``. The projection cases pin, for
 each projection fixture with its coefficients, the rendered long exact
 sequence report and the invariant factors of the relative groups in
 degrees 1 to 3. ``cyc4_z2z4`` pins the invariant factors of constant
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from quadalg.abelian import FgAbGroup
+from quadalg.crossed import cyclic_ring_extension
 from quadalg.bwcoh import (
     _pulled_system,
     cohomology,
@@ -34,6 +36,7 @@ from quadalg.bwcoh import (
     relative_cohomology,
     trivial_system,
 )
+from quadalg.modq import ModQTrackExtension
 
 from tests.test_bwcoh import (
     arrow_fixture,
@@ -55,11 +58,19 @@ def pulled_pair():
     return K, _pulled_system(K, D, p)
 
 
+def modq42():
+    """The base and kernel-module coefficients of ``cyclic_ring_extension(4, 2)``
+    at rank <= 1."""
+    te = ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
+    return te.base, te.system
+
+
 # name -> (category and coefficients, degree, normalized)
 COHOMOLOGY_CASES = {
     **{f"dm4r1_h{n}": (lambda: dm_natural_system(4, 1), n, None) for n in range(4)},
     "cyc3_h3_full": (lambda: cyclic_setup(3), 3, False),
     "cyc10_h1": (lambda: cyclic_setup(10), 1, None),
+    **{f"modq42_h{n}": (modq42, n, False) for n in range(4)},
     **{
         f"{name}_h{n}_{kind}": (setup, n, normalized)
         for name, setup in (("arrow", arrow_fixture), ("pair", pulled_pair))
