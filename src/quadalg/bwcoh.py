@@ -261,14 +261,54 @@ def trivial_system(cat: FinCat, group: FgAbGroup, name: str | None = None) -> Na
     )
 
 
+def bimodule_system(
+    cat: FinCat, module: FgAbGroup, left: Callable, right: Callable, name: str
+) -> NatSystem:
+    """Matrices over a finite bimodule ``M`` as coefficients on a category
+    built by :meth:`FinCat.matrices`.
+
+    At ``alpha: y -> x`` the group is ``M^(x*y)``, generator ``j`` of ``M``
+    in cell ``(i, k)`` at coordinate ``j*x*y + i*y + k``. Extending by ``nu``
+    and ``psi`` acts by ``a -> psi a nu`` through the integer matrices
+    ``left(r)`` of ``m -> r m`` and ``right(r)`` of ``m -> m r`` on ``M``.
+    """
+    groups: dict = {}
+    scalars: dict = {}  # (r, s) -> reduced matrix of m -> r m s
+
+    def group(alpha):
+        cells = alpha[0] * alpha[1]
+        if cells not in groups:
+            groups[cells] = FgAbGroup(tuple(d for d in module.invariant_factors for _ in range(cells)))
+        return groups[cells]
+
+    def act(nu, alpha, psi):
+        (x, y, _), (yn, y2, nmat), (x2, xp, pmat) = alpha, nu, psi
+        if yn != y or xp != x:
+            raise ValueError("action factors do not align with the morphism")
+        src, dst = group(alpha), group((x2, y2, None))
+        rows = zeros(dst.ngens, src.ngens)
+        for i, k, p, q in itertools.product(range(x), range(y), range(x2), range(y2)):
+            rs = (pmat[p][i], nmat[k][q])
+            if rs not in scalars:
+                cols = list(zip(*right(rs[1])))
+                scalars[rs] = [[sum(map(operator.mul, row, col)) % d for col in cols]
+                               for row, d in zip(left(rs[0]), module.invariant_factors)]
+            for jt, srow in enumerate(scalars[rs]):
+                for js, c in enumerate(srow):
+                    rows[(jt * x2 + p) * y2 + q][(js * x + i) * y + k] = c
+        return AbMap(src, dst, rows)
+
+    return NatSystem(cat=cat, group=group, act=act, name=name)
+
+
 def dm_natural_system(
     modulus: int, max_rank: int, coeff_modulus: int | None = None
 ) -> tuple[FinCat, NatSystem]:
-    """Matrix groups over ``Z/coeff`` as coefficients on the matrix category.
+    """Matrix groups over ``Z/coeff`` as coefficients on the matrix category:
+    :func:`bimodule_system` of ``Z/coeff`` on :meth:`FinCat.mod_r`, with
+    cell ``(i, k)`` of ``alpha: y -> x`` at coordinate ``i*y + k``.
 
-    At a morphism ``alpha: y -> x`` the group is ``(Z/coeff)^(x*y)``;
-    extending by ``nu`` and ``psi`` acts by ``a -> psi a nu``. The
-    coefficient modulus must divide the matrix modulus so the action is
+    The coefficient modulus must divide the matrix modulus so the action is
     independent of entry representatives.
     """
     coeff = modulus if coeff_modulus is None else coeff_modulus
@@ -277,33 +317,8 @@ def dm_natural_system(
             f"coefficient modulus {coeff} must divide the matrix modulus {modulus}"
         )
     cat = FinCat.mod_r(modulus, max_rank)
-    groups: dict = {}
-
-    def group(alpha):
-        x, y, _ = alpha
-        key = x * y
-        if key not in groups:
-            groups[key] = FgAbGroup((coeff,) * key) if key else FgAbGroup.trivial()
-        return groups[key]
-
-    def act(nu, alpha, psi):
-        x, y, _ = alpha
-        yn, y2, nmat = nu
-        x2, xp, pmat = psi
-        if yn != y or xp != x:
-            raise ValueError("action factors do not align with the morphism")
-        src = group(alpha)
-        dst = group((x2, y2, None))
-        rows = zeros(x2 * y2, x * y)
-        for i in range(x):
-            for k in range(y):
-                col = i * y + k
-                for p in range(x2):
-                    for q in range(y2):
-                        rows[p * y2 + q][col] = (pmat[p][i] * nmat[k][q]) % coeff
-        return AbMap(src, dst, rows)
-
-    return cat, NatSystem(cat=cat, group=group, act=act, name=f"bimodule Z/{coeff} matrices")
+    scalar = lambda r: [[r]]
+    return cat, bimodule_system(cat, FgAbGroup((coeff,)), scalar, scalar, f"bimodule Z/{coeff} matrices")
 
 
 def natsystem_verify(D: NatSystem, max_pairs: int = 20000) -> Report:

@@ -17,12 +17,14 @@ degree-three obstruction cocycle on the quotient's matrix category.
 """
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .abelian import AbMap, FgAbGroup
-from .bwcoh import FinCat, NatSystem
+from .abelian import AbMap, FgAbGroup, from_columns
+from .bwcoh import FinCat, NatSystem, bimodule_system
 from .crossed import CrossedExtension
 from .errors import (
     BoundaryMismatch,
@@ -31,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .nil2 import DEFAULT_ENUM_BOUND
+from .nil2 import DEFAULT_ENUM_BOUND, Law, check_laws
 from .reports import Report
 from .sqring import SquareRing
 
@@ -248,14 +250,34 @@ class ModQMor:
         return ModQMor.from_columns(self.ring, self.nrows, (c.neg() for c in self.columns()))
 
 
-def random_morphism(ring: SquareRing, nrows: int, ncols: int, rng, pair_chance: float = 0.8) -> ModQMor:
+def random_morphism(ring: SquareRing, nrows: int, ncols: int, rng) -> ModQMor:
+    """Random ring entries, each quadratic row present with chance 0.8."""
     fi = tuple(tuple(ring.e.sample(rng) for _ in range(ncols)) for _ in range(nrows))
     fij = {}
     for i in range(nrows):
         for j in range(i + 1, nrows):
-            if rng.random() < pair_chance:
+            if rng.random() < 0.8:
                 fij[(i, j)] = tuple(ring.ee.sample(rng) for _ in range(ncols))
     return ModQMor(ring, nrows, ncols, fi, fij)
+
+
+@dataclass(frozen=True)
+class _Morphisms:
+    """A law slot holding ``count`` random morphisms, composable in a chain
+    or all parallel; the shapes are drawn first, each from ``1..max_dim``."""
+
+    ring: SquareRing
+    max_dim: int
+    count: int
+    parallel: bool = False
+
+    def sample(self, rng) -> tuple:
+        dims = [rng.randint(1, self.max_dim) for _ in range(2 if self.parallel else self.count + 1)]
+        shapes = [dims] * self.count if self.parallel else zip(dims, dims[1:])
+        return tuple(random_morphism(self.ring, x, y, rng) for x, y in shapes)
+
+    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
+        raise NotFinite("random morphisms are sampled, not enumerated")
 
 
 # ---------------------------------------------------------------------------
@@ -342,85 +364,44 @@ def _compose_oracle(f: ModQMor, g: ModQMor) -> ModQMor:
     return ModQMor.from_columns(f.ring, f.nrows, out)
 
 
-def composition_report(
-    ring: SquareRing,
-    samples: int = 200,
-    seed: int = 0,
-    max_dim: int = 3,
-    associativity: bool = True,
-) -> Report:
+def composition_report(ring: SquareRing, samples: int = 200, seed: int = 0, max_dim: int = 3) -> Report:
     """Random agreement of the two composition routes, plus category laws."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     r = Report(title=f"matrix category over {ring.name}", samples=samples, seed=seed)
 
-    ok, witness = True, None
-    for trial in range(samples):
-        x, y, z = (rng.randint(1, max_dim) for _ in range(3))
-        f = random_morphism(ring, x, y, rng)
-        g = random_morphism(ring, y, z, rng)
-        if modq_compose(f, g, "closed") != modq_compose(f, g, "oracle"):
-            ok, witness = False, f"trial {trial}: shapes {x}x{y}, {y}x{z}"
-            break
-    r.add("closed composition matches the substitution route", ok, witness)
+    def routes_agree(fg):
+        return modq_compose(*fg, "closed") == modq_compose(*fg, "oracle")
 
-    ok, witness = True, None
-    for trial in range(samples):
-        x, y = rng.randint(1, max_dim), rng.randint(1, max_dim)
-        f = random_morphism(ring, x, y, rng)
-        if modq_compose(ModQMor.identity(ring, x), f) != f:
-            ok, witness = False, f"trial {trial}: left identity"
-            break
-        if modq_compose(f, ModQMor.identity(ring, y)) != f:
-            ok, witness = False, f"trial {trial}: right identity"
-            break
-    r.add("identity morphisms are neutral", ok, witness)
+    def neutral(fs):
+        (f,) = fs
+        left, right = ModQMor.identity(ring, f.nrows), ModQMor.identity(ring, f.ncols)
+        return modq_compose(left, f) == f == modq_compose(f, right)
 
-    if associativity:
-        ok, witness = True, None
-        for trial in range(samples):
-            x, y, z, w = (rng.randint(1, max_dim) for _ in range(4))
-            f = random_morphism(ring, x, y, rng)
-            g = random_morphism(ring, y, z, rng)
-            h = random_morphism(ring, z, w, rng)
-            if modq_compose(modq_compose(f, g), h) != modq_compose(f, modq_compose(g, h)):
-                ok, witness = False, f"trial {trial}: shapes {x},{y},{z},{w}"
-                break
-        r.add("composition is associative", ok, witness)
+    def associative(fgh):
+        f, g, h = fgh
+        return modq_compose(modq_compose(f, g), h) == modq_compose(f, modq_compose(g, h))
 
-    ok, witness = True, None
-    for trial in range(samples):
-        x, y = rng.randint(1, max_dim), rng.randint(1, max_dim)
-        m = random_morphism(ring, x, y, rng)
-        n = random_morphism(ring, x, y, rng)
-        p = random_morphism(ring, x, y, rng)
-        if m.add(n).add(p) != m.add(n.add(p)):
-            ok, witness = False, f"trial {trial}: addition associativity"
-            break
-        if m.add(m.neg()).fi != ModQMor.zero(ring, x, y).fi or m.add(m.neg()).fij:
-            ok, witness = False, f"trial {trial}: inverse"
-            break
-    r.add("morphism addition is a group", ok, witness)
+    def additive_group(mnp):
+        m, n, p = mnp
+        zero = ModQMor.zero(ring, m.nrows, m.ncols)
+        return m.add(n).add(p) == m.add(n.add(p)) and m.add(m.neg()) == zero
 
-    ok, witness = True, None
-    for trial in range(samples):
-        x, y = rng.randint(1, max_dim), rng.randint(1, max_dim)
-        m = random_morphism(ring, x, y, rng)
-        n = random_morphism(ring, x, y, rng)
-        v = ring.e.sample(rng)
-        lhs = m.add(n).columns()
-        rhs = [
-            a.act(v).add(b.act(v)).add(a.bracket(b, ring.H(v)))
-            for a, b in zip(m.columns(), n.columns())
-        ]
-        for a2, b2 in zip(lhs, rhs):
-            if a2.act(v) != b2:
-                ok, witness = False, f"trial {trial}: action on a sum"
-                break
-        if not ok:
-            break
-    r.add("module action distributes with the bracket correction", ok, witness)
+    def distributes(mn, v):
+        m, n = mn
+        return all(
+            s.act(v) == a.act(v).add(b.act(v)).add(a.bracket(b, ring.H(v)))
+            for s, a, b in zip(m.add(n).columns(), m.columns(), n.columns())
+        )
+
+    morphisms = functools.partial(_Morphisms, ring, max_dim)
+    check_laws(r, [
+        Law("closed composition matches the substitution route", [morphisms(2)], routes_agree, "(f,g)"),
+        Law("identity morphisms are neutral", [morphisms(1)], neutral, "(f,)"),
+        Law("composition is associative", [morphisms(3)], associative, "(f,g,h)"),
+        Law("morphism addition is a group", [morphisms(3, parallel=True)], additive_group, "(m,n,p)"),
+        Law("module action distributes with the bracket correction",
+            [morphisms(2, parallel=True), ring.e], distributes, "(m,n) v"),
+    ], samples, rng)
     return r
 
 
@@ -790,73 +771,19 @@ class ModQTrackExtension:
             raise NotFinite("the kernel module must be finite for track values")
         self._mg = mg
         self._inc = {ext.include(m): m for m in ext.module.elements(enum_bound)}
-        self._mleft = {rv: self._module_action(rv, left=True) for rv in relems}
-        self._mright = {rv: self._module_action(rv, left=False) for rv in relems}
-        blocks: dict = {}
-
-        def group(alpha):
-            x, y, _ = alpha
-            cells = x * y
-            if cells not in blocks:
-                factors = tuple(d for d in mg.invariant_factors for _ in range(cells))
-                blocks[cells] = FgAbGroup(factors) if factors else FgAbGroup.trivial()
-            return blocks[cells]
-
-        def act(nu, alpha, psi):
-            return self._system_map(group, nu, alpha, psi)
-
-        self.system = NatSystem(
-            cat=self.base,
-            group=group,
-            act=act,
-            name=f"kernel module matrices over {ext.name}",
+        left = {rv: self._module_action(rv, left=True) for rv in relems}
+        right = {rv: self._module_action(rv, left=False) for rv in relems}
+        self.system = bimodule_system(
+            self.base, mg, left.__getitem__, right.__getitem__,
+            f"kernel module matrices over {ext.name}",
         )
 
-    def _module_action(self, rv, left: bool):
-        lift = self._pre[rv][0]
-        ext, mg = self.ext, self._mg
-        cols = []
-        for j in range(mg.ngens):
-            gen = mg.generator(j)
-            c = ext.include(gen)
-            c = ext.act_left(lift, c) if left else ext.act_right(c, lift)
-            cols.append(self._inc[c])
-        return AbMap.from_columns(mg, mg, cols)
-
-    def _system_map(self, group, nu, alpha, psi) -> AbMap:
-        x, y, _ = alpha
-        yn, y2, nmat = nu
-        x2, xp, pmat = psi
-        if yn != y or xp != x:
-            raise ValueError("action factors do not align with the morphism")
-        src = group(alpha)
-        dst = group((x2, y2, None))
-        mg = self._mg
-        nfac = mg.ngens
-        cols = []
-        for i in range(x):
-            for k in range(y):
-                for j in range(nfac):
-                    col = [0] * dst.ngens
-                    base = mg.generator(j)
-                    for p in range(x2):
-                        for q in range(y2):
-                            v = self._mright[nmat[k][q]].apply(base)
-                            v = self._mleft[pmat[p][i]].apply(v)
-                            cell = p * y2 + q
-                            for jj in range(nfac):
-                                col[jj * (x2 * y2) + cell] += v[jj]
-                    cols.append(dst.reduce(col))
-        order = [
-            j * (x * y) + (i * y + k)
-            for i in range(x)
-            for k in range(y)
-            for j in range(nfac)
-        ]
-        arranged = [None] * src.ngens
-        for pos, target in enumerate(order):
-            arranged[target] = cols[pos]
-        return AbMap.from_columns(src, dst, arranged)
+    def _module_action(self, rv, left: bool) -> list:
+        """The matrix of ``m -> rv m`` (``left``) or ``m -> m rv`` on the module."""
+        lift, ext = self._pre[rv][0], self.ext
+        act = (lambda c: ext.act_left(lift, c)) if left else (lambda c: ext.act_right(c, lift))
+        cols = [self._inc[act(ext.include(g))] for g in self._mg.generators()]
+        return from_columns(cols, self._mg.ngens)
 
     def section(self, phi) -> ModQMor:
         return self._lift(phi, 0)
@@ -900,19 +827,12 @@ class ModQTrackExtension:
     def value(self, t: Track) -> tuple:
         if t.f0 != t.f1:
             raise ValueError("only automorphism tracks carry module values")
-        x, y = t.f0.nrows, t.f0.ncols
-        cells = x * y
-        coords = [0] * (self._mg.ngens * cells)
-        for i in range(x):
-            for k in range(y):
-                v = t.h[i][k]
-                if v not in self._inc:
-                    raise ValueError(f"track entry {v!r} is not in the kernel module image")
-                m = self._inc[v]
-                for j in range(self._mg.ngens):
-                    coords[j * cells + (i * y + k)] = m[j]
-        block = self.system.group_at((x, y, None))
-        return block.reduce(coords)
+        cells = [v for row in t.h for v in row]
+        for v in cells:
+            if v not in self._inc:
+                raise ValueError(f"track entry {v!r} is not in the kernel module image")
+        coords = [self._inc[v][j] for j in range(self._mg.ngens) for v in cells]
+        return self.system.group_at((t.f0.nrows, t.f0.ncols, None)).reduce(coords)
 
 
 def obstruction_cocycle(te, section: Callable | None = None) -> dict:

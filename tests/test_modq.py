@@ -145,12 +145,6 @@ class TestCompositionRoutes:
         assert report.passed, report.render()
         assert [c.name for c in report.checks] == self.CHECKS
 
-    def test_associativity_can_be_skipped(self):
-        report = composition_report(znil(), samples=20, seed=0, associativity=False)
-        assert report.passed
-        assert "composition is associative" not in [c.name for c in report.checks]
-        assert len(report.checks) == 4
-
     def test_unknown_mode(self):
         f = ModQMor.identity(znil(), 1)
         with pytest.raises(ValueError, match="unknown composition mode"):
