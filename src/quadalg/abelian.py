@@ -588,11 +588,9 @@ class FgAbGroup:
         ranges = [range(d) for d in self.invariant_factors]
         return [tuple(t) for t in itertools.product(*ranges)]
 
-    def sample(self, rng: random.Random, free_bound: int = 9) -> tuple[int, ...]:
-        return tuple(
-            rng.randrange(d) if d else rng.randint(-free_bound, free_bound)
-            for d in self.invariant_factors
-        )
+    def sample(self, rng: random.Random) -> tuple[int, ...]:
+        """A random element; free coordinates come from ``-9..9``."""
+        return tuple(rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors)
 
     def element_order(self, a) -> int | None:
         a = self.reduce(a)
@@ -632,38 +630,6 @@ class FgAbGroup:
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class AbElement:
-    """An element of an :class:`FgAbGroup`, stored in reduced coordinates."""
-
-    group: FgAbGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce(self.coords))
-
-    def __add__(self, other: "AbElement") -> "AbElement":
-        self._check(other)
-        return AbElement(self.group, self.group.add(self.coords, other.coords))
-
-    def __sub__(self, other: "AbElement") -> "AbElement":
-        self._check(other)
-        return AbElement(self.group, self.group.sub(self.coords, other.coords))
-
-    def __neg__(self) -> "AbElement":
-        return AbElement(self.group, self.group.neg(self.coords))
-
-    def __rmul__(self, n: int) -> "AbElement":
-        return AbElement(self.group, self.group.scalar(n, self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other: "AbElement") -> None:
-        if self.group != other.group:
-            raise ShapeMismatch("elements of different groups")
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +679,7 @@ class AbMap:
                     )
         return True, None
 
-    def verify(self) -> "tuple[bool, str | None]":
-        return self.respects_relations()
-
     def apply(self, coords) -> tuple[int, ...]:
-        if isinstance(coords, AbElement):
-            coords = coords.coords
         return self.target.reduce(mat_vec(self.matrix, tuple(coords)))
 
     def compose(self, first: "AbMap") -> "AbMap":
@@ -748,16 +709,6 @@ class AbMap:
         """
         return not any(any(self.target.reduce(c)) for c in columns(self.matrix))
 
-    def image_contains(self, coords) -> tuple[int, ...] | None:
-        """A source solution of ``f(x) = v``, or ``None``."""
-        A = mat_hstack(self.matrix, self.target.relation_matrix())
-        if not A:
-            return None if any(coords) else self.source.zero()
-        sol = solve_integer(A, tuple(coords))
-        if sol is None:
-            return None
-        return self.source.reduce(sol[: self.source.ngens])
-
     def kernel(self) -> "tuple[FgAbGroup, AbMap]":
         """The kernel subgroup with its inclusion into the source."""
         A = mat_hstack(self.matrix, self.target.relation_matrix())
@@ -785,15 +736,6 @@ class AbMap:
             for lc in columns(lift)
         ]
         return grp, AbMap.from_columns(grp, self.source, incl_cols)
-
-    def cokernel(self) -> "tuple[FgAbGroup, AbMap]":
-        """The cokernel with the projection from the target."""
-        rels = mat_hstack(self.matrix, self.target.relation_matrix())
-        grp, project, _lift = quotient_presentation(self.target.ngens, rels)
-        proj_cols = [mat_vec(project, self.target.generator(i))
-                     for i in range(self.target.ngens)]
-        proj_cols = [grp.reduce(c) for c in proj_cols]
-        return grp, AbMap.from_columns(self.target, grp, proj_cols)
 
 
 def quotient_presentation(
@@ -853,8 +795,6 @@ class HomologyResult:
 
     def express(self, coords) -> tuple[int, ...]:
         """Class of a kernel element in homology coordinates."""
-        if isinstance(coords, AbElement):
-            coords = coords.coords
         v = self.middle.reduce(coords)
         sol = self._kernel.solve(v)
         if sol is None:
@@ -1310,7 +1250,8 @@ def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
     return FgAbGroup.from_factors(parts)
 
 
-def _element_presentation(A: FgAbGroup) -> PresentedAb:
+def presentation(A: FgAbGroup) -> PresentedAb:
+    """``A`` as its generators modulo its invariant-factor relations."""
     return PresentedAb(A.ngens, A.relation_matrix())
 
 
@@ -1343,7 +1284,7 @@ def whitehead_sequence(
             cols.append(tvec([(A.add(gi, gj), 1), (gi, -1), (gj, -1)]))
     first = PresentedMap(sym, P, from_columns(cols, len(nz)) if cols else zeros(len(nz), 0))
     second = PresentedMap(
-        P, _element_presentation(A), from_columns([list(e) for e in nz], A.ngens)
+        P, presentation(A), from_columns([list(e) for e in nz], A.ngens)
     )
     return first, second
 

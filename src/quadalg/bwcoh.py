@@ -5,7 +5,11 @@ A natural system assigns an abelian group to every morphism and a map
 on both sides. Cochains in degree ``n`` are families indexed by
 composable ``n``-tuples with values in the group of the composite; the
 coboundary pushes through the outer morphisms and merges inner pairs
-with alternating signs.
+with alternating signs. On a matrix category (:meth:`FinCat.matrices`),
+:func:`bimodule_system` gives the coefficients ``M^(x*y)`` of a finite
+bimodule ``M`` at a morphism ``y -> x``, generator ``j`` of ``M`` in cell
+``(i, k)`` at coordinate ``j*x*y + i*y + k``; the ``dm`` system (``M = Z/c``)
+and the kernel-module systems of :mod:`quadalg.modq` are built with it.
 
 Everything is exact integer arithmetic: a cochain level is a sum of cyclic
 groups, in invariant-factor form when their orders sort into a divisibility
@@ -29,11 +33,14 @@ from .abelian import (
     Factorization,
     FgAbGroup,
     HomologyResult,
+    PresentedMap,
+    exact_at,
     homology_at,
     identity as identity_matrix,
     mat_hstack,
     mat_vec,
     matmul,
+    presentation,
     quotient_presentation,
     zeros,
 )
@@ -49,6 +56,7 @@ from .reports import Report
 MAX_ABSOLUTE_DEGREE = 3
 MAX_RELATIVE_DEGREE = 4
 DEFAULT_GENERATOR_CAP = 24000
+MAX_VERIFIED_EXTENSIONS = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +280,14 @@ def bimodule_system(
     and ``psi`` acts by ``a -> psi a nu`` through the integer matrices
     ``left(r)`` of ``m -> r m`` and ``right(r)`` of ``m -> m r`` on ``M``.
     """
+    factors = module.invariant_factors
     groups: dict = {}
-    scalars: dict = {}  # (r, s) -> reduced matrix of m -> r m s
+    products: dict = {}  # (r, s) -> the reduced matrix of m -> r m s
 
     def group(alpha):
         cells = alpha[0] * alpha[1]
         if cells not in groups:
-            groups[cells] = FgAbGroup(tuple(d for d in module.invariant_factors for _ in range(cells)))
+            groups[cells] = FgAbGroup(tuple(d for d in factors for _ in range(cells)))
         return groups[cells]
 
     def act(nu, alpha, psi):
@@ -288,13 +297,15 @@ def bimodule_system(
         src, dst = group(alpha), group((x2, y2, None))
         rows = zeros(dst.ngens, src.ngens)
         for i, k, p, q in itertools.product(range(x), range(y), range(x2), range(y2)):
-            rs = (pmat[p][i], nmat[k][q])
-            if rs not in scalars:
-                cols = list(zip(*right(rs[1])))
-                scalars[rs] = [[sum(map(operator.mul, row, col)) % d for col in cols]
-                               for row, d in zip(left(rs[0]), module.invariant_factors)]
-            for jt, srow in enumerate(scalars[rs]):
-                for js, c in enumerate(srow):
+            r, s = pmat[p][i], nmat[k][q]
+            if (r, s) not in products:
+                cols = list(zip(*right(s)))
+                products[r, s] = [
+                    [sum(map(operator.mul, row, col)) % d for col in cols]
+                    for row, d in zip(left(r), factors)
+                ]
+            for jt, prow in enumerate(products[r, s]):
+                for js, c in enumerate(prow):
                     rows[(jt * x2 + p) * y2 + q][(js * x + i) * y + k] = c
         return AbMap(src, dst, rows)
 
@@ -317,56 +328,58 @@ def dm_natural_system(
             f"coefficient modulus {coeff} must divide the matrix modulus {modulus}"
         )
     cat = FinCat.mod_r(modulus, max_rank)
-    scalar = lambda r: [[r]]
-    return cat, bimodule_system(cat, FgAbGroup((coeff,)), scalar, scalar, f"bimodule Z/{coeff} matrices")
+    def scalar(r):
+        return [[r]]
+
+    return cat, bimodule_system(
+        cat, FgAbGroup((coeff,)), scalar, scalar, f"bimodule Z/{coeff} matrices"
+    )
 
 
-def natsystem_verify(D: NatSystem, max_pairs: int = 20000) -> Report:
-    """Functoriality of a natural system over its category."""
+def _same_map(f: AbMap, g: AbMap) -> bool:
+    """Whether ``f`` and ``g`` are the same homomorphism: equal ends, and
+    matrices that differ by multiples of the target's invariant factors."""
+    if (f.source, f.target) != (g.source, g.target):
+        return False
+    diff = [[a - b for a, b in zip(fr, gr)] for fr, gr in zip(f.matrix, g.matrix)]
+    return AbMap(f.source, f.target, diff).is_zero_map()
+
+
+def natsystem_verify(D: NatSystem) -> Report:
+    """Functoriality of a natural system over its category, on at most
+    ``MAX_VERIFIED_EXTENSIONS`` pairs of extensions."""
     C = D.cat
     r = Report(title=f"natural system: {D.name}")
     ok, witness = True, None
     for alpha in C.morphisms:
+        G = D.group_at(alpha)
         m = D.map_for(C.identity(C.dom[alpha]), alpha, C.identity(C.cod[alpha]))
-        if m.matrix != identity_matrix(D.group_at(alpha).ngens):
+        if not _same_map(m, AbMap(G, G, identity_matrix(G.ngens))):
             ok, witness = False, f"morphism {alpha!r}"
             break
     r.add("identity extension acts as the identity", ok, witness)
-    triples = []
-    for alpha in C.morphisms:
-        for nu in C.morphisms:
-            if C.cod[nu] != C.dom[alpha]:
-                continue
-            for psi in C.morphisms:
-                if C.dom[psi] != C.cod[alpha]:
-                    continue
-                triples.append((nu, alpha, psi))
-    if len(triples) ** 2 > max_pairs ** 2:
+
+    def around(f):
+        return [(nu, psi) for nu in C.morphisms if C.cod[nu] == C.dom[f]
+                for psi in C.morphisms if C.dom[psi] == C.cod[f]]
+
+    triples = [(nu, alpha, psi) for alpha in C.morphisms for nu, psi in around(alpha)]
+    if len(triples) > MAX_VERIFIED_EXTENSIONS:
         raise TooLarge(f"{len(triples)} extensions exceed the verification cap")
+    pairs = (
+        (nu, alpha, psi, nu2, psi2) for nu, alpha, psi in triples
+        for nu2, psi2 in around(C.compose(psi, C.compose(alpha, nu)))
+    )
     ok, witness = True, None
-    count = 0
-    for nu, alpha, psi in triples:
+    for count, (nu, alpha, psi, nu2, psi2) in enumerate(pairs):
+        if count == MAX_VERIFIED_EXTENSIONS:
+            r.note(f"composition functoriality truncated at {count} cases")
+            break
         beta = C.compose(psi, C.compose(alpha, nu))
-        for nu2 in C.morphisms:
-            if C.cod[nu2] != C.dom[beta]:
-                continue
-            for psi2 in C.morphisms:
-                if C.dom[psi2] != C.cod[beta]:
-                    continue
-                count += 1
-                if count > max_pairs:
-                    r.note(f"composition functoriality truncated at {max_pairs} cases")
-                    break
-                two_step = D.map_for(nu2, beta, psi2).compose(D.map_for(nu, alpha, psi))
-                one_step = D.map_for(
-                    C.compose(nu, nu2), alpha, C.compose(psi2, psi)
-                )
-                if two_step.matrix != one_step.matrix:
-                    ok, witness = False, f"({nu!r}, {alpha!r}, {psi!r}) then ({nu2!r}, {psi2!r})"
-                    break
-            if not ok or count > max_pairs:
-                break
-        if not ok or count > max_pairs:
+        two_step = D.map_for(nu2, beta, psi2).compose(D.map_for(nu, alpha, psi))
+        one_step = D.map_for(C.compose(nu, nu2), alpha, C.compose(psi2, psi))
+        if not _same_map(two_step, one_step):
+            ok, witness = False, f"({nu!r}, {alpha!r}, {psi!r}) then ({nu2!r}, {psi2!r})"
             break
     r.add("extensions compose functorially", ok, witness)
     return r
@@ -860,15 +873,11 @@ def les_report(
 
 
 def _exact_pair(f: AbMap, g: AbMap) -> tuple[bool, str | None]:
-    comp = g.compose(f)
-    if not comp.is_zero_map():
-        return False, "composite is not zero"
-    kergrp, incl = g.kernel()
-    for i in range(kergrp.ngens):
-        v = incl.apply(kergrp.generator(i))
-        if f.image_contains(v) is None:
-            return False, f"kernel element {v} is not in the image"
-    return True, None
+    """Exactness of ``A --f--> B --g--> C`` at ``B``."""
+    return exact_at(
+        PresentedMap(presentation(f.source), presentation(f.target), f.matrix),
+        PresentedMap(presentation(g.source), presentation(g.target), g.matrix),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from .documents import (
     build_document,
     build_natural_system_over,
     load_document,
+    read_json,
     verify_document,
 )
 from .errors import (
-    DegreeTooHigh,
     DocumentError,
     InfeasibleSize,
-    NotFinite,
     NotInKernel,
     QuadAlgError,
     TooLarge,
@@ -77,13 +76,12 @@ def _cmd_cohomology(args) -> int:
     coeff_doc = load_document(args.coefficients)
     cat, system = build_natural_system_over(coeff_doc, cat)
     normalized = {"auto": None, "normalized": True, "full": False}[args.chains]
-    cap = args.max_generators if args.max_generators is not None else DEFAULT_GENERATOR_CAP
     result = cohomology(
         cat,
         system,
         args.degree,
         normalized=normalized,
-        max_generators=cap,
+        max_generators=args.max_generators,
     )
     factors = list(result.group.invariant_factors)
     records = [
@@ -161,13 +159,7 @@ def _cmd_znil_demo(args) -> int:
 
 
 def _load_matrix(path: str) -> list[list[int]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if isinstance(raw, dict):
         raw = raw.get("matrix")
     if not isinstance(raw, list) or not raw:
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="cochain model; auto uses normalized chains above degree 2",
     )
-    p.add_argument("--max-generators", type=int, default=None)
+    p.add_argument("--max-generators", type=int, default=DEFAULT_GENERATOR_CAP)
     _add_format(p)
     p.set_defaults(func=_cmd_cohomology)
 
@@ -275,9 +267,6 @@ def main(argv=None) -> int:
     except (InfeasibleSize, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DocumentError, DegreeTooHigh, NotFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, QuadAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,15 +64,21 @@ KINDS = (
 # Envelope
 # ---------------------------------------------------------------------------
 
-def load_document(path: str) -> dict:
-    """Read a JSON document from ``path`` and validate its envelope."""
+def read_json(path: str):
+    """The JSON value in the file at ``path``; a missing, unreadable or
+    malformed file raises :class:`DocumentError`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_document(path: str) -> dict:
+    """Read a JSON document from ``path`` and validate its envelope."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top level must be a JSON object")
     check_envelope(doc)

@@ -272,7 +272,8 @@ class _Morphisms:
     parallel: bool = False
 
     def sample(self, rng) -> tuple:
-        dims = [rng.randint(1, self.max_dim) for _ in range(2 if self.parallel else self.count + 1)]
+        ndims = 2 if self.parallel else self.count + 1
+        dims = [rng.randint(1, self.max_dim) for _ in range(ndims)]
         shapes = [dims] * self.count if self.parallel else zip(dims, dims[1:])
         return tuple(random_morphism(self.ring, x, y, rng) for x, y in shapes)
 
@@ -364,7 +365,9 @@ def _compose_oracle(f: ModQMor, g: ModQMor) -> ModQMor:
     return ModQMor.from_columns(f.ring, f.nrows, out)
 
 
-def composition_report(ring: SquareRing, samples: int = 200, seed: int = 0, max_dim: int = 3) -> Report:
+def composition_report(
+    ring: SquareRing, samples: int = 200, seed: int = 0, max_dim: int = 3
+) -> Report:
     """Random agreement of the two composition routes, plus category laws."""
     rng = random.Random(seed)
     r = Report(title=f"matrix category over {ring.name}", samples=samples, seed=seed)
@@ -395,10 +398,12 @@ def composition_report(ring: SquareRing, samples: int = 200, seed: int = 0, max_
 
     morphisms = functools.partial(_Morphisms, ring, max_dim)
     check_laws(r, [
-        Law("closed composition matches the substitution route", [morphisms(2)], routes_agree, "(f,g)"),
+        Law("closed composition matches the substitution route",
+            [morphisms(2)], routes_agree, "(f,g)"),
         Law("identity morphisms are neutral", [morphisms(1)], neutral, "(f,)"),
         Law("composition is associative", [morphisms(3)], associative, "(f,g,h)"),
-        Law("morphism addition is a group", [morphisms(3, parallel=True)], additive_group, "(m,n,p)"),
+        Law("morphism addition is a group",
+            [morphisms(3, parallel=True)], additive_group, "(m,n,p)"),
         Law("module action distributes with the bracket correction",
             [morphisms(2, parallel=True), ring.e], distributes, "(m,n) v"),
     ], samples, rng)
@@ -732,14 +737,13 @@ class ModQTrackExtension:
         self,
         ext: CrossedExtension,
         max_rank: int = 1,
-        enum_bound: int = DEFAULT_ENUM_BOUND,
         max_morphisms: int = 2000,
     ):
         if not isinstance(ext.ring, SquareRing):
             raise TypeError("matrix tracks need a square-ring extension")
         self.ext = ext
         self.ring = ext.ring
-        relems = ext.quot.carrier.elements(enum_bound)
+        relems = ext.quot.carrier.elements(DEFAULT_ENUM_BOUND)
         count = sum(
             len(relems) ** (x * y)
             for x in range(max_rank + 1)
@@ -757,20 +761,20 @@ class ModQTrackExtension:
         )
 
         self._pre: dict = {}
-        for v in ext.c0.elements(enum_bound):
+        for v in ext.c0.elements(DEFAULT_ENUM_BOUND):
             self._pre.setdefault(ext.quot.q(v), []).append(v)
         for rv in relems:
             if rv not in self._pre:
                 raise SectionInvalid(f"quotient element {rv!r} has no ring preimage")
         self._bnd: dict = {}
-        for c in ext.c1.elements(enum_bound):
+        for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
             self._bnd.setdefault(ext.boundary(c), c)
 
         mg = ext.module.group
         if not mg.is_finite():
             raise NotFinite("the kernel module must be finite for track values")
         self._mg = mg
-        self._inc = {ext.include(m): m for m in ext.module.elements(enum_bound)}
+        self._inc = {ext.include(m): m for m in ext.module.elements(DEFAULT_ENUM_BOUND)}
         left = {rv: self._module_action(rv, left=True) for rv in relems}
         right = {rv: self._module_action(rv, left=False) for rv in relems}
         self.system = bimodule_system(

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from quadalg.abelian import (
-    AbElement,
     AbMap,
     FgAbGroup,
     binary_functor,
@@ -109,11 +108,10 @@ class TestFgAbGroup:
         assert g.order() == 8
         els = g.elements()
         assert len(els) == len(set(els)) == 8
-        a = AbElement(g, (1, 3))
-        b = AbElement(g, (1, 2))
-        assert (a + b).coords == (0, 1)
-        assert (-a).coords == (1, 1)
-        assert (3 * a).coords == (1, 1)
+        a, b = (1, 3), (1, 2)
+        assert g.add(a, b) == (0, 1)
+        assert g.neg(a) == (1, 1)
+        assert g.scalar(3, a) == (1, 1)
         assert g.element_order((0, 1)) == 4
         assert g.element_order((1, 2)) == 2
 
@@ -135,21 +133,10 @@ class TestAbMap:
         with pytest.raises(ShapeMismatch):
             AbMap(FgAbGroup((2,)), FgAbGroup((2,)), [[1, 0]])
 
-    def test_kernel_cokernel(self):
-        Z = FgAbGroup.free(1)
-        ck, proj = AbMap(Z, Z, [[6]]).cokernel()
-        assert ck.invariant_factors == (6,)
-        assert proj.apply((1,)) != ck.zero()
-        assert proj.apply((6,)) == ck.zero()
+    def test_kernel(self):
         k, incl = AbMap(FgAbGroup((4,)), FgAbGroup((2,)), [[1]]).kernel()
         assert k.invariant_factors == (2,)
         assert incl.apply(k.generator(0)) == (2,)
-
-    def test_image_membership(self):
-        Z = FgAbGroup.free(1)
-        f = AbMap(Z, FgAbGroup((12,)), [[8]])
-        assert f.image_contains((4,)) is not None
-        assert f.image_contains((2,)) is None
 
 
 class TestHomology:

@@ -63,6 +63,20 @@ class TestVerify:
         assert captured.err.startswith("error: ")
         assert "unknown document kind" in captured.err
 
+    def test_dm_system_with_reducing_actions_passes(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
+               "modulus": 4, "max_rank": 1}
+        code = main(["verify", write_json(tmp_path, "dm4.json", doc)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[FAIL]" not in out
+
+    def test_dm_system_with_coefficient_modulus_one_exits_two(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
+               "modulus": 4, "max_rank": 1, "coefficient_modulus": 1}
+        assert main(["verify", write_json(tmp_path, "dm4_1.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],
                "matrix": [[True]]}

@@ -386,6 +386,12 @@ class TestMatrixTrackExtension:
         assert natsystem_verify(tm.system).passed
         assert len(tm.base.morphisms) == 5
 
+    def test_system_with_reducing_actions_verifies(self):
+        # over Z/8 with boundary 4 the kernel is Z/4 over the quotient Z/4,
+        # where composed actions agree with direct ones only after reduction
+        te = ModQTrackExtension(cyclic_ring_extension(8, 4), max_rank=1)
+        assert natsystem_verify(te.system).passed
+
     def test_sections_lift_entrywise(self, matrix_extension):
         tm = matrix_extension
         phi = (1, 1, (((1,),),))
