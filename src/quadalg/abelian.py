@@ -590,7 +590,9 @@ class FgAbGroup:
 
     def sample(self, rng: random.Random) -> tuple[int, ...]:
         """A random element; free coordinates come from ``-9..9``."""
-        return tuple(rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors)
+        return tuple(
+            rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors
+        )
 
     def element_order(self, a) -> int | None:
         a = self.reduce(a)

@@ -785,8 +785,11 @@ class ModQTrackExtension:
     def _module_action(self, rv, left: bool) -> list:
         """The matrix of ``m -> rv m`` (``left``) or ``m -> m rv`` on the module."""
         lift, ext = self._pre[rv][0], self.ext
-        act = (lambda c: ext.act_left(lift, c)) if left else (lambda c: ext.act_right(c, lift))
-        cols = [self._inc[act(ext.include(g))] for g in self._mg.generators()]
+        cols = []
+        for g in self._mg.generators():
+            c = ext.include(g)
+            c = ext.act_left(lift, c) if left else ext.act_right(c, lift)
+            cols.append(self._inc[c])
         return from_columns(cols, self._mg.ngens)
 
     def section(self, phi) -> ModQMor:

@@ -71,12 +71,6 @@ class TestVerify:
         assert code == 0
         assert "[FAIL]" not in out
 
-    def test_dm_system_with_coefficient_modulus_one_exits_two(self, tmp_path, capsys):
-        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
-               "modulus": 4, "max_rank": 1, "coefficient_modulus": 1}
-        assert main(["verify", write_json(tmp_path, "dm4_1.json", doc)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],
                "matrix": [[True]]}

@@ -506,6 +506,8 @@ class TestNaturalSystemDocuments:
             build_document(tampered(NS_DM, coefficient_modulus="two"))
         with pytest.raises(DocumentError, match="natural_system: "):
             build_document(tampered(NS_DM, coefficient_modulus=3))
+        with pytest.raises(DocumentError, match="natural_system: "):
+            build_document(tampered(NS_DM, coefficient_modulus=1))
         with pytest.raises(DocumentError, match="unknown natural_system construction"):
             build_document(tampered(NS_DM, construction="mystery"))
         with pytest.raises(DocumentError, match="expected a natural_system document"):
