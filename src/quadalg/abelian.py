@@ -2,9 +2,9 @@
 
 Everything here is integer arithmetic on plain list-of-list matrices: Smith
 normal form with unimodular certificates, groups in invariant-factor form,
-maps, kernels, cokernels, homology of two-step complexes, and the quadratic
-functors (exterior and symmetric squares, the divided-power functor, the
-quadratic construction, and the torsion variant) together with independent
+maps, homology of two-step complexes, and the quadratic functors (exterior
+and symmetric squares, the divided-power functor, the quadratic
+construction, and the torsion variant) together with independent
 presentation-level oracles for them.
 
 Conventions
@@ -23,6 +23,8 @@ certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` is built from that log when
 a caller first reads it, so a caller pays only for those it uses.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
+Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are both
+read off :func:`homology_at`, the one routine that computes a kernel.
 """
 from __future__ import annotations
 
@@ -594,6 +596,18 @@ class FgAbGroup:
             rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors
         )
 
+    # -- the rest of the nil2 carrier interface -----------------------------
+
+    def is_zero(self, a) -> bool:
+        return a == self.zero()
+
+    def commutator(self, a, b) -> tuple[int, ...]:
+        """Always zero: the group is abelian."""
+        return self.zero()
+
+    def sum(self, items) -> tuple[int, ...]:
+        return self.reduce([sum(c) for c in zip(self.zero(), *items)])
+
     def element_order(self, a) -> int | None:
         a = self.reduce(a)
         if any(c and not d for c, d in zip(a, self.invariant_factors)):
@@ -673,11 +687,10 @@ class AbMap:
         """Each finite source factor must annihilate its image column."""
         for j, d in enumerate(self.source.invariant_factors):
             if d:
-                col = [d * self.matrix[i][j] for i in range(self.target.ngens)]
-                if any(self.target.reduce(col)):
+                image = self.target.reduce([d * row[j] for row in self.matrix])
+                if any(image):
                     return False, (
-                        f"generator {j} of order {d} maps to element of infinite or "
-                        f"incompatible order: column {[self.matrix[i][j] for i in range(self.target.ngens)]}"
+                        f"generator {j} has order {d} but {d} times its image is {image}"
                     )
         return True, None
 
@@ -712,32 +725,12 @@ class AbMap:
         return not any(any(self.target.reduce(c)) for c in columns(self.matrix))
 
     def kernel(self) -> "tuple[FgAbGroup, AbMap]":
-        """The kernel subgroup with its inclusion into the source."""
-        A = mat_hstack(self.matrix, self.target.relation_matrix())
-        b = self.source.ngens
-        if not A:
-            ker_cols = [self.source.generator(i) for i in range(b)]
-        else:
-            ker_cols = [v[:b] for v in kernel_basis(A)]
-        span = from_columns(ker_cols, b) if ker_cols else zeros(b, 0)
-        basis = lattice_basis(span) if ker_cols else []
-        B = from_columns(basis, b) if basis else zeros(b, 0)
-        k = len(basis)
-        # Relations among the basis: coefficient vectors landing in the
-        # source relation lattice.
-        rel_src = self.source.relation_matrix()
-        A2 = mat_hstack(B, rel_src)
-        rel_cols = []
-        if A2 and k:
-            for v in kernel_basis(A2):
-                rel_cols.append(v[:k])
-        rels = from_columns(rel_cols, k) if rel_cols else zeros(k, 0)
-        grp, _project, lift = quotient_presentation(k, rels)
-        incl_cols = [
-            self.source.reduce(mat_vec(B, lc)) if k else self.source.zero()
-            for lc in columns(lift)
-        ]
-        return grp, AbMap.from_columns(grp, self.source, incl_cols)
+        """The kernel subgroup with its inclusion into the source: the
+        homology of ``0 -> source -> target``, each generator included as
+        its representative."""
+        h = homology_at(AbMap.zero_map(FgAbGroup.trivial(), self.source), self)
+        incl = [h.representative(g) for g in h.group.generators()]
+        return h.group, AbMap.from_columns(h.group, self.source, incl)
 
 
 def quotient_presentation(
@@ -879,87 +872,56 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     )
 
 
+def exact_at(f: AbMap, g: AbMap) -> tuple[bool, str | None]:
+    """Exactness of ``A --f--> B --g--> C`` at ``B``, with a witness.
+
+    Exact means that ``g . f`` is zero and that ``ker(g) / im(f)``, from
+    :func:`homology_at`, is trivial.
+
+    >>> Z = FgAbGroup.free(1)
+    >>> exact_at(AbMap(Z, Z, [[2]]), AbMap(Z, FgAbGroup((2,)), [[1]]))
+    (True, None)
+    >>> exact_at(AbMap(Z, Z, [[4]]), AbMap(Z, FgAbGroup((2,)), [[1]]))
+    (False, 'kernel element (2,) is not in the image')
+    """
+    try:
+        h = homology_at(f, g)
+    except CompositionNonzero as exc:
+        return False, str(exc)
+    if h.group.is_trivial():
+        return True, None
+    return False, f"kernel element {h.representative(h.group.generator(0))} is not in the image"
+
+
 # ---------------------------------------------------------------------------
-# Presented groups (generators and explicit relation columns)
+# Maps of presented groups (generators and explicit relation columns)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PresentedAb:
-    """``Z^ngens`` modulo the column lattice of ``rels``."""
-
-    ngens: int
-    rels: IntMatrix
-
-    def group(self) -> FgAbGroup:
-        return quotient_presentation(self.ngens, self.rels)[0]
-
-    def rel_matrix(self) -> IntMatrix:
-        return self.rels if self.rels else zeros(self.ngens, 0)
-
 
 @dataclass
 class PresentedMap:
-    """A map of presented groups by its matrix on generators."""
+    """A map ``Z^n / src_rels -> Z^m / dst_rels`` by its matrix on generators.
 
-    src: PresentedAb
-    dst: PresentedAb
+    A relation matrix has one row per generator and one column per relation.
+    """
+
+    src_rels: IntMatrix
+    dst_rels: IntMatrix
     matrix: IntMatrix
 
     def well_defined(self) -> tuple[bool, str | None]:
-        relations = Factorization(self.dst.rel_matrix())
-        for j, c in enumerate(columns(self.src.rel_matrix())):
+        relations = Factorization(self.dst_rels)
+        for j, c in enumerate(columns(self.src_rels)):
             img = mat_vec(self.matrix, c)
             if not relations.contains(img):
                 return False, f"relation {j} maps to {img}, outside the relations"
         return True, None
 
-    def kernel_lattice(self) -> IntMatrix:
-        """Columns spanning ``{v : M v in dst relations}``."""
-        A = mat_hstack(self.matrix, self.dst.rel_matrix())
-        if not A:
-            return identity(self.src.ngens)
-        ker = kernel_basis(A)
-        cols = [v[: self.src.ngens] for v in ker]
-        return from_columns(cols, self.src.ngens) if cols else zeros(self.src.ngens, 0)
-
-    def image_lattice(self) -> IntMatrix:
-        return self.matrix if self.matrix else zeros(self.dst.ngens, 0)
-
-
-def exact_at(
-    f: PresentedMap, g: PresentedMap
-) -> tuple[bool, str | None]:
-    """Exactness of ``. --f--> B --g--> .`` at ``B`` (as presented groups)."""
-    if f.dst is not g.src and f.dst != g.src:
-        return False, "maps do not share the middle presentation"
-    mid_rels = f.dst.rel_matrix()
-    image, kernel = f.image_lattice(), g.kernel_lattice()
-    in_kernel = Factorization(mat_hstack(kernel, mid_rels))
-    for c in columns(image):
-        if not in_kernel.contains(c):
-            return False, f"image generator {c} is not in the kernel"
-    in_image = Factorization(mat_hstack(image, mid_rels))
-    for c in columns(kernel):
-        if not in_image.contains(c):
-            return False, f"kernel generator {c} is not in the image"
-    return True, None
-
-
-def injective_presented(f: PresentedMap) -> tuple[bool, str | None]:
-    relations = Factorization(f.src.rel_matrix())
-    for c in columns(f.kernel_lattice()):
-        if not relations.contains(c):
-            return False, f"kernel element {c} is nonzero in the source"
-    return True, None
-
-
-def surjective_presented(f: PresentedMap) -> tuple[bool, str | None]:
-    span = Factorization(mat_hstack(f.image_lattice(), f.dst.rel_matrix()))
-    for i in range(f.dst.ngens):
-        e = tuple(int(i == j) for j in range(f.dst.ngens))
-        if not span.contains(e):
-            return False, f"generator {i} of the target is not hit"
-    return True, None
+    def induced(self) -> AbMap:
+        """The map on invariant-factor forms, ``project . matrix . lift`` by
+        :func:`quotient_presentation` of both ends."""
+        src, _, lift = quotient_presentation(len(self.src_rels), self.src_rels)
+        dst, project, _ = quotient_presentation(len(self.dst_rels), self.dst_rels)
+        return AbMap(src, dst, matmul(matmul(project, self.matrix), lift))
 
 
 # ---------------------------------------------------------------------------
@@ -1072,8 +1034,9 @@ def _dedupe_columns(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return out
 
 
-def gamma_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> PresentedAb:
-    """Element-level presentation of the divided-power functor.
+def gamma_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> IntMatrix:
+    """Relation matrix of an element-level presentation of the divided-power
+    functor.
 
     One generator ``gamma(a)`` per element; relations say ``gamma(0) = 0``,
     ``gamma(-a) = gamma(a)``, and the third cross effect of ``gamma``
@@ -1109,12 +1072,12 @@ def gamma_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> Prese
                         ]
                     )
                 )
-    cols = _dedupe_columns(rels)
-    return PresentedAb(n, from_columns(cols, n) if cols else zeros(n, 0))
+    return from_columns(_dedupe_columns(rels), n)
 
 
-def whiteheadP_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> PresentedAb:
-    """Element-level presentation of the quadratic construction.
+def whiteheadP_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> IntMatrix:
+    """Relation matrix of an element-level presentation of the quadratic
+    construction.
 
     Generators ``t_a`` for nonzero ``a``, one relation per triple expressing
     that triple products of the ``t``'s vanish:
@@ -1151,12 +1114,11 @@ def whiteheadP_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> 
                         ]
                     )
                 )
-    cols = _dedupe_columns(rels)
-    return PresentedAb(n, from_columns(cols, n) if cols else zeros(n, 0))
+    return from_columns(_dedupe_columns(rels), n)
 
 
-def tensor_square_presentation(A: FgAbGroup) -> PresentedAb:
-    """``A (x) A`` on generator pairs ``e_(i,j)``."""
+def tensor_square_presentation(A: FgAbGroup) -> IntMatrix:
+    """Relation matrix of ``A (x) A`` on generator pairs ``e_(i,j)``."""
     fs = A.invariant_factors
     k = len(fs)
     n = k * k
@@ -1172,11 +1134,10 @@ def tensor_square_presentation(A: FgAbGroup) -> PresentedAb:
                     v = [0] * n
                     v[idx(i, j)] = d
                     rels.append(tuple(v))
-    cols = _dedupe_columns(rels)
-    return PresentedAb(n, from_columns(cols, n) if cols else zeros(n, 0))
+    return from_columns(_dedupe_columns(rels), n)
 
 
-def sym2_presentation(A: FgAbGroup) -> PresentedAb:
+def sym2_presentation(A: FgAbGroup) -> IntMatrix:
     """Symmetric square: tensor square modulo ``e_(i,j) = e_(j,i)``."""
     base = tensor_square_presentation(A)
     fs = A.invariant_factors
@@ -1184,15 +1145,14 @@ def sym2_presentation(A: FgAbGroup) -> PresentedAb:
     extra: list[tuple[int, ...]] = []
     for i in range(k):
         for j in range(i + 1, k):
-            v = [0] * base.ngens
+            v = [0] * len(base)
             v[i * k + j] = 1
             v[j * k + i] = -1
             extra.append(tuple(v))
-    cols = _dedupe_columns(columns(base.rel_matrix()) + extra)
-    return PresentedAb(base.ngens, from_columns(cols, base.ngens) if cols else zeros(base.ngens, 0))
+    return from_columns(_dedupe_columns(columns(base) + extra), len(base))
 
 
-def lambda2_presentation(A: FgAbGroup) -> PresentedAb:
+def lambda2_presentation(A: FgAbGroup) -> IntMatrix:
     """Exterior square: tensor square modulo the diagonal.
 
     The subgroup generated by all ``a (x) a`` is spanned by the
@@ -1204,16 +1164,15 @@ def lambda2_presentation(A: FgAbGroup) -> PresentedAb:
     k = len(fs)
     extra: list[tuple[int, ...]] = []
     for i in range(k):
-        v = [0] * base.ngens
+        v = [0] * len(base)
         v[i * k + i] = 1
         extra.append(tuple(v))
         for j in range(i + 1, k):
-            w = [0] * base.ngens
+            w = [0] * len(base)
             w[i * k + j] = 1
             w[j * k + i] = 1
             extra.append(tuple(w))
-    cols = _dedupe_columns(columns(base.rel_matrix()) + extra)
-    return PresentedAb(base.ngens, from_columns(cols, base.ngens) if cols else zeros(base.ngens, 0))
+    return from_columns(_dedupe_columns(columns(base) + extra), len(base))
 
 
 def _oracle_elements(A: FgAbGroup, bound: int) -> list[tuple[int, ...]]:
@@ -1252,11 +1211,6 @@ def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
     return FgAbGroup.from_factors(parts)
 
 
-def presentation(A: FgAbGroup) -> PresentedAb:
-    """``A`` as its generators modulo its invariant-factor relations."""
-    return PresentedAb(A.ngens, A.relation_matrix())
-
-
 def whitehead_sequence(
     A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND
 ) -> tuple[PresentedMap, PresentedMap]:
@@ -1284,10 +1238,8 @@ def whitehead_sequence(
         for j in range(k):
             gi, gj = A.generator(i), A.generator(j)
             cols.append(tvec([(A.add(gi, gj), 1), (gi, -1), (gj, -1)]))
-    first = PresentedMap(sym, P, from_columns(cols, len(nz)) if cols else zeros(len(nz), 0))
-    second = PresentedMap(
-        P, presentation(A), from_columns([list(e) for e in nz], A.ngens)
-    )
+    first = PresentedMap(sym, P, from_columns(cols, len(nz)))
+    second = PresentedMap(P, A.relation_matrix(), from_columns([list(e) for e in nz], A.ngens))
     return first, second
 
 
@@ -1309,7 +1261,7 @@ def tensor_sequence(A: FgAbGroup) -> tuple[PresentedMap, PresentedMap]:
             v[i * k + j] += 1
             v[j * k + i] -= 1
             cols.append(v)
-    first = PresentedMap(lam, ten, from_columns(cols, n) if cols else zeros(n, 0))
+    first = PresentedMap(lam, ten, from_columns(cols, n))
     second = PresentedMap(ten, sym, identity(n))
     return first, second
 
@@ -1317,22 +1269,23 @@ def tensor_sequence(A: FgAbGroup) -> tuple[PresentedMap, PresentedMap]:
 def short_exact_checks(
     f: PresentedMap, g: PresentedMap
 ) -> list[tuple[str, bool, str | None]]:
-    """Named checks that ``0 -> . --f--> . --g--> . -> 0`` is short exact."""
+    """Named checks that ``0 -> . --f--> . --g--> . -> 0`` is short exact.
+
+    ``f`` and ``g`` share the middle relation matrix; exactness at each of
+    the three places is :func:`exact_at` on the induced maps.
+    """
     out: list[tuple[str, bool, str | None]] = []
     ok, w = f.well_defined()
     out.append(("first map well defined", ok, w))
     ok, w = g.well_defined()
     out.append(("second map well defined", ok, w))
-    comp = matmul(g.matrix, f.matrix) if f.matrix and g.matrix else []
-    relations = Factorization(g.dst.rel_matrix())
-    zero = all(relations.contains(c) for c in columns(comp))
+    F, G = f.induced(), g.induced()
+    zero = G.compose(F).is_zero_map()
     out.append(("composite is zero", zero, None if zero else "nonzero composite"))
-    ok, w = injective_presented(f)
-    out.append(("first map injective", ok, w))
-    ok, w = exact_at(f, g)
-    out.append(("exact at the middle", ok, w))
-    ok, w = surjective_presented(g)
-    out.append(("second map surjective", ok, w))
+    trivial = FgAbGroup.trivial()
+    out.append(("first map injective", *exact_at(AbMap.zero_map(trivial, F.source), F)))
+    out.append(("exact at the middle", *exact_at(F, G)))
+    out.append(("second map surjective", *exact_at(G, AbMap.zero_map(G.target, trivial))))
     return out
 
 
@@ -1351,14 +1304,14 @@ def quadratic_oracle(kind: str, A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND)
     if kind not in ORACLE_KINDS:
         raise ValueError(f"no oracle for quadratic functor kind: {kind!r}")
     if kind == "gamma":
-        pres = gamma_presentation(A, bound)
+        rels = gamma_presentation(A, bound)
     elif kind == "whiteheadP":
-        pres = whiteheadP_presentation(A, bound)
+        rels = whiteheadP_presentation(A, bound)
     elif kind == "sym2":
-        pres = sym2_presentation(A)
+        rels = sym2_presentation(A)
     else:
-        pres = lambda2_presentation(A)
-    return pres.group()
+        rels = lambda2_presentation(A)
+    return quotient_presentation(len(rels), rels)[0]
 
 
 # ---------------------------------------------------------------------------

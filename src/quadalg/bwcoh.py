@@ -33,14 +33,12 @@ from .abelian import (
     Factorization,
     FgAbGroup,
     HomologyResult,
-    PresentedMap,
     exact_at,
     homology_at,
     identity as identity_matrix,
     mat_hstack,
     mat_vec,
     matmul,
-    presentation,
     quotient_presentation,
     zeros,
 )
@@ -247,6 +245,7 @@ class NatSystem:
     act: Callable
     name: str = "natural system"
     _cache: dict = field(default_factory=dict, repr=False)
+    _maps: dict = field(default_factory=dict, repr=False)
 
     def group_at(self, alpha) -> FgAbGroup:
         if alpha not in self._cache:
@@ -254,7 +253,10 @@ class NatSystem:
         return self._cache[alpha]
 
     def map_for(self, nu, alpha, psi) -> AbMap:
-        return self.act(nu, alpha, psi)
+        key = (nu, alpha, psi)
+        if key not in self._maps:
+            self._maps[key] = self.act(nu, alpha, psi)
+        return self._maps[key]
 
 
 def trivial_system(cat: FinCat, group: FgAbGroup, name: str | None = None) -> NatSystem:
@@ -862,22 +864,14 @@ def les_report(
     kern, _ = amaps[0].kernel()
     r.add("restriction injective in degree 0", kern.is_trivial(), kern.describe())
     for j in range(max_degree):
-        r.add(f"exact at H^{j}(K)", *_exact_pair(amaps[j], bmaps[j]))
-        r.add(f"exact at H^{j + 1}(C, K)", *_exact_pair(bmaps[j], dmaps[j]))
-        r.add(f"exact at H^{j + 1}(C)", *_exact_pair(dmaps[j], amaps[j + 1]))
+        r.add(f"exact at H^{j}(K)", *exact_at(amaps[j], bmaps[j]))
+        r.add(f"exact at H^{j + 1}(C, K)", *exact_at(bmaps[j], dmaps[j]))
+        r.add(f"exact at H^{j + 1}(C)", *exact_at(dmaps[j], amaps[j + 1]))
     for j in range(max_degree + 1):
         r.note(f"H^{j}(C) = {HC[j].group.describe()}, H^{j}(K) = {HK[j].group.describe()}")
     for j in range(max_degree):
         r.note(f"H^{j + 1}(C, K) = {HQ[j].group.describe()}")
     return r
-
-
-def _exact_pair(f: AbMap, g: AbMap) -> tuple[bool, str | None]:
-    """Exactness of ``A --f--> B --g--> C`` at ``B``."""
-    return exact_at(
-        PresentedMap(presentation(f.source), presentation(f.target), f.matrix),
-        PresentedMap(presentation(g.source), presentation(g.target), g.matrix),
-    )
 
 
 # ---------------------------------------------------------------------------

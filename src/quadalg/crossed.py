@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import (
+    AbMap,
     Factorization,
     FgAbGroup,
     finite_abelian_invariants,
@@ -31,7 +32,6 @@ from .abelian import (
     mat_hstack,
     mat_vec,
     quotient_presentation,
-    zeros,
 )
 from .errors import (
     NotASquareRing,
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .nil2 import (
     DEFAULT_ENUM_BOUND,
-    AbelianCarrier,
     Carrier,
     FreeAbelianCarrier,
     FreeNil2Carrier,
@@ -306,13 +305,12 @@ def linearly_generated(ext: CrossedExtension, pool: Sequence | None = None) -> t
             return (True, None)
         missing = next(iter(set(finite) - reached))
         return (False, f"element {missing!r} not reached")
-    if isinstance(carrier, AbelianCarrier):
-        group = carrier.group
+    if isinstance(carrier, FgAbGroup):
         rels = mat_hstack(
-            from_columns([list(v) for v in images], group.ngens),
-            group.relation_matrix(),
+            from_columns([list(v) for v in images], carrier.ngens),
+            carrier.relation_matrix(),
         )
-        grp, _, _ = quotient_presentation(group.ngens, rels)
+        grp, _, _ = quotient_presentation(carrier.ngens, rels)
         if grp.is_trivial():
             return (True, None)
         return (False, f"quotient by the image is {grp.describe()}")
@@ -525,7 +523,7 @@ def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> Cro
         failure = report.first_failure()
         raise NotASquareRing(f"{failure.name}: {failure.witness or 'failed'}")
     sg = R.square_group()
-    if isinstance(R.e, AbelianCarrier) and isinstance(R.ee, AbelianCarrier):
+    if isinstance(R.e, FgAbGroup) and isinstance(R.ee, FgAbGroup):
         return _ztilde_abelian(R, sg)
     if isinstance(R.e, FreeNil2Carrier) and isinstance(R.ee, FreePairsCarrier):
         return _ztilde_pairs(R, sg)
@@ -533,7 +531,7 @@ def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> Cro
 
 
 def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
-    G = R.ee.group
+    G = R.ee
     n = G.ngens
     tmat_cols = [sg.tmap(G.generator(i)) for i in range(n)]
     one_minus_t = [
@@ -542,7 +540,6 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     grp, project, lift = quotient_presentation(
         n, mat_hstack(G.relation_matrix(), one_minus_t)
     )
-    c1 = AbelianCarrier(grp)
 
     def proj(a):
         return grp.reduce(mat_vec(project, a))
@@ -553,13 +550,12 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def boundary(r7):
         return R.P(lift_el(r7))
 
-    base = R.e.group
+    base = R.e
     image_cols = [list(boundary(grp.generator(i))) for i in range(grp.ngens)]
     rgrp, rproject, rlift = quotient_presentation(
         base.ngens,
         mat_hstack(base.relation_matrix(), from_columns(image_cols, base.ngens)),
     )
-    rcar = AbelianCarrier(rgrp)
 
     def q(x):
         return rgrp.reduce(mat_vec(rproject, x))
@@ -567,31 +563,21 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def rmul(u, v):
         return q(R.mul(base.reduce(mat_vec(rlift, u)), base.reduce(mat_vec(rlift, v))))
 
-    kernel_group, kernel_incl = _abelian_kernel(
-        grp, base, from_columns(image_cols, base.ngens)
-    )
+    kernel_group, kernel_incl = AbMap.from_columns(grp, base, image_cols).kernel()
 
     return CrossedExtension(
         kind="csr",
         ring=R,
-        c1=c1,
+        c1=grp,
         P=proj,
         boundary=boundary,
         act_left=lambda x, r7: proj(R.act_pair(x, x, lift_el(r7))),
         act_right=lambda r7, y: proj(R.act_right(lift_el(r7), y)),
-        module=AbelianCarrier(kernel_group),
-        include=lambda m: grp.reduce(mat_vec(kernel_incl, m)),
-        quot=QuotientRing(carrier=rcar, mul=rmul, one=q(R.one), q=q),
+        module=kernel_group,
+        include=kernel_incl.apply,
+        quot=QuotientRing(carrier=rgrp, mul=rmul, one=q(R.one), q=q),
         name=f"ztilde({R.name})",
     )
-
-
-def _abelian_kernel(src: FgAbGroup, dst: FgAbGroup, matrix) -> tuple[FgAbGroup, list]:
-    from .abelian import AbMap
-
-    m = AbMap(src, dst, matrix if matrix else zeros(dst.ngens, src.ngens))
-    group, incl = m.kernel()
-    return group, incl.matrix
 
 
 def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
@@ -665,10 +651,9 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
 
     ring = cyclic_ring(m)
     g = math.gcd(d, m) if d else m
-    c1 = AbelianCarrier(FgAbGroup((m,)) if m > 1 else FgAbGroup.trivial())
+    c1 = FgAbGroup((m,)) if m > 1 else FgAbGroup.trivial()
     mgrp = FgAbGroup((g,)) if g > 1 else FgAbGroup.trivial()
     rgrp = FgAbGroup((g,)) if g > 1 else FgAbGroup.trivial()
-    mcar, rcar = AbelianCarrier(mgrp), AbelianCarrier(rgrp)
     stride = m // g
 
     def q(x):
@@ -679,13 +664,13 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
         ring=ring,
         c1=c1,
         P=lambda a: c1.zero(),
-        boundary=lambda r7: ring.e.group.reduce((d * r7[0],)),
-        act_left=lambda x, r7: c1.group.reduce((x[0] * r7[0],)),
-        act_right=lambda r7, y: c1.group.reduce((r7[0] * y[0],)),
-        module=mcar,
-        include=lambda mm: c1.group.reduce((stride * mm[0],)) if g > 1 else c1.zero(),
+        boundary=lambda r7: ring.e.reduce((d * r7[0],)),
+        act_left=lambda x, r7: c1.reduce((x[0] * r7[0],)),
+        act_right=lambda r7, y: c1.reduce((r7[0] * y[0],)),
+        module=mgrp,
+        include=lambda mm: c1.reduce((stride * mm[0],)) if g > 1 else c1.zero(),
         quot=QuotientRing(
-            carrier=rcar,
+            carrier=rgrp,
             mul=lambda u, v: rgrp.reduce((u[0] * v[0],)) if g > 1 else (),
             one=q(ring.one),
             q=q,

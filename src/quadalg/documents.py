@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, mat_shape, mat_vec
+from .abelian import AbMap, FgAbGroup, mat_shape, mat_vec
 from .bwcoh import (
     FinCat,
     NatSystem,
@@ -36,14 +36,13 @@ from .crossed import (
 from .errors import DocumentError
 from .modq import ModQMor, modq_compose
 from .nil2 import (
-    AbelianCarrier,
     Qpm,
     SquareGroup,
     qpm_verify,
     square_group_verify,
 )
 from .reports import Report
-from .sqring import QuadraticRing, SquareRing, cyclic_ring, verify_ring, znil, znil_monoid
+from .sqring import SquareRing, cyclic_ring, verify_ring, znil, znil_monoid
 
 SCHEMA_VERSION = 1
 
@@ -166,19 +165,10 @@ class AbMapDocument:
         )
         if not shape_ok:
             return r
-        ok, witness = True, None
-        for j, factor in enumerate(self.source.invariant_factors):
-            if factor == 0:
-                continue
-            image = tuple(factor * self.matrix[i][j] for i in range(rows))
-            if self.target.reduce(image) != self.target.zero():
-                ok = False
-                witness = (
-                    f"generator {j} has order {factor} but {factor} times its "
-                    f"image is {self.target.reduce(image)}"
-                )
-                break
-        r.add("relations are respected", ok, witness)
+        r.add(
+            "relations are respected",
+            *AbMap(self.source, self.target, self.matrix).respects_relations(),
+        )
         return r
 
 
@@ -230,8 +220,8 @@ def _build_square_group(doc: dict) -> SquareGroup:
             f"square_group P: matrix is {rows}x{cols}, wanted {ge.ngens}x{gee.ngens}"
         )
     return SquareGroup(
-        e=AbelianCarrier(ge),
-        ee=AbelianCarrier(gee),
+        e=ge,
+        ee=gee,
         H=lambda x: table[ge.reduce(x)],
         P=lambda a: ge.reduce(mat_vec(pmat, a)),
         name="explicit square group",
@@ -329,9 +319,9 @@ def _build_qpm(doc: dict) -> Qpm:
             f"qpm boundary: matrix is {brows}x{bcols}, wanted {g0.ngens}x{g1.ngens}"
         )
     return Qpm(
-        c0=AbelianCarrier(g0),
-        c1=AbelianCarrier(g1),
-        cee=AbelianCarrier(gee),
+        c0=g0,
+        c1=g1,
+        cee=gee,
         H=lambda x: table[g0.reduce(x)],
         P=lambda a: g1.reduce(mat_vec(pmat, a)),
         boundary=lambda s: g0.reduce(mat_vec(bmat, s)),
@@ -477,9 +467,6 @@ def _element_decoders(ring_doc: dict, ring):
     """Decoders for ``e`` and ``ee`` entries, chosen by the construction."""
     construction = ring_doc["construction"]
     if construction == "cyclic_ring" or (construction == "znil" and "symbols" not in ring_doc):
-        group_e = ring.e.group
-        group_ee = ring.ee.group
-
         def decode_int(raw, group, where):
             if not _is_int(raw):
                 raise DocumentError(f"{where}: expected an integer entry")
@@ -488,8 +475,8 @@ def _element_decoders(ring_doc: dict, ring):
             return group.reduce((raw,))
 
         return (
-            lambda raw, where: decode_int(raw, group_e, where),
-            lambda raw, where: decode_int(raw, group_ee, where),
+            lambda raw, where: decode_int(raw, ring.e, where),
+            lambda raw, where: decode_int(raw, ring.ee, where),
         )
 
     def word(raw, where):

@@ -770,7 +770,7 @@ class ModQTrackExtension:
         for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
             self._bnd.setdefault(ext.boundary(c), c)
 
-        mg = ext.module.group
+        mg = ext.module
         if not mg.is_finite():
             raise NotFinite("the kernel module must be finite for track values")
         self._mg = mg

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .abelian import FgAbGroup, finite_abelian_invariants
@@ -44,6 +44,10 @@ class Carrier:
     Subclasses provide ``zero``, ``add``, ``neg``, ``sample`` and
     ``elements``; everything else is derived. Elements are canonical
     hashable values, so ``==`` is equality in the group.
+
+    A finitely generated abelian group is its own carrier:
+    :class:`~quadalg.abelian.FgAbGroup` has every method listed here, with
+    coordinate tuples as elements and a zero commutator.
     """
 
     def zero(self):
@@ -94,122 +98,6 @@ class Carrier:
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-
-class AbelianCarrier(Carrier):
-    """A finitely generated abelian group; elements are coordinate tuples.
-
-    >>> c = AbelianCarrier(FgAbGroup((4,)))
-    >>> c.add((3,), (2,))
-    (1,)
-    """
-
-    def __init__(self, group: FgAbGroup):
-        self.group = group
-
-    def zero(self):
-        return self.group.zero()
-
-    def add(self, a, b):
-        return self.group.add(a, b)
-
-    def neg(self, a):
-        return self.group.neg(a)
-
-    def sample(self, rng: random.Random):
-        return self.group.sample(rng)
-
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
-        return self.group.elements(bound)
-
-    def order(self) -> int | None:
-        return self.group.order()
-
-    def describe(self) -> str:
-        return self.group.describe()
-
-
-class TabulatedCarrier(Carrier):
-    """A small group given by its Cayley table; elements are indices.
-
-    The table is validated on construction: identity, inverses,
-    associativity, and nilpotency class at most two (all commutators
-    central). Groups larger than 64 elements are rejected.
-
-    >>> c = TabulatedCarrier.cyclic(3)
-    >>> c.add(2, 2)
-    1
-    """
-
-    MAX_ORDER = 64
-
-    def __init__(self, table: Sequence[Sequence[int]], zero: int = 0):
-        n = len(table)
-        if n > self.MAX_ORDER:
-            raise TooLarge(f"tabulated carrier limited to {self.MAX_ORDER} elements, got {n}")
-        if any(len(row) != n for row in table):
-            raise ValueError("addition table is not square")
-        if any(not (0 <= v < n) for row in table for v in row):
-            raise ValueError("addition table entry out of range")
-        self._table = [list(row) for row in table]
-        self._zero = zero
-        self._neg = [-1] * n
-        for a in range(n):
-            if self._table[a][zero] != a or self._table[zero][a] != a:
-                raise ValueError(f"element {zero} is not an identity at {a}")
-            for b in range(n):
-                if self._table[a][b] == zero:
-                    self._neg[a] = b
-            if self._neg[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self._table[a][b]
-                for c in range(n):
-                    if self._table[ab][c] != self._table[a][self._table[b][c]]:
-                        raise ValueError(f"not associative at ({a}, {b}, {c})")
-        for a in range(n):
-            for b in range(n):
-                k = self.commutator(a, b)
-                for c in range(n):
-                    if self._table[k][c] != self._table[c][k]:
-                        raise ValueError(
-                            f"commutator of ({a}, {b}) is not central, fails at {c}"
-                        )
-
-    @classmethod
-    def cyclic(cls, n: int) -> "TabulatedCarrier":
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_group(cls, elements: Sequence, add: Callable, zero) -> "TabulatedCarrier":
-        """Tabulate an explicitly enumerated group."""
-        idx = {x: i for i, x in enumerate(elements)}
-        if len(idx) != len(elements):
-            raise ValueError("elements are not distinct")
-        table = [[idx[add(a, b)] for b in elements] for a in elements]
-        return cls(table, zero=idx[zero])
-
-    def zero(self):
-        return self._zero
-
-    def add(self, a, b):
-        return self._table[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def sample(self, rng: random.Random):
-        return rng.randrange(len(self._table))
-
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
-        return list(range(len(self._table)))
-
-    def order(self) -> int | None:
-        return len(self._table)
-
-    def describe(self) -> str:
-        return f"tabulated group of order {len(self._table)}"
 
 
 class DirectSumCarrier(Carrier):

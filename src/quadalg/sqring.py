@@ -24,7 +24,6 @@ from .errors import (
     TooLarge,
 )
 from .nil2 import (
-    AbelianCarrier,
     Carrier,
     FreeNil2Carrier,
     FreePairsCarrier,
@@ -263,8 +262,8 @@ def znil(kind: str = "square"):
     if kind not in ("square", "quadratic"):
         raise ValueError(f"unknown ring kind: {kind!r}")
     common = dict(
-        e=AbelianCarrier(FgAbGroup.free(1)),
-        ee=AbelianCarrier(FgAbGroup.free(1)),
+        e=FgAbGroup.free(1),
+        ee=FgAbGroup.free(1),
         H=lambda x: (_comb2(x[0]),),
         P=lambda a: (0,),
         one=(1,),
@@ -295,16 +294,16 @@ def cyclic_ring(n: int, kind: str = "square"):
         raise ValueError("modulus must be positive")
     if kind not in ("square", "quadratic"):
         raise ValueError(f"unknown ring kind: {kind!r}")
-    e = AbelianCarrier(FgAbGroup((n,)) if n > 1 else FgAbGroup.trivial())
-    ee = AbelianCarrier(FgAbGroup.trivial())
+    e = FgAbGroup((n,)) if n > 1 else FgAbGroup.trivial()
+    ee = FgAbGroup.trivial()
     zero_ee = ee.zero()
     common = dict(
         e=e,
         ee=ee,
         H=lambda x: zero_ee,
         P=lambda a: e.zero(),
-        one=e.group.reduce((1,)) if n > 1 else e.zero(),
-        mul=lambda x, y: e.group.reduce((x[0] * y[0],)) if n > 1 else e.zero(),
+        one=e.reduce((1,)) if n > 1 else e.zero(),
+        mul=lambda x, y: e.reduce((x[0] * y[0],)) if n > 1 else e.zero(),
         eemul=lambda a, b: zero_ee,
         name=f"Z/{n}",
     )
@@ -527,8 +526,8 @@ def linear_elements(R, bound: int = 4096) -> list:
     except (NotFinite, TooLarge):
         if isinstance(R.e, FreeNil2Carrier):
             pool = [R.e.atom(s) for s in R.e.symbols]
-        elif isinstance(R.e, AbelianCarrier):
-            pool = [R.e.group.reduce(tuple(v)) for v in _small_box(R.e.group.ngens, 4)]
+        elif isinstance(R.e, FgAbGroup):
+            pool = [R.e.reduce(v) for v in _small_box(R.e.ngens, 4)]
         else:
             raise
     return [x for x in pool if R.ee.is_zero(R.H(x))]

@@ -1,9 +1,11 @@
 """Tests for exact abelian-group arithmetic."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg.abelian import (
     AbMap,
@@ -11,6 +13,7 @@ from quadalg.abelian import (
     binary_functor,
     canonical_factors,
     columns,
+    exact_at,
     from_columns,
     homology_at,
     identity,
@@ -222,6 +225,62 @@ def _random_map(rng: random.Random, src: FgAbGroup, tgt: FgAbGroup) -> AbMap:
                 col.append(step * rng.randrange(gcd(e, d)))
         cols.append(tuple(col))
     return AbMap.from_columns(src, tgt, cols)
+
+
+@st.composite
+def finite_groups(draw, min_size=0, max_order=48):
+    """A sum of up to three small cyclic groups, of at most ``max_order`` elements."""
+    factors = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=min_size, max_size=3))
+    while math.prod(factors) > max_order:
+        factors.pop()
+    return FgAbGroup.from_factors(factors)
+
+
+@st.composite
+def homomorphisms(draw, src, tgt, into=None):
+    """A homomorphism ``src -> tgt``, with images drawn from ``into`` when given."""
+    pool = tgt.elements() if into is None else into
+    cols = []
+    for d in src.invariant_factors:
+        killed = [x for x in pool if not any(tgt.scalar(d, x))]
+        cols.append(draw(st.sampled_from(killed)))
+    return AbMap.from_columns(src, tgt, cols)
+
+
+@st.composite
+def composable_pairs(draw):
+    """``A --f--> B --g--> C``; half the time ``f`` lands in the kernel of ``g``."""
+    A, B, C = draw(finite_groups()), draw(finite_groups(min_size=1)), draw(finite_groups())
+    g = draw(homomorphisms(B, C))
+    kernel = [b for b in B.elements() if not any(g.apply(b))]
+    f = draw(homomorphisms(A, B, kernel if draw(st.booleans()) else None))
+    return f, g
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+class TestKernelsAndExactness:
+    @PROPERTY
+    @given(composable_pairs())
+    def test_exact_at_against_enumeration(self, pair):
+        f, g = pair
+        composite_zero = all(not any(g.apply(f.apply(a))) for a in f.source.generators())
+        exact = composite_zero and homology_oracle(f, g) == ()
+        ok, witness = exact_at(f, g)
+        assert ok == exact
+        assert (witness is None) == ok
+
+    @PROPERTY
+    @given(composable_pairs())
+    def test_kernel_against_enumeration(self, pair):
+        _, g = pair
+        kernel = {b for b in g.source.elements() if not any(g.apply(b))}
+        K, incl = g.kernel()
+        assert K.order() == len(kernel)
+        assert incl.respects_relations() == (True, None)
+        images = {incl.apply(k) for k in K.elements()}
+        assert len(images) == K.order() and images <= kernel
 
 
 class TestQuotientPresentation:

@@ -25,7 +25,6 @@ from quadalg.crossed import (
 from quadalg.errors import ActionShapeMismatch, NotSurjective, PullbackDegenerate
 from quadalg.abelian import FgAbGroup
 from quadalg.nil2 import (
-    AbelianCarrier,
     Qpm,
     SgMorphism,
     SquareGroup,
@@ -107,7 +106,7 @@ def _qpm_ztilde_integers():
 
 
 def _qpm_integers_squaring_boundary():
-    integers = AbelianCarrier(FgAbGroup.free(1))
+    integers = FgAbGroup.free(1)
     Q = Qpm(c0=integers, c1=integers, cee=integers,
             H=lambda x: (x[0] * (x[0] - 1) // 2,), P=lambda a: (0,),
             boundary=lambda x: (x[0] * abs(x[0]),), name="squaring boundary")
@@ -119,8 +118,8 @@ def _roundtrip_binomial():
 
 
 def _groupoid_twisted_composition():
-    integers = AbelianCarrier(FgAbGroup.free(1))
-    Q = Qpm(c0=integers, c1=integers, cee=AbelianCarrier(FgAbGroup.trivial()),
+    integers = FgAbGroup.free(1)
+    Q = Qpm(c0=integers, c1=integers, cee=FgAbGroup.trivial(),
             H=lambda x: (), P=lambda a: (0,), boundary=lambda x: x,
             name="integers on themselves")
     gpd = qpm_to_groupoid(Q)

@@ -39,7 +39,6 @@ from quadalg.modq import (
     track_tau_inv,
     track_vcomp,
 )
-from quadalg.nil2 import AbelianCarrier
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
 
@@ -434,7 +433,7 @@ class TestMatrixTrackExtension:
         base = cyclic_ring_extension(4, 2)
         with pytest.raises(TooLarge, match="exceed the cap"):
             ModQTrackExtension(base, max_rank=2, max_morphisms=10)
-        unbounded = dataclasses.replace(base, module=AbelianCarrier(FgAbGroup.free(1)))
+        unbounded = dataclasses.replace(base, module=FgAbGroup.free(1))
         with pytest.raises(NotFinite, match="must be finite"):
             ModQTrackExtension(unbounded)
         quadratic = dataclasses.replace(base, kind="qpa", ring=cyclic_ring(4, "quadratic"))

@@ -1,22 +1,19 @@
 """Carriers, square groups, and the structure identities they force."""
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from quadalg.abelian import FgAbGroup, smith, from_columns
-from quadalg.errors import BasisMismatch, NotFinite, TooLarge
+from quadalg.errors import BasisMismatch, NotFinite
 from quadalg.nil2 import (
-    AbelianCarrier,
     DirectSumCarrier,
     FreeAbelianCarrier,
     FreeNil2Carrier,
     FreePairsCarrier,
     SgMorphism,
     SquareGroup,
-    TabulatedCarrier,
     morphism_is_bijective,
     morphism_verify,
     square_group_verify,
@@ -27,48 +24,12 @@ from quadalg.sqring import znil, znil_monoid
 def mod4_square_group() -> SquareGroup:
     """Z/4 with quadratic part Z/2, H the binomial coefficient, P zero."""
     return SquareGroup(
-        e=AbelianCarrier(FgAbGroup((4,))),
-        ee=AbelianCarrier(FgAbGroup((2,))),
+        e=FgAbGroup((4,)),
+        ee=FgAbGroup((2,)),
         H=lambda x: ((x[0] * (x[0] - 1) // 2) % 2,),
         P=lambda a: (0,),
         name="Z/4 with binomial H",
     )
-
-
-class TestTabulatedCarrier:
-    def test_cyclic_and_from_group(self):
-        c = TabulatedCarrier.cyclic(5)
-        assert c.add(3, 4) == 2
-        assert c.neg(2) == 3
-        assert c.order() == 5
-        d = TabulatedCarrier.from_group([0, 1, 2], lambda a, b: (a + b) % 3, 0)
-        assert d.add(2, 2) == 1
-
-    def test_rejects_non_associative_table(self):
-        table = [[0, 1], [1, 1]]
-        with pytest.raises(ValueError):
-            TabulatedCarrier(table)
-
-    def test_rejects_missing_identity(self):
-        with pytest.raises(ValueError):
-            TabulatedCarrier([[1, 0], [0, 1]], zero=0)
-
-    def test_rejects_commutators_that_are_not_central(self):
-        perms = list(itertools.permutations(range(3)))
-        idx = {p: i for i, p in enumerate(perms)}
-
-        def mul(i, j):
-            p, q = perms[i], perms[j]
-            return idx[tuple(p[q[k]] for k in range(3))]
-
-        table = [[mul(i, j) for j in range(6)] for i in range(6)]
-        with pytest.raises(ValueError, match="not central"):
-            TabulatedCarrier(table, zero=idx[(0, 1, 2)])
-
-    def test_rejects_oversized_tables(self):
-        n = 65
-        with pytest.raises(TooLarge):
-            TabulatedCarrier([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 class TestFreeNil2Carrier:
@@ -278,7 +239,7 @@ class TestMorphisms:
 
 class TestSmallCarrierUtilities:
     def test_direct_sum_and_free_abelian(self):
-        d = DirectSumCarrier(AbelianCarrier(FgAbGroup((2,))), AbelianCarrier(FgAbGroup((3,))))
+        d = DirectSumCarrier(FgAbGroup((2,)), FgAbGroup((3,)))
         a = ((1,), (2,))
         assert d.add(a, a) == ((0,), (1,))
         assert d.neg(a) == ((1,), (1,))

@@ -9,7 +9,6 @@ from quadalg.abelian import FgAbGroup
 from quadalg.crossed import ztilde_construction
 from quadalg.errors import NotAQpm, NotEeAntidiscrete
 from quadalg.nil2 import (
-    AbelianCarrier,
     Qpm,
     SgMorphism,
     groupoid_to_qpm,
@@ -24,8 +23,8 @@ from quadalg.sqring import znil
 from tests.test_semidirect import flip_action, flip_group, rotation_group
 
 
-def z_mod(n: int) -> AbelianCarrier:
-    return AbelianCarrier(FgAbGroup((n,)))
+def z_mod(n: int) -> FgAbGroup:
+    return FgAbGroup((n,))
 
 
 def identity_pair_module() -> Qpm:
@@ -82,8 +81,8 @@ class TestQpmVerify:
         assert report.passed, report.render()
 
     def test_infinite_carriers_skip_the_kernel_scan(self):
-        integers = AbelianCarrier(FgAbGroup.free(1))
-        trivial = AbelianCarrier(FgAbGroup.trivial())
+        integers = FgAbGroup.free(1)
+        trivial = FgAbGroup.trivial()
         Q = Qpm(
             c0=integers,
             c1=integers,
@@ -128,7 +127,7 @@ class TestQpmHomology:
 
     def test_rejects_a_nonabelian_cokernel(self):
         dihedral = semidirect(flip_group(), rotation_group(), flip_action)
-        trivial = AbelianCarrier(FgAbGroup.trivial())
+        trivial = FgAbGroup.trivial()
         Q = Qpm(
             c0=dihedral.e,
             c1=trivial,
@@ -143,7 +142,7 @@ class TestQpmHomology:
 
     def test_rejects_a_noncentral_kernel(self):
         dihedral = semidirect(flip_group(), rotation_group(), flip_action)
-        trivial = AbelianCarrier(FgAbGroup.trivial())
+        trivial = FgAbGroup.trivial()
         Q = Qpm(
             c0=trivial,
             c1=dihedral.e,

@@ -8,7 +8,6 @@ import pytest
 from quadalg.abelian import FgAbGroup
 from quadalg.errors import ActionShapeMismatch, NotASection, NotExact
 from quadalg.nil2 import (
-    AbelianCarrier,
     SgMorphism,
     SquareGroup,
     crossed_square_group_verify,
@@ -23,8 +22,8 @@ from quadalg.nil2 import (
 def flip_group() -> SquareGroup:
     """Z/2 with trivial quadratic part."""
     return SquareGroup(
-        e=AbelianCarrier(FgAbGroup((2,))),
-        ee=AbelianCarrier(FgAbGroup.trivial()),
+        e=FgAbGroup((2,)),
+        ee=FgAbGroup.trivial(),
         H=lambda g: (),
         P=lambda a: (0,),
         name="Z/2",
@@ -34,8 +33,8 @@ def flip_group() -> SquareGroup:
 def rotation_group() -> SquareGroup:
     """Z/4 with quadratic part Z/2, H zero, P the inclusion by doubling."""
     return SquareGroup(
-        e=AbelianCarrier(FgAbGroup((4,))),
-        ee=AbelianCarrier(FgAbGroup((2,))),
+        e=FgAbGroup((4,)),
+        ee=FgAbGroup((2,)),
         H=lambda x: (0,),
         P=lambda a: ((2 * a[0]) % 4,),
         name="Z/4",
@@ -92,8 +91,8 @@ class TestSemidirect:
         # P: ee -> e is the identity on Z/2 here, so its image is all of
         # e and the multiplication action cannot factor through e/P(ee).
         torsion_pair = SquareGroup(
-            e=AbelianCarrier(FgAbGroup((2,))),
-            ee=AbelianCarrier(FgAbGroup((2,))),
+            e=FgAbGroup((2,)),
+            ee=FgAbGroup((2,)),
             H=lambda x: (0,),
             P=lambda a: (a[0] % 2,),
             name="Z/2 with P = id",

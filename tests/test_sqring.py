@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from quadalg.errors import IllDefinedMultiplication, NotAQuadraticRing, TooLarge
-from quadalg.nil2 import AbelianCarrier
 from quadalg.abelian import FgAbGroup
 from quadalg.sqring import (
     QuadraticRing,
@@ -158,8 +157,8 @@ class TestAdRing:
         assert A.add(A.one, A.one) == (2,)
 
     def test_quotients_by_the_p_image(self):
-        e = AbelianCarrier(FgAbGroup((4,)))
-        ee = AbelianCarrier(FgAbGroup((2,)))
+        e = FgAbGroup((4,))
+        ee = FgAbGroup((2,))
         R = SquareRing(
             e=e,
             ee=ee,
@@ -178,8 +177,8 @@ class TestAdRing:
         assert A.add((1,), (1,)) == (0,)
 
     def test_rejects_a_multiplication_that_depends_on_representatives(self):
-        e = AbelianCarrier(FgAbGroup((4,)))
-        ee = AbelianCarrier(FgAbGroup((2,)))
+        e = FgAbGroup((4,))
+        ee = FgAbGroup((2,))
         R = SquareRing(
             e=e,
             ee=ee,
