@@ -383,7 +383,7 @@ def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ..
     return Factorization(A).solve(b)
 
 
-def kernel_basis(A: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]]:
+def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice ``{x : A @ x = 0}``.
 
     The basis is the last ``n - rank`` columns of the Smith certificate
@@ -392,10 +392,6 @@ def kernel_basis(A: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]
     >>> kernel_basis([[1, 1]])
     [(-1, 1)]
     """
-    m, n = mat_shape(A)
-    if n == 0:
-        n = ncols or 0
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)] if m == 0 else []
     r = smith(A)
     return list(zip(*r.V))[r.rank :]
 

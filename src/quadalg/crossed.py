@@ -18,6 +18,8 @@ invariant ``nu = P(H(2))`` live here as well.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,6 +46,7 @@ from .errors import (
 from .nil2 import (
     DEFAULT_ENUM_BOUND,
     Carrier,
+    DirectSumCarrier,
     FreeAbelianCarrier,
     FreeNil2Carrier,
     FreePairsCarrier,
@@ -57,7 +60,7 @@ from .nil2 import (
     square_group_verify,
 )
 from .reports import Report
-from .sqring import QuadraticRing, SquareRing, linear_elements, verify_ring
+from .sqring import QuadraticRing, SquareRing, cyclic_ring, linear_elements, verify_ring
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +118,6 @@ class CrossedExtension:
     def H(self) -> Callable:
         return self.ring.H
 
-    def ee_pair(self, x, y, a):
-        """The action ``(x (x) y) . a`` in the kind's own language."""
-        if self.kind == "qpa":
-            sg = self.ring.square_group()
-            return self.ring.eemul(sg.cross(y, x), a)
-        return self.ring.act_pair(x, y, a)
-
-    def ee_right(self, a, z):
-        if self.kind == "qpa":
-            return self.ring.eemul(a, self.ring.square_group().delta(z))
-        return self.ring.act_right(a, z)
-
     def fibre(self) -> SquareGroup:
         return SquareGroup(
             e=self.c1,
@@ -167,6 +158,7 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
     c0, c1, cee = ext.c0, ext.c1, ext.cee
     mul, d, P, H = ext.ring.mul, ext.boundary, ext.P, ext.H
     left, right, one = ext.act_left, ext.act_right, ext.ring.one
+    pair, ring_right = ext.ring.act_pair, ext.ring.act_right
     R, q = ext.quot, ext.quot.q
     M, inc = ext.module, ext.include
     check_laws(r, [
@@ -180,12 +172,12 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
             "x y s"),
         Law("actions unital", [c1], lambda s: left(one, s) == s and right(s, one) == s, "s"),
         Law("(i) P conjugates the quadratic action", [c0, cee, c0],
-            lambda x, a, y: P(ext.ee_right(ext.ee_pair(x, x, a), y)) == right(left(x, P(a)), y),
+            lambda x, a, y: P(ring_right(pair(x, x, a), y)) == right(left(x, P(a)), y),
             "x a y"),
         Law("left action on P images", [c0, cee],
-            lambda x, a: left(x, P(a)) == P(ext.ee_pair(x, x, a)), "x a"),
+            lambda x, a: left(x, P(a)) == P(pair(x, x, a)), "x a"),
         Law("right action on P images", [cee, c0],
-            lambda a, y: right(P(a), y) == P(ext.ee_right(a, y)), "a y"),
+            lambda a, y: right(P(a), y) == P(ring_right(a, y)), "a y"),
         Law("(ii) boundary is equivariant", [c0, c1, c0],
             lambda x, s, y: d(right(left(x, s), y)) == mul(mul(x, d(s)), y), "x s y"),
         Law("(iii) crossed symmetry", [c1, c1],
@@ -196,11 +188,11 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
             lambda s, x, y: right(s, c0.add(x, y)) == c1.add(right(s, x), right(s, y)), "s x y"),
         Law("(vi) left action crossed on sums", [c0, c0, c1],
             lambda x, y, s: left(c0.add(x, y), s)
-            == c1.add(c1.add(left(x, s), left(y, s)), P(ext.ee_pair(x, y, H(d(s))))),
+            == c1.add(c1.add(left(x, s), left(y, s)), P(pair(x, y, H(d(s))))),
             "x y s"),
         Law("(vii) right action crossed on sums", [c1, c1, c0],
             lambda s, t, x: right(c1.add(s, t), x)
-            == c1.add(c1.add(right(s, x), right(t, x)), P(ext.ee_pair(d(s), d(t), H(x)))),
+            == c1.add(c1.add(right(s, x), right(t, x)), P(pair(d(s), d(t), H(x)))),
             "s t x"),
         # quotient ring
         Law("q additive", [c0, c0],
@@ -329,7 +321,7 @@ def linearly_generated(ext: CrossedExtension, pool: Sequence | None = None) -> t
             if not span.contains(unit):
                 return (False, f"basis symbol {s!r} not generated")
         return (True, None)
-    return (False, f"cannot decide generation for {carrier.describe()}")
+    return (False, f"cannot decide generation for {type(carrier).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +462,6 @@ class ZtildePairsCarrier(Carrier):
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
         raise NotFinite("pair classes over free words form an infinite group")
 
-    def describe(self) -> str:
-        return f"word pairs modulo symmetry on {len(self.words)} words"
-
 
 class Mod2WordsCarrier(Carrier):
     """The direct sum of order-two groups indexed by words."""
@@ -499,15 +488,10 @@ class Mod2WordsCarrier(Carrier):
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
         if 2 ** len(self.words) > bound:
             raise TooLarge(f"2^{len(self.words)} subsets exceed the bound")
-        import itertools as it
-
         out = []
         for k in range(len(self.words) + 1):
-            out.extend(tuple(c) for c in it.combinations(self.words, k))
+            out.extend(tuple(c) for c in itertools.combinations(self.words, k))
         return out
-
-    def describe(self) -> str:
-        return f"(Z/2)^({len(self.words)})"
 
 
 def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> CrossedExtension:
@@ -646,9 +630,6 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
     >>> ext.module.describe()
     'Z/2'
     """
-    from .sqring import cyclic_ring
-    import math
-
     ring = cyclic_ring(m)
     g = math.gcd(d, m) if d else m
     c1 = FgAbGroup((m,)) if m > 1 else FgAbGroup.trivial()
@@ -683,23 +664,13 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
 # Pullbacks
 # ---------------------------------------------------------------------------
 
-class PullbackCarrier(Carrier):
+class PullbackCarrier(DirectSumCarrier):
     """Pairs ``(c, w)`` with matching boundaries, inside a product."""
 
     def __init__(self, left: Carrier, right: Carrier, matches: Callable, sampler: Callable):
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         self.matches = matches
         self._sampler = sampler
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
 
     def sample(self, rng: random.Random):
         return self._sampler(rng)
@@ -708,9 +679,6 @@ class PullbackCarrier(Carrier):
         ls = self.left.elements(bound)
         rs = self.right.elements(bound)
         return [(c, w) for c in ls for w in rs if self.matches(c, w)]
-
-    def describe(self) -> str:
-        return f"pullback of {self.left.describe()} and {self.right.describe()}"
 
 
 def pullback_extension(

@@ -191,6 +191,23 @@ def _coords(raw, group: FgAbGroup, where: str) -> tuple:
     return group.reduce(tuple(raw))
 
 
+def _h_table(doc: dict, e: FgAbGroup, ee: FgAbGroup, where: str) -> dict:
+    """The ``H`` table of an explicit document: one ``[x, H(x)]`` row per element."""
+    raw_h = _field(doc, "H", list, where)
+    table = {}
+    for row in raw_h:
+        if not (isinstance(row, list) and len(row) == 2):
+            raise DocumentError(f"{where} H: each entry must be a [x, H(x)] pair")
+        x = _coords(row[0], e, f"{where} H input")
+        table[x] = _coords(row[1], ee, f"{where} H output")
+    missing = [x for x in e.elements(4096) if x not in table]
+    if missing:
+        raise DocumentError(f"{where} H: no value for {missing[0]}")
+    if len(raw_h) != e.order():
+        raise DocumentError(f"{where} H: table has repeated or extra inputs")
+    return table
+
+
 def _build_square_group(doc: dict) -> SquareGroup:
     construction = _field(doc, "construction", str, "square_group")
     if construction == "znil":
@@ -201,18 +218,7 @@ def _build_square_group(doc: dict) -> SquareGroup:
     gee = _factors(_field(doc, "ee", list, "square_group"), "square_group ee")
     if ge.order() is None or gee.order() is None:
         raise DocumentError("explicit square groups must have finite carriers")
-    raw_h = _field(doc, "H", list, "square_group")
-    table = {}
-    for row in raw_h:
-        if not (isinstance(row, list) and len(row) == 2):
-            raise DocumentError("square_group H: each entry must be a [x, H(x)] pair")
-        x = _coords(row[0], ge, "square_group H input")
-        table[x] = _coords(row[1], gee, "square_group H output")
-    missing = [x for x in ge.elements(4096) if x not in table]
-    if missing:
-        raise DocumentError(f"square_group H: no value for {missing[0]}")
-    if len(raw_h) != ge.order():
-        raise DocumentError("square_group H: table has repeated or extra inputs")
+    table = _h_table(doc, ge, gee, "square_group")
     pmat = _int_matrix(_field(doc, "P", list, "square_group"), "square_group P")
     rows, cols = mat_shape(pmat)
     if rows != ge.ngens or cols != gee.ngens:
@@ -298,16 +304,7 @@ def _build_qpm(doc: dict) -> Qpm:
     gee = _factors(_field(doc, "cee", list, "qpm"), "qpm cee")
     if g0.order() is None or gee.order() is None:
         raise DocumentError("explicit pair modules must have finite carriers")
-    raw_h = _field(doc, "H", list, "qpm")
-    table = {}
-    for row in raw_h:
-        if not (isinstance(row, list) and len(row) == 2):
-            raise DocumentError("qpm H: each entry must be a [x, H(x)] pair")
-        x = _coords(row[0], g0, "qpm H input")
-        table[x] = _coords(row[1], gee, "qpm H output")
-    missing = [x for x in g0.elements(4096) if x not in table]
-    if missing:
-        raise DocumentError(f"qpm H: no value for {missing[0]}")
+    table = _h_table(doc, g0, gee, "qpm")
     pmat = _int_matrix(_field(doc, "P", list, "qpm"), "qpm P")
     bmat = _int_matrix(_field(doc, "boundary", list, "qpm"), "qpm boundary")
     prows, pcols = mat_shape(pmat)

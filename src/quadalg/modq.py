@@ -520,7 +520,7 @@ def track_left_whisker(u: ModQMor, t: Track) -> Track:
             corr = ee.zero()
             for (k, l) in _pair_keys(t.f0, t.f1):
                 diff = ee.sub(t.f0.pair_entry(k, l, s), t.f1.pair_entry(k, l, s))
-                corr = ee.add(corr, ext.ee_pair(u.fi[i][k], u.fi[i][l], diff))
+                corr = ee.add(corr, Q.act_pair(u.fi[i][k], u.fi[i][l], diff))
             for k in range(x):
                 for l in range(k + 1, x):
                     d_l = ext.boundary(ext.act_left(u.fi[i][l], t.h[l][s]))
@@ -547,12 +547,12 @@ def track_right_whisker(t: Track, g: ModQMor) -> Track:
             main = c1.sum(ext.act_right(t.h[i][k], g.fi[k][s]) for k in range(y))
             corr = ee.zero()
             for (k, l), col in g_pairs:
-                corr = ee.add(corr, ext.ee_pair(t.f0.fi[i][k], t.f0.fi[i][l], col[s]))
-                corr = ee.sub(corr, ext.ee_pair(t.f1.fi[i][k], t.f1.fi[i][l], col[s]))
+                corr = ee.add(corr, Q.act_pair(t.f0.fi[i][k], t.f0.fi[i][l], col[s]))
+                corr = ee.sub(corr, Q.act_pair(t.f1.fi[i][k], t.f1.fi[i][l], col[s]))
             for k in range(y):
                 corr = ee.add(
                     corr,
-                    ext.ee_pair(
+                    Q.act_pair(
                         ext.boundary(t.h[i][k]), t.f1.fi[i][k], Q.H(g.fi[k][s])
                     ),
                 )

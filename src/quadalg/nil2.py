@@ -41,9 +41,17 @@ DEFAULT_ENUM_BOUND = 4096
 class Carrier:
     """A group of nilpotency class at most two with explicit elements.
 
-    Subclasses provide ``zero``, ``add``, ``neg``, ``sample`` and
-    ``elements``; everything else is derived. Elements are canonical
-    hashable values, so ``==`` is equality in the group.
+    Subclasses provide five methods; everything else (``sub``,
+    ``commutator``, ``scalar``, ``sum``, ``is_zero``) is derived:
+
+    * ``zero()`` the neutral element,
+    * ``add(a, b)`` the group law, written additively but not commutative,
+    * ``neg(a)`` the inverse,
+    * ``sample(rng)`` a random element drawn from ``rng``,
+    * ``elements(bound)`` every element, or ``NotFinite`` / ``TooLarge``.
+
+    Elements are canonical hashable values, so ``==`` is equality in the
+    group.
 
     A finitely generated abelian group is its own carrier:
     :class:`~quadalg.abelian.FgAbGroup` has every method listed here, with
@@ -65,13 +73,6 @@ class Carrier:
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
         """All elements, or raise ``NotFinite`` / ``TooLarge``."""
         raise NotImplementedError
-
-    def order(self) -> int | None:
-        """Number of elements, ``None`` when infinite."""
-        return None
-
-    def describe(self) -> str:
-        return type(self).__name__
 
     # -- derived operations --------------------------------------------
 
@@ -126,17 +127,8 @@ class DirectSumCarrier(Carrier):
             raise TooLarge(f"direct sum has {len(ls) * len(rs)} elements, bound {bound}")
         return [(a, b) for a in ls for b in rs]
 
-    def order(self) -> int | None:
-        lo, ro = self.left.order(), self.right.order()
-        if lo is None or ro is None:
-            return None
-        return lo * ro
 
-    def describe(self) -> str:
-        return f"{self.left.describe()} (+) {self.right.describe()}"
-
-
-class TwistedProductCarrier(Carrier):
+class TwistedProductCarrier(DirectSumCarrier):
     """Pairs ``(g, x)`` with addition twisted by a central cocycle.
 
     ``(g, x) + (h, y) = (g + h, x + y + twist(x, h))`` where ``twist``
@@ -145,44 +137,21 @@ class TwistedProductCarrier(Carrier):
     square-group verifier, not here.
     """
 
-    def __init__(self, outer: Carrier, inner: Carrier, twist: Callable):
-        self.outer = outer
-        self.inner = inner
+    def __init__(self, left: Carrier, right: Carrier, twist: Callable):
+        super().__init__(left, right)
         self.twist = twist
-
-    def zero(self):
-        return (self.outer.zero(), self.inner.zero())
 
     def add(self, a, b):
         g, x = a
         h, y = b
         return (
-            self.outer.add(g, h),
-            self.inner.add(self.inner.add(x, y), self.twist(x, h)),
+            self.left.add(g, h),
+            self.right.add(self.right.add(x, y), self.twist(x, h)),
         )
 
     def neg(self, a):
         g, x = a
-        return (self.outer.neg(g), self.inner.add(self.inner.neg(x), self.twist(x, g)))
-
-    def sample(self, rng: random.Random):
-        return (self.outer.sample(rng), self.inner.sample(rng))
-
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
-        gs = self.outer.elements(bound)
-        xs = self.inner.elements(bound)
-        if len(gs) * len(xs) > bound:
-            raise TooLarge(f"twisted product has {len(gs) * len(xs)} elements, bound {bound}")
-        return [(g, x) for g in gs for x in xs]
-
-    def order(self) -> int | None:
-        lo, ro = self.outer.order(), self.inner.order()
-        if lo is None or ro is None:
-            return None
-        return lo * ro
-
-    def describe(self) -> str:
-        return f"{self.outer.describe()} |x {self.inner.describe()}"
+        return (self.left.neg(g), self.right.add(self.right.neg(x), self.twist(x, g)))
 
 
 class SubgroupCarrier(Carrier):
@@ -219,12 +188,6 @@ class SubgroupCarrier(Carrier):
         if len(self._members) > bound:
             raise TooLarge(f"subgroup has {len(self._members)} elements, bound {bound}")
         return list(self._members)
-
-    def order(self) -> int | None:
-        return len(self._members)
-
-    def describe(self) -> str:
-        return f"subgroup of order {len(self._members)} in {self.parent.describe()}"
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +318,6 @@ class FreeNil2Carrier(Carrier):
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
         raise NotFinite("free class-two group is infinite")
 
-    def describe(self) -> str:
-        return f"free class-two group on {len(self.symbols)} symbols"
-
 
 class FreeAbelianCarrier(Carrier):
     """The free abelian group on an ordered symbol list.
@@ -408,11 +368,8 @@ class FreeAbelianCarrier(Carrier):
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
         raise NotFinite("free abelian group on symbols is infinite")
 
-    def describe(self) -> str:
-        return f"free abelian group on {len(self.symbols)} symbols"
 
-
-class FreePairsCarrier(Carrier):
+class FreePairsCarrier(FreeAbelianCarrier):
     """The free abelian group on ordered pairs of basis symbols.
 
     Elements are sorted coefficient tuples over pairs ``(u, v)``; here the
@@ -423,12 +380,6 @@ class FreePairsCarrier(Carrier):
     >>> c.add(c.pair("s", "t"), c.pair("s", "t", 2))
     ((('s', 't'), 3),)
     """
-
-    def __init__(self, symbols: Sequence[Hashable]):
-        self.symbols = list(symbols)
-        self._rank = {s: i for i, s in enumerate(self.symbols)}
-        if len(self._rank) != len(self.symbols):
-            raise ValueError("symbols are not distinct")
 
     def make(self, coeffs: dict) -> tuple:
         out = {}
@@ -444,22 +395,6 @@ class FreePairsCarrier(Carrier):
     def pair(self, u: Hashable, v: Hashable, n: int = 1) -> tuple:
         return self.make({(u, v): n})
 
-    @staticmethod
-    def to_dict(a: tuple) -> dict:
-        return dict(a)
-
-    def zero(self):
-        return ()
-
-    def add(self, a, b):
-        out = dict(a)
-        for p, n in b:
-            out[p] = out.get(p, 0) + n
-        return self.make(out)
-
-    def neg(self, a):
-        return self.make({p: -n for p, n in a})
-
     def sample(self, rng: random.Random):
         out = {}
         for _ in range(rng.randint(0, 3)):
@@ -467,12 +402,6 @@ class FreePairsCarrier(Carrier):
             v = rng.choice(self.symbols)
             out[(u, v)] = out.get((u, v), 0) + rng.randint(-4, 4)
         return self.make(out)
-
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
-        raise NotFinite("free abelian group on pairs is infinite")
-
-    def describe(self) -> str:
-        return f"free abelian group on {len(self.symbols)}^2 ordered pairs"
 
 
 # ---------------------------------------------------------------------------

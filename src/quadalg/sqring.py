@@ -78,7 +78,11 @@ class SquareRing:
 
 @dataclass
 class QuadraticRing:
-    """A square group with a monoid on ``e`` and a ring on ``ee``."""
+    """A square group with a monoid on ``e`` and a ring on ``ee``.
+
+    ``act_pair`` and ``act_right`` are the actions of the underlying
+    square ring, read off from the ring product on ``ee``.
+    """
 
     e: Carrier
     ee: Carrier
@@ -95,12 +99,20 @@ class QuadraticRing:
     def two(self):
         return self.e.add(self.one, self.one)
 
+    def act_pair(self, x, y, a):
+        """``(x | y) . a = (y | x)_H a``."""
+        return self.eemul(self.square_group().cross(y, x), a)
+
+    def act_right(self, a, z):
+        """``a . z = a Delta(z)``."""
+        return self.eemul(a, self.square_group().delta(z))
+
 
 def forget_U(Q: QuadraticRing, samples: int = 200, seed: int = 0) -> SquareRing:
     """The square ring underlying a quadratic ring.
 
-    The pair action becomes ``(x | y) . a = (y | x)_H a`` and the right
-    action ``a . z = a Delta(z)``. The quadratic-ring laws are sampled
+    The pair and right actions are :meth:`QuadraticRing.act_pair` and
+    :meth:`QuadraticRing.act_right`. The quadratic-ring laws are sampled
     first; a failure raises ``NotAQuadraticRing``.
     """
     if samples:
@@ -108,7 +120,6 @@ def forget_U(Q: QuadraticRing, samples: int = 200, seed: int = 0) -> SquareRing:
         if not report.passed:
             failure = report.first_failure()
             raise NotAQuadraticRing(f"{failure.name}: {failure.witness or 'failed'}")
-    sg = Q.square_group()
     return SquareRing(
         e=Q.e,
         ee=Q.ee,
@@ -117,8 +128,8 @@ def forget_U(Q: QuadraticRing, samples: int = 200, seed: int = 0) -> SquareRing:
         one=Q.one,
         mul=Q.mul,
         eemul=Q.eemul,
-        act_pair=lambda x, y, a: Q.eemul(sg.cross(y, x), a),
-        act_right=lambda a, z: Q.eemul(a, sg.delta(z)),
+        act_pair=Q.act_pair,
+        act_right=Q.act_right,
         name=f"{Q.name} (underlying square ring)",
     )
 

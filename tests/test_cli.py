@@ -15,6 +15,7 @@ from .test_documents import (
     EXT_ZTILDE,
     MAP_BAD,
     MODQ_ZNIL,
+    QPM_EXPLICIT,
     RING_C5,
     RING_ZNIL,
     write_json,
@@ -70,6 +71,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "[FAIL]" not in out
+
+    def test_conflicting_qpm_h_table_exits_two(self, tmp_path, capsys):
+        doc = dict(QPM_EXPLICIT, H=[[[0], [0]], [[1], [1]], [[1], [0]]])
+        assert main(["verify", write_json(tmp_path, "qpm_conflict.json", doc)]) == 2
+        assert "qpm H: table has repeated or extra inputs" in capsys.readouterr().err
 
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],

@@ -5,7 +5,9 @@ import dataclasses
 
 import pytest
 
+from quadalg.abelian import FgAbGroup
 from quadalg.crossed import (
+    PullbackCarrier,
     cyclic_ring_extension,
     linearly_generated,
     nu_class,
@@ -19,7 +21,7 @@ from quadalg.errors import (
     PullbackDegenerate,
 )
 from quadalg.nil2 import SgMorphism, qpm_verify, square_group_verify
-from quadalg.sqring import znil, znil_monoid
+from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
 
 def augmentation() -> SgMorphism:
@@ -184,3 +186,29 @@ class TestPullback:
         with pytest.raises(PullbackDegenerate, match="H images disagree"):
             pullback_extension(base, ring_new, crushed, section,
                                samples=80, seed=5)
+
+
+class TestFinitePullback:
+    @pytest.fixture(scope="class")
+    def ext(self):
+        identity = SgMorphism(e=lambda x: x, ee=lambda a: a, name="identity")
+        return pullback_extension(cyclic_ring_extension(4, 2), cyclic_ring(4), identity,
+                                  lambda c: c)
+
+    def test_c1_is_the_matching_pairs(self, ext):
+        assert ext.c1.elements() == [((0,), (0,)), ((1,), (2,)), ((2,), (0,)), ((3,), (2,))]
+
+    def test_verifies_exhaustively(self, ext, monkeypatch):
+        def no_sampling(self, rng):
+            raise AssertionError("a finite carrier was sampled")
+
+        monkeypatch.setattr(PullbackCarrier, "sample", no_sampling)
+        monkeypatch.setattr(FgAbGroup, "sample", no_sampling)
+        report = verify_crossed(ext, samples=50, seed=0)
+        assert report.passed, report.render()
+        assert len(report.checks) == 73 and not report.notes
+
+    def test_nu_sees_the_finite_module(self, ext):
+        result = nu_class(ext)
+        assert result.is_zero
+        assert result.module_factors == (2,)

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a ``quadalg`` module imports is used in it."""
+"""Source hygiene: ``quadalg`` modules import at the top, and use every import."""
 from __future__ import annotations
 
 import ast
@@ -23,6 +23,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
                 imported[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def imports_in_functions(tree: ast.Module) -> list[str]:
+    """Import statements inside a function body, as ``function (line n)``."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.extend(
+                f"{fn.name} (line {node.lineno})"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert imports_in_functions(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_function_import():
+    tree = ast.parse("import os\ndef f():\n    import math\n    return math.pi\n")
+    assert imports_in_functions(tree) == ["f (line 3)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

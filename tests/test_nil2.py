@@ -13,6 +13,7 @@ from quadalg.nil2 import (
     FreeNil2Carrier,
     FreePairsCarrier,
     SgMorphism,
+    TwistedProductCarrier,
     SquareGroup,
     morphism_is_bijective,
     morphism_verify,
@@ -246,9 +247,20 @@ class TestSmallCarrierUtilities:
         f = FreeAbelianCarrier(["s", "t"])
         assert f.add(f.atom("s"), f.atom("s", -1)) == f.zero()
 
+    def test_zero_twist_is_the_direct_sum(self):
+        left, right = FgAbGroup((2,)), FgAbGroup((3,))
+        d = DirectSumCarrier(left, right)
+        t = TwistedProductCarrier(left, right, lambda x, h: right.zero())
+        elements = d.elements()
+        assert t.elements() == elements and len(elements) == 6
+        for a in elements:
+            assert t.neg(a) == d.neg(a)
+            for b in elements:
+                assert t.add(a, b) == d.add(a, b)
+
     def test_free_pairs_carrier(self):
         c = FreePairsCarrier(["s", "t"])
         v = c.add(c.pair("s", "t"), c.pair("t", "s", 2))
-        assert c.to_dict(v) == {("s", "t"): 1, ("t", "s"): 2}
+        assert dict(v) == {("s", "t"): 1, ("t", "s"): 2}
         with pytest.raises(BasisMismatch):
             c.make({("s", "u"): 1})
