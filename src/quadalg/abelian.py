@@ -1,11 +1,11 @@
 """Exact arithmetic for finitely generated abelian groups.
 
-Everything here is integer arithmetic on plain list-of-list matrices: Smith
-normal form with unimodular certificates, groups in invariant-factor form,
-maps, homology of two-step complexes, and the quadratic functors (exterior
-and symmetric squares, the divided-power functor, the quadratic
-construction, and the torsion variant) together with independent
-presentation-level oracles for them.
+Everything here is integer arithmetic on matrices passed and returned as
+plain lists of lists: Smith normal form with unimodular certificates,
+groups in invariant-factor form, maps, homology of two-step complexes, and
+the quadratic functors (exterior and symmetric squares, the divided-power
+functor, the quadratic construction, and the torsion variant) together
+with independent presentation-level oracles for them.
 
 Conventions
 -----------
@@ -18,9 +18,10 @@ Conventions
 Linear solves go through :class:`Factorization`, which computes the Smith
 normal form of one matrix once and then answers ``solve(b)`` and
 ``contains(b)`` for any number of right-hand sides. :func:`smith`
-eliminates on the matrix alone and logs its elementary operations; each
-certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` is built from that log when
-a caller first reads it, so a caller pays only for those it uses.
+eliminates on sparse rows of the matrix alone, visiting only its nonzero
+entries, and logs its elementary operations; each certificate ``U``,
+``V``, ``Uinv`` or ``Vinv`` is built from that log when a caller first
+reads it, so a caller pays only for those it uses.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are both
@@ -128,7 +129,8 @@ _SWAP, _ADD, _NEG = range(3)
 
 def _add_row(M: IntMatrix, i: int, j: int, q: int) -> None:
     """Row ``i`` of ``M`` += ``q`` times row ``j``, in place; the zero
-    entries of row ``j``, most of them in a sparse matrix, cost nothing."""
+    entries of row ``j`` cost nothing. Only :func:`_replay` uses it, on the
+    dense certificates; :func:`smith` adds its sparse rows itself."""
     Mi, Mj = M[i], M[j]
     for k in itertools.compress(range(len(Mj)), Mj):
         Mi[k] += q * Mj[k]
@@ -203,46 +205,85 @@ class SnfResult:
 def smith(M: IntMatrix) -> SnfResult:
     """Smith normal form of ``M``, with certificates built on demand.
 
-    The elimination works on a copy of ``M`` only and logs each elementary
-    row and column operation; :class:`SnfResult` builds ``U``, ``V``,
-    ``Uinv`` and ``Vinv`` from the logs when a caller first reads them.
+    The elimination works on sparse rows, one ``{column: value}`` dict of
+    nonzeros per row, with an index from each column to the set of rows
+    holding it; every swap, row addition and column addition keeps both up
+    to date, so the pivot search, the reductions and the divisibility sweep
+    visit stored nonzeros only. ``S`` is made dense once, at the end. Each
+    elementary row and column operation is logged; :class:`SnfResult`
+    builds ``U``, ``V``, ``Uinv`` and ``Vinv`` from the logs when a caller
+    first reads them.
 
     The pivot rule is deterministic: among nonzero entries of the working
     submatrix pick one of minimal absolute value, breaking ties by smallest
-    row index, then smallest column index. On a matrix already in Smith
-    form every pivot is the diagonal entry in place and no operation is
-    performed, so it comes back unchanged with identity certificates.
+    row index, then smallest column index, and look at no row after the
+    first one holding a unit. Column ``t`` is reduced in increasing row
+    order and row ``t`` in increasing column order, so the logs, and with
+    them the certificates, are exactly those of a dense elimination by the
+    same rule. On a matrix already in Smith form every pivot is the
+    diagonal entry in place and no operation is performed, so it comes back
+    unchanged with identity certificates.
     """
-    A = mat_copy(M)
-    m, n = mat_shape(A)
+    m, n = mat_shape(M)
+    A = [{j: x for j, x in enumerate(row) if x} for row in M]
+    rows_of: list[set[int]] = [set() for _ in range(n)]  # column -> rows holding it
+    for i, row in enumerate(A):
+        for j in row:
+            rows_of[j].add(i)
     row_ops: list[tuple[int, int, int, int]] = []
     col_ops: list[tuple[int, int, int, int]] = []
 
     def row_swap(i: int, j: int) -> None:
+        # A column held by one of the two rows only moves to the other.
+        for k in A[i].keys() ^ A[j].keys():
+            rows_of[k] ^= {i, j}
         A[i], A[j] = A[j], A[i]
         row_ops.append((_SWAP, i, j, 0))
 
     def row_addmul(i: int, j: int, q: int) -> None:
-        _add_row(A, i, j, q)
+        Ai = A[i]
+        for k, x in A[j].items():
+            y = Ai.get(k, 0) + q * x
+            if y:
+                if k not in Ai:
+                    rows_of[k].add(i)
+                Ai[k] = y
+            else:
+                del Ai[k]
+                rows_of[k].remove(i)
         row_ops.append((_ADD, i, j, q))
 
     def row_neg(i: int) -> None:
-        A[i] = [-x for x in A[i]]
+        A[i] = {k: -x for k, x in A[i].items()}
         row_ops.append((_NEG, i, i, 0))
 
     def col_swap(i: int, j: int) -> None:
-        for r in A:
-            r[i], r[j] = r[j], r[i]
+        for r in rows_of[i] | rows_of[j]:
+            row = A[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
         col_ops.append((_SWAP, i, j, 0))
 
     def col_addmul(j: int, i: int, q: int) -> None:
         # col j += q * col i
-        for r in A:
-            x = r[i]
-            if x:
-                r[j] += q * x
+        for r in rows_of[i]:
+            row = A[r]
+            y = row.get(j, 0) + q * row[i]
+            if y:
+                if j not in row:
+                    rows_of[j].add(r)
+                row[j] = y
+            else:
+                del row[j]
+                rows_of[j].remove(r)
         col_ops.append((_ADD, j, i, q))
 
+    # Rows before t hold only their diagonal entry and rows from t on hold
+    # nothing left of column t, so a whole row from t on is its tail.
     t = 0
     while t < min(m, n):
         # Locate the pivot: minimal absolute value, ties by row then column,
@@ -250,68 +291,73 @@ def smith(M: IntMatrix) -> SnfResult:
         pivot = None
         best = 0
         for i in range(t, m):
-            tail = A[i][t:]
-            if not any(tail):
+            row = A[i]
+            if not row:
                 continue
-            v = min(map(abs, filter(None, tail)))
+            v = min(map(abs, row.values()))
             if not best or v < best:
                 best = v
-                pivot = (i, t + list(map(abs, tail)).index(v))
+                pivot = (i, min(j for j, x in row.items() if abs(x) == v))
                 if v == 1:
                     break
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
         while True:
             # Reduce column t below the pivot; on a leftover remainder swap it
             # into the pivot slot and restart so every later step reduces
             # against the smaller pivot (this keeps entries from blowing up).
+            # A row addition into row i changes column t in row i only, so
+            # the rows are listed once, in increasing order.
             swapped = False
-            for i in range(t + 1, m):
-                x = A[i][t]
-                if x:
-                    q = x // A[t][t]
-                    if q:
-                        row_addmul(i, t, -q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, n):
-                x = A[t][j]
-                if x:
-                    q = x // A[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            # Divisibility sweep: the pivot must divide the remaining block.
-            # A unit divides everything, so it needs no sweep.
             p = A[t][t]
+            for i in sorted(rows_of[t]):
+                if i == t:
+                    continue
+                q = A[i][t] // p
+                if q:
+                    row_addmul(i, t, -q)
+                if t in A[i]:
+                    row_swap(t, i)
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            # Column t now holds the pivot alone, so a column addition from
+            # it changes row t only.
+            for j in sorted(A[t]):
+                if j == t:
+                    continue
+                q = A[t][j] // p
+                if q:
+                    col_addmul(j, t, -q)
+                if j in A[t]:
+                    col_swap(t, j)
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            # Divisibility sweep: the pivot must divide the remaining block,
+            # which below and left of the pivot is zero by now. A unit
+            # divides everything, so it needs no sweep.
             if p in (1, -1):
                 break
             rem = p.__rmod__  # rem(x) == x % p
-            stray = next(
-                (i for i in range(t + 1, m) if any(map(rem, filter(None, A[i][t + 1 :])))),
-                None,
-            )
+            stray = next((i for i in range(t + 1, m) if any(map(rem, A[i].values()))), None)
             if stray is None:
                 break
             row_addmul(t, stray, 1)
         if A[t][t] < 0:
             row_neg(t)
         t += 1
-    return SnfResult(A, row_ops, col_ops)
+    S = zeros(m, n)
+    for Si, row in zip(S, A):
+        for j, x in row.items():
+            Si[j] = x
+    return SnfResult(S, row_ops, col_ops)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -539,11 +585,11 @@ class FgAbGroup:
 
     def relation_matrix(self) -> IntMatrix:
         """One column ``d_i * e_i`` per finite factor."""
-        cols = []
-        for i, d in enumerate(self.invariant_factors):
-            if d:
-                cols.append(tuple(d if j == i else 0 for j in range(self.ngens)))
-        return from_columns(cols, self.ngens)
+        finite = [i for i, d in enumerate(self.invariant_factors) if d]
+        M = zeros(self.ngens, len(finite))
+        for k, i in enumerate(finite):
+            M[i][k] = self.invariant_factors[i]
+        return M
 
     # -- element arithmetic -------------------------------------------------
 

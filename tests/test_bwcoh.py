@@ -384,6 +384,17 @@ class TestClassification:
         broken[(1, 1)] = ((broken[(1, 1)][0] + 1) % 4,)
         assert not res.is_cocycle(broken)
 
+    def test_rank_two_degree_one_is_trivial(self):
+        # dm mod 2 at rank <= 2; level 2 has 1,246 normalized generators
+        C, D = dm_natural_system(2, 2)
+        res = cohomology(C, D, 1, normalized=True)
+        assert res.group == FgAbGroup.trivial()
+        rng = random.Random(5)
+        x = {obj: D.group_at(C.identity(obj)).sample(rng) for obj in C.objects}
+        z = coboundary(C, D, 0, x, normalized=True)
+        assert z and res.is_cocycle(z)
+        assert res.class_of(z) == res.group.zero()
+
 
 class TestMatrixBimodule:
     def test_natural_system_laws(self):

@@ -56,6 +56,26 @@ def smith_forms(draw, max_dim=6):
     return [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
 
 
+SPARSE_ENTRIES = (1, -1, 2, -2, 3, 4, 6, 14)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=24):
+    """A matrix of up to ``max_dim`` rows and columns, about 85% zeros.
+
+    Its few nonzero entries cancel to zero, fill in zeros and move with the
+    swaps of sparse rows and columns while it is eliminated, which small
+    dense matrices rarely do.
+    """
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    entry = st.integers(0, 99).map(
+        lambda k: SPARSE_ENTRIES[k % len(SPARSE_ENTRIES)] if k >= 85 else 0
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    return [draw(row) for _ in range(m)]
+
+
 def sympy_diagonal(A) -> list[int]:
     S = smith_normal_form(Matrix(A), domain=ZZ)
     return [int(S[i, i]) for i in range(min(S.shape))]
@@ -89,7 +109,10 @@ class TestSmith:
         assert (r.V, r.Vinv) == (identity(n), identity(n))
 
     @PROPERTY
-    @given(st.one_of(matrices(max_dim=8).map(lambda case: case[0]), smith_forms()), st.data())
+    @given(
+        st.one_of(matrices(max_dim=8).map(lambda case: case[0]), smith_forms(), sparse_matrices()),
+        st.data(),
+    )
     def test_agrees_with_the_eager_reference(self, M, data):
         ref = smith_reference(M)
         r = smith(M)
