@@ -1,19 +1,33 @@
-"""Brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything in this module is deliberately independent of the library's linear
+Most of this module is deliberately independent of the library's linear
 algebra: no Smith normal form, no lattice solving. Structures are identified
 by enumerating elements and counting, so these results cross-check the fast
-implementations rather than restating them. The one exception is
+implementations rather than restating them. The exceptions are
 :func:`smith_reference`, a frozen copy of an earlier Smith normal form that
-the current one must reproduce exactly.
+the current one must reproduce exactly; :func:`quadratic_tensor`, which
+computes quadratic functors from square groups by a presentation of their
+own, independent of the library's table of values; and
+:class:`CyclicTrackExtension`, a lifting problem written on integers that
+the matrix track machinery is checked against.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import gcd
 
-from quadalg.abelian import AbMap, FgAbGroup, identity, mat_copy, mat_shape
+from quadalg.abelian import (
+    AbMap,
+    FgAbGroup,
+    from_columns,
+    identity,
+    mat_copy,
+    mat_shape,
+    quotient_presentation,
+)
+from quadalg.nil2 import SquareGroup
 
 
 def invariant_chains(n: int):
@@ -294,3 +308,91 @@ def smith_reference(M: IntMatrix) -> ReferenceSnf:
             row_neg(t)
         t += 1
     return ReferenceSnf(A, U, V, Uinv, Vinv)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic functors as tensor products with square groups
+# ---------------------------------------------------------------------------
+
+def quadratic_tensor(A: FgAbGroup, sg: SquareGroup) -> FgAbGroup:
+    """Baues's quadratic tensor product ``A (x) M`` of an abelian group with
+    the quadratic Z-module ``M = (M_e --H--> M_ee --P--> M_e)`` of ``sg``.
+
+    ``sg`` needs :class:`FgAbGroup` carriers and an additive ``H``;
+    ``H`` and ``P`` are read off the generators ``mu_k`` of ``M_e`` and
+    ``nu_l`` of ``M_ee``, and a nonzero cross effect of ``H`` on two
+    generators raises :class:`ValueError`.
+
+    ``A (x) M`` is generated by ``a (x) m`` and ``[a, b] (x) n`` for ``a, b``
+    in ``A``, ``m`` in ``M_e`` and ``n`` in ``M_ee``, additive in ``m`` and
+    ``n``, with ``[a, b] (x) n`` additive in ``a`` and in ``b``, subject to
+    Baues's relations (Baues 1994, "Quadratic functors and metastable
+    homotopy"; Baues-Pirashvili 1999 for square groups)::
+
+        (a + b) (x) m = a (x) m + b (x) m + [a, b] (x) H(m)
+        [a, a] (x) n  = a (x) P(n)
+
+    For ``A = Z/d_1 + ... + Z/d_r`` (``d_i = 0`` for ``Z``) on generators
+    ``e_i``, these leave the generators ``e_i (x) mu_k`` and, for ``i < j``,
+    ``[e_i, e_j] (x) nu_l``. Since ``(d e) (x) m = d (e (x) m) + C(d, 2)
+    [e, e] (x) H(m)``, the relations are
+
+    * the orders of ``mu_k`` and ``nu_l``;
+    * ``d_i (e_i (x) m) + C(d_i, 2) e_i (x) PH(m) = 0`` for ``m = mu_k``;
+    * ``d_i (e_i (x) P(nu_l)) = 0``, from ``[d_i e_i, e_i] = 0``;
+    * ``d_i`` and ``d_j`` kill ``[e_i, e_j] (x) nu_l``.
+
+    >>> quadratic_tensor(FgAbGroup((2,)), QUADRATIC_MODULES["gamma"])
+    FgAbGroup((4,))
+    """
+    e, ee = sg.e, sg.ee
+    mus = e.generators()
+    for x, y in itertools.combinations_with_replacement(mus, 2):
+        if not ee.is_zero(sg.cross(x, y)):
+            raise ValueError(f"H of {sg.name} is not additive: ({x} | {y})_H != 0")
+    ph = [sg.P(sg.H(m)) for m in mus]
+    p_nu = [sg.P(n) for n in ee.generators()]
+    d = A.invariant_factors
+    K, L = e.ngens, ee.ngens
+    pairs = list(itertools.combinations(range(len(d)), 2))
+    rank = len(d) * K + len(pairs) * L
+
+    def tensor(i: int, m, c: int = 1) -> list[int]:
+        """``c (e_i (x) m)`` for ``m`` in ``M_e`` coordinates."""
+        v = [0] * rank
+        v[i * K : (i + 1) * K] = [c * x for x in m]
+        return v
+
+    def bracket(p: int, l: int, c: int) -> list[int]:
+        """``c ([e_i, e_j] (x) nu_l)`` for the ``p``-th pair ``i < j``."""
+        v = [0] * rank
+        v[len(d) * K + p * L + l] = c
+        return v
+
+    rels = []
+    for i, di in enumerate(d):
+        for k, o in enumerate(e.invariant_factors):
+            rels.append(tensor(i, mus[k], o))
+            rels.append([a + b for a, b in zip(tensor(i, mus[k], di), tensor(i, ph[k], math.comb(di, 2)))])
+        rels.extend(tensor(i, n, di) for n in p_nu)
+    for p, (i, j) in enumerate(pairs):
+        for l, o in enumerate(ee.invariant_factors):
+            rels.extend(bracket(p, l, c) for c in (o, d[i], d[j]))
+    return quotient_presentation(rank, from_columns([r for r in rels if any(r)], rank))[0]
+
+
+def _linear_module(name: str, e: FgAbGroup, ee: FgAbGroup, H, P) -> SquareGroup:
+    """The square group with additive ``H`` and ``P`` given by matrices."""
+    return SquareGroup(e, ee, AbMap(e, ee, H).apply, AbMap(ee, e, P).apply, name)
+
+
+_Z = FgAbGroup.free(1)
+
+# The quadratic Z-modules whose tensor products are the tabulated quadratic
+# functors. ``omega`` is a torsion product, not right exact, so it has none.
+QUADRATIC_MODULES = {
+    "gamma": _linear_module("Z^Gamma", _Z, _Z, [[1]], [[2]]),
+    "sym2": _linear_module("Z^Sym2", _Z, _Z, [[2]], [[1]]),
+    "lambda2": _linear_module("Z^Lambda2", FgAbGroup.trivial(), _Z, [[]], []),
+    "whiteheadP": _linear_module("Z^P", FgAbGroup.free(2), _Z, [[1, 4]], [[-2], [1]]),
+}

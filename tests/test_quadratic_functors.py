@@ -15,6 +15,9 @@ from quadalg.abelian import (
     whitehead_sequence,
 )
 from quadalg.errors import TooLarge
+from quadalg.nil2 import SquareGroup, square_group_verify
+
+from .oracles import QUADRATIC_MODULES, quadratic_tensor
 
 
 def small_groups(max_order: int) -> list[FgAbGroup]:
@@ -69,6 +72,26 @@ class TestTables:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             quadratic_functor("cube", FgAbGroup((2,)))
+
+
+class TestTensorOracle:
+    @pytest.mark.parametrize("kind", QUADRATIC_MODULES)
+    def test_every_group_up_to_order_64(self, kind):
+        groups = small_groups(64)
+        assert len(groups) == 117
+        for g in groups:
+            assert quadratic_tensor(g, QUADRATIC_MODULES[kind]) == quadratic_functor(kind, g), g
+
+    @pytest.mark.parametrize("kind", QUADRATIC_MODULES)
+    def test_module_is_a_square_group(self, kind):
+        report = square_group_verify(QUADRATIC_MODULES[kind])
+        assert report.passed, report.render()
+
+    def test_non_additive_h_rejected(self):
+        Z = FgAbGroup.free(1)
+        squaring = SquareGroup(Z, Z, lambda x: (x[0] * x[0],), lambda a: (0,), "squaring")
+        with pytest.raises(ValueError, match="not additive"):
+            quadratic_tensor(FgAbGroup((2,)), squaring)
 
 
 class TestOracleAgreement:
