@@ -3,9 +3,9 @@
 Everything here is integer arithmetic on matrices passed and returned as
 plain lists of lists: Smith normal form with unimodular certificates,
 groups in invariant-factor form, maps, homology of two-step complexes, and
-the quadratic functors (exterior and symmetric squares, the divided-power
-functor, the quadratic construction, and the torsion variant) together
-with independent presentation-level oracles for them.
+the values of the quadratic functors (exterior and symmetric squares, the
+divided-power functor, the quadratic construction, and the torsion
+variant) on a cyclic decomposition.
 
 Conventions
 -----------
@@ -360,22 +360,6 @@ def smith(M: IntMatrix) -> SnfResult:
     return SnfResult(S, row_ops, col_ops)
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns ``(S, U, V)`` with ``U @ M @ V == S``.
-
-    ``S`` is diagonal with nonnegative entries, each dividing the next, and
-    ``U``, ``V`` are unimodular.
-
-    >>> S, U, V = smith_normal_form([[2, 4], [6, 8]])
-    >>> S
-    [[2, 0], [0, 4]]
-    >>> matmul(matmul(U, [[2, 4], [6, 8]]), V) == S
-    True
-    """
-    r = smith(M)
-    return r.S, r.U, r.V
-
-
 class Factorization:
     """The Smith normal form of one matrix ``A``, reused for every solve.
 
@@ -452,13 +436,6 @@ def lattice_basis(A: IntMatrix) -> list[tuple[int, ...]]:
         d = r.S[j][j]
         out.append(tuple(d * Uinv[i][j] for i in range(m)))
     return out
-
-
-def in_lattice(A: IntMatrix, v: tuple[int, ...] | list[int]) -> bool:
-    """Whether ``v`` lies in the lattice spanned by the columns of ``A``."""
-    if not A:
-        return all(x == 0 for x in v)
-    return Factorization(A).contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -936,37 +913,6 @@ def exact_at(f: AbMap, g: AbMap) -> tuple[bool, str | None]:
 
 
 # ---------------------------------------------------------------------------
-# Maps of presented groups (generators and explicit relation columns)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PresentedMap:
-    """A map ``Z^n / src_rels -> Z^m / dst_rels`` by its matrix on generators.
-
-    A relation matrix has one row per generator and one column per relation.
-    """
-
-    src_rels: IntMatrix
-    dst_rels: IntMatrix
-    matrix: IntMatrix
-
-    def well_defined(self) -> tuple[bool, str | None]:
-        relations = Factorization(self.dst_rels)
-        for j, c in enumerate(columns(self.src_rels)):
-            img = mat_vec(self.matrix, c)
-            if not relations.contains(img):
-                return False, f"relation {j} maps to {img}, outside the relations"
-        return True, None
-
-    def induced(self) -> AbMap:
-        """The map on invariant-factor forms, ``project . matrix . lift`` by
-        :func:`quotient_presentation` of both ends."""
-        src, _, lift = quotient_presentation(len(self.src_rels), self.src_rels)
-        dst, project, _ = quotient_presentation(len(self.dst_rels), self.dst_rels)
-        return AbMap(src, dst, matmul(matmul(project, self.matrix), lift))
-
-
-# ---------------------------------------------------------------------------
 # Binary functors on groups
 # ---------------------------------------------------------------------------
 
@@ -1057,175 +1003,6 @@ def quadratic_functor(kind: str, A: FgAbGroup) -> FgAbGroup:
     return quadratic_on_decomposition(kind, A.invariant_factors)
 
 
-# ---------------------------------------------------------------------------
-# Quadratic functors: presentation-level oracles
-# ---------------------------------------------------------------------------
-
-ORACLE_KINDS = ("lambda2", "sym2", "gamma", "whiteheadP")
-
-DEFAULT_ORACLE_BOUND = 64
-
-
-def _dedupe_columns(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for c in cols:
-        if any(c) and c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
-def gamma_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> IntMatrix:
-    """Relation matrix of an element-level presentation of the divided-power
-    functor.
-
-    One generator ``gamma(a)`` per element; relations say ``gamma(0) = 0``,
-    ``gamma(-a) = gamma(a)``, and the third cross effect of ``gamma``
-    vanishes on every triple.
-    """
-    elems = _oracle_elements(A, bound)
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-
-    def vec(pairs: list[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
-        v = [0] * n
-        for e, c in pairs:
-            v[index[e]] += c
-        return tuple(v)
-
-    rels: list[tuple[int, ...]] = [vec([(A.zero(), 1)])]
-    for a in elems:
-        rels.append(vec([(A.neg(a), 1), (a, -1)]))
-    for a in elems:
-        for b in elems:
-            ab = A.add(a, b)
-            for c in elems:
-                rels.append(
-                    vec(
-                        [
-                            (A.add(ab, c), 1),
-                            (ab, -1),
-                            (A.add(a, c), -1),
-                            (A.add(b, c), -1),
-                            (a, 1),
-                            (b, 1),
-                            (c, 1),
-                        ]
-                    )
-                )
-    return from_columns(_dedupe_columns(rels), n)
-
-
-def whiteheadP_presentation(A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> IntMatrix:
-    """Relation matrix of an element-level presentation of the quadratic
-    construction.
-
-    Generators ``t_a`` for nonzero ``a``, one relation per triple expressing
-    that triple products of the ``t``'s vanish:
-    ``t(a+b+c) - t(a+b) - t(a+c) - t(b+c) + t(a) + t(b) + t(c) = 0``
-    (``t`` of zero reads as 0).
-    """
-    elems = _oracle_elements(A, bound)
-    nz = [e for e in elems if any(e)]
-    index = {e: i for i, e in enumerate(nz)}
-    n = len(nz)
-
-    def vec(pairs: list[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
-        v = [0] * n
-        for e, c in pairs:
-            if any(e):
-                v[index[e]] += c
-        return tuple(v)
-
-    rels: list[tuple[int, ...]] = []
-    for a in nz:
-        for b in nz:
-            ab = A.add(a, b)
-            for c in nz:
-                rels.append(
-                    vec(
-                        [
-                            (A.add(ab, c), 1),
-                            (ab, -1),
-                            (A.add(a, c), -1),
-                            (A.add(b, c), -1),
-                            (a, 1),
-                            (b, 1),
-                            (c, 1),
-                        ]
-                    )
-                )
-    return from_columns(_dedupe_columns(rels), n)
-
-
-def tensor_square_presentation(A: FgAbGroup) -> IntMatrix:
-    """Relation matrix of ``A (x) A`` on generator pairs ``e_(i,j)``."""
-    fs = A.invariant_factors
-    k = len(fs)
-    n = k * k
-
-    def idx(i: int, j: int) -> int:
-        return i * k + j
-
-    rels: list[tuple[int, ...]] = []
-    for i in range(k):
-        for j in range(k):
-            for d in (fs[i], fs[j]):
-                if d:
-                    v = [0] * n
-                    v[idx(i, j)] = d
-                    rels.append(tuple(v))
-    return from_columns(_dedupe_columns(rels), n)
-
-
-def sym2_presentation(A: FgAbGroup) -> IntMatrix:
-    """Symmetric square: tensor square modulo ``e_(i,j) = e_(j,i)``."""
-    base = tensor_square_presentation(A)
-    fs = A.invariant_factors
-    k = len(fs)
-    extra: list[tuple[int, ...]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = [0] * len(base)
-            v[i * k + j] = 1
-            v[j * k + i] = -1
-            extra.append(tuple(v))
-    return from_columns(_dedupe_columns(columns(base) + extra), len(base))
-
-
-def lambda2_presentation(A: FgAbGroup) -> IntMatrix:
-    """Exterior square: tensor square modulo the diagonal.
-
-    The subgroup generated by all ``a (x) a`` is spanned by the
-    ``e_(i,i)`` and the ``e_(i,j) + e_(j,i)``, by bilinear expansion of
-    ``(sum a_i g_i) (x) (sum a_j g_j)``.
-    """
-    base = tensor_square_presentation(A)
-    fs = A.invariant_factors
-    k = len(fs)
-    extra: list[tuple[int, ...]] = []
-    for i in range(k):
-        v = [0] * len(base)
-        v[i * k + i] = 1
-        extra.append(tuple(v))
-        for j in range(i + 1, k):
-            w = [0] * len(base)
-            w[i * k + j] = 1
-            w[j * k + i] = 1
-            extra.append(tuple(w))
-    return from_columns(_dedupe_columns(columns(base) + extra), len(base))
-
-
-def _oracle_elements(A: FgAbGroup, bound: int) -> list[tuple[int, ...]]:
-    n = A.order()
-    if n is None:
-        raise TooLarge("element-level oracle needs a finite group")
-    if n > bound:
-        raise TooLarge(f"group of order {n} exceeds the oracle bound {bound}")
-    return A.elements(bound=max(bound, n))
-
-
 def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
     """The quadratic-functor rule applied to a raw cyclic decomposition.
 
@@ -1251,109 +1028,6 @@ def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
                 ).invariant_factors
             )
     return FgAbGroup.from_factors(parts)
-
-
-def whitehead_sequence(
-    A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND
-) -> tuple[PresentedMap, PresentedMap]:
-    """The sequence ``0 -> Sym2(A) -> P(A) -> A -> 0`` on presentations.
-
-    The first map sends a generator pair to the cross effect
-    ``t(g_i + g_j) - t(g_i) - t(g_j)``; the second sends ``t_a`` to ``a``.
-    """
-    sym = sym2_presentation(A)
-    P = whiteheadP_presentation(A, bound)
-    elems = _oracle_elements(A, bound)
-    nz = [e for e in elems if any(e)]
-    index = {e: i for i, e in enumerate(nz)}
-    k = A.ngens
-
-    def tvec(pairs: list[tuple[tuple[int, ...], int]]) -> list[int]:
-        v = [0] * len(nz)
-        for e, c in pairs:
-            if any(e):
-                v[index[e]] += c
-        return v
-
-    cols = []
-    for i in range(k):
-        for j in range(k):
-            gi, gj = A.generator(i), A.generator(j)
-            cols.append(tvec([(A.add(gi, gj), 1), (gi, -1), (gj, -1)]))
-    first = PresentedMap(sym, P, from_columns(cols, len(nz)))
-    second = PresentedMap(P, A.relation_matrix(), from_columns([list(e) for e in nz], A.ngens))
-    return first, second
-
-
-def tensor_sequence(A: FgAbGroup) -> tuple[PresentedMap, PresentedMap]:
-    """The sequence ``0 -> Lambda2(A) -> A (x) A -> Sym2(A) -> 0``.
-
-    The first map sends the class of ``e_(i,j)`` to ``e_(i,j) - e_(j,i)``;
-    the second is the projection onto the symmetric square.
-    """
-    lam = lambda2_presentation(A)
-    ten = tensor_square_presentation(A)
-    sym = sym2_presentation(A)
-    k = A.ngens
-    n = k * k
-    cols = []
-    for i in range(k):
-        for j in range(k):
-            v = [0] * n
-            v[i * k + j] += 1
-            v[j * k + i] -= 1
-            cols.append(v)
-    first = PresentedMap(lam, ten, from_columns(cols, n))
-    second = PresentedMap(ten, sym, identity(n))
-    return first, second
-
-
-def short_exact_checks(
-    f: PresentedMap, g: PresentedMap
-) -> list[tuple[str, bool, str | None]]:
-    """Named checks that ``0 -> . --f--> . --g--> . -> 0`` is short exact.
-
-    ``f`` and ``g`` share the middle relation matrix; exactness at each of
-    the three places is :func:`exact_at` on the induced maps.
-    """
-    out: list[tuple[str, bool, str | None]] = []
-    ok, w = f.well_defined()
-    out.append(("first map well defined", ok, w))
-    ok, w = g.well_defined()
-    out.append(("second map well defined", ok, w))
-    F, G = f.induced(), g.induced()
-    zero = G.compose(F).is_zero_map()
-    out.append(("composite is zero", zero, None if zero else "nonzero composite"))
-    trivial = FgAbGroup.trivial()
-    out.append(("first map injective", *exact_at(AbMap.zero_map(trivial, F.source), F)))
-    out.append(("exact at the middle", *exact_at(F, G)))
-    out.append(("second map surjective", *exact_at(G, AbMap.zero_map(G.target, trivial))))
-    return out
-
-
-def quadratic_oracle(kind: str, A: FgAbGroup, bound: int = DEFAULT_ORACLE_BOUND) -> FgAbGroup:
-    """Independent presentation-level computation of a quadratic functor.
-
-    ``gamma`` and ``whiteheadP`` work on one generator per group element;
-    ``sym2`` and ``lambda2`` work on the tensor square of the invariant-factor
-    generators. Raises :class:`TooLarge` beyond ``bound``.
-
-    >>> quadratic_oracle("gamma", FgAbGroup((2,)))
-    FgAbGroup((4,))
-    >>> quadratic_oracle("whiteheadP", FgAbGroup((2,)))
-    FgAbGroup((4,))
-    """
-    if kind not in ORACLE_KINDS:
-        raise ValueError(f"no oracle for quadratic functor kind: {kind!r}")
-    if kind == "gamma":
-        rels = gamma_presentation(A, bound)
-    elif kind == "whiteheadP":
-        rels = whiteheadP_presentation(A, bound)
-    elif kind == "sym2":
-        rels = sym2_presentation(A)
-    else:
-        rels = lambda2_presentation(A)
-    return quotient_presentation(len(rels), rels)[0]
 
 
 # ---------------------------------------------------------------------------

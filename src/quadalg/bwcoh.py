@@ -215,6 +215,8 @@ class FinCat:
         composed by matrix product (see :meth:`matrices`)."""
         if modulus < 2:
             raise ValueError("the matrix category needs a modulus of at least 2")
+        if max_rank < 0:
+            raise ValueError(f"max_rank must be at least 0, got {max_rank}")
         if modulus ** (max_rank * max_rank) > 4096:
             raise TooLarge(
                 f"hom set of size {modulus}^{max_rank * max_rank} is too large to tabulate"

@@ -263,6 +263,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except (InfeasibleSize, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,8 @@ from quadalg.abelian import (
     mat_shape,
     quotient_presentation,
 )
+from quadalg.bwcoh import FinCat, NatSystem
+from quadalg.errors import BoundaryMismatch, SectionInvalid, ShapeMismatch
 from quadalg.nil2 import SquareGroup
 
 
@@ -311,6 +313,104 @@ def smith_reference(M: IntMatrix) -> ReferenceSnf:
 
 
 # ---------------------------------------------------------------------------
+# The integer route for track extensions
+# ---------------------------------------------------------------------------
+
+class CyclicTrackExtension:
+    """Lifting problem for ``Z/m`` over its boundary-``d`` quotient.
+
+    The base is the multiplicative monoid of ``Z/g`` with
+    ``g = gcd(d, m)`` as a one-object category; lifts are residues mod
+    ``m`` and tracks between lifts are boundary certificates. This is
+    written directly on integers, independent of the matrix machinery.
+    """
+
+    def __init__(self, m: int, d: int):
+        if m < 2:
+            raise ValueError("the total ring needs order at least 2")
+        self.m = m
+        self.d = d % m
+        self.g = math.gcd(self.d, m) if self.d else m
+        self.stride = m // self.g
+        self.base = FinCat.from_monoid(
+            tuple(range(self.g)),
+            lambda a, b: (a * b) % self.g,
+            1 % self.g,
+            name=f"Z/{self.g} multiplicative",
+        )
+        if self.g > 1:
+            block = FgAbGroup((self.g,))
+        else:
+            block = FgAbGroup.trivial()
+
+        def act(nu, alpha, psi):
+            scale = (psi * nu) % self.g if self.g > 1 else 0
+            return AbMap(block, block, [[scale]] if self.g > 1 else [])
+
+        self.system = NatSystem(
+            cat=self.base,
+            group=lambda alpha: block,
+            act=act,
+            name=f"kernel Z/{self.g} with two-sided multiplication",
+        )
+
+    def section(self, phi: int) -> int:
+        return phi % self.m
+
+    def second_section(self, phi: int) -> int:
+        return (phi + self.m - self.g) % self.m
+
+    def compose_lifts(self, u: int, v: int) -> int:
+        return (u * v) % self.m
+
+    def first_track(self, F: int, G: int) -> "CycTrack":
+        for r in range(self.m):
+            if (self.d * r - (F - G)) % self.m == 0:
+                return CycTrack(self.m, self.d, F, G, r)
+        raise SectionInvalid(f"no track from {F} to {G} mod {self.m}")
+
+    def vcomp(self, t1: "CycTrack", t2: "CycTrack") -> "CycTrack":
+        if t1.f1 != t2.f0:
+            raise ShapeMismatch("vertical composition needs matching middles")
+        return CycTrack(self.m, self.d, t1.f0, t2.f1, (t1.r + t2.r) % self.m)
+
+    def invert(self, t: "CycTrack") -> "CycTrack":
+        return CycTrack(self.m, self.d, t.f1, t.f0, (-t.r) % self.m)
+
+    def left_whisker(self, u: int, t: "CycTrack") -> "CycTrack":
+        return CycTrack(
+            self.m, self.d, (u * t.f0) % self.m, (u * t.f1) % self.m, (u * t.r) % self.m
+        )
+
+    def right_whisker(self, t: "CycTrack", v: int) -> "CycTrack":
+        return CycTrack(
+            self.m, self.d, (t.f0 * v) % self.m, (t.f1 * v) % self.m, (t.r * v) % self.m
+        )
+
+    def value(self, t: "CycTrack") -> tuple:
+        if t.f0 != t.f1:
+            raise ValueError("only automorphism tracks carry module values")
+        if t.r % self.stride:
+            raise ValueError(f"track value {t.r} is not in the kernel module image")
+        return ((t.r // self.stride) % self.g,) if self.g > 1 else ()
+
+
+@dataclass(frozen=True)
+class CycTrack:
+    m: int
+    d: int
+    f0: int
+    f1: int
+    r: int
+
+    def __post_init__(self):
+        if (self.d * self.r - (self.f0 - self.f1)) % self.m:
+            raise BoundaryMismatch(
+                f"{self.d} * {self.r} does not bound {self.f0} - {self.f1} mod {self.m}"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Quadratic functors as tensor products with square groups
 # ---------------------------------------------------------------------------
 
@@ -357,10 +457,10 @@ def quadratic_tensor(A: FgAbGroup, sg: SquareGroup) -> FgAbGroup:
     pairs = list(itertools.combinations(range(len(d)), 2))
     rank = len(d) * K + len(pairs) * L
 
-    def tensor(i: int, m, c: int = 1) -> list[int]:
-        """``c (e_i (x) m)`` for ``m`` in ``M_e`` coordinates."""
+    def tensor(i: int, m) -> list[int]:
+        """``e_i (x) m`` for ``m`` in ``M_e`` coordinates."""
         v = [0] * rank
-        v[i * K : (i + 1) * K] = [c * x for x in m]
+        v[i * K : (i + 1) * K] = m
         return v
 
     def bracket(p: int, l: int, c: int) -> list[int]:
@@ -371,10 +471,11 @@ def quadratic_tensor(A: FgAbGroup, sg: SquareGroup) -> FgAbGroup:
 
     rels = []
     for i, di in enumerate(d):
-        for k, o in enumerate(e.invariant_factors):
-            rels.append(tensor(i, mus[k], o))
-            rels.append([a + b for a, b in zip(tensor(i, mus[k], di), tensor(i, ph[k], math.comb(di, 2)))])
-        rels.extend(tensor(i, n, di) for n in p_nu)
+        c2 = math.comb(di, 2)
+        for mu, o, phm in zip(mus, e.invariant_factors, ph):
+            rels.append(tensor(i, [o * x for x in mu]))
+            rels.append(tensor(i, [di * x + c2 * y for x, y in zip(mu, phm)]))
+        rels.extend(tensor(i, [di * x for x in n]) for n in p_nu)
     for p, (i, j) in enumerate(pairs):
         for l, o in enumerate(ee.invariant_factors):
             rels.extend(bracket(p, l, c) for c in (o, d[i], d[j]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadalg.abelian import (
     AbMap,
+    Factorization,
     FgAbGroup,
     binary_functor,
     canonical_factors,
@@ -17,13 +18,11 @@ from quadalg.abelian import (
     from_columns,
     homology_at,
     identity,
-    in_lattice,
     kernel_basis,
     lattice_basis,
     matmul,
     quotient_presentation,
     smith,
-    smith_normal_form,
     solve_integer,
     validate_factors,
 )
@@ -34,15 +33,14 @@ from .oracles import homology_oracle, subgroup_closure
 
 class TestSmithNormalForm:
     def test_worked_example(self):
-        S, U, V = smith_normal_form([[2, 4], [6, 8]])
-        assert S == [[2, 0], [0, 4]]
-        assert matmul(matmul(U, [[2, 4], [6, 8]]), V) == S
+        r = smith([[2, 4], [6, 8]])
+        assert r.S == [[2, 0], [0, 4]]
+        assert matmul(matmul(r.U, [[2, 4], [6, 8]]), r.V) == r.S
 
     def test_zero_and_empty(self):
-        S, U, V = smith_normal_form([[0, 0], [0, 0]])
-        assert S == [[0, 0], [0, 0]]
-        S, U, V = smith_normal_form([])
-        assert S == [] and U == [] and V == []
+        assert smith([[0, 0], [0, 0]]).S == [[0, 0], [0, 0]]
+        r = smith([])
+        assert r.S == [] and r.U == [] and r.V == []
 
     def test_randomized_invariants(self):
         rng = random.Random(0)
@@ -82,9 +80,9 @@ class TestSmithNormalForm:
         basis = lattice_basis(A)
         B = from_columns(basis, 2)
         for c in columns(A):
-            assert in_lattice(B, c)
+            assert Factorization(B).contains(c)
         for c in basis:
-            assert in_lattice(A, c)
+            assert Factorization(A).contains(c)
 
 
 class TestFgAbGroup:

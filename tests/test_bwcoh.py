@@ -41,7 +41,9 @@ from quadalg.errors import (
     NotSurjective,
     TooLarge,
 )
-from quadalg.modq import CyclicTrackExtension, ModQTrackExtension
+from quadalg.modq import ModQTrackExtension
+
+from .oracles import CyclicTrackExtension
 
 
 def cyclic_setup(m: int):
@@ -170,6 +172,11 @@ class TestFinCat:
     def test_matrix_category_growth_guard(self):
         with pytest.raises(TooLarge):
             FinCat.mod_r(2, 4)
+
+    def test_matrix_category_rejects_a_negative_rank(self):
+        assert FinCat.mod_r(2, 0).objects == (0,)
+        with pytest.raises(ValueError, match="max_rank must be at least 0"):
+            FinCat.mod_r(2, -1)
 
     def test_rejects_a_nonpositive_cyclic_order(self):
         with pytest.raises(ValueError, match="must be positive"):

@@ -72,6 +72,21 @@ class TestVerify:
         assert code == 0
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, docs, capsys, samples):
+        # on the infinite carriers of Znil no tuple would be drawn at all
+        assert main(["verify", docs["ring"], "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("kind, max_rank", [("category", -1), ("natural_system", -2)])
+    def test_negative_max_rank_exits_two(self, tmp_path, capsys, kind, max_rank):
+        doc = {"schema_version": 1, "kind": kind, "construction": "dm",
+               "modulus": 2, "max_rank": max_rank}
+        assert main(["verify", write_json(tmp_path, "dm_negative.json", doc)]) == 2
+        assert f"{kind}: max_rank must be at least 0" in capsys.readouterr().err
+
     def test_conflicting_qpm_h_table_exits_two(self, tmp_path, capsys):
         doc = dict(QPM_EXPLICIT, H=[[[0], [0]], [[1], [1]], [[1], [0]]])
         assert main(["verify", write_json(tmp_path, "qpm_conflict.json", doc)]) == 2
@@ -187,6 +202,10 @@ class TestNu:
         assert code == 0
         assert "note: kernel of the boundary: Z/2" in out
         assert "note: class: nu = 1 in Z/2: generator" in out
+
+    def test_samples_below_one_exit_two(self, docs, capsys):
+        assert main(["nu", docs["ztilde"], "--samples", "0"]) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
 
     def test_needs_an_extension_document(self, docs, capsys):
         code = main(["nu", docs["ring"]])

@@ -1,4 +1,5 @@
-"""Run the examples in every ``quadalg`` module's docstrings."""
+"""Run the examples in the docstrings of every ``quadalg`` module and of the
+test oracles."""
 from __future__ import annotations
 
 import doctest
@@ -9,7 +10,9 @@ import pytest
 
 import quadalg
 
-MODULES = sorted(m.name for m in pkgutil.iter_modules(quadalg.__path__, "quadalg."))
+MODULES = sorted(m.name for m in pkgutil.iter_modules(quadalg.__path__, "quadalg.")) + [
+    "tests.oracles"
+]
 
 
 @pytest.mark.parametrize("name", MODULES)

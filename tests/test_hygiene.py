@@ -1,7 +1,9 @@
-"""Source hygiene: ``quadalg`` modules import at the top, and use every import."""
+"""Source hygiene: ``quadalg`` modules import at the top, use every import,
+and call every private helper."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,38 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def unread_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module reads,
+    reads inside their own definition aside, as ``module: name (line n)``."""
+    reads = Counter(
+        n.id
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                own = sum(
+                    1 for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == node.name
+                )
+                if reads[node.name] == own:
+                    out.append(f"{module}: {node.name} (line {node.lineno})")
+    return out
+
+
+def test_every_private_helper_is_called():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert unread_private_helpers(trees) == []
+
+
+def test_the_check_sees_an_unread_helper():
+    a = ast.parse("def _used():\n    pass\ndef _recursive(n):\n    return _recursive(n)\n")
+    b = ast.parse("class _Unread:\n    pass\n_used()\n")
+    assert unread_private_helpers({"a.py": a, "b.py": b}) == [
+        "a.py: _recursive (line 3)",
+        "b.py: _Unread (line 1)",
+    ]

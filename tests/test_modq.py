@@ -17,8 +17,6 @@ from quadalg.errors import (
     TooLarge,
 )
 from quadalg.modq import (
-    CycTrack,
-    CyclicTrackExtension,
     FreeModElement,
     ModQMor,
     ModQTrackExtension,
@@ -40,6 +38,8 @@ from quadalg.modq import (
     track_vcomp,
 )
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
+
+from .oracles import CycTrack, CyclicTrackExtension
 
 
 @pytest.fixture(scope="module")

@@ -1,20 +1,15 @@
-"""Tests for the quadratic functor tables against the element-level oracle."""
+"""Tests for the quadratic functor tables against the square-group tensor oracle."""
 from __future__ import annotations
 
 import pytest
 
 from quadalg.abelian import (
     FgAbGroup,
-    ORACLE_KINDS,
     QUADRATIC_KINDS,
+    binary_functor,
     quadratic_functor,
     quadratic_on_decomposition,
-    quadratic_oracle,
-    short_exact_checks,
-    tensor_sequence,
-    whitehead_sequence,
 )
-from quadalg.errors import TooLarge
 from quadalg.nil2 import SquareGroup, square_group_verify
 
 from .oracles import QUADRATIC_MODULES, quadratic_tensor
@@ -74,7 +69,7 @@ class TestTables:
             quadratic_functor("cube", FgAbGroup((2,)))
 
 
-class TestTensorOracle:
+class TestOracleAgreement:
     @pytest.mark.parametrize("kind", QUADRATIC_MODULES)
     def test_every_group_up_to_order_64(self, kind):
         groups = small_groups(64)
@@ -93,44 +88,28 @@ class TestTensorOracle:
         with pytest.raises(ValueError, match="not additive"):
             quadratic_tensor(FgAbGroup((2,)), squaring)
 
-
-class TestOracleAgreement:
-    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("kind", QUADRATIC_MODULES)
     def test_spot_groups(self, kind):
-        for factors in [(), (2,), (3,), (4,), (2, 2), (2, 4), (6,), (3, 3)]:
-            g = FgAbGroup.from_factors(list(factors))
-            assert quadratic_functor(kind, g) == quadratic_oracle(kind, g), (
+        # groups with free summands, which no finite enumeration reaches
+        for factors in [(0,), (0, 0), (2, 0), (3, 6, 0)]:
+            g = FgAbGroup(factors)
+            assert quadratic_functor(kind, g) == quadratic_tensor(g, QUADRATIC_MODULES[kind]), (
                 kind,
                 factors,
             )
 
-    def test_oracle_guards_size(self):
-        with pytest.raises(TooLarge):
-            quadratic_oracle("gamma", FgAbGroup((128,)), bound=64)
-        with pytest.raises(TooLarge):
-            quadratic_oracle("gamma", FgAbGroup.free(1))
-
 
 class TestExactSequences:
-    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (2, 4), (8,)])
-    def test_whitehead_sequence(self, factors):
-        g = FgAbGroup.from_factors(list(factors))
-        f, q = whitehead_sequence(g)
-        for name, ok, witness in short_exact_checks(f, q):
-            assert ok, (factors, name, witness)
-
-    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (2, 4), (8,)])
-    def test_tensor_sequence(self, factors):
-        g = FgAbGroup.from_factors(list(factors))
-        f, q = tensor_sequence(g)
-        for name, ok, witness in short_exact_checks(f, q):
-            assert ok, (factors, name, witness)
-
     def test_order_accounting(self):
-        for g in small_groups(12):
-            p = quadratic_functor("whiteheadP", g).order()
-            s = quadratic_functor("sym2", g).order()
+        # |P(A)| = |A| |Sym2 A| and |A (x) A| = |Lambda2 A| |Sym2 A|, from
+        # 0 -> Sym2 A -> P(A) -> A -> 0 and 0 -> Lambda2 A -> A (x) A -> Sym2 A -> 0
+        for g in small_groups(64):
+            p, s, lam = (
+                quadratic_tensor(g, QUADRATIC_MODULES[kind]).order()
+                for kind in ("whiteheadP", "sym2", "lambda2")
+            )
             assert p == g.order() * s, g.invariant_factors
+            assert binary_functor("tensor", g, g).order() == lam * s, g.invariant_factors
 
 
 class TestOmegaInvariance:
@@ -156,5 +135,5 @@ class TestOmegaInvariance:
 
 class TestKindList:
     def test_registry(self):
-        assert set(ORACLE_KINDS) <= set(QUADRATIC_KINDS)
-        assert "omega" in QUADRATIC_KINDS and "omega" not in ORACLE_KINDS
+        assert set(QUADRATIC_MODULES) <= set(QUADRATIC_KINDS)
+        assert "omega" in QUADRATIC_KINDS and "omega" not in QUADRATIC_MODULES
