@@ -40,6 +40,8 @@ from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 
 IntMatrix = list[list[int]]
 
+DEFAULT_ENUM_BOUND = 4096
+
 
 # ---------------------------------------------------------------------------
 # Matrix helpers
@@ -600,7 +602,7 @@ class FgAbGroup:
     def generators(self) -> list[tuple[int, ...]]:
         return [self.generator(i) for i in range(self.ngens)]
 
-    def elements(self, bound: int = 4096) -> list[tuple[int, ...]]:
+    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[int, ...]]:
         n = self.order()
         if n is None:
             raise TooLarge("cannot enumerate an infinite group")

@@ -210,7 +210,7 @@ class FinCat:
         )
 
     @classmethod
-    def mod_r(cls, modulus: int, max_rank: int, name: str | None = None) -> "FinCat":
+    def mod_r(cls, modulus: int, max_rank: int) -> "FinCat":
         """The matrices over ``Z/modulus`` of rank at most ``max_rank``,
         composed by matrix product (see :meth:`matrices`)."""
         if modulus < 2:
@@ -225,7 +225,7 @@ class FinCat:
             range(modulus),
             lambda row, col: sum(map(operator.mul, row, col)) % modulus,
             1, 0, max_rank,
-            name or f"mod-Z/{modulus} ranks <= {max_rank}",
+            f"mod-Z/{modulus} ranks <= {max_rank}",
         )
 
 
@@ -261,7 +261,7 @@ class NatSystem:
         return self._maps[key]
 
 
-def trivial_system(cat: FinCat, group: FgAbGroup, name: str | None = None) -> NatSystem:
+def trivial_system(cat: FinCat, group: FgAbGroup) -> NatSystem:
     def act(nu, alpha, psi):
         return AbMap(group, group, identity_matrix(group.ngens))
 
@@ -269,7 +269,7 @@ def trivial_system(cat: FinCat, group: FgAbGroup, name: str | None = None) -> Na
         cat=cat,
         group=lambda alpha: group,
         act=act,
-        name=name or f"constant {group.describe()}",
+        name=f"constant {group.describe()}",
     )
 
 
@@ -323,10 +323,12 @@ def dm_natural_system(
     :func:`bimodule_system` of ``Z/coeff`` on :meth:`FinCat.mod_r`, with
     cell ``(i, k)`` of ``alpha: y -> x`` at coordinate ``i*y + k``.
 
-    The coefficient modulus must divide the matrix modulus so the action is
-    independent of entry representatives.
+    The coefficient modulus must be at least 2, and must divide the matrix
+    modulus so the action is independent of entry representatives.
     """
     coeff = modulus if coeff_modulus is None else coeff_modulus
+    if coeff_modulus is not None and coeff_modulus < 2:
+        raise ValueError(f"the coefficient modulus must be at least 2, got {coeff_modulus}")
     if modulus % coeff:
         raise ValueError(
             f"coefficient modulus {coeff} must divide the matrix modulus {modulus}"
@@ -782,8 +784,6 @@ def relative_cohomology(
     p: dict,
     D: NatSystem,
     degree: int,
-    normalized: bool | None = None,
-    max_generators: int = DEFAULT_GENERATOR_CAP,
 ) -> FgAbGroup:
     """Relative cohomology of ``p: K -> C`` in the given degree.
 
@@ -791,6 +791,9 @@ def relative_cohomology(
     relative groups are the cohomology of the cokernel of the cochain
     restriction, shifted up by one degree so the long exact sequence
     reads ``0 -> H^0(C) -> H^0(K) -> H^1(C,K) -> H^1(C) -> ...``.
+    Degree ``n`` uses normalized chains exactly when ``n - 1 > 2``, as
+    :func:`cohomology` does in degree ``n - 1``, and refuses levels above
+    ``DEFAULT_GENERATOR_CAP`` generators.
     """
     if degree < 1:
         raise ValueError("relative cohomology starts in degree 1")
@@ -798,11 +801,9 @@ def relative_cohomology(
         raise DegreeTooHigh(
             f"relative cohomology is implemented for degree <= {MAX_RELATIVE_DEGREE}, got {degree}"
         )
-    if normalized is None:
-        normalized = degree - 1 > 2
     validate_projection(C, K, p)
     j = degree - 1
-    cx = _QuotientComplex(C, K, p, D, normalized, max_generators)
+    cx = _QuotientComplex(C, K, p, D, j > 2, DEFAULT_GENERATOR_CAP)
     cx.check_sizes(range(max(j - 1, 0), j + 2))
     return cx.homology(j).group
 
@@ -813,20 +814,19 @@ def les_report(
     p: dict,
     D: NatSystem,
     max_degree: int = 2,
-    normalized: bool = False,
-    max_generators: int = DEFAULT_GENERATOR_CAP,
 ) -> Report:
     """Exactness of the long sequence relating ``C``, ``K``, and the pair.
 
     Builds ``H^j(C) -> H^j(K) -> H^(j+1)(C,K) -> H^(j+1)(C)`` maps from
     explicit cocycle representatives and checks exactness at every node
     up to the requested degree, which runs from 0 to 3 as in
-    :func:`cohomology`.
+    :func:`cohomology`. Every degree uses full chains, and levels above
+    ``DEFAULT_GENERATOR_CAP`` generators are refused.
     """
     _check_degree(max_degree, "the long exact sequence is")
     validate_projection(C, K, p)
     r = Report(title=f"long exact sequence: {C.name} relative {K.name}")
-    cxQ = _QuotientComplex(C, K, p, D, normalized, max_generators)
+    cxQ = _QuotientComplex(C, K, p, D, False, DEFAULT_GENERATOR_CAP)
     cxC, cxK = cxQ.of_c, cxQ.of_k
     cxQ.check_sizes(range(max_degree + 2))
     HC = {j: cxC.homology(j) for j in range(max_degree + 1)}

@@ -265,6 +265,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "samples", 1) < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if getattr(args, "max_generators", 1) < 1:
+            raise ValueError(f"--max-generators must be at least 1, got {args.max_generators}")
         return args.func(args)
     except (InfeasibleSize, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

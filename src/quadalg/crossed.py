@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import (
+    DEFAULT_ENUM_BOUND,
     AbMap,
     Factorization,
     FgAbGroup,
@@ -44,7 +45,6 @@ from .errors import (
     TooLarge,
 )
 from .nil2 import (
-    DEFAULT_ENUM_BOUND,
     Carrier,
     DirectSumCarrier,
     FreeAbelianCarrier,
@@ -222,8 +222,8 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
 
 
 def _exactness_checks(ext: CrossedExtension, r: Report, samples: int, rng: random.Random) -> None:
-    c1_pool = _finite_elements(ext.c1, DEFAULT_ENUM_BOUND)
-    m_pool = _finite_elements(ext.module, DEFAULT_ENUM_BOUND)
+    c1_pool = _finite_elements(ext.c1)
+    m_pool = _finite_elements(ext.module)
     if c1_pool is not None and m_pool is not None:
         images = {}
         for m in m_pool:
@@ -247,8 +247,8 @@ def _exactness_checks(ext: CrossedExtension, r: Report, samples: int, rng: rando
               bad and f"{bad[0]!r} and {bad[1]!r} collide")
         r.note("kernel of the boundary compared on finite carriers only")
 
-    c0_pool = _finite_elements(ext.c0, DEFAULT_ENUM_BOUND)
-    r_pool = _finite_elements(ext.quot.carrier, DEFAULT_ENUM_BOUND)
+    c0_pool = _finite_elements(ext.c0)
+    r_pool = _finite_elements(ext.quot.carrier)
     if c0_pool is not None and c1_pool is not None and r_pool is not None:
         image = {ext.boundary(s) for s in c1_pool}
         kernel = {x for x in c0_pool if ext.quot.carrier.is_zero(ext.quot.q(x))}
@@ -267,21 +267,15 @@ def _exactness_checks(ext: CrossedExtension, r: Report, samples: int, rng: rando
         r.note("exactness at the ring level compared on finite carriers only")
 
 
-def linearly_generated(ext: CrossedExtension, pool: Sequence | None = None) -> tuple[bool, str | None]:
-    """Does the image of the ``H`` kernel generate ``R`` additively?
-
-    ``pool`` optionally supplies the degree-zero elements to probe; by
-    default the linear elements found by :func:`linear_elements` are
-    used.
-    """
-    if pool is None:
-        try:
-            pool = linear_elements(ext.ring)
-        except (NotFinite, TooLarge):
-            return (False, "no linear element pool available")
+def linearly_generated(ext: CrossedExtension) -> tuple[bool, str | None]:
+    """Does the image of the ``H`` kernel generate ``R`` additively?"""
+    try:
+        pool = linear_elements(ext.ring)
+    except (NotFinite, TooLarge):
+        return (False, "no linear element pool available")
     images = [ext.quot.q(x) for x in pool]
     carrier = ext.quot.carrier
-    finite = _finite_elements(carrier, DEFAULT_ENUM_BOUND)
+    finite = _finite_elements(carrier)
     if finite is not None:
         reached = {carrier.zero()}
         frontier = [carrier.zero()]
@@ -353,7 +347,6 @@ def nu_class(
     ext: CrossedExtension,
     samples: int = 300,
     seed: int = 0,
-    bound: int = DEFAULT_ENUM_BOUND,
 ) -> NuResult:
     """Compute ``nu = P(H(1 + 1))`` and locate it inside ``ker boundary``.
 
@@ -374,7 +367,7 @@ def nu_class(
         [ext.c0], lambda x: ext.act_left(x, nu) == ext.act_right(nu, x), samples, rng
     ) is None
     factors = generates = None
-    kernel_pool = _finite_elements(ext.c1, bound)
+    kernel_pool = _finite_elements(ext.c1)
     if kernel_pool is not None:
         kernel = [s for s in kernel_pool if ext.c0.is_zero(ext.boundary(s))]
         factors = finite_abelian_invariants(kernel, c1.add, c1.zero())

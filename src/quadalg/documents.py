@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abelian import AbMap, FgAbGroup, mat_shape, mat_vec
+from .abelian import DEFAULT_ENUM_BOUND, AbMap, FgAbGroup, mat_shape, mat_vec
 from .bwcoh import (
     FinCat,
     NatSystem,
@@ -140,6 +140,12 @@ def _int_matrix(raw, where: str) -> list[list[int]]:
     return out
 
 
+def _has_shape(M: list[list[int]], rows: int, cols: int) -> bool:
+    """``M`` has ``rows`` rows of ``cols`` entries each. With no rows this
+    holds for any ``cols``, since JSON writes every 0 x n matrix as ``[]``."""
+    return len(M) == rows and all(len(row) == cols for row in M)
+
+
 # ---------------------------------------------------------------------------
 # Abelian maps
 # ---------------------------------------------------------------------------
@@ -157,7 +163,7 @@ class AbMapDocument:
         r.note(f"source: {self.source.describe()}")
         r.note(f"target: {self.target.describe()}")
         rows, cols = mat_shape(self.matrix)
-        shape_ok = rows == self.target.ngens and cols == self.source.ngens
+        shape_ok = _has_shape(self.matrix, self.target.ngens, self.source.ngens)
         r.add(
             "matrix shape matches the generator counts",
             shape_ok,
@@ -200,7 +206,7 @@ def _h_table(doc: dict, e: FgAbGroup, ee: FgAbGroup, where: str) -> dict:
             raise DocumentError(f"{where} H: each entry must be a [x, H(x)] pair")
         x = _coords(row[0], e, f"{where} H input")
         table[x] = _coords(row[1], ee, f"{where} H output")
-    missing = [x for x in e.elements(4096) if x not in table]
+    missing = [x for x in e.elements(DEFAULT_ENUM_BOUND) if x not in table]
     if missing:
         raise DocumentError(f"{where} H: no value for {missing[0]}")
     if len(raw_h) != e.order():
@@ -220,8 +226,8 @@ def _build_square_group(doc: dict) -> SquareGroup:
         raise DocumentError("explicit square groups must have finite carriers")
     table = _h_table(doc, ge, gee, "square_group")
     pmat = _int_matrix(_field(doc, "P", list, "square_group"), "square_group P")
-    rows, cols = mat_shape(pmat)
-    if rows != ge.ngens or cols != gee.ngens:
+    if not _has_shape(pmat, ge.ngens, gee.ngens):
+        rows, cols = mat_shape(pmat)
         raise DocumentError(
             f"square_group P: matrix is {rows}x{cols}, wanted {ge.ngens}x{gee.ngens}"
         )
@@ -307,11 +313,11 @@ def _build_qpm(doc: dict) -> Qpm:
     table = _h_table(doc, g0, gee, "qpm")
     pmat = _int_matrix(_field(doc, "P", list, "qpm"), "qpm P")
     bmat = _int_matrix(_field(doc, "boundary", list, "qpm"), "qpm boundary")
-    prows, pcols = mat_shape(pmat)
-    if prows != g1.ngens or pcols != gee.ngens:
+    if not _has_shape(pmat, g1.ngens, gee.ngens):
+        prows, pcols = mat_shape(pmat)
         raise DocumentError(f"qpm P: matrix is {prows}x{pcols}, wanted {g1.ngens}x{gee.ngens}")
-    brows, bcols = mat_shape(bmat)
-    if brows != g0.ngens or bcols != g1.ngens:
+    if not _has_shape(bmat, g0.ngens, g1.ngens):
+        brows, bcols = mat_shape(bmat)
         raise DocumentError(
             f"qpm boundary: matrix is {brows}x{bcols}, wanted {g0.ngens}x{g1.ngens}"
         )

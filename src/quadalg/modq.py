@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .abelian import from_columns
+from .abelian import DEFAULT_ENUM_BOUND, from_columns
 from .bwcoh import FinCat, bimodule_system
 from .crossed import CrossedExtension
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .nil2 import DEFAULT_ENUM_BOUND, Law, check_laws
+from .nil2 import Law, check_laws
 from .reports import Report
 from .sqring import SquareRing
 
@@ -583,11 +583,11 @@ def track_tau(ext: CrossedExtension, f: ModQMor, m: tuple) -> Track:
     return Track(ext, f, f, h)
 
 
-def track_tau_inv(t: Track, bound: int = DEFAULT_ENUM_BOUND) -> tuple:
+def track_tau_inv(t: Track) -> tuple:
     """The kernel-module matrix of an automorphism track."""
     if t.f0 != t.f1:
         raise ValueError("only automorphism tracks carry module values")
-    table = {t.ext.include(m): m for m in t.ext.module.elements(bound)}
+    table = {t.ext.include(m): m for m in t.ext.module.elements(DEFAULT_ENUM_BOUND)}
     out = []
     for row in t.h:
         vals = []
@@ -599,9 +599,7 @@ def track_tau_inv(t: Track, bound: int = DEFAULT_ENUM_BOUND) -> tuple:
     return tuple(out)
 
 
-def first_track(
-    ext: CrossedExtension, f: ModQMor, g: ModQMor, bound: int = DEFAULT_ENUM_BOUND
-) -> Track | None:
+def first_track(ext: CrossedExtension, f: ModQMor, g: ModQMor) -> Track | None:
     """The first track ``f => g`` in enumeration order, or ``None``.
 
     Requires the degree-one carrier to be finite; a track exists
@@ -610,7 +608,7 @@ def first_track(
     if (f.nrows, f.ncols) != (g.nrows, g.ncols):
         raise ShapeMismatch("parallel morphisms needed")
     table: dict = {}
-    for c in ext.c1.elements(bound):
+    for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
         table.setdefault(ext.boundary(c), c)
     c0 = ext.c0
     h = []

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .abelian import FgAbGroup, finite_abelian_invariants
+from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, finite_abelian_invariants
 from .errors import (
     ActionShapeMismatch,
     BasisMismatch,
@@ -30,8 +30,6 @@ from .errors import (
     TooLarge,
 )
 from .reports import Report
-
-DEFAULT_ENUM_BOUND = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +443,20 @@ class SgMorphism:
     name: str = ""
 
 
-def _finite_elements(carrier: Carrier, cap: int) -> list | None:
+def _finite_elements(carrier: Carrier) -> list | None:
     try:
-        return carrier.elements(cap)
+        return carrier.elements(DEFAULT_ENUM_BOUND)
     except (NotFinite, TooLarge):
         return None
 
 
-def _tuples(
-    carriers: Sequence[Carrier], samples: int, rng: random.Random, cap: int = DEFAULT_ENUM_BOUND
-) -> list[tuple]:
+def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> list[tuple]:
     """Either every tuple from the product of the carriers or a sample."""
-    pools = [_finite_elements(c, cap) for c in carriers]
+    pools = [_finite_elements(c) for c in carriers]
     total = 1
     for p in pools:
         total = total * len(p) if p is not None else 0
-    if all(p is not None for p in pools) and 0 < total <= cap:
+    if all(p is not None for p in pools) and 0 < total <= DEFAULT_ENUM_BOUND:
         return list(itertools.product(*pools))
     return [tuple(c.sample(rng) for c in carriers) for _ in range(samples)]
 
@@ -585,8 +581,6 @@ def semidirect(
     G: SquareGroup,
     A: SquareGroup,
     action: Callable,
-    samples: int = 400,
-    seed: int = 0,
 ) -> SquareGroup:
     """The semidirect sum of ``G`` acting on ``A`` through ``action``.
 
@@ -598,7 +592,7 @@ def semidirect(
     The result has elements ``(g, x)`` with addition twisted by
     ``P(action(x, h))`` and ``H(g, x) = (H(g), H(x) - T(action(x, g)))``.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for law in [
         Law("action not additive in the module slot", [A.e, A.e, G.e],
             lambda x, y, g: action(A.e.add(x, y), g) == A.ee.add(action(x, g), action(y, g)),
@@ -611,7 +605,7 @@ def semidirect(
         Law("action does not kill P-images on the right", [A.e, G.ee],
             lambda x, u: A.ee.is_zero(action(x, G.P(u))), "x u"),
     ]:
-        bad = counterexample(law.carriers, law.holds, samples, rng)
+        bad = counterexample(law.carriers, law.holds, 400, rng)
         if bad is not None:
             raise ActionShapeMismatch(f"{law.name}: {_witness(law.names, bad)}")
 
@@ -645,7 +639,6 @@ def splitting_to_action(
     include: SgMorphism,
     section: SgMorphism,
     retract: SgMorphism,
-    bound: int = DEFAULT_ENUM_BOUND,
 ) -> SplitExtension:
     """Recover the action from a split inclusion ``A -> B`` over ``G``.
 
@@ -657,30 +650,30 @@ def splitting_to_action(
     and the returned isomorphism sends ``(g, x)`` to
     ``section(g) + include(x)``.
 
-    All carriers must be finite; enumeration beyond ``bound`` raises the
-    carrier's own error.
+    All carriers must be finite; a carrier too large to enumerate raises
+    its own error.
     """
-    for g in G.e.elements(bound):
+    for g in G.e.elements(DEFAULT_ENUM_BOUND):
         if retract.e(section.e(g)) != g:
             raise NotASection(f"retract(section(g)) != g at g={g!r}")
-    for u in G.ee.elements(bound):
+    for u in G.ee.elements(DEFAULT_ENUM_BOUND):
         if retract.ee(section.ee(u)) != u:
             raise NotASection(f"retract(section(u)) != u at u={u!r} on ee")
 
-    a_elements = A.e.elements(bound)
+    a_elements = A.e.elements(DEFAULT_ENUM_BOUND)
     image_e = {}
     for x in a_elements:
         y = include.e(x)
         if y in image_e:
             raise NotExact(f"inclusion is not injective: {x!r} and {image_e[y]!r} collide")
         image_e[y] = x
-    kernel_e = {b for b in B.e.elements(bound) if G.e.is_zero(retract.e(b))}
+    kernel_e = {b for b in B.e.elements(DEFAULT_ENUM_BOUND) if G.e.is_zero(retract.e(b))}
     if set(image_e) != kernel_e:
         stray = (kernel_e - set(image_e)) or (set(image_e) - kernel_e)
         raise NotExact(f"kernel of the retraction differs from the image at {next(iter(stray))!r}")
 
     image_ee = {}
-    for a in A.ee.elements(bound):
+    for a in A.ee.elements(DEFAULT_ENUM_BOUND):
         c = include.ee(a)
         if c in image_ee:
             raise NotExact(f"inclusion is not injective on ee: {a!r} collides")
@@ -801,7 +794,7 @@ def qpm_verify(Q: Qpm, samples: int = 500, seed: int = 0) -> Report:
             "x y"),
     ], samples, rng)
 
-    kernel = _kernel_elements(Q, DEFAULT_ENUM_BOUND)
+    kernel = _kernel_elements(Q)
     if kernel is None:
         r.note("kernel centrality skipped on infinite carriers")
     else:
@@ -819,23 +812,23 @@ def qpm_verify(Q: Qpm, samples: int = 500, seed: int = 0) -> Report:
     return r
 
 
-def _kernel_elements(Q: Qpm, bound: int) -> list | None:
+def _kernel_elements(Q: Qpm) -> list | None:
     try:
-        c1 = Q.c1.elements(bound)
+        c1 = Q.c1.elements(DEFAULT_ENUM_BOUND)
     except (NotFinite, TooLarge):
         return None
     return [x for x in c1 if Q.c0.is_zero(Q.boundary(x))]
 
 
-def qpm_homology(Q: Qpm, bound: int = DEFAULT_ENUM_BOUND) -> tuple[FgAbGroup, FgAbGroup]:
+def qpm_homology(Q: Qpm) -> tuple[FgAbGroup, FgAbGroup]:
     """``(cokernel of d, kernel of d)`` as abelian groups, by enumeration.
 
     Raises ``NotAQpm`` when the data fails to be a quadratic pair module
     in a way the enumeration notices (non-normal image, non-central
     kernel, non-abelian cokernel).
     """
-    c0 = Q.c0.elements(bound)
-    c1 = Q.c1.elements(bound)
+    c0 = Q.c0.elements(DEFAULT_ENUM_BOUND)
+    c1 = Q.c1.elements(DEFAULT_ENUM_BOUND)
     image = {Q.boundary(x) for x in c1}
     for g in c0:
         for w in image:
@@ -982,7 +975,7 @@ def groupoid_verify(gpd: SquareGroupoid, samples: int = 400, seed: int = 0) -> R
     return r
 
 
-def groupoid_to_qpm(gpd: SquareGroupoid, bound: int = DEFAULT_ENUM_BOUND) -> Qpm:
+def groupoid_to_qpm(gpd: SquareGroupoid) -> Qpm:
     """Extract the boundary ``ker(source) -> objects`` from a groupoid.
 
     Needs the target map to restrict to a bijection from the kernel of
@@ -990,12 +983,14 @@ def groupoid_to_qpm(gpd: SquareGroupoid, bound: int = DEFAULT_ENUM_BOUND) -> Qpm
     otherwise the groupoid has no single shared quadratic part and
     ``NotEeAntidiscrete`` is raised.
     """
-    arrows = gpd.arr.e.elements(bound)
+    arrows = gpd.arr.e.elements(DEFAULT_ENUM_BOUND)
     zero_obj = gpd.obj.e.zero()
     members = [b for b in arrows if gpd.source.e(b) == zero_obj]
     c1 = SubgroupCarrier(gpd.arr.e, members)
 
-    ee_kernel = [c for c in gpd.arr.ee.elements(bound) if gpd.obj.ee.is_zero(gpd.source.ee(c))]
+    ee_kernel = [
+        c for c in gpd.arr.ee.elements(DEFAULT_ENUM_BOUND) if gpd.obj.ee.is_zero(gpd.source.ee(c))
+    ]
     back = {}
     for c in ee_kernel:
         v = gpd.target.ee(c)
@@ -1004,7 +999,7 @@ def groupoid_to_qpm(gpd: SquareGroupoid, bound: int = DEFAULT_ENUM_BOUND) -> Qpm
                 f"target is not injective on the source kernel: {c!r} and {back[v]!r}"
             )
         back[v] = c
-    missing = [u for u in gpd.obj.ee.elements(bound) if u not in back]
+    missing = [u for u in gpd.obj.ee.elements(DEFAULT_ENUM_BOUND) if u not in back]
     if missing:
         raise NotEeAntidiscrete(
             f"target misses {missing[0]!r} on the quadratic level"

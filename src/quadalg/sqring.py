@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .abelian import FgAbGroup
+from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup
 from .errors import (
     IllDefinedMultiplication,
     NotAQuadraticRing,
@@ -108,18 +108,17 @@ class QuadraticRing:
         return self.eemul(a, self.square_group().delta(z))
 
 
-def forget_U(Q: QuadraticRing, samples: int = 200, seed: int = 0) -> SquareRing:
+def forget_U(Q: QuadraticRing) -> SquareRing:
     """The square ring underlying a quadratic ring.
 
     The pair and right actions are :meth:`QuadraticRing.act_pair` and
     :meth:`QuadraticRing.act_right`. The quadratic-ring laws are sampled
     first; a failure raises ``NotAQuadraticRing``.
     """
-    if samples:
-        report = verify_ring(Q, samples=samples, seed=seed)
-        if not report.passed:
-            failure = report.first_failure()
-            raise NotAQuadraticRing(f"{failure.name}: {failure.witness or 'failed'}")
+    report = verify_ring(Q, samples=200, seed=0)
+    if not report.passed:
+        failure = report.first_failure()
+        raise NotAQuadraticRing(f"{failure.name}: {failure.witness or 'failed'}")
     return SquareRing(
         e=Q.e,
         ee=Q.ee,
@@ -526,14 +525,14 @@ def znil_monoid(
 # Linear elements and the abelianized quotient ring
 # ---------------------------------------------------------------------------
 
-def linear_elements(R, bound: int = 4096) -> list:
+def linear_elements(R) -> list:
     """Elements with vanishing ``H``.
 
     Finite carriers are enumerated; the free word model reports its word
     generators, and the integer model reports ``0`` and ``1``.
     """
     try:
-        pool = R.e.elements(bound)
+        pool = R.e.elements(DEFAULT_ENUM_BOUND)
     except (NotFinite, TooLarge):
         if isinstance(R.e, FreeNil2Carrier):
             pool = [R.e.atom(s) for s in R.e.symbols]
@@ -564,16 +563,16 @@ class AdRing:
     zero: object
 
 
-def ad_ring(R, bound: int = 4096) -> AdRing:
+def ad_ring(R) -> AdRing:
     """Quotient ring ``e / P(ee)`` for finite carriers.
 
     Raises ``IllDefinedMultiplication`` when the induced product depends
     on the chosen representatives, which happens exactly when the input
     fails the square-ring laws tying ``P`` to the multiplication.
     """
-    elements = R.e.elements(bound)
+    elements = R.e.elements(DEFAULT_ENUM_BOUND)
     index = {x: i for i, x in enumerate(elements)}
-    image = {R.P(a) for a in R.ee.elements(bound)}
+    image = {R.P(a) for a in R.ee.elements(DEFAULT_ENUM_BOUND)}
     label: dict = {}
     for x in elements:
         rep = min((R.e.add(x, w) for w in image), key=lambda v: index[v])

@@ -530,6 +530,20 @@ class TestRelative:
         assert report.passed, report.render()
         assert len(report.checks) == 7
 
+    @pytest.mark.parametrize(
+        "fixture, factors", [("projection", (2,)), ("cyclic", (2, 2)), ("pair", ())]
+    )
+    def test_degree_four_agrees_with_full_chains(self, fixture, factors):
+        # degree 4 is the one relative degree computed on normalized chains
+        if fixture == "pair":
+            C, K, p, D = pair_projection_fixture()
+        else:
+            make = projection_fixture if fixture == "projection" else cyclic_projection_fixture
+            C, K, p = make()
+            D = trivial_system(C, FgAbGroup.cyclic(2))
+        full = _QuotientComplex(C, K, p, D, False, DEFAULT_GENERATOR_CAP).homology(3).group
+        assert relative_cohomology(C, K, p, D, 4) == full == FgAbGroup(factors)
+
     @pytest.mark.parametrize("fixture", ["projection", "pair"])
     def test_no_quotient_relations_are_factored_twice(self, monkeypatch, fixture):
         if fixture == "pair":

@@ -80,6 +80,19 @@ class TestVerify:
         assert captured.out == ""
         assert "--samples must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("coeff", [0, 1])
+    def test_coefficient_modulus_below_two_exits_two(self, tmp_path, capsys, coeff):
+        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
+               "modulus": 2, "max_rank": 1, "coefficient_modulus": coeff}
+        path = write_json(tmp_path, "dm_coeff.json", doc)
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert f"coefficient modulus must be at least 2, got {coeff}" in err
+        assert "Traceback" not in err
+        cat = write_json(tmp_path, "dm_cat.json", dict(doc, kind="category"))
+        assert main(["cohomology", cat, path, "--degree", "1"]) == 2
+        assert f"coefficient modulus must be at least 2, got {coeff}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, max_rank", [("category", -1), ("natural_system", -2)])
     def test_negative_max_rank_exits_two(self, tmp_path, capsys, kind, max_rank):
         doc = {"schema_version": 1, "kind": kind, "construction": "dm",
@@ -170,6 +183,15 @@ class TestCohomology:
         captured = capsys.readouterr()
         assert code == 3
         assert "cap 5" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_generator_cap_below_one_exits_two(self, docs, capsys, cap):
+        code = main(["cohomology", docs["cat"], docs["coeff"], "--degree", "1",
+                     "--max-generators", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--max-generators must be at least 1, got {cap}" in captured.err
 
     @pytest.mark.parametrize("degree", ["0", "1"])
     def test_incomplete_explicit_category_exits_two(self, docs, tmp_path, capsys, degree):

@@ -251,6 +251,17 @@ class TestAbelianMapDocuments:
         assert not report.passed
         assert report.first_failure().name == "matrix shape matches the generator counts"
 
+    def test_map_to_the_trivial_group_has_no_rows(self):
+        # JSON writes the 0 x 1 matrix as []
+        report = verify_document(tampered(MAP_OK, source=[2], target=[], matrix=[]))
+        assert report.passed, report.render()
+        assert len(report.checks) == 2
+
+    def test_no_rows_where_rows_are_wanted_fails(self):
+        report = verify_document(tampered(MAP_OK, source=[2], target=[8], matrix=[]))
+        assert not report.passed
+        assert report.first_failure().witness == "matrix is 0x0"
+
     def test_factor_guards(self):
         with pytest.raises(DocumentError, match="list of integers"):
             build_document(tampered(MAP_OK, source=[2, "x"]))
@@ -305,6 +316,14 @@ class TestSquareGroupDocuments:
     def test_p_matrix_shape(self):
         with pytest.raises(DocumentError, match="square_group P: matrix is"):
             build_document(tampered(SG_EXPLICIT, P=[[0, 0]]))
+
+    def test_trivial_e_has_a_p_matrix_with_no_rows(self):
+        doc = tampered(SG_EXPLICIT, e=[], H=[[[], [0]]], P=[])
+        report = verify_document(doc, samples=100)
+        assert report.passed, report.render()
+        assert len(report.checks) == 14
+        with pytest.raises(DocumentError, match="square_group P: matrix is 0x0, wanted 1x1"):
+            build_document(tampered(SG_EXPLICIT, P=[]))
 
 
 class TestRingDocuments:
@@ -387,6 +406,14 @@ class TestQpmDocuments:
             build_document(tampered(QPM_EXPLICIT, P=[[1, 0]]))
         with pytest.raises(DocumentError, match="qpm boundary: matrix is"):
             build_document(tampered(QPM_EXPLICIT, boundary=[[0, 0]]))
+
+    def test_trivial_c1_has_a_p_matrix_with_no_rows(self):
+        doc = tampered(QPM_EXPLICIT, c1=[], P=[], boundary=[[]])
+        report = verify_document(doc, samples=100)
+        assert report.passed, report.render()
+        assert len(report.checks) == 33
+        with pytest.raises(DocumentError, match="qpm P: matrix is 0x0, wanted 1x1"):
+            build_document(tampered(QPM_EXPLICIT, P=[]))
 
 
 class TestExtensionDocuments:

@@ -93,3 +93,97 @@ def test_the_check_sees_an_unread_helper():
         "a.py: _recursive (line 3)",
         "b.py: _Unread (line 1)",
     ]
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
+    """``(callee, parameter, position, line)`` for each defaulted parameter of
+    a module-level function, public method, classmethod or ``__init__``.
+    ``__init__`` is called by its class's name; ``position`` counts the
+    arguments a call passes (``self``/``cls`` excluded) and is ``None`` for a
+    keyword-only parameter."""
+    out = []
+
+    def collect(fn, callee: str, skip: int) -> None:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            out.append((callee, positional[i].arg, i - skip, fn.lineno))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((callee, arg.arg, None, fn.lineno))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            collect(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+                if fn.name == "__init__":
+                    collect(fn, node.name, 1)
+                elif not fn.name.startswith("_") or "classmethod" in decorators:
+                    collect(fn, fn.name, 0 if "staticmethod" in decorators else 1)
+    return out
+
+
+def set_options(trees: list[ast.Module]) -> set[tuple[str, str | int]]:
+    """``(callee, keyword)`` and ``(callee, position)`` for every argument
+    passed in a call to a plain or attribute name. A call that unpacks
+    ``*args`` or ``**kwargs`` may pass anything, so it adds ``(callee, "*")``."""
+    out = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            out.update((name, i) for i in range(len(call.args)))
+            out.update((name, kw.arg) for kw in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                out.add((name, "*"))
+    return out
+
+
+def unset_options(sources: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Defaulted parameters in ``sources`` that no call in ``callers`` passes,
+    as ``module: callee(parameter) (line n)``."""
+    passed = set_options(callers)
+    return [
+        f"{module}: {callee}({param}) (line {line})"
+        for module, tree in sources.items()
+        for callee, param, position, line in defaulted_parameters(tree)
+        if (callee, param) not in passed
+        and (callee, "*") not in passed
+        and (position is None or (callee, position) not in passed)
+    ]
+
+
+def test_every_option_is_set():
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    callers = list(sources.values()) + [
+        ast.parse(path.read_text())
+        for folder in ("tests", "bench")
+        for path in sorted((root / folder).glob("*.py"))
+    ]
+    assert unset_options(sources, callers) == []
+
+
+def test_the_check_sees_an_unset_option():
+    src = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0):\n        pass\n"
+        "    def _private(self, z=0):\n        pass\n"
+        "def g(p=0):\n    pass\n"
+    )
+    calls = ast.parse("f(0, 5)\nf(0, d=4)\nK()\nk.m(1)\ng(*args)\n")
+    assert unset_options({"s.py": src}, [src, calls]) == [
+        "s.py: f(c) (line 1)",
+        "s.py: K(x) (line 4)",
+    ]
