@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,74 @@ class TestAdRing:
         )
         with pytest.raises(IllDefinedMultiplication):
             ad_ring(R)
+
+
+# ---------------------------------------------------------------------------
+# Golden products in the free word model
+# ---------------------------------------------------------------------------
+
+GOLDEN_PRODUCTS = Path(__file__).parent / "golden" / "monoid_products.json"
+
+# name -> (symbols, kind) of ``znil_monoid(symbols, 6, kind)``
+PRODUCT_MODELS = {
+    "st_square": (["s", "t"], "square"),
+    "st_quadratic": (["s", "t"], "quadratic"),
+    "s_square": (["s"], "square"),
+}
+
+
+def pinned_element(R, rng: random.Random, bound: int):
+    """An element on up to three words and up to two central pairs, with
+    coefficients at most ``bound`` in absolute value. Word lengths are
+    drawn first, from 0 to 3 and now and then 4, so that some products
+    overflow the length bound of 6."""
+    by_length = {}
+    for w in R.e.symbols:
+        by_length.setdefault(len(w), []).append(w)
+
+    def word():
+        return rng.choice(by_length[rng.choice((0, 1, 2, 2, 3, 3, 3, 4))])
+
+    lin = {word(): rng.randint(-bound, bound) for _ in range(rng.randint(0, 3))}
+    cm = {}
+    for _ in range(rng.randint(0, 2)):
+        u, v = sorted((word(), word()), key=R.e.symbols.index)
+        if u != v:
+            cm[(u, v)] = rng.randint(-bound, bound)
+    return R.e.make(lin, cm)
+
+
+def pinned_products(name: str, count: int = 500) -> str:
+    """``repr`` of ``mul(x, y)`` for ``count`` seeded pairs, one a line;
+    a product whose words overflow the length bound reads ``TooLarge``.
+    Every fifth pair has coefficients scaled up to 40 in absolute value."""
+    symbols, kind = PRODUCT_MODELS[name]
+    R = znil_monoid(symbols, 6, kind)
+    rng = random.Random(f"monoid products {name}")
+    lines = []
+    for i in range(count):
+        bound = 40 if i % 5 == 4 else 3
+        x, y = pinned_element(R, rng, bound), pinned_element(R, rng, bound)
+        try:
+            lines.append(repr(R.mul(x, y)))
+        except TooLarge:
+            lines.append("TooLarge")
+    return "\n".join(lines)
+
+
+def product_digests() -> dict:
+    return {
+        name: hashlib.sha256(pinned_products(name).encode()).hexdigest()
+        for name in PRODUCT_MODELS
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_MODELS))
+def test_pinned_monoid_products(name):
+    golden = json.loads(GOLDEN_PRODUCTS.read_text())
+    assert hashlib.sha256(pinned_products(name).encode()).hexdigest() == golden[name]
+
+
+if __name__ == "__main__":
+    GOLDEN_PRODUCTS.write_text(json.dumps(product_digests(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PRODUCTS}")
