@@ -2,10 +2,8 @@
 
 Everything here is integer arithmetic on matrices passed and returned as
 plain lists of lists: Smith normal form with unimodular certificates,
-groups in invariant-factor form, maps, homology of two-step complexes, and
-the values of the quadratic functors (exterior and symmetric squares, the
-divided-power functor, the quadratic construction, and the torsion
-variant) on a cyclic decomposition.
+groups in invariant-factor form, maps, and homology of two-step
+complexes.
 
 Conventions
 -----------
@@ -34,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 
@@ -912,124 +909,6 @@ def exact_at(f: AbMap, g: AbMap) -> tuple[bool, str | None]:
     if h.group.is_trivial():
         return True, None
     return False, f"kernel element {h.representative(h.group.generator(0))} is not in the image"
-
-
-# ---------------------------------------------------------------------------
-# Binary functors on groups
-# ---------------------------------------------------------------------------
-
-BINARY_KINDS = ("tensor", "tor", "hom")
-
-
-def binary_functor(kind: str, A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
-    """Tensor product, torsion product, or homomorphism group.
-
-    >>> binary_functor("tensor", FgAbGroup((4,)), FgAbGroup((6,)))
-    FgAbGroup((2,))
-    >>> binary_functor("hom", FgAbGroup((4,)), FgAbGroup((0,)))
-    FgAbGroup(())
-    >>> binary_functor("tor", FgAbGroup((4,)), FgAbGroup((6,)))
-    FgAbGroup((2,))
-    """
-    if kind not in BINARY_KINDS:
-        raise ValueError(f"unknown binary functor kind: {kind!r}")
-    out: list[int] = []
-    for d in A.invariant_factors:
-        for e in B.invariant_factors:
-            if kind == "tensor":
-                if d == 0 and e == 0:
-                    out.append(0)
-                elif d == 0:
-                    out.append(e)
-                elif e == 0:
-                    out.append(d)
-                else:
-                    out.append(math.gcd(d, e))
-            elif kind == "tor":
-                if d and e:
-                    out.append(math.gcd(d, e))
-            else:  # hom
-                if d == 0:
-                    out.append(e)
-                elif e == 0:
-                    pass  # Hom(Z/d, Z) = 0
-                else:
-                    out.append(math.gcd(d, e))
-    return FgAbGroup.from_factors(out)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic functors: structural values
-# ---------------------------------------------------------------------------
-
-QUADRATIC_KINDS = ("lambda2", "sym2", "gamma", "whiteheadP", "omega")
-
-
-def _cyclic_value(kind: str, d: int) -> list[int]:
-    """Value of the functor on one cyclic group ``Z/d`` (``d = 0`` is ``Z``)."""
-    if kind == "lambda2":
-        return []
-    if kind == "sym2":
-        return [d]
-    if kind == "gamma":
-        if d == 0:
-            return [0]
-        return [2 * d] if d % 2 == 0 else [d]
-    if kind == "whiteheadP":
-        if d == 0:
-            return [0, 0]
-        if d % 2:
-            return [d, d]
-        return [d // 2, 2 * d]
-    if kind == "omega":
-        return [] if d == 0 else [d]
-    raise ValueError(f"unknown quadratic functor kind: {kind!r}")
-
-
-def quadratic_functor(kind: str, A: FgAbGroup) -> FgAbGroup:
-    """Structural value of a quadratic functor on an abelian group.
-
-    The value on a direct sum is the sum of the values on the summands plus
-    one cross term per pair of summands; the cross term is the tensor product
-    except for ``omega``, where it is the torsion product.
-
-    >>> quadratic_functor("gamma", FgAbGroup((2,)))
-    FgAbGroup((4,))
-    >>> quadratic_functor("whiteheadP", FgAbGroup((2,)))
-    FgAbGroup((4,))
-    >>> quadratic_functor("lambda2", FgAbGroup((0, 0)))
-    FgAbGroup((0,))
-    >>> quadratic_functor("sym2", FgAbGroup((3,)))
-    FgAbGroup((3,))
-    """
-    return quadratic_on_decomposition(kind, A.invariant_factors)
-
-
-def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
-    """The quadratic-functor rule applied to a raw cyclic decomposition.
-
-    Used to check that the structural rule is independent of the chosen
-    decomposition (e.g. ``[2, 3]`` against ``[6]``).
-
-    >>> quadratic_on_decomposition("omega", [2, 3]) == quadratic_on_decomposition("omega", [6])
-    True
-    """
-    if kind not in QUADRATIC_KINDS:
-        raise ValueError(f"unknown quadratic functor kind: {kind!r}")
-    parts: list[int] = []
-    for d in orders:
-        parts.extend(_cyclic_value(kind, d))
-    cross = "tor" if kind == "omega" else "tensor"
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            parts.extend(
-                binary_functor(
-                    cross,
-                    FgAbGroup.from_factors([orders[i]]),
-                    FgAbGroup.from_factors([orders[j]]),
-                ).invariant_factors
-            )
-    return FgAbGroup.from_factors(parts)
 
 
 # ---------------------------------------------------------------------------

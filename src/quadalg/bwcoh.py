@@ -177,6 +177,8 @@ class FinCat:
         ``(x, y, rows)``. Composition is the matrix product whose entries
         are ``dot(row, column)``; identities have ``one`` on the diagonal
         and ``zero`` elsewhere."""
+        if max_rank < 0:
+            raise ValueError(f"max_rank must be at least 0, got {max_rank}")
         objects = tuple(range(max_rank + 1))
         morphisms = []
         for x in objects:
@@ -215,9 +217,8 @@ class FinCat:
         composed by matrix product (see :meth:`matrices`)."""
         if modulus < 2:
             raise ValueError("the matrix category needs a modulus of at least 2")
-        if max_rank < 0:
-            raise ValueError(f"max_rank must be at least 0, got {max_rank}")
-        if modulus ** (max_rank * max_rank) > 4096:
+        # a negative rank is bad input, refused by ``matrices``
+        if max_rank > 0 and modulus ** (max_rank * max_rank) > 4096:
             raise TooLarge(
                 f"hom set of size {modulus}^{max_rank * max_rank} is too large to tabulate"
             )

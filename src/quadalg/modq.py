@@ -367,7 +367,15 @@ def _compose_oracle(f: ModQMor, g: ModQMor) -> ModQMor:
 def composition_report(
     ring: SquareRing, samples: int = 200, seed: int = 0, max_dim: int = 3
 ) -> Report:
-    """Random agreement of the two composition routes, plus category laws."""
+    """Random agreement of the two composition routes, plus category laws.
+
+    Each law draws ``samples`` tuples of matrices with 1 to ``max_dim``
+    rows and columns; both must be at least 1.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     rng = random.Random(seed)
     r = Report(title=f"matrix category over {ring.name}", samples=samples, seed=seed)
 

@@ -8,7 +8,11 @@ product on ``ee`` using the cross effect and the additive map ``Delta``.
 
 The integral models live here too: the initial object ``znil`` with
 ``H(x) = x(x-1)/2`` on the integers, and its monoid extension on free
-words where the quadratic part is spanned by ordered pairs of words.
+words where the quadratic part is spanned by ordered pairs of words. A
+product of words is their concatenation, extended to the class-two group
+by law (ii) in closed form: the product of ``sum_i n_i s_i + c_x`` and
+``y`` is the ordered sum of the ``n_i``-fold shifts of ``y``'s linear
+part plus ``P`` of one pair element, each computed in one pass.
 """
 from __future__ import annotations
 
@@ -404,16 +408,22 @@ class _MonoidRing:
         return self.ee.make(out)
 
     def P(self, a) -> Nil2Element:
-        cm: dict = {}
+        return self.e.make({}, self._add_P({}, a))
+
+    def _add_P(self, cm: dict, pairs) -> dict:
+        """Add ``P`` of the pair terms ``pairs`` to the central coordinates
+        ``cm``: a pair ``(u, v)`` adds its coefficient to ``(u, v)`` when
+        ``u`` comes first in rank and subtracts it from ``(v, u)``
+        otherwise; a pair of equal words adds nothing."""
         rank = self.e._rank
-        for (u, v), c in a:
+        for (u, v), c in pairs:
             if u == v:
                 continue
             if rank[u] < rank[v]:
                 cm[(u, v)] = cm.get((u, v), 0) + c
             else:
                 cm[(v, u)] = cm.get((v, u), 0) - c
-        return self.e.make({}, cm)
+        return cm
 
     # -- multiplicative structure -------------------------------------------
 
@@ -443,38 +453,60 @@ class _MonoidRing:
         return self.ee.make(out)
 
     def mul(self, x: Nil2Element, y: Nil2Element) -> Nil2Element:
-        """Fold the left factor through the twisted right distributivity."""
-        if not x.linear:
-            # a purely central element P(c) multiplies by the right action
-            c = self.ee.make({(u, v): n for (u, v), n in x.comm})
-            return self.P(self.act_right(c, y))
-        (s, n), rest_linear = x.linear[0], x.linear[1:]
-        head = self.e.make({s: n})
-        rest = Nil2Element(rest_linear, x.comm)
-        hy = self.H(y)
-        out = self._mul_single(s, n, y)
-        out = self.e.add(out, self.mul(rest, y))
-        return self.e.add(out, self.P(self.act_pair(head, rest, hy)))
+        """The product in closed form, in one pass.
 
-    def _mul_single(self, s: tuple, n: int, y: Nil2Element) -> Nil2Element:
-        base = self._mul_word(s, y)
-        out = self.e.scalar(n, base)
-        if n:
-            diag = self.act_pair(self.e.atom(s), self.e.atom(s), self.H(y))
-            out = self.e.add(out, self.P(self.ee.make({k: _comb2(n) * v for k, v in diag})))
-        return out
+        Write ``x = n_1 s_1 + ... + n_k s_k + c_x`` with its words in rank
+        order and ``c_x`` central. Law (ii), applied term by term, gives
+        ``x y = n_1 W_1 + ... + n_k W_k + P(T)``, where ``W_i`` is the
+        linear part of ``y`` shifted by ``s_i`` (the word ``s_i t`` carries
+        the coefficient ``m_t`` of ``t`` in ``y``) and
 
-    def _mul_word(self, s: tuple, y: Nil2Element) -> Nil2Element:
-        lin = {}
-        for t, m in y.linear:
-            w = self.concat(s, t)
-            lin[w] = lin.get(w, 0) + m
-        out = self.e.make(lin)
-        if y.comm:
-            c = self.ee.make({(u, v): m for (u, v), m in y.comm})
-            shifted = self.act_pair(self.e.atom(s), self.e.atom(s), c)
-            out = self.e.add(out, self.P(shifted))
-        return out
+        ``T = sum_i C(n_i, 2) (s_i | s_i) H(y) + sum_i n_i (s_i | s_i) c_y
+        + sum_{i<j} n_i n_j (s_i | s_j) H(y) + c_x y``
+
+        with ``c_y`` read as a pair element. ``P(T)`` is central. The
+        ordered sum of multiples has linear part ``sum_i n_i W_i`` and
+        central part ``sum_i C(n_i, 2) sum_{u<v} W_i[u] W_i[v] [u, v]``
+        plus ``sum_{i<j} sum_{u<v} n_j W_j[u] n_i W_i[v] [u, v]``, where
+        ``u < v`` is word rank and ``[u, v]`` the ``(u, v)`` coordinate of
+        the central part. Every word is formed by :meth:`concat`, so a
+        product overflowing the length bound raises ``TooLarge``.
+        """
+        concat, rank = self.concat, self.e._rank
+        lin: dict = {}
+        cm: dict = {}
+        pairs: dict = {}  # T, on ordered pairs of words
+
+        def act(u, v, k, a):
+            """Add ``k (u | v) a`` to ``T``."""
+            for (p, q), c in a:
+                key = (concat(u, p), concat(v, q))
+                pairs[key] = pairs.get(key, 0) + k * c
+
+        hy = self.H(y) if x.linear else ()
+        for i, (s, n) in enumerate(x.linear):
+            row = [(concat(s, t), m) for t, m in y.linear]
+            c2 = _comb2(n)
+            for j, (u, m) in enumerate(row):
+                # moving n m u left past the earlier rows' later words
+                for v, k in lin.items():
+                    if rank[u] < rank[v]:
+                        cm[(u, v)] = cm.get((u, v), 0) + n * m * k
+                for v, m_v in row[j + 1:]:
+                    key = (u, v) if rank[u] < rank[v] else (v, u)
+                    cm[key] = cm.get(key, 0) + c2 * m * m_v
+            for u, m in row:
+                lin[u] = lin.get(u, 0) + n * m
+            act(s, s, n, y.comm)
+            if c2:
+                act(s, s, c2, hy)
+            for r, k in x.linear[:i]:
+                act(r, s, k * n, hy)
+        for w, m in y.linear:  # c_x y
+            for (p, q), c in x.comm:
+                key = (concat(p, w), concat(q, w))
+                pairs[key] = pairs.get(key, 0) + m * c
+        return self.e.make(lin, self._add_P(cm, pairs.items()))
 
 
 def znil_monoid(

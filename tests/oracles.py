@@ -7,9 +7,12 @@ implementations rather than restating them. The exceptions are
 :func:`smith_reference`, a frozen copy of an earlier Smith normal form that
 the current one must reproduce exactly; :func:`quadratic_tensor`, which
 computes quadratic functors from square groups by a presentation of their
-own, independent of the library's table of values; and
+own, and the table of values (:func:`quadratic_functor`,
+:func:`binary_functor`) it is checked against;
 :class:`CyclicTrackExtension`, a lifting problem written on integers that
-the matrix track machinery is checked against.
+the matrix track machinery is checked against; and
+:func:`monoid_mul_reference`, the free word model's product by the
+recursion through law (ii), which its closed form must reproduce exactly.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from quadalg.abelian import (
     AbMap,
@@ -29,7 +33,7 @@ from quadalg.abelian import (
 )
 from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.errors import BoundaryMismatch, SectionInvalid, ShapeMismatch
-from quadalg.nil2 import SquareGroup
+from quadalg.nil2 import Nil2Element, SquareGroup
 
 
 def invariant_chains(n: int):
@@ -497,3 +501,178 @@ QUADRATIC_MODULES = {
     "lambda2": _linear_module("Z^Lambda2", FgAbGroup.trivial(), _Z, [[]], []),
     "whiteheadP": _linear_module("Z^P", FgAbGroup.free(2), _Z, [[1, 4]], [[-2], [1]]),
 }
+
+
+# ---------------------------------------------------------------------------
+# Binary functors on groups
+# ---------------------------------------------------------------------------
+
+BINARY_KINDS = ("tensor", "tor", "hom")
+
+
+def binary_functor(kind: str, A: FgAbGroup, B: FgAbGroup) -> FgAbGroup:
+    """Tensor product, torsion product, or homomorphism group.
+
+    >>> binary_functor("tensor", FgAbGroup((4,)), FgAbGroup((6,)))
+    FgAbGroup((2,))
+    >>> binary_functor("hom", FgAbGroup((4,)), FgAbGroup((0,)))
+    FgAbGroup(())
+    >>> binary_functor("tor", FgAbGroup((4,)), FgAbGroup((6,)))
+    FgAbGroup((2,))
+    """
+    if kind not in BINARY_KINDS:
+        raise ValueError(f"unknown binary functor kind: {kind!r}")
+    out: list[int] = []
+    for d in A.invariant_factors:
+        for e in B.invariant_factors:
+            if kind == "tensor":
+                if d == 0 and e == 0:
+                    out.append(0)
+                elif d == 0:
+                    out.append(e)
+                elif e == 0:
+                    out.append(d)
+                else:
+                    out.append(math.gcd(d, e))
+            elif kind == "tor":
+                if d and e:
+                    out.append(math.gcd(d, e))
+            else:  # hom
+                if d == 0:
+                    out.append(e)
+                elif e == 0:
+                    pass  # Hom(Z/d, Z) = 0
+                else:
+                    out.append(math.gcd(d, e))
+    return FgAbGroup.from_factors(out)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic functors: structural values
+# ---------------------------------------------------------------------------
+
+QUADRATIC_KINDS = ("lambda2", "sym2", "gamma", "whiteheadP", "omega")
+
+
+def _cyclic_value(kind: str, d: int) -> list[int]:
+    """Value of the functor on one cyclic group ``Z/d`` (``d = 0`` is ``Z``)."""
+    if kind == "lambda2":
+        return []
+    if kind == "sym2":
+        return [d]
+    if kind == "gamma":
+        if d == 0:
+            return [0]
+        return [2 * d] if d % 2 == 0 else [d]
+    if kind == "whiteheadP":
+        if d == 0:
+            return [0, 0]
+        if d % 2:
+            return [d, d]
+        return [d // 2, 2 * d]
+    if kind == "omega":
+        return [] if d == 0 else [d]
+    raise ValueError(f"unknown quadratic functor kind: {kind!r}")
+
+
+def quadratic_functor(kind: str, A: FgAbGroup) -> FgAbGroup:
+    """Structural value of a quadratic functor on an abelian group.
+
+    The value on a direct sum is the sum of the values on the summands plus
+    one cross term per pair of summands; the cross term is the tensor product
+    except for ``omega``, where it is the torsion product.
+
+    >>> quadratic_functor("gamma", FgAbGroup((2,)))
+    FgAbGroup((4,))
+    >>> quadratic_functor("whiteheadP", FgAbGroup((2,)))
+    FgAbGroup((4,))
+    >>> quadratic_functor("lambda2", FgAbGroup((0, 0)))
+    FgAbGroup((0,))
+    >>> quadratic_functor("sym2", FgAbGroup((3,)))
+    FgAbGroup((3,))
+    """
+    return quadratic_on_decomposition(kind, A.invariant_factors)
+
+
+def quadratic_on_decomposition(kind: str, orders: Sequence[int]) -> FgAbGroup:
+    """The quadratic-functor rule applied to a raw cyclic decomposition.
+
+    Used to check that the structural rule is independent of the chosen
+    decomposition (e.g. ``[2, 3]`` against ``[6]``).
+
+    >>> quadratic_on_decomposition("omega", [2, 3]) == quadratic_on_decomposition("omega", [6])
+    True
+    """
+    if kind not in QUADRATIC_KINDS:
+        raise ValueError(f"unknown quadratic functor kind: {kind!r}")
+    parts: list[int] = []
+    for d in orders:
+        parts.extend(_cyclic_value(kind, d))
+    cross = "tor" if kind == "omega" else "tensor"
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            parts.extend(
+                binary_functor(
+                    cross,
+                    FgAbGroup.from_factors([orders[i]]),
+                    FgAbGroup.from_factors([orders[j]]),
+                ).invariant_factors
+            )
+    return FgAbGroup.from_factors(parts)
+
+
+# ---------------------------------------------------------------------------
+# Products in the free word model by the recursion through law (ii)
+# ---------------------------------------------------------------------------
+
+def monoid_mul_reference(core, x: Nil2Element, y: Nil2Element) -> Nil2Element:
+    """The product of the free word model folded through the twisted right
+    distributivity, one linear term at a time.
+
+    ``core`` is the word model behind ``znil_monoid`` (the object whose
+    bound ``mul`` the ring carries). This is the product the word model
+    computed before its closed form, kept as that form's oracle.
+
+    >>> from quadalg.sqring import znil_monoid
+    >>> R = znil_monoid(["s", "t"], length_bound=6)
+    >>> x = R.e.make({("s",): 2, ("t",): -1}); y = R.e.make({("t",): 3})
+    >>> monoid_mul_reference(R.mul.__self__, x, y) == R.mul(x, y)
+    True
+    """
+    if not x.linear:
+        # a purely central element P(c) multiplies by the right action
+        c = core.ee.make({(u, v): n for (u, v), n in x.comm})
+        return core.P(core.act_right(c, y))
+    (s, n), rest_linear = x.linear[0], x.linear[1:]
+    head = core.e.make({s: n})
+    rest = Nil2Element(rest_linear, x.comm)
+    hy = core.H(y)
+    out = _mul_single(core, s, n, y)
+    out = core.e.add(out, monoid_mul_reference(core, rest, y))
+    return core.e.add(out, core.P(core.act_pair(head, rest, hy)))
+
+
+def _mul_single(core, s: tuple, n: int, y: Nil2Element) -> Nil2Element:
+    base = _mul_word(core, s, y)
+    out = core.e.scalar(n, base)
+    if n:
+        diag = core.act_pair(core.e.atom(s), core.e.atom(s), core.H(y))
+        out = core.e.add(out, core.P(core.ee.make({k: _comb2(n) * v for k, v in diag})))
+    return out
+
+
+def _mul_word(core, s: tuple, y: Nil2Element) -> Nil2Element:
+    lin = {}
+    for t, m in y.linear:
+        w = core.concat(s, t)
+        lin[w] = lin.get(w, 0) + m
+    out = core.e.make(lin)
+    if y.comm:
+        c = core.ee.make({(u, v): m for (u, v), m in y.comm})
+        shifted = core.act_pair(core.e.atom(s), core.e.atom(s), c)
+        out = core.e.add(out, core.P(shifted))
+    return out
+
+
+def _comb2(n: int) -> int:
+    return n * (n - 1) // 2

@@ -11,7 +11,6 @@ from quadalg.abelian import (
     AbMap,
     Factorization,
     FgAbGroup,
-    binary_functor,
     canonical_factors,
     columns,
     exact_at,
@@ -28,7 +27,7 @@ from quadalg.abelian import (
 )
 from quadalg.errors import CompositionNonzero, ShapeMismatch, TooLarge
 
-from .oracles import homology_oracle, subgroup_closure
+from .oracles import binary_functor, homology_oracle, subgroup_closure
 
 
 class TestSmithNormalForm:

@@ -178,6 +178,14 @@ class TestFinCat:
         with pytest.raises(ValueError, match="max_rank must be at least 0"):
             FinCat.mod_r(2, -1)
 
+    # -100 would also fail mod_r's hom-set size guard, which must not see it
+    @pytest.mark.parametrize("max_rank", [-1, -100])
+    def test_every_matrix_category_rejects_a_negative_rank(self, max_rank):
+        with pytest.raises(ValueError, match=f"max_rank must be at least 0, got {max_rank}"):
+            FinCat.matrices(range(2), lambda row, col: 0, 1, 0, max_rank, "negative")
+        with pytest.raises(ValueError, match=f"max_rank must be at least 0, got {max_rank}"):
+            FinCat.mod_r(2, max_rank)
+
     def test_rejects_a_nonpositive_cyclic_order(self):
         with pytest.raises(ValueError, match="must be positive"):
             one_object_cyclic(0)

@@ -144,6 +144,16 @@ class TestCompositionRoutes:
         assert report.passed, report.render()
         assert [c.name for c in report.checks] == self.CHECKS
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            composition_report(znil(), samples=samples)
+
+    @pytest.mark.parametrize("max_dim", [0, -2])
+    def test_rejects_a_max_dim_below_one(self, max_dim):
+        with pytest.raises(ValueError, match=f"max_dim must be at least 1, got {max_dim}"):
+            composition_report(znil(), samples=5, max_dim=max_dim)
+
     def test_unknown_mode(self):
         f = ModQMor.identity(znil(), 1)
         with pytest.raises(ValueError, match="unknown composition mode"):
@@ -436,6 +446,8 @@ class TestMatrixTrackExtension:
         unbounded = dataclasses.replace(base, module=FgAbGroup.free(1))
         with pytest.raises(NotFinite, match="must be finite"):
             ModQTrackExtension(unbounded)
+        with pytest.raises(ValueError, match="max_rank must be at least 0, got -1"):
+            ModQTrackExtension(base, max_rank=-1)
         quadratic = dataclasses.replace(base, kind="qpa", ring=cyclic_ring(4, "quadratic"))
         with pytest.raises(TypeError, match="square-ring extension"):
             ModQTrackExtension(quadratic)

@@ -3,16 +3,17 @@ from __future__ import annotations
 
 import pytest
 
-from quadalg.abelian import (
-    FgAbGroup,
+from quadalg.abelian import FgAbGroup
+from quadalg.nil2 import SquareGroup, square_group_verify
+
+from .oracles import (
     QUADRATIC_KINDS,
+    QUADRATIC_MODULES,
     binary_functor,
     quadratic_functor,
     quadratic_on_decomposition,
+    quadratic_tensor,
 )
-from quadalg.nil2 import SquareGroup, square_group_verify
-
-from .oracles import QUADRATIC_MODULES, quadratic_tensor
 
 
 def small_groups(max_order: int) -> list[FgAbGroup]:

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg.errors import IllDefinedMultiplication, NotAQuadraticRing, TooLarge
 from quadalg.abelian import FgAbGroup
@@ -22,6 +23,8 @@ from quadalg.sqring import (
     znil,
     znil_monoid,
 )
+
+from .oracles import monoid_mul_reference
 
 
 class TestZnil:
@@ -106,6 +109,49 @@ class TestWordModel:
             znil_monoid(["s"], length_bound=4, sample_length=2)
         with pytest.raises(ValueError, match="unknown ring kind"):
             znil_monoid(["s"], length_bound=6, kind="cubic")
+
+
+# Word models on one, two and three symbols, by symbol count.
+WORD_MODELS = {k: znil_monoid(["s", "t", "u"][:k], length_bound=6) for k in (1, 2, 3)}
+
+
+@st.composite
+def word_elements(draw, R, scale: int, max_length: int):
+    """An element with one to three linear words and a nonempty central
+    part, on words of length at most ``max_length``, with coefficients
+    ``scale`` times a nonzero integer in ``[-3, 3]``."""
+    symbols = R.mul.__self__.symbols
+    words = st.lists(st.sampled_from(symbols), max_size=max_length).map(tuple)
+    coeffs = st.integers(-3, 3).filter(bool).map(lambda n: scale * n)
+    lin = draw(st.dictionaries(words, coeffs, min_size=1, max_size=3))
+    pairs = st.tuples(words, words).filter(lambda p: p[0] != p[1])
+    cm = {
+        tuple(sorted((u, v), key=R.e._rank.get)): n
+        for (u, v), n in draw(st.lists(st.tuples(pairs, coeffs), min_size=1, max_size=3))
+    }
+    return R.e.make(lin, cm)
+
+
+def product_or_overflow(mul, x, y):
+    try:
+        return mul(x, y)
+    except TooLarge as exc:
+        return f"TooLarge: {exc}"
+
+
+class TestClosedFormProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_the_recursion(self, data):
+        R = WORD_MODELS[data.draw(st.integers(1, 3), label="symbols")]
+        scale = data.draw(st.sampled_from((1, 5, 13)), label="scale")
+        # words of length 4 on the left and 3 on the right overflow the bound 6
+        x = data.draw(word_elements(R, scale, 4), label="x")
+        y = data.draw(word_elements(R, scale, 3), label="y")
+        core = R.mul.__self__
+        assert product_or_overflow(R.mul, x, y) == product_or_overflow(
+            lambda a, b: monoid_mul_reference(core, a, b), x, y
+        )
 
 
 class TestForgetU:
