@@ -34,6 +34,7 @@ from quadalg.abelian import (
 from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.errors import BoundaryMismatch, SectionInvalid, ShapeMismatch
 from quadalg.nil2 import Nil2Element, SquareGroup
+from quadalg.sqring import _comb2
 
 
 def invariant_chains(n: int):
@@ -672,7 +673,3 @@ def _mul_word(core, s: tuple, y: Nil2Element) -> Nil2Element:
         shifted = core.act_pair(core.e.atom(s), core.e.atom(s), c)
         out = core.e.add(out, core.P(shifted))
     return out
-
-
-def _comb2(n: int) -> int:
-    return n * (n - 1) // 2

@@ -439,6 +439,11 @@ class TestMatrixTrackExtension:
         assert res.class_of(default) == res.class_of(shifted)
         assert coboundary(tm.base, tm.system, 3, shifted) == {}
 
+    def test_rejects_a_negative_rank(self):
+        # an empty base would give a vacuous zero obstruction
+        with pytest.raises(ValueError, match="max_rank must be at least 0, got -1"):
+            ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=-1)
+
     def test_size_and_kind_guards(self):
         base = cyclic_ring_extension(4, 2)
         with pytest.raises(TooLarge, match="exceed the cap"):
@@ -446,8 +451,6 @@ class TestMatrixTrackExtension:
         unbounded = dataclasses.replace(base, module=FgAbGroup.free(1))
         with pytest.raises(NotFinite, match="must be finite"):
             ModQTrackExtension(unbounded)
-        with pytest.raises(ValueError, match="max_rank must be at least 0, got -1"):
-            ModQTrackExtension(base, max_rank=-1)
         quadratic = dataclasses.replace(base, kind="qpa", ring=cyclic_ring(4, "quadratic"))
         with pytest.raises(TypeError, match="square-ring extension"):
             ModQTrackExtension(quadratic)
