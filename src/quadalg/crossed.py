@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .abelian import (
     DEFAULT_ENUM_BOUND,
@@ -391,34 +391,28 @@ def nu_class(
 # The symmetric quotient construction
 # ---------------------------------------------------------------------------
 
-class ZtildePairsCarrier(Carrier):
+class ZtildePairsCarrier(DirectSumCarrier):
     """Word pairs modulo ``a = T(a)`` for the swap-negate involution.
 
-    Classes are ``(offdiag, diag)`` where ``offdiag`` holds integer
-    coefficients on strictly ordered pairs and ``diag`` holds the mod-two
-    diagonal support as a sorted word tuple.
+    Built on the ring's pair carrier ``ee`` and ``Mod2WordsCarrier(ee)``:
+    a class is ``(offdiag, diag)`` where ``offdiag`` is an element of
+    ``ee`` on strictly ordered pairs and ``diag`` the mod-two diagonal
+    support. Both parts add componentwise.
     """
 
-    def __init__(self, words: Sequence[tuple], rank: dict):
-        self.words = list(words)
-        self._rank = rank
-
     def reduce(self, coeffs: dict) -> tuple:
+        rank = self.left._rank
         off: dict = {}
         diag: set = set()
         for (u, v), c in coeffs.items():
             if u == v:
                 if c % 2:
                     diag.symmetric_difference_update({u})
-            elif self._rank[u] < self._rank[v]:
+            elif rank[u] < rank[v]:
                 off[(u, v)] = off.get((u, v), 0) + c
             else:
                 off[(v, u)] = off.get((v, u), 0) - c
-        off = {p: c for p, c in off.items() if c}
-        return (
-            tuple(sorted(off.items(), key=lambda kv: (self._rank[kv[0][0]], self._rank[kv[0][1]]))),
-            tuple(sorted(diag, key=self._rank.get)),
-        )
+        return (self.left.make(off), tuple(sorted(diag, key=rank.get)))
 
     def lift(self, el: tuple) -> dict:
         out = {p: c for p, c in el[0]}
@@ -426,42 +420,16 @@ class ZtildePairsCarrier(Carrier):
             out[(w, w)] = 1
         return out
 
-    def zero(self):
-        return ((), ())
-
-    def add(self, a, b):
-        out = dict(a[0])
-        for p, c in b[0]:
-            out[p] = out.get(p, 0) + c
-        diag = set(a[1]).symmetric_difference(b[1])
-        for w in diag:
-            out[(w, w)] = out.get((w, w), 0) + 1
-        return self.reduce(out)
-
-    def neg(self, a):
-        out = {p: -c for p, c in a[0]}
-        for w in a[1]:
-            out[(w, w)] = 1
-        return self.reduce(out)
-
     def sample(self, rng: random.Random):
-        pool = [w for w in self.words if len(w) <= 2]
-        out: dict = {}
-        for _ in range(rng.randint(0, 3)):
-            u, v = rng.choice(pool), rng.choice(pool)
-            out[(u, v)] = out.get((u, v), 0) + rng.randint(-3, 3)
-        return self.reduce(out)
-
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
-        raise NotFinite("pair classes over free words form an infinite group")
+        return self.reduce(dict(self.left.sample(rng)))
 
 
 class Mod2WordsCarrier(Carrier):
-    """The direct sum of order-two groups indexed by words."""
+    """The direct sum of order-two groups indexed by the words of a pair
+    carrier ``ee``, in its order, sampled from its pool."""
 
-    def __init__(self, words: Sequence[tuple], rank: dict):
-        self.words = list(words)
-        self._rank = rank
+    def __init__(self, ee: FreePairsCarrier):
+        self.words, self.pool, self._rank = ee.symbols, ee.pool, ee._rank
 
     def zero(self):
         return ()
@@ -473,9 +441,8 @@ class Mod2WordsCarrier(Carrier):
         return a
 
     def sample(self, rng: random.Random):
-        pool = [w for w in self.words if len(w) <= 2]
         return tuple(sorted(
-            rng.sample(pool, min(len(pool), rng.randint(0, 2))), key=self._rank.get,
+            rng.sample(self.pool, min(len(self.pool), rng.randint(0, 2))), key=self._rank.get,
         ))
 
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
@@ -559,7 +526,6 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
 
 def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     words = R.ee.symbols
-    rank = R.ee._rank
     for u in words:
         for v in words:
             got = sg.tmap(R.ee.pair(u, v))
@@ -567,7 +533,7 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
                 raise ValueError(
                     f"the involution does not swap and negate at ({u!r}, {v!r}): {got!r}"
                 )
-    c1 = ZtildePairsCarrier(words, rank)
+    c1 = ZtildePairsCarrier(R.ee, Mod2WordsCarrier(R.ee))
 
     def proj(a):
         return c1.reduce(dict(a))
@@ -578,21 +544,13 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def boundary(r7):
         return R.P(lift_el(r7))
 
-    module = Mod2WordsCarrier(words, rank)
-    rcar = FreeAbelianCarrier(words)
+    rcar = FreeAbelianCarrier(words, R.ee.pool)
 
     def q(x):
         return rcar.make(x.linear_dict())
 
     def rmul(u, v):
-        out: dict = {}
-        for s, a in u:
-            for t, b in v:
-                w = s + t
-                if len(w) > len(max(words, key=len)):
-                    raise TooLarge(f"product word of length {len(w)} exceeds the carrier")
-                out[w] = out.get(w, 0) + a * b
-        return rcar.make(out)
+        return q(R.mul(R.e.make(dict(u)), R.e.make(dict(v))))
 
     return CrossedExtension(
         kind="csr",
@@ -602,7 +560,7 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
         boundary=boundary,
         act_left=lambda x, r7: proj(R.act_pair(x, x, lift_el(r7))),
         act_right=lambda r7, y: proj(R.act_right(lift_el(r7), y)),
-        module=module,
+        module=c1.right,
         include=lambda m: ((), m),
         quot=QuotientRing(carrier=rcar, mul=rmul, one=rcar.atom(()), q=q),
         name=f"ztilde({R.name})",

@@ -217,9 +217,10 @@ class FreeNil2Carrier(Carrier):
     The normal form lists basis symbols in the given order followed by a
     central word in the basic commutators. The commutator of two basis
     symbols ``u`` before ``v`` is ``-u - v + u + v``, stored as ``-1``
-    times the ``(u, v)`` coordinate of the central part:
+    times the ``(u, v)`` coordinate of the central part. ``sample`` only
+    draws the symbols in ``pool``:
 
-    >>> c = FreeNil2Carrier(["s", "t"])
+    >>> c = FreeNil2Carrier(["s", "t"], ["s", "t"])
     >>> x = c.atom("s"); y = c.atom("t")
     >>> c.commutator(y, x).comm       # -x - y + x + y
     ((('s', 't'), -1),)
@@ -229,8 +230,9 @@ class FreeNil2Carrier(Carrier):
     ((('s', 't'), 1),)
     """
 
-    def __init__(self, symbols: Sequence[Hashable]):
+    def __init__(self, symbols: Sequence[Hashable], pool: Sequence[Hashable]):
         self.symbols = list(symbols)
+        self.pool = list(pool)
         self._rank = {s: i for i, s in enumerate(self.symbols)}
         if len(self._rank) != len(self.symbols):
             raise ValueError("symbols are not distinct")
@@ -303,14 +305,15 @@ class FreeNil2Carrier(Carrier):
         return self.make(lin, cm)
 
     def sample(self, rng: random.Random):
+        pool = self.pool
         lin = {}
-        for s in rng.sample(self.symbols, min(len(self.symbols), rng.randint(0, 3))):
-            lin[s] = rng.randint(-4, 4)
+        for s in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
+            lin[s] = rng.randint(-3, 3)
         cm = {}
-        if len(self.symbols) >= 2:
+        if len(pool) >= 2:
             for _ in range(rng.randint(0, 2)):
-                u, v = sorted(rng.sample(self.symbols, 2), key=self._rank.get)
-                cm[(u, v)] = rng.randint(-4, 4)
+                u, v = sorted(rng.sample(pool, 2), key=self._rank.get)
+                cm[(u, v)] = rng.randint(-3, 3)
         return self.make(lin, cm)
 
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
@@ -321,15 +324,17 @@ class FreeAbelianCarrier(Carrier):
     """The free abelian group on an ordered symbol list.
 
     Elements are sorted coefficient tuples ``((symbol, n), ...)`` with
-    zero coefficients dropped.
+    zero coefficients dropped; ``sample`` only draws the symbols in
+    ``pool``.
 
-    >>> c = FreeAbelianCarrier(["s", "t"])
+    >>> c = FreeAbelianCarrier(["s", "t"], ["s", "t"])
     >>> c.add(c.atom("s"), c.atom("s"))
     (('s', 2),)
     """
 
-    def __init__(self, symbols: Sequence[Hashable]):
+    def __init__(self, symbols: Sequence[Hashable], pool: Sequence[Hashable]):
         self.symbols = list(symbols)
+        self.pool = list(pool)
         self._rank = {s: i for i, s in enumerate(self.symbols)}
         if len(self._rank) != len(self.symbols):
             raise ValueError("symbols are not distinct")
@@ -359,8 +364,8 @@ class FreeAbelianCarrier(Carrier):
 
     def sample(self, rng: random.Random):
         out = {}
-        for s in rng.sample(self.symbols, min(len(self.symbols), rng.randint(0, 3))):
-            out[s] = rng.randint(-4, 4)
+        for s in rng.sample(self.pool, min(len(self.pool), rng.randint(0, 3))):
+            out[s] = rng.randint(-3, 3)
         return self.make(out)
 
     def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
@@ -372,9 +377,10 @@ class FreePairsCarrier(FreeAbelianCarrier):
 
     Elements are sorted coefficient tuples over pairs ``(u, v)``; here the
     pairs are arbitrary (no ordering constraint), matching a tensor square
-    of the free abelian group on the symbols.
+    of the free abelian group on the symbols. ``sample`` draws both
+    entries of a pair from ``pool``.
 
-    >>> c = FreePairsCarrier(["s", "t"])
+    >>> c = FreePairsCarrier(["s", "t"], ["s", "t"])
     >>> c.add(c.pair("s", "t"), c.pair("s", "t", 2))
     ((('s', 't'), 3),)
     """
@@ -396,9 +402,9 @@ class FreePairsCarrier(FreeAbelianCarrier):
     def sample(self, rng: random.Random):
         out = {}
         for _ in range(rng.randint(0, 3)):
-            u = rng.choice(self.symbols)
-            v = rng.choice(self.symbols)
-            out[(u, v)] = out.get((u, v), 0) + rng.randint(-4, 4)
+            u = rng.choice(self.pool)
+            v = rng.choice(self.pool)
+            out[(u, v)] = out.get((u, v), 0) + rng.randint(-3, 3)
         return self.make(out)
 
 

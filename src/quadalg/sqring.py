@@ -349,38 +349,21 @@ class _MonoidRing:
     def __init__(self, symbols: Sequence[Hashable], length_bound: int, sample_length: int):
         if not symbols:
             raise ValueError("at least one symbol is required")
+        count = layer = 1
+        for _ in range(length_bound):
+            layer *= len(symbols)
+            count += layer
+            if count > DEFAULT_ENUM_BOUND:
+                raise TooLarge(
+                    f"{len(symbols)} symbols up to length {length_bound} give more than"
+                    f" {DEFAULT_ENUM_BOUND} words"
+                )
         self.symbols = list(symbols)
         self.length_bound = length_bound
         self.words = _shortlex_words(self.symbols, length_bound)
-        self.e = FreeNil2Carrier(self.words)
-        self.ee = FreePairsCarrier(self.words)
-        self._install_samplers(sample_length)
-
-    def _install_samplers(self, sample_length: int) -> None:
         pool = [w for w in self.words if len(w) <= sample_length]
-        e, ee = self.e, self.ee
-
-        def sample_e(rng: random.Random):
-            lin = {}
-            for w in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
-                lin[w] = rng.randint(-3, 3)
-            cm = {}
-            if len(pool) >= 2:
-                for _ in range(rng.randint(0, 2)):
-                    u, v = sorted(rng.sample(pool, 2), key=e._rank.get)
-                    cm[(u, v)] = rng.randint(-3, 3)
-            return e.make(lin, cm)
-
-        def sample_ee(rng: random.Random):
-            out = {}
-            for _ in range(rng.randint(0, 3)):
-                u = rng.choice(pool)
-                v = rng.choice(pool)
-                out[(u, v)] = out.get((u, v), 0) + rng.randint(-3, 3)
-            return ee.make(out)
-
-        e.sample = sample_e
-        ee.sample = sample_ee
+        self.e = FreeNil2Carrier(self.words, pool)
+        self.ee = FreePairsCarrier(self.words, pool)
 
     def concat(self, u: tuple, v: tuple) -> tuple:
         w = u + v
@@ -427,29 +410,39 @@ class _MonoidRing:
 
     # -- multiplicative structure -------------------------------------------
 
+    def _shift_left(self, out: dict, u: tuple, v: tuple, k: int, pairs) -> None:
+        """Add ``k (u | v) pairs`` to ``out``: the pair ``(p, q)`` goes to
+        ``(u p, v q)``."""
+        concat = self.concat
+        for (p, q), c in pairs:
+            key = (concat(u, p), concat(v, q))
+            out[key] = out.get(key, 0) + k * c
+
+    def _shift_right(self, out: dict, pairs, w: tuple, k: int) -> None:
+        """Add ``pairs . k w`` to ``out``: the pair ``(p, q)`` goes to
+        ``(p w, q w)``."""
+        concat = self.concat
+        for (p, q), c in pairs:
+            key = (concat(p, w), concat(q, w))
+            out[key] = out.get(key, 0) + k * c
+
     def eemul(self, a, b):
         out: dict = {}
         for (p, q), c in a:
-            for (r, s), d in b:
-                key = (self.concat(p, r), self.concat(q, s))
-                out[key] = out.get(key, 0) + c * d
+            self._shift_left(out, p, q, c, b)
         return self.ee.make(out)
 
     def act_pair(self, x: Nil2Element, y: Nil2Element, a):
         out: dict = {}
         for u, n in x.linear:
             for v, m in y.linear:
-                for (p, q), c in a:
-                    key = (self.concat(u, p), self.concat(v, q))
-                    out[key] = out.get(key, 0) + n * m * c
+                self._shift_left(out, u, v, n * m, a)
         return self.ee.make(out)
 
     def act_right(self, a, z: Nil2Element):
         out: dict = {}
         for w, m in z.linear:
-            for (p, q), c in a:
-                key = (self.concat(p, w), self.concat(q, w))
-                out[key] = out.get(key, 0) + m * c
+            self._shift_right(out, a, w, m)
         return self.ee.make(out)
 
     def mul(self, x: Nil2Element, y: Nil2Element) -> Nil2Element:
@@ -472,17 +465,10 @@ class _MonoidRing:
         the central part. Every word is formed by :meth:`concat`, so a
         product overflowing the length bound raises ``TooLarge``.
         """
-        concat, rank = self.concat, self.e._rank
+        concat, rank, act = self.concat, self.e._rank, self._shift_left
         lin: dict = {}
         cm: dict = {}
         pairs: dict = {}  # T, on ordered pairs of words
-
-        def act(u, v, k, a):
-            """Add ``k (u | v) a`` to ``T``."""
-            for (p, q), c in a:
-                key = (concat(u, p), concat(v, q))
-                pairs[key] = pairs.get(key, 0) + k * c
-
         hy = self.H(y) if x.linear else ()
         for i, (s, n) in enumerate(x.linear):
             row = [(concat(s, t), m) for t, m in y.linear]
@@ -497,15 +483,13 @@ class _MonoidRing:
                     cm[key] = cm.get(key, 0) + c2 * m * m_v
             for u, m in row:
                 lin[u] = lin.get(u, 0) + n * m
-            act(s, s, n, y.comm)
+            act(pairs, s, s, n, y.comm)
             if c2:
-                act(s, s, c2, hy)
+                act(pairs, s, s, c2, hy)
             for r, k in x.linear[:i]:
-                act(r, s, k * n, hy)
+                act(pairs, r, s, k * n, hy)
         for w, m in y.linear:  # c_x y
-            for (p, q), c in x.comm:
-                key = (concat(p, w), concat(q, w))
-                pairs[key] = pairs.get(key, 0) + m * c
+            self._shift_right(pairs, x.comm, w, m)
         return self.e.make(lin, self._add_P(cm, pairs.items()))
 
 
@@ -522,9 +506,10 @@ def znil_monoid(
     part is free abelian on ordered pairs of words. ``H`` vanishes on the
     word generators and ``P`` sends a pair to the commutator of its two
     words in reverse order. Products whose words overflow the length
-    bound raise ``TooLarge``. Random sampling only draws words up to
-    ``sample_length`` so that sampled triple products stay inside the
-    bound.
+    bound raise ``TooLarge``, and so does a model of more than
+    ``DEFAULT_ENUM_BOUND`` words, before any word is built. Random sampling
+    only draws words up to ``sample_length`` so that sampled triple
+    products stay inside the bound.
 
     >>> R = znil_monoid(["s", "t"], length_bound=6)
     >>> x = R.e.atom(("s",)); y = R.e.atom(("t",))
@@ -535,6 +520,8 @@ def znil_monoid(
     """
     if kind not in ("square", "quadratic"):
         raise ValueError(f"unknown ring kind: {kind!r}")
+    if sample_length < 0:
+        raise ValueError(f"sample_length must be at least 0, got {sample_length}")
     if 3 * sample_length > length_bound:
         raise ValueError("sampled triple products would overflow the length bound")
     core = _MonoidRing(symbols, length_bound, sample_length)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import signal
 
 import pytest
 
@@ -17,6 +18,7 @@ from .test_documents import (
     MODQ_ZNIL,
     QPM_EXPLICIT,
     RING_C5,
+    RING_WORDS,
     RING_ZNIL,
     write_json,
 )
@@ -104,6 +106,40 @@ class TestVerify:
         doc = dict(QPM_EXPLICIT, H=[[[0], [0]], [[1], [1]], [[1], [0]]])
         assert main(["verify", write_json(tmp_path, "qpm_conflict.json", doc)]) == 2
         assert "qpm H: table has repeated or extra inputs" in capsys.readouterr().err
+
+    def test_ztilde_word_model_with_one_letter_samples_passes(self, tmp_path, capsys):
+        ring = dict(RING_WORDS, length_bound=3, sample_length=1)
+        doc = dict(EXT_ZTILDE, ring=ring)
+        code = main(["verify", write_json(tmp_path, "ztilde_words.json", doc), "--samples", "60"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "result: PASS" in captured.out
+
+    def test_negative_sample_length_exits_two(self, tmp_path, capsys):
+        doc = dict(RING_WORDS, sample_length=-1)
+        assert main(["verify", write_json(tmp_path, "words_negative.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert "sample_length must be at least 0, got -1" in err
+        assert "Traceback" not in err
+
+    def test_huge_length_bound_exits_three_at_once(self, tmp_path, capsys):
+        doc = dict(RING_WORDS, symbols=["s", "t"], length_bound=40)
+        path = write_json(tmp_path, "words_huge.json", doc)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("no exit within a second")
+
+        # an alarm rather than a clock read afterwards: building the 2^41 - 1
+        # words would exhaust memory long before main returned
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code = main(["verify", path])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        assert "more than 4096 words" in capsys.readouterr().err
 
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],

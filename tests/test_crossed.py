@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -141,6 +142,28 @@ class TestZtildeOverWords:
     def test_linear_elements_generate_the_quotient(self, ext):
         ok, witness = linearly_generated(ext)
         assert ok, witness
+
+    def test_short_samples_fit_a_tight_bound(self):
+        # length bound 3 admits triple products of one-letter words only
+        ext = ztilde_construction(znil_monoid(["s"], 3, sample_length=1))
+        report = verify_crossed(ext, samples=120, seed=0)
+        assert report.passed, report.render()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_samples_draw_the_words_up_to_the_sample_length(self, k):
+        ext = ztilde_construction(znil_monoid(["s"], 3 * k, sample_length=k), samples=30)
+        rng = random.Random(k)
+        words_of = {
+            "c0": lambda x: [w for w, _ in x.linear] + [w for p, _ in x.comm for w in p],
+            "cee": lambda a: [w for p, _ in a for w in p],
+            "c1": lambda r: [w for p, _ in r[0] for w in p] + list(r[1]),
+            "module": list,
+        }
+        for name, words in words_of.items():
+            carrier = getattr(ext, name)
+            drawn = [w for _ in range(100) for w in words(carrier.sample(rng))]
+            # every carrier draws from the ring's pool: all words up to length k
+            assert max(map(len, drawn), default=-1) == k, name
 
     def test_rejects_a_broken_ring(self):
         broken = dataclasses.replace(znil(), H=lambda x: (x[0] * x[0],))

@@ -95,6 +95,58 @@ def test_the_check_sees_an_unread_helper():
     ]
 
 
+def closures_set_on_objects(tree: ast.Module) -> list[str]:
+    """Assignments, inside a function, of a lambda or of a function defined
+    in that function to an attribute of an object other than ``self``, as
+    ``target = value (line n)``: such an assignment replaces a method of
+    the object behind its class's back."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = {
+            node.name
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn
+        }
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            if isinstance(value, ast.Lambda):
+                shown = "lambda"
+            elif isinstance(value, ast.Name) and value.id in inner:
+                shown = value.id
+            else:
+                continue
+            out.extend(
+                f"{ast.unparse(target)} = {shown} (line {node.lineno})"
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+                and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+            )
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_closure_replaces_an_attribute(path):
+    assert closures_set_on_objects(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_closure_on_an_object():
+    tree = ast.parse(
+        "def install(c, n):\n"
+        "    def draw(rng):\n        return n\n"
+        "    c.sample = draw\n"
+        "    c.zero = lambda: 0\n"
+        "    self.sample = draw\n"
+        "    c.size = n\n"
+        "def outer_helper():\n    pass\n"
+        "def other(c):\n    c.sample = outer_helper\n"
+    )
+    assert closures_set_on_objects(tree) == ["c.sample = draw (line 4)", "c.zero = lambda (line 5)"]
+
+
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
     """``(callee, parameter, position, line)`` for each defaulted parameter of
     a module-level function, public method, classmethod or ``__init__``.

@@ -35,7 +35,7 @@ def mod4_square_group() -> SquareGroup:
 
 class TestFreeNil2Carrier:
     def test_normal_form_and_commutator(self):
-        c = FreeNil2Carrier(["s", "t"])
+        c = FreeNil2Carrier(["s", "t"], ["s", "t"])
         s, t = c.atom("s"), c.atom("t")
         assert c.add(t, s).linear == (("s", 1), ("t", 1))
         assert c.add(t, s).comm == ((("s", "t"), 1),)
@@ -43,7 +43,7 @@ class TestFreeNil2Carrier:
         assert c.add(s, c.neg(s)) == c.zero()
 
     def test_group_laws_on_samples(self):
-        c = FreeNil2Carrier(["s", "t", "u"])
+        c = FreeNil2Carrier(["s", "t", "u"], ["s", "t", "u"])
         rng = random.Random(0)
         for _ in range(300):
             x, y, z = c.sample(rng), c.sample(rng), c.sample(rng)
@@ -53,14 +53,14 @@ class TestFreeNil2Carrier:
             assert c.add(k, z) == c.add(z, k)
 
     def test_make_rejects_unknown_symbols(self):
-        c = FreeNil2Carrier(["s"])
+        c = FreeNil2Carrier(["s"], ["s"])
         with pytest.raises(BasisMismatch):
             c.make({"t": 1})
         with pytest.raises(NotFinite):
             c.elements()
 
     def test_unordered_pairs_rejected(self):
-        c = FreeNil2Carrier(["s", "t"])
+        c = FreeNil2Carrier(["s", "t"], ["s", "t"])
         with pytest.raises(BasisMismatch):
             c.make({}, {("t", "s"): 1})
 
@@ -73,7 +73,7 @@ class TestCommutatorSubgroupSequence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_commutators_embed_the_exterior_square(self, n):
         syms = [f"g{i}" for i in range(n)]
-        c = FreeNil2Carrier(syms)
+        c = FreeNil2Carrier(syms, syms)
         pairs = [(u, v) for i, u in enumerate(syms) for v in syms[i + 1 :]]
         cols = []
         for u, v in pairs:
@@ -89,7 +89,7 @@ class TestCommutatorSubgroupSequence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kernel_of_abelianization_is_the_commutator_part(self, n):
         syms = [f"g{i}" for i in range(n)]
-        c = FreeNil2Carrier(syms)
+        c = FreeNil2Carrier(syms, syms)
         rng = random.Random(n)
         for _ in range(200):
             x, y = c.sample(rng), c.sample(rng)
@@ -108,7 +108,7 @@ class TestCommutatorSubgroupSequence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_commutator_pairing_factors_through_the_abelianization(self, n):
         syms = [f"g{i}" for i in range(n)]
-        c = FreeNil2Carrier(syms)
+        c = FreeNil2Carrier(syms, syms)
         rng = random.Random(7 * n)
         for _ in range(120):
             x, y = c.sample(rng), c.sample(rng)
@@ -244,7 +244,7 @@ class TestSmallCarrierUtilities:
         a = ((1,), (2,))
         assert d.add(a, a) == ((0,), (1,))
         assert d.neg(a) == ((1,), (1,))
-        f = FreeAbelianCarrier(["s", "t"])
+        f = FreeAbelianCarrier(["s", "t"], ["s", "t"])
         assert f.add(f.atom("s"), f.atom("s", -1)) == f.zero()
 
     def test_zero_twist_is_the_direct_sum(self):
@@ -259,7 +259,7 @@ class TestSmallCarrierUtilities:
                 assert t.add(a, b) == d.add(a, b)
 
     def test_free_pairs_carrier(self):
-        c = FreePairsCarrier(["s", "t"])
+        c = FreePairsCarrier(["s", "t"], ["s", "t"])
         v = c.add(c.pair("s", "t"), c.pair("t", "s", 2))
         assert dict(v) == {("s", "t"): 1, ("t", "s"): 2}
         with pytest.raises(BasisMismatch):

@@ -109,6 +109,14 @@ class TestWordModel:
             znil_monoid(["s"], length_bound=4, sample_length=2)
         with pytest.raises(ValueError, match="unknown ring kind"):
             znil_monoid(["s"], length_bound=6, kind="cubic")
+        with pytest.raises(ValueError, match="sample_length must be at least 0, got -1"):
+            znil_monoid(["s"], length_bound=6, sample_length=-1)
+
+    def test_the_word_count_is_bounded(self):
+        with pytest.raises(TooLarge, match="2 symbols up to length 12 give more than 4096"):
+            znil_monoid(["s", "t"], length_bound=12)
+        assert len(znil_monoid(["s", "t"], length_bound=11).e.symbols) == 4095
+        assert len(znil_monoid(["s"], length_bound=40).e.symbols) == 41
 
 
 # Word models on one, two and three symbols, by symbol count.
