@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -515,10 +516,13 @@ class FgAbGroup:
     FgAbGroup((0, 0))
     """
 
-    __slots__ = ("invariant_factors",)
+    __slots__ = ("invariant_factors", "ngens", "_zero", "_finite")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
         self.invariant_factors = validate_factors(invariant_factors)
+        self.ngens = len(self.invariant_factors)
+        self._zero = (0,) * self.ngens
+        self._finite = 0 not in self.invariant_factors
 
     # -- constructors ------------------------------------------------------
 
@@ -541,15 +545,11 @@ class FgAbGroup:
     # -- basic data --------------------------------------------------------
 
     @property
-    def ngens(self) -> int:
-        return len(self.invariant_factors)
-
-    @property
     def free_rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d == 0)
 
     def is_finite(self) -> bool:
-        return self.free_rank == 0
+        return self._finite
 
     def is_trivial(self) -> bool:
         return self.ngens == 0
@@ -571,24 +571,36 @@ class FgAbGroup:
 
     def reduce(self, coords) -> tuple[int, ...]:
         if len(coords) != self.ngens:
-            raise ShapeMismatch(
-                f"element of length {len(coords)} in group with {self.ngens} generators"
-            )
+            raise self._mismatch(coords)
+        return self._reduce(coords)
+
+    def _reduce(self, coords) -> tuple[int, ...]:
+        """``reduce`` of ``ngens`` coordinates, given as any iterable."""
+        if self._finite:
+            return tuple(map(operator.mod, coords, self.invariant_factors))
         return tuple(
             c % d if d else int(c) for c, d in zip(coords, self.invariant_factors)
         )
 
+    def _mismatch(self, *operands) -> ShapeMismatch:
+        bad = next(len(a) for a in operands if len(a) != self.ngens)
+        return ShapeMismatch(f"element of length {bad} in group with {self.ngens} generators")
+
     def zero(self) -> tuple[int, ...]:
-        return (0,) * self.ngens
+        return self._zero
 
     def add(self, a, b) -> tuple[int, ...]:
-        return self.reduce([x + y for x, y in zip(a, b)])
+        if len(a) != self.ngens or len(b) != self.ngens:
+            raise self._mismatch(a, b)
+        return self._reduce(map(operator.add, a, b))
 
     def neg(self, a) -> tuple[int, ...]:
         return self.reduce([-x for x in a])
 
     def sub(self, a, b) -> tuple[int, ...]:
-        return self.reduce([x - y for x, y in zip(a, b)])
+        if len(a) != self.ngens or len(b) != self.ngens:
+            raise self._mismatch(a, b)
+        return self._reduce(map(operator.sub, a, b))
 
     def scalar(self, n: int, a) -> tuple[int, ...]:
         return self.reduce([n * x for x in a])
@@ -617,14 +629,17 @@ class FgAbGroup:
     # -- the rest of the nil2 carrier interface -----------------------------
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return a == self._zero
 
     def commutator(self, a, b) -> tuple[int, ...]:
         """Always zero: the group is abelian."""
-        return self.zero()
+        return self._zero
 
     def sum(self, items) -> tuple[int, ...]:
-        return self.reduce([sum(c) for c in zip(self.zero(), *items)])
+        items = list(items)
+        if any(len(a) != self.ngens for a in items):
+            raise self._mismatch(*items)
+        return self._reduce(map(sum, zip(self._zero, *items)))
 
     def element_order(self, a) -> int | None:
         a = self.reduce(a)

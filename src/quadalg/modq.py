@@ -196,6 +196,9 @@ class ModQMor:
             and self.fij == other.fij
         )
 
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, self.fi))
+
     def pair_entry(self, i: int, j: int, k: int):
         col = self.fij.get((i, j))
         return col[k] if col is not None else self.ring.ee.zero()
@@ -454,7 +457,8 @@ class Track:
     ``h[i][k]`` bounds the difference of the ring entries; the
     quadratic layers of ``f0`` and ``f1`` are not constrained. The
     constructor checks every boundary, so any operation that builds a
-    track re-certifies its own correction terms.
+    track re-certifies its own correction terms, also a whisker whose
+    target composite was read from a lifting problem's products.
     """
 
     ext: CrossedExtension
@@ -513,6 +517,11 @@ def track_left_whisker(u: ModQMor, t: Track) -> Track:
     correction collects the quadratic entries of the two targets and
     the cross effects produced by reordering the entrywise differences.
     """
+    return _left_whisker(u, t, modq_compose)
+
+
+def _left_whisker(u: ModQMor, t: Track, compose_f1: Callable) -> Track:
+    """``track_left_whisker``, with ``u . f1`` taken from ``compose_f1(u, f1)``."""
     if u.ncols != t.f0.nrows:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
@@ -535,11 +544,16 @@ def track_left_whisker(u: ModQMor, t: Track) -> Track:
                     corr = ee.sub(corr, cross(d_l, b_k))
             row.append(c1.add(main, ext.P(corr)))
         h.append(tuple(row))
-    return Track(ext, modq_compose(u, t.f0), modq_compose(u, t.f1), tuple(h))
+    return Track(ext, modq_compose(u, t.f0), compose_f1(u, t.f1), tuple(h))
 
 
 def track_right_whisker(t: Track, g: ModQMor) -> Track:
     """The track ``f0 . g => f1 . g`` induced on composites."""
+    return _right_whisker(t, g, modq_compose)
+
+
+def _right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
+    """``track_right_whisker``, with ``f1 . g`` taken from ``compose_f1(f1, g)``."""
     if t.f0.ncols != g.nrows:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
@@ -570,7 +584,7 @@ def track_right_whisker(t: Track, g: ModQMor) -> Track:
                     corr = ee.sub(corr, cross(d_l, b_k))
             row.append(c1.add(main, ext.P(corr)))
         h.append(tuple(row))
-    return Track(ext, modq_compose(t.f0, g), modq_compose(t.f1, g), tuple(h))
+    return Track(ext, modq_compose(t.f0, g), compose_f1(t.f1, g), tuple(h))
 
 
 def track_hcomp(alpha: Track, beta: Track) -> Track:
@@ -641,7 +655,9 @@ class ModQTrackExtension:
     The base is the matrix category of the quotient ring up to
     ``max_rank``; lifts are matrix morphisms over the total ring with
     entrywise preimages and no quadratic layer, and tracks come from
-    the extension's degree one.
+    the extension's degree one. The whiskers reuse the products that
+    ``compose_lifts`` made for their targets' composites, and still
+    build certified tracks.
     """
 
     def __init__(
@@ -680,6 +696,7 @@ class ModQTrackExtension:
         self._bnd: dict = {}
         for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
             self._bnd.setdefault(ext.boundary(c), c)
+        self._products: dict = {}
 
         mg = ext.module
         if not mg.is_finite():
@@ -715,7 +732,13 @@ class ModQTrackExtension:
         return ModQMor(self.ring, x, y, fi, {})
 
     def compose_lifts(self, F: ModQMor, G: ModQMor) -> ModQMor:
-        return modq_compose(F, G)
+        prod = self._products[F, G] = modq_compose(F, G)
+        return prod
+
+    def _lift_product(self, F: ModQMor, G: ModQMor) -> ModQMor:
+        """``F . G``, read from ``compose_lifts``'s products when it made it."""
+        prod = self._products.get((F, G))
+        return modq_compose(F, G) if prod is None else prod
 
     def first_track(self, F: ModQMor, G: ModQMor) -> Track:
         c0 = self.ext.c0
@@ -737,10 +760,10 @@ class ModQTrackExtension:
         return track_invert(t)
 
     def left_whisker(self, F: ModQMor, t: Track) -> Track:
-        return track_left_whisker(F, t)
+        return _left_whisker(F, t, self._lift_product)
 
     def right_whisker(self, t: Track, G: ModQMor) -> Track:
-        return track_right_whisker(t, G)
+        return _right_whisker(t, G, self._lift_product)
 
     def value(self, t: Track) -> tuple:
         if t.f0 != t.f1:
@@ -761,6 +784,9 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     first track from the composed lifts to the lifted composite. The
     two ways of rebracketing a triple then differ by an automorphism
     track whose value is the cochain. Missing keys are zero.
+    The whiskers' targets ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]``
+    are lift products of the pair loop, which ``te`` may reuse; every
+    track is still certified.
     """
     C = te.base
     s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}

@@ -14,6 +14,7 @@ Carriers are explicit group implementations; all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -211,6 +212,16 @@ class Nil2Element:
         return dict(self.comm)
 
 
+_RANK = operator.itemgetter(0)
+_ITEM = operator.itemgetter(1)
+
+
+def _in_rank_order(ranked: list) -> tuple:
+    """The items of ``(rank, item)`` pairs with distinct ranks, sorted by rank."""
+    ranked.sort(key=_RANK)
+    return tuple(map(_ITEM, ranked))
+
+
 class FreeNil2Carrier(Carrier):
     """The free group of nilpotency class two on an ordered symbol list.
 
@@ -239,35 +250,29 @@ class FreeNil2Carrier(Carrier):
 
     # -- construction ----------------------------------------------------
 
-    def _key_linear(self, item):
-        return self._rank[item[0]]
-
-    def _key_comm(self, item):
-        return (self._rank[item[0][0]], self._rank[item[0][1]])
-
     def make(self, linear: dict | None = None, comm: dict | None = None) -> Nil2Element:
         """Canonical element from coefficient dictionaries.
 
         Raises ``BasisMismatch`` on unknown symbols or unordered pairs.
         """
-        lin = {}
+        rank = self._rank.get
+        lin = []
         for s, n in (linear or {}).items():
-            if s not in self._rank:
+            r = rank(s)
+            if r is None:
                 raise BasisMismatch(f"unknown symbol {s!r}")
             if n:
-                lin[s] = n
-        cm = {}
+                lin.append((r, (s, n)))
+        cm = []
         for (u, v), n in (comm or {}).items():
-            if u not in self._rank or v not in self._rank:
+            ru, rv = rank(u), rank(v)
+            if ru is None or rv is None:
                 raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
-            if self._rank[u] >= self._rank[v]:
+            if ru >= rv:
                 raise BasisMismatch(f"pair ({u!r}, {v!r}) is not strictly ordered")
             if n:
-                cm[(u, v)] = n
-        return Nil2Element(
-            tuple(sorted(lin.items(), key=self._key_linear)),
-            tuple(sorted(cm.items(), key=self._key_comm)),
-        )
+                cm.append(((ru, rv), ((u, v), n)))
+        return Nil2Element(_in_rank_order(lin), _in_rank_order(cm))
 
     def atom(self, symbol: Hashable) -> Nil2Element:
         return self.make({symbol: 1})
@@ -340,12 +345,15 @@ class FreeAbelianCarrier(Carrier):
             raise ValueError("symbols are not distinct")
 
     def make(self, coeffs: dict) -> tuple:
-        for s in coeffs:
-            if s not in self._rank:
+        rank = self._rank.get
+        out = []
+        for s, n in coeffs.items():
+            r = rank(s)
+            if r is None:
                 raise BasisMismatch(f"unknown symbol {s!r}")
-        return tuple(
-            sorted(((s, n) for s, n in coeffs.items() if n), key=lambda kv: self._rank[kv[0]])
-        )
+            if n:
+                out.append((r, (s, n)))
+        return _in_rank_order(out)
 
     def atom(self, symbol: Hashable, n: int = 1) -> tuple:
         return self.make({symbol: n})
@@ -386,15 +394,15 @@ class FreePairsCarrier(FreeAbelianCarrier):
     """
 
     def make(self, coeffs: dict) -> tuple:
-        out = {}
+        rank = self._rank.get
+        out = []
         for (u, v), n in coeffs.items():
-            if u not in self._rank or v not in self._rank:
+            ru, rv = rank(u), rank(v)
+            if ru is None or rv is None:
                 raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
             if n:
-                out[(u, v)] = n
-        return tuple(
-            sorted(out.items(), key=lambda kv: (self._rank[kv[0][0]], self._rank[kv[0][1]]))
-        )
+                out.append(((ru, rv), ((u, v), n)))
+        return _in_rank_order(out)
 
     def pair(self, u: Hashable, v: Hashable, n: int = 1) -> tuple:
         return self.make({(u, v): n})

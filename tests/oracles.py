@@ -12,7 +12,10 @@ own, and the table of values (:func:`quadratic_functor`,
 :class:`CyclicTrackExtension`, a lifting problem written on integers that
 the matrix track machinery is checked against; and
 :func:`monoid_mul_reference`, the free word model's product by the
-recursion through law (ii), which its closed form must reproduce exactly.
+recursion through law (ii), which its closed form must reproduce exactly;
+and :class:`ReferenceGroupArithmetic` and :class:`ReferenceWordMake`,
+frozen copies of the group arithmetic and word normal forms that their
+faster rewrites must reproduce.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from quadalg.abelian import (
     quotient_presentation,
 )
 from quadalg.bwcoh import FinCat, NatSystem
-from quadalg.errors import BoundaryMismatch, SectionInvalid, ShapeMismatch
+from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
 from quadalg.nil2 import Nil2Element, SquareGroup
 from quadalg.sqring import _comb2
 
@@ -673,3 +676,107 @@ def _mul_word(core, s: tuple, y: Nil2Element) -> Nil2Element:
         shifted = core.act_pair(core.e.atom(s), core.e.atom(s), c)
         out = core.e.add(out, core.P(shifted))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Element arithmetic and word-carrier normal forms, as first written
+# ---------------------------------------------------------------------------
+
+class ReferenceGroupArithmetic:
+    """``FgAbGroup``'s element arithmetic before its precomputed fast path,
+    copied method for method, which the current methods must reproduce on
+    operands of the right length.
+
+    >>> ReferenceGroupArithmetic((2, 4, 0)).add((1, 3, -5), (1, 2, 7))
+    (0, 1, 2)
+    """
+
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        self.invariant_factors = tuple(invariant_factors)
+
+    @property
+    def ngens(self) -> int:
+        return len(self.invariant_factors)
+
+    def reduce(self, coords) -> tuple[int, ...]:
+        if len(coords) != self.ngens:
+            raise ShapeMismatch(
+                f"element of length {len(coords)} in group with {self.ngens} generators"
+            )
+        return tuple(
+            c % d if d else int(c) for c, d in zip(coords, self.invariant_factors)
+        )
+
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * self.ngens
+
+    def add(self, a, b) -> tuple[int, ...]:
+        return self.reduce([x + y for x, y in zip(a, b)])
+
+    def neg(self, a) -> tuple[int, ...]:
+        return self.reduce([-x for x in a])
+
+    def sub(self, a, b) -> tuple[int, ...]:
+        return self.reduce([x - y for x, y in zip(a, b)])
+
+    def sum(self, items) -> tuple[int, ...]:
+        return self.reduce([sum(c) for c in zip(self.zero(), *items)])
+
+
+class ReferenceWordMake:
+    """The ``make`` methods of ``FreeNil2Carrier``, ``FreeAbelianCarrier``
+    and ``FreePairsCarrier`` before their one-pass rewrite, copied
+    verbatim (as ``nil2_make``, ``abelian_make`` and ``pairs_make``) over
+    the same symbol ranks.
+
+    >>> ReferenceWordMake(["s", "t"]).pairs_make({("t", "s"): 2, ("s", "s"): 0})
+    ((('t', 's'), 2),)
+    """
+
+    def __init__(self, symbols: Sequence):
+        self._rank = {s: i for i, s in enumerate(symbols)}
+
+    def _key_linear(self, item):
+        return self._rank[item[0]]
+
+    def _key_comm(self, item):
+        return (self._rank[item[0][0]], self._rank[item[0][1]])
+
+    def nil2_make(self, linear: dict | None = None, comm: dict | None = None) -> Nil2Element:
+        lin = {}
+        for s, n in (linear or {}).items():
+            if s not in self._rank:
+                raise BasisMismatch(f"unknown symbol {s!r}")
+            if n:
+                lin[s] = n
+        cm = {}
+        for (u, v), n in (comm or {}).items():
+            if u not in self._rank or v not in self._rank:
+                raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
+            if self._rank[u] >= self._rank[v]:
+                raise BasisMismatch(f"pair ({u!r}, {v!r}) is not strictly ordered")
+            if n:
+                cm[(u, v)] = n
+        return Nil2Element(
+            tuple(sorted(lin.items(), key=self._key_linear)),
+            tuple(sorted(cm.items(), key=self._key_comm)),
+        )
+
+    def abelian_make(self, coeffs: dict) -> tuple:
+        for s in coeffs:
+            if s not in self._rank:
+                raise BasisMismatch(f"unknown symbol {s!r}")
+        return tuple(
+            sorted(((s, n) for s, n in coeffs.items() if n), key=lambda kv: self._rank[kv[0]])
+        )
+
+    def pairs_make(self, coeffs: dict) -> tuple:
+        out = {}
+        for (u, v), n in coeffs.items():
+            if u not in self._rank or v not in self._rank:
+                raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
+            if n:
+                out[(u, v)] = n
+        return tuple(
+            sorted(out.items(), key=lambda kv: (self._rank[kv[0][0]], self._rank[kv[0][1]]))
+        )

@@ -27,7 +27,12 @@ from quadalg.abelian import (
 )
 from quadalg.errors import CompositionNonzero, ShapeMismatch, TooLarge
 
-from .oracles import binary_functor, homology_oracle, subgroup_closure
+from .oracles import (
+    ReferenceGroupArithmetic,
+    binary_functor,
+    homology_oracle,
+    subgroup_closure,
+)
 
 
 class TestSmithNormalForm:
@@ -118,6 +123,25 @@ class TestFgAbGroup:
     def test_infinite_enumeration_guarded(self):
         with pytest.raises(TooLarge):
             FgAbGroup((0,)).elements()
+
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 0)])
+    def test_over_long_operands_are_rejected(self, factors):
+        g = FgAbGroup(factors)
+        message = "element of length 3 in group with 2 generators"
+        for call in (
+            lambda: g.add((1, 0, 1), (1, 0)),
+            lambda: g.add((1, 0), (1, 0, 1)),
+            lambda: g.sub((1, 0, 1), (1, 0)),
+            lambda: g.sub((1, 0), (1, 0, 1)),
+            lambda: g.sum([(1, 0), (1, 0, 1)]),
+            lambda: g.sum(iter([(1, 0, 1)])),
+            lambda: g.reduce((1, 0, 1)),
+            lambda: g.neg((1, 0, 1)),
+        ):
+            with pytest.raises(ShapeMismatch, match=message):
+                call()
+        with pytest.raises(ShapeMismatch, match="element of length 1 in group"):
+            g.add((1,), (1,))
 
 
 class TestAbMap:
@@ -255,6 +279,50 @@ def composable_pairs(draw):
 
 
 PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def _mismatch(method, *args) -> str:
+    with pytest.raises(ShapeMismatch) as info:
+        method(*args)
+    return str(info.value)
+
+
+@st.composite
+def divisibility_chains(draw):
+    """Invariant factors: a chain of finite factors, each dividing the
+    next and some of them large, then up to two free factors."""
+    factors = []
+    d = 1
+    for _ in range(draw(st.integers(0, 3))):
+        d *= draw(st.sampled_from([1, 2, 3, 5, 2**61 - 1])) if factors else draw(
+            st.integers(2, 12)
+        )
+        factors.append(d)
+    return tuple(factors) + (0,) * draw(st.integers(0, 2))
+
+
+class TestGroupArithmetic:
+    """Element arithmetic against the frozen copy in ``ReferenceGroupArithmetic``."""
+
+    @PROPERTY
+    @given(divisibility_chains(), st.data())
+    def test_matches_the_reference(self, factors, data):
+        g, ref = FgAbGroup(factors), ReferenceGroupArithmetic(factors)
+        coords = st.lists(
+            st.integers(-(2**70), 2**70), min_size=g.ngens, max_size=g.ngens
+        ).map(tuple)
+        a, b = data.draw(coords), data.draw(coords)
+        items = data.draw(st.lists(coords, max_size=4))
+        assert g.zero() == ref.zero() and g.ngens == ref.ngens
+        for name, args in [
+            ("reduce", (a,)), ("reduce", (list(b),)), ("add", (a, b)), ("sub", (a, b)),
+            ("neg", (a,)), ("sum", (items,)),
+        ]:
+            assert getattr(g, name)(*args) == getattr(ref, name)(*args), name
+        assert g.sum(iter(items)) == ref.sum(items)
+        assert g.is_zero(g.sub(a, a)) and g.is_finite() == (0 not in factors)
+        too_long = a + (1,)
+        assert _mismatch(g.reduce, too_long) == _mismatch(ref.reduce, too_long)
 
 
 class TestKernelsAndExactness:

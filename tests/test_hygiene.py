@@ -1,5 +1,5 @@
 """Source hygiene: ``quadalg`` modules import at the top, use every import,
-and call every private helper."""
+call every private helper, and keep no state between calls."""
 from __future__ import annotations
 
 import ast
@@ -238,4 +238,90 @@ def test_the_check_sees_an_unset_option():
     assert unset_options({"s.py": src}, [src, calls]) == [
         "s.py: f(c) (line 1)",
         "s.py: K(x) (line 4)",
+    ]
+
+
+MUTABLE_TYPES = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def _is_mutable_container(value: ast.expr) -> bool:
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Tuple):
+        return any(_is_mutable_container(v) for v in value.elts)
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_TYPES
+    return False
+
+
+def shared_state(tree: ast.Module) -> list[str]:
+    """Mutable containers bound at module level or in a class body, and
+    every use of ``functools.lru_cache`` or ``functools.cache``, as
+    ``name (line n)``: either keeps values from one call to the next for
+    the whole process. A per-instance ``cached_property`` is not shared."""
+    out = []
+    scopes = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_mutable_container(node.value):
+                out.extend(f"{ast.unparse(t)} (line {node.lineno})" for t in targets)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out.extend(
+                f"{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in MEMO_DECORATORS
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMO_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            out.append(f"functools.{node.attr} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_state_is_shared_between_calls(path):
+    assert shared_state(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_shared_state():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, cached_property, partial\n"
+        "SEEN = {}\n"
+        "ORDER: list = []\n"
+        "PAIRS = (1, [2])\n"
+        "COUNTS = collections.Counter()\n"
+        "NAMES = (\"a\", \"b\")\n"
+        "KEY = operator.itemgetter(0)\n"
+        "class K:\n"
+        "    rows = [0]\n"
+        "    @cached_property\n"
+        "    def table(self):\n"
+        "        local = {}\n"
+        "        return local\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(n):\n"
+        "    return n\n"
+    )
+    assert shared_state(tree) == [
+        "SEEN (line 3)",
+        "ORDER (line 4)",
+        "PAIRS (line 5)",
+        "COUNTS (line 6)",
+        "rows (line 10)",
+        "cache (line 2)",
+        "functools.lru_cache (line 15)",
     ]

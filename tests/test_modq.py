@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from quadalg import modq
 from quadalg.abelian import FgAbGroup
 from quadalg.bwcoh import coboundary, cohomology, natsystem_verify
 from quadalg.crossed import cyclic_ring_extension, ztilde_construction
@@ -438,6 +439,55 @@ class TestMatrixTrackExtension:
         assert res.is_cocycle(default) and res.is_cocycle(shifted)
         assert res.class_of(default) == res.class_of(shifted)
         assert coboundary(tm.base, tm.system, 3, shifted) == {}
+
+    def test_shifted_cocycle_entries(self, matrix_extension):
+        # the cocycle as the whiskers computed it when they composed both
+        # of their composites anew
+        tm = matrix_extension
+        row, col = (1, 0, ((),)), (0, 1, ())
+        zero, one = (1, 1, (((0,),),)), (1, 1, (((1,),),))
+        assert obstruction_cocycle(tm, section=tm.second_section) == {
+            T: (1,)
+            for T in [
+                (row, col, zero), (row, col, one), (zero, row, col), (zero, zero, one),
+                (zero, one, one), (one, row, col), (one, zero, zero), (one, one, zero),
+            ]
+        }
+
+    def test_whiskers_reuse_the_lift_products(self, monkeypatch):
+        te = ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
+        C = te.base
+        pairs = sum(C.dom[f] == C.cod[g] for f in C.morphisms for g in C.morphisms)
+        triples = len(C.composable_tuples(3))
+        assert (pairs, triples) == (13, 34)
+        calls = []
+        compose = modq.modq_compose
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(modq, "modq_compose", counted)
+        assert obstruction_cocycle(te) == {}
+        # one composite per pair, and per triple only the sources of its two
+        # whiskers: their targets are lift products (149 when composed anew)
+        assert len(calls) == pairs + 2 * triples == 81
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_reuse_leaves_the_cocycle_unchanged(self, second):
+        # over Z/8 with boundary 4 both sections have a nonzero cocycle
+        class Recomposing(ModQTrackExtension):
+            def left_whisker(self, F, t):
+                return track_left_whisker(F, t)
+
+            def right_whisker(self, t, G):
+                return track_right_whisker(t, G)
+
+        ext = cyclic_ring_extension(8, 4)
+        te, again = ModQTrackExtension(ext, max_rank=1), Recomposing(ext, max_rank=1)
+        got = obstruction_cocycle(te, te.second_section if second else None)
+        want = obstruction_cocycle(again, again.second_section if second else None)
+        assert got == want and got
 
     def test_rejects_a_negative_rank(self):
         # an empty base would give a vacuous zero obstruction

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg.abelian import FgAbGroup, smith, from_columns
 from quadalg.errors import BasisMismatch, NotFinite
@@ -20,6 +21,8 @@ from quadalg.nil2 import (
     square_group_verify,
 )
 from quadalg.sqring import znil, znil_monoid
+
+from .oracles import ReferenceWordMake
 
 
 def mod4_square_group() -> SquareGroup:
@@ -264,3 +267,56 @@ class TestSmallCarrierUtilities:
         assert dict(v) == {("s", "t"): 1, ("t", "s"): 2}
         with pytest.raises(BasisMismatch):
             c.make({("s", "u"): 1})
+
+
+def _outcome(make, *args):
+    """What ``make(*args)`` returns, or the type and message it raises."""
+    try:
+        return make(*args)
+    except BasisMismatch as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def word_carrier_input(draw):
+    """Distinct symbols and coefficient dicts over them, zero coefficients
+    included; a key is now and then a symbol outside the list."""
+    symbols = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
+    letter = st.sampled_from(symbols + ["?"]) if draw(st.booleans()) else st.sampled_from(symbols)
+    coeff = st.integers(-3, 3)
+    linear = draw(st.dictionaries(letter, coeff, max_size=6))
+    pairs = draw(st.dictionaries(st.tuples(letter, letter), coeff, max_size=6))
+    return symbols, linear, pairs
+
+
+class TestOnePassMake:
+    """The carriers' ``make`` against the frozen copies in ``ReferenceWordMake``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_carrier_input())
+    def test_make_matches_the_reference(self, case):
+        symbols, linear, pairs = case
+        ref = ReferenceWordMake(symbols)
+        ordered = {p: n for p, n in pairs.items() if p[0] in symbols and p[1] in symbols
+                   and symbols.index(p[0]) < symbols.index(p[1])}
+        nil2 = FreeNil2Carrier(symbols, symbols)
+        for comm in (pairs, ordered):
+            assert _outcome(nil2.make, linear, comm) == _outcome(ref.nil2_make, linear, comm)
+        assert _outcome(nil2.make, linear) == _outcome(ref.nil2_make, linear)
+        abelian = FreeAbelianCarrier(symbols, symbols)
+        assert _outcome(abelian.make, linear) == _outcome(ref.abelian_make, linear)
+        free_pairs = FreePairsCarrier(symbols, symbols)
+        assert _outcome(free_pairs.make, pairs) == _outcome(ref.pairs_make, pairs)
+
+    def test_errors_keep_their_messages(self):
+        c = FreeNil2Carrier(["s", "t"], ["s", "t"])
+        with pytest.raises(BasisMismatch, match=r"^unknown symbol 'u'$"):
+            c.make({"s": 0, "u": 1})
+        with pytest.raises(BasisMismatch, match=r"^unknown symbol pair \('s', 'u'\)$"):
+            c.make({}, {("s", "u"): 0})
+        with pytest.raises(BasisMismatch, match=r"^pair \('t', 's'\) is not strictly ordered$"):
+            c.make({"s": 1}, {("s", "t"): 1, ("t", "s"): 0})
+        with pytest.raises(BasisMismatch, match=r"^unknown symbol 'u'$"):
+            FreeAbelianCarrier(["s"], ["s"]).make({"s": 1, "u": 0})
+        with pytest.raises(BasisMismatch, match=r"^unknown symbol pair \('u', 's'\)$"):
+            FreePairsCarrier(["s"], ["s"]).make({("u", "s"): 0})
