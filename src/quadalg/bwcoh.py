@@ -55,6 +55,8 @@ MAX_ABSOLUTE_DEGREE = 3
 MAX_RELATIVE_DEGREE = 4
 DEFAULT_GENERATOR_CAP = 24000
 MAX_VERIFIED_EXTENSIONS = 20000
+# admits the matrices of rank <= 3 mod 2 (349,691 pairs) and rank <= 2 mod 5
+MAX_COMPOSABLE_PAIRS = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +130,11 @@ class FinCat:
                 break
         r.add("identities neutral", ok, witness)
         pairs = [(f, g) for f in self.morphisms for g in self.morphisms if self.dom[f] == self.cod[g]]
+        members = set(self.morphisms)
         closed, witness = True, None
         for f, g in pairs:
             h = self.table.get((f, g))
-            if h is None or h not in set(self.morphisms) or self.dom[h] != self.dom[g] or self.cod[h] != self.cod[f]:
+            if h is None or h not in members or self.dom[h] != self.dom[g] or self.cod[h] != self.cod[f]:
                 closed, witness = False, f"pair ({f!r}, {g!r})"
                 break
         r.add("composition closed", closed, witness)
@@ -176,9 +179,21 @@ class FinCat:
         ``x`` by ``y`` matrices with entries from ``entries``, stored as
         ``(x, y, rows)``. Composition is the matrix product whose entries
         are ``dot(row, column)``; identities have ``one`` on the diagonal
-        and ``zero`` elsewhere."""
+        and ``zero`` elsewhere. More than ``MAX_COMPOSABLE_PAIRS`` composable
+        pairs raise ``TooLarge`` before any matrix is built."""
         if max_rank < 0:
             raise ValueError(f"max_rank must be at least 0, got {max_rank}")
+        # pairs through y: (matrices with y columns) * (matrices with y rows)
+        pairs = 0
+        for y in range(max_rank + 1):
+            into = 0
+            for x in range(max_rank + 1):
+                into += len(entries) ** (x * y)
+                if pairs + into * into > MAX_COMPOSABLE_PAIRS:
+                    raise TooLarge(
+                        f"{name}: more than {MAX_COMPOSABLE_PAIRS} composable pairs"
+                    )
+            pairs += into * into
         objects = tuple(range(max_rank + 1))
         morphisms = []
         for x in objects:
@@ -217,11 +232,6 @@ class FinCat:
         composed by matrix product (see :meth:`matrices`)."""
         if modulus < 2:
             raise ValueError("the matrix category needs a modulus of at least 2")
-        # a negative rank is bad input, refused by ``matrices``
-        if max_rank > 0 and modulus ** (max_rank * max_rank) > 4096:
-            raise TooLarge(
-                f"hom set of size {modulus}^{max_rank * max_rank} is too large to tabulate"
-            )
         return cls.matrices(
             range(modulus),
             lambda row, col: sum(map(operator.mul, row, col)) % modulus,

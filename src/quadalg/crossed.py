@@ -118,15 +118,6 @@ class CrossedExtension:
     def H(self) -> Callable:
         return self.ring.H
 
-    def fibre(self) -> SquareGroup:
-        return SquareGroup(
-            e=self.c1,
-            ee=self.cee,
-            H=lambda r: self.H(self.boundary(r)),
-            P=self.P,
-            name=f"{self.name} fibre",
-        )
-
     def qpm(self) -> Qpm:
         return Qpm(
             c0=self.c0,
@@ -153,7 +144,7 @@ def verify_crossed(ext: CrossedExtension, samples: int = 500, seed: int = 0) -> 
     rng = random.Random(seed)
     r = Report(title=f"crossed extension ({ext.kind}): {ext.name}", samples=samples, seed=seed)
     r.extend(verify_ring(ext.ring, samples, seed), prefix="base: ")
-    r.extend(square_group_verify(ext.fibre(), samples, seed), prefix="fibre: ")
+    r.extend(square_group_verify(ext.qpm().level1(), samples, seed), prefix="fibre: ")
 
     c0, c1, cee = ext.c0, ext.c1, ext.cee
     mul, d, P, H = ext.ring.mul, ext.boundary, ext.P, ext.H
@@ -466,7 +457,7 @@ def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> Cro
     if not report.passed:
         failure = report.first_failure()
         raise NotASquareRing(f"{failure.name}: {failure.witness or 'failed'}")
-    sg = R.square_group()
+    sg = R.square_group
     if isinstance(R.e, FgAbGroup) and isinstance(R.ee, FgAbGroup):
         return _ztilde_abelian(R, sg)
     if isinstance(R.e, FreeNil2Carrier) and isinstance(R.ee, FreePairsCarrier):

@@ -217,7 +217,7 @@ def _h_table(doc: dict, e: FgAbGroup, ee: FgAbGroup, where: str) -> dict:
 def _build_square_group(doc: dict) -> SquareGroup:
     construction = _field(doc, "construction", str, "square_group")
     if construction == "znil":
-        return znil().square_group()
+        return znil().square_group
     if construction != "explicit":
         raise DocumentError(f"unknown square_group construction: {construction!r}")
     ge = _factors(_field(doc, "e", list, "square_group"), "square_group e")

@@ -30,7 +30,6 @@ from .errors import (
     NotFinite,
     SectionInvalid,
     ShapeMismatch,
-    TooLarge,
 )
 from .nil2 import Law, check_laws
 from .reports import Report
@@ -135,7 +134,7 @@ class FreeModElement:
         if other.rank != self.rank:
             raise ShapeMismatch("rank mismatch in module bracket")
         Q, e, ee = self.ring, self.ring.e, self.ring.ee
-        tmap = Q.square_group().tmap
+        tmap = Q.square_group.tmap
         coords = [e.zero() for _ in range(self.rank)]
         pairs: dict = {}
         for i in range(self.rank):
@@ -308,7 +307,7 @@ def modq_compose(f: ModQMor, g: ModQMor, mode: str = "closed") -> ModQMor:
 def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
     Q = f.ring
     e, ee = Q.e, Q.ee
-    tmap = Q.square_group().tmap
+    tmap = Q.square_group.tmap
     h2 = Q.H(Q.two())
     x, y, z = f.nrows, f.ncols, g.ncols
     g_pairs = sorted(g.fij.items())
@@ -430,22 +429,6 @@ def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:
     return tuple(tuple(q(v) for v in row) for row in f.fi)
 
 
-def quotient_matmul(ext: CrossedExtension, A: tuple, B: tuple) -> tuple:
-    car, mul = ext.quot.carrier, ext.quot.mul
-    return tuple(
-        tuple(
-            car.sum(mul(A[i][k], B[k][s]) for k in range(len(B)))
-            for s in range(len(B[0]) if B else 0)
-        )
-        for i in range(len(A))
-    )
-
-
-def homotopic(ext: CrossedExtension, f: ModQMor, g: ModQMor) -> bool:
-    """Whether a track ``f => g`` exists: the quotients must agree."""
-    return quotient_matrix(ext, f) == quotient_matrix(ext, g)
-
-
 # ---------------------------------------------------------------------------
 # Tracks
 # ---------------------------------------------------------------------------
@@ -526,7 +509,7 @@ def _left_whisker(u: ModQMor, t: Track, compose_f1: Callable) -> Track:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
     c1, ee = ext.c1, Q.ee
-    cross = Q.square_group().cross
+    cross = Q.square_group.cross
     x2, x, y = u.nrows, u.ncols, t.f0.ncols
     h = []
     for i in range(x2):
@@ -558,7 +541,7 @@ def _right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
     c1, ee = ext.c1, Q.ee
-    cross = Q.square_group().cross
+    cross = Q.square_group.cross
     x, y, z = t.f0.nrows, t.f0.ncols, g.ncols
     g_pairs = sorted(g.fij.items())
     h = []
@@ -587,15 +570,6 @@ def _right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
     return Track(ext, modq_compose(t.f0, g), compose_f1(t.f1, g), tuple(h))
 
 
-def track_hcomp(alpha: Track, beta: Track) -> Track:
-    """Horizontal composite ``alpha . beta`` along the first route.
-
-    The second route (whisker the other way first) gives the same
-    track; the interchange comparison lives in the test suite.
-    """
-    return track_vcomp(track_right_whisker(alpha, beta.f0), track_left_whisker(alpha.f1, beta))
-
-
 def track_tau(ext: CrossedExtension, f: ModQMor, m: tuple) -> Track:
     """The automorphism track of ``f`` attached to a kernel-module matrix."""
     x, y = f.nrows, f.ncols
@@ -603,46 +577,6 @@ def track_tau(ext: CrossedExtension, f: ModQMor, m: tuple) -> Track:
         raise ShapeMismatch(f"module matrix is not {x} by {y}")
     h = tuple(tuple(ext.include(v) for v in row) for row in m)
     return Track(ext, f, f, h)
-
-
-def track_tau_inv(t: Track) -> tuple:
-    """The kernel-module matrix of an automorphism track."""
-    if t.f0 != t.f1:
-        raise ValueError("only automorphism tracks carry module values")
-    table = {t.ext.include(m): m for m in t.ext.module.elements(DEFAULT_ENUM_BOUND)}
-    out = []
-    for row in t.h:
-        vals = []
-        for v in row:
-            if v not in table:
-                raise ValueError(f"track entry {v!r} is not in the kernel module image")
-            vals.append(table[v])
-        out.append(tuple(vals))
-    return tuple(out)
-
-
-def first_track(ext: CrossedExtension, f: ModQMor, g: ModQMor) -> Track | None:
-    """The first track ``f => g`` in enumeration order, or ``None``.
-
-    Requires the degree-one carrier to be finite; a track exists
-    exactly when the quotient matrices agree.
-    """
-    if (f.nrows, f.ncols) != (g.nrows, g.ncols):
-        raise ShapeMismatch("parallel morphisms needed")
-    table: dict = {}
-    for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
-        table.setdefault(ext.boundary(c), c)
-    c0 = ext.c0
-    h = []
-    for i in range(f.nrows):
-        row = []
-        for k in range(f.ncols):
-            diff = c0.sub(f.fi[i][k], g.fi[i][k])
-            if diff not in table:
-                return None
-            row.append(table[diff])
-        h.append(tuple(row))
-    return Track(ext, f, g, tuple(h))
 
 
 # ---------------------------------------------------------------------------
@@ -660,26 +594,12 @@ class ModQTrackExtension:
     build certified tracks.
     """
 
-    def __init__(
-        self,
-        ext: CrossedExtension,
-        max_rank: int = 1,
-        max_morphisms: int = 2000,
-    ):
+    def __init__(self, ext: CrossedExtension, max_rank: int = 1):
         if not isinstance(ext.ring, SquareRing):
             raise TypeError("matrix tracks need a square-ring extension")
         self.ext = ext
         self.ring = ext.ring
         relems = ext.quot.carrier.elements(DEFAULT_ENUM_BOUND)
-        count = sum(
-            len(relems) ** (x * y)
-            for x in range(max_rank + 1)
-            for y in range(max_rank + 1)
-        )
-        if count > max_morphisms:
-            raise TooLarge(
-                f"{count} quotient matrices up to rank {max_rank} exceed the cap {max_morphisms}"
-            )
         car, mul = ext.quot.carrier, ext.quot.mul
         self.base = FinCat.matrices(
             relems, lambda row, col: car.sum(map(mul, row, col)),
@@ -741,6 +661,10 @@ class ModQTrackExtension:
         return modq_compose(F, G) if prod is None else prod
 
     def first_track(self, F: ModQMor, G: ModQMor) -> Track:
+        """The track ``F => G`` of first boundary preimages; one exists
+        exactly when the quotient matrices agree."""
+        if (F.nrows, F.ncols) != (G.nrows, G.ncols):
+            raise ShapeMismatch("parallel morphisms needed")
         c0 = self.ext.c0
         h = []
         for i in range(F.nrows):
@@ -766,6 +690,8 @@ class ModQTrackExtension:
         return _right_whisker(t, G, self._lift_product)
 
     def value(self, t: Track) -> tuple:
+        """The kernel-module matrix of an automorphism track, flattened as in
+        :func:`~quadalg.bwcoh.bimodule_system`."""
         if t.f0 != t.f1:
             raise ValueError("only automorphism tracks carry module values")
         cells = [v for row in t.h for v in row]

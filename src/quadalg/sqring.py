@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup
@@ -49,8 +50,20 @@ def _comb2(n: int) -> int:
 # Structures
 # ---------------------------------------------------------------------------
 
+class _AdditiveStructure:
+    """What square and quadratic rings share through ``e, ee, H, P, one``."""
+
+    @cached_property
+    def square_group(self) -> SquareGroup:
+        """The additive square group, built once per ring."""
+        return SquareGroup(e=self.e, ee=self.ee, H=self.H, P=self.P, name=self.name)
+
+    def two(self):
+        return self.e.add(self.one, self.one)
+
+
 @dataclass
-class SquareRing:
+class SquareRing(_AdditiveStructure):
     """A square group with a multiplicative monoid and a pair action.
 
     ``act_pair(x, y, a)`` is the left action ``(x | y) . a`` and
@@ -69,19 +82,13 @@ class SquareRing:
     act_right: Callable
     name: str = "square ring"
 
-    def square_group(self) -> SquareGroup:
-        return SquareGroup(e=self.e, ee=self.ee, H=self.H, P=self.P, name=self.name)
-
     def tri(self, x, y, a, z):
         """The full three-slot action ``(x | y) . a . z``."""
         return self.act_right(self.act_pair(x, y, a), z)
 
-    def two(self):
-        return self.e.add(self.one, self.one)
-
 
 @dataclass
-class QuadraticRing:
+class QuadraticRing(_AdditiveStructure):
     """A square group with a monoid on ``e`` and a ring on ``ee``.
 
     ``act_pair`` and ``act_right`` are the actions of the underlying
@@ -97,19 +104,13 @@ class QuadraticRing:
     eemul: Callable
     name: str = "quadratic ring"
 
-    def square_group(self) -> SquareGroup:
-        return SquareGroup(e=self.e, ee=self.ee, H=self.H, P=self.P, name=self.name)
-
-    def two(self):
-        return self.e.add(self.one, self.one)
-
     def act_pair(self, x, y, a):
         """``(x | y) . a = (y | x)_H a``."""
-        return self.eemul(self.square_group().cross(y, x), a)
+        return self.eemul(self.square_group.cross(y, x), a)
 
     def act_right(self, a, z):
         """``a . z = a Delta(z)``."""
-        return self.eemul(a, self.square_group().delta(z))
+        return self.eemul(a, self.square_group.delta(z))
 
 
 def forget_U(Q: QuadraticRing) -> SquareRing:
@@ -179,8 +180,8 @@ def _left_distributive(R) -> Law:
 def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
     rng = random.Random(seed)
     r = Report(title=f"square ring: {R.name}", samples=samples, seed=seed)
-    r.extend(square_group_verify(R.square_group(), samples, seed), prefix="additive: ")
-    e, ee, sg = R.e, R.ee, R.square_group()
+    r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
+    e, ee, sg = R.e, R.ee, R.square_group
     H, P, mul, pair, right = R.H, R.P, R.mul, R.act_pair, R.act_right
     htwo = H(R.two())
     check_laws(r, _ring_laws(R) + [
@@ -231,8 +232,8 @@ def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
 def _verify_quadratic_ring(R: QuadraticRing, samples: int, seed: int) -> Report:
     rng = random.Random(seed)
     r = Report(title=f"quadratic ring: {R.name}", samples=samples, seed=seed)
-    r.extend(square_group_verify(R.square_group(), samples, seed), prefix="additive: ")
-    e, ee, sg = R.e, R.ee, R.square_group()
+    r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
+    e, ee, sg = R.e, R.ee, R.square_group
     H, P, mul, eemul, cross = R.H, R.P, R.mul, R.eemul, sg.cross
     check_laws(r, _ring_laws(R) + [
         _left_distributive(R),
@@ -515,7 +516,7 @@ def znil_monoid(
     >>> x = R.e.atom(("s",)); y = R.e.atom(("t",))
     >>> R.mul(x, y) == R.e.atom(("s", "t"))
     True
-    >>> R.square_group().cross(x, y) == R.ee.pair(("t",), ("s",))
+    >>> R.square_group.cross(x, y) == R.ee.pair(("t",), ("s",))
     True
     """
     if kind not in ("square", "quadratic"):

@@ -12,6 +12,7 @@ from quadalg import abelian, bwcoh
 from quadalg.abelian import AbMap, FgAbGroup, columns, exact_at, identity, mat_vec
 from quadalg.bwcoh import (
     DEFAULT_GENERATOR_CAP,
+    MAX_COMPOSABLE_PAIRS,
     CochainComplex,
     FinCat,
     NatSystem,
@@ -173,12 +174,28 @@ class TestFinCat:
         with pytest.raises(TooLarge):
             FinCat.mod_r(2, 4)
 
+    @pytest.mark.parametrize("size, max_rank", [(8, 2), (4096, 1), (2, 4), (2, 10**9)])
+    def test_matrix_guard_counts_pairs_before_building(self, size, max_rank):
+        def dot(row, col):
+            raise AssertionError("a table entry was built")
+
+        with pytest.raises(TooLarge, match=f"more than {MAX_COMPOSABLE_PAIRS} composable pairs"):
+            FinCat.matrices(range(size), dot, 1, 0, max_rank, "oversized")
+
+    def test_matrix_guard_admits_rank_three_mod_two(self, monkeypatch):
+        # the mod-2 matrices of rank <= 3 have exactly 349,691 composable
+        # pairs: one bound lower refuses them (building them takes seconds)
+        assert MAX_COMPOSABLE_PAIRS >= 349_691
+        monkeypatch.setattr(bwcoh, "MAX_COMPOSABLE_PAIRS", 349_690)
+        with pytest.raises(TooLarge, match="more than 349690 composable pairs"):
+            FinCat.mod_r(2, 3)
+
     def test_matrix_category_rejects_a_negative_rank(self):
         assert FinCat.mod_r(2, 0).objects == (0,)
         with pytest.raises(ValueError, match="max_rank must be at least 0"):
             FinCat.mod_r(2, -1)
 
-    # -100 would also fail mod_r's hom-set size guard, which must not see it
+    # -100 would also fail the size guard, which must not see it
     @pytest.mark.parametrize("max_rank", [-1, -100])
     def test_every_matrix_category_rejects_a_negative_rank(self, max_rank):
         with pytest.raises(ValueError, match=f"max_rank must be at least 0, got {max_rank}"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 import signal
 
 import pytest
@@ -101,6 +102,18 @@ class TestVerify:
                "modulus": 2, "max_rank": max_rank}
         assert main(["verify", write_json(tmp_path, "dm_negative.json", doc)]) == 2
         assert f"{kind}: max_rank must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modulus, max_rank", [(8, 2), (4096, 1)])
+    def test_oversized_matrix_category_exits_three(self, tmp_path, capsys, modulus, max_rank):
+        doc = {"schema_version": 1, "kind": "category", "construction": "dm",
+               "modulus": modulus, "max_rank": max_rank}
+        cat = write_json(tmp_path, "dm_big.json", doc)
+        coeff = write_json(tmp_path, "dm_coeff.json", dict(doc, kind="natural_system"))
+        start = time.perf_counter()
+        assert main(["cohomology", cat, coeff, "--degree", "1"]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "composable pairs" in err and "Traceback" not in err
 
     def test_conflicting_qpm_h_table_exits_two(self, tmp_path, capsys):
         doc = dict(QPM_EXPLICIT, H=[[[0], [0]], [[1], [1]], [[1], [0]]])

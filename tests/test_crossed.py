@@ -120,7 +120,7 @@ class TestZtildeOverIntegers:
         assert ok, witness
 
     def test_fibre_is_a_square_group(self, ext):
-        report = square_group_verify(ext.fibre(), samples=150, seed=2)
+        report = square_group_verify(ext.qpm().level1(), samples=150, seed=2)
         assert report.passed, report.render()
 
 

@@ -54,7 +54,7 @@ def _broken_p():
 
 
 def _integer_bad_p():
-    sg = znil().square_group()
+    sg = znil().square_group
     bad = dataclasses.replace(sg, P=lambda a: (a[0],), name="integers with P = id")
     return square_group_verify(bad, samples=40, seed=3)
 
@@ -67,14 +67,14 @@ def _non_additive_morphism():
 
 def _augmentation_morphism():
     R = znil_monoid(["s"], length_bound=4, sample_length=1)
-    return morphism_verify(R.square_group(), znil().square_group(), augmentation(),
+    return morphism_verify(R.square_group, znil().square_group, augmentation(),
                            samples=40, seed=2)
 
 
 def _augmentation_doubled_on_ee():
     R = znil_monoid(["s"], length_bound=4, sample_length=1)
     doubled = SgMorphism(e=augmentation().e, ee=lambda a: (2 * augmentation().ee(a)[0],))
-    return morphism_verify(R.square_group(), znil().square_group(), doubled, samples=40, seed=2)
+    return morphism_verify(R.square_group, znil().square_group, doubled, samples=40, seed=2)
 
 
 def _crossed_identity():
@@ -92,7 +92,7 @@ def _crossed_zero_boundary():
 
 
 def _crossed_integers_zero_action():
-    sg = znil().square_group()
+    sg = znil().square_group
     ident = SgMorphism(e=lambda x: x, ee=lambda a: a, name="id")
     return crossed_square_group_verify(sg, sg, lambda x, g: (0,), ident, samples=40, seed=6)
 

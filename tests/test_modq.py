@@ -23,19 +23,14 @@ from quadalg.modq import (
     ModQTrackExtension,
     Track,
     composition_report,
-    first_track,
-    homotopic,
     modq_compose,
     obstruction_cocycle,
-    quotient_matmul,
     quotient_matrix,
     random_morphism,
-    track_hcomp,
     track_invert,
     track_left_whisker,
     track_right_whisker,
     track_tau,
-    track_tau_inv,
     track_vcomp,
 )
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
@@ -56,6 +51,11 @@ def cyclic4():
 @pytest.fixture(scope="module")
 def matrix_extension():
     return ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
+
+
+@pytest.fixture(scope="module")
+def rank2_extension():
+    return ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=2)
 
 
 def random_pairs(ring, nrows, ncols, rng):
@@ -171,23 +171,26 @@ class TestQuotientFunctor:
         f = ModQMor(cyclic4.ring, 1, 2, (((1,), (2,)),), {})
         assert quotient_matrix(cyclic4, f) == (((1,), (0,)),)
 
-    def test_functorial_on_random_composites(self, cyclic4):
+    def test_functorial_on_random_composites(self, rank2_extension):
+        te = rank2_extension
         rng = random.Random(9)
         for _ in range(25):
-            x, y, z = (rng.randint(1, 3) for _ in range(3))
-            f = random_morphism(cyclic4.ring, x, y, rng)
-            h = random_morphism(cyclic4.ring, y, z, rng)
-            assert quotient_matrix(cyclic4, modq_compose(f, h)) == quotient_matmul(
-                cyclic4, quotient_matrix(cyclic4, f), quotient_matrix(cyclic4, h)
+            x, y, z = (rng.randint(1, 2) for _ in range(3))
+            f = random_morphism(te.ring, x, y, rng)
+            h = random_morphism(te.ring, y, z, rng)
+            composite = (x, z, quotient_matrix(te.ext, modq_compose(f, h)))
+            assert composite == te.base.compose(
+                (x, y, quotient_matrix(te.ext, f)), (y, z, quotient_matrix(te.ext, h))
             )
 
-    def test_homotopic_reads_off_the_quotient(self, cyclic4):
-        Q = cyclic4.ring
+    def test_homotopic_reads_off_the_quotient(self, matrix_extension):
+        Q = matrix_extension.ring
         f = ModQMor(Q, 1, 1, (((0,),),), {})
         g = ModQMor(Q, 1, 1, (((2,),),), {})
         k = ModQMor(Q, 1, 1, (((1,),),), {})
-        assert homotopic(cyclic4, f, g)
-        assert not homotopic(cyclic4, f, k)
+        assert matrix_extension.first_track(f, g).h == (((1,),),)
+        with pytest.raises(SectionInvalid, match="no track"):
+            matrix_extension.first_track(f, k)
 
 
 class TestTracks:
@@ -231,7 +234,8 @@ class TestTracks:
                 track_left_whisker(alpha.f0, beta), track_right_whisker(alpha, beta.f1)
             )
             assert first.h == second.h, f"trial {trial}"
-            assert track_hcomp(alpha, beta).h == first.h
+            assert first.f0 == second.f0 == modq_compose(alpha.f0, beta.f0)
+            assert first.f1 == second.f1 == modq_compose(alpha.f1, beta.f1)
 
     def test_shape_and_boundary_guards(self, cyclic4):
         Q = cyclic4.ring
@@ -244,17 +248,17 @@ class TestTracks:
         with pytest.raises(BoundaryMismatch, match="does not bound"):
             Track(cyclic4, f, f, (((1,),),))
 
-    def test_vcomp_needs_matching_middles(self, cyclic4):
-        Q = cyclic4.ring
+    def test_vcomp_needs_matching_middles(self, matrix_extension):
+        Q = matrix_extension.ring
         f = ModQMor(Q, 1, 1, (((0,),),), {})
         g = ModQMor(Q, 1, 1, (((2,),),), {})
-        t = first_track(cyclic4, f, g)
+        t = matrix_extension.first_track(f, g)
         with pytest.raises(ShapeMismatch, match="matching middle"):
             track_vcomp(t, t)
 
-    def test_whisker_shape_guards(self, cyclic4):
-        Q = cyclic4.ring
-        t = first_track(cyclic4, ModQMor.identity(Q, 1), ModQMor.identity(Q, 1))
+    def test_whisker_shape_guards(self, matrix_extension):
+        Q = matrix_extension.ring
+        t = matrix_extension.first_track(ModQMor.identity(Q, 1), ModQMor.identity(Q, 1))
         u = ModQMor.identity(Q, 2)
         with pytest.raises(ShapeMismatch, match="does not compose"):
             track_left_whisker(u, t)
@@ -263,59 +267,65 @@ class TestTracks:
 
 
 class TestTauAndFirstTrack:
-    def test_tau_roundtrip(self, cyclic4):
+    def test_tau_roundtrip(self, rank2_extension):
+        # ``value`` inverts ``track_tau``, flattened generator-major
+        te = rank2_extension
+        mg = te.ext.module
         rng = random.Random(9)
         for _ in range(25):
-            x, y = rng.randint(1, 3), rng.randint(1, 3)
-            f = random_morphism(cyclic4.ring, x, y, rng)
-            m = tuple(
-                tuple(cyclic4.module.sample(rng) for _ in range(y)) for _ in range(x)
-            )
-            t = track_tau(cyclic4, f, m)
+            x, y = rng.randint(1, 2), rng.randint(1, 2)
+            f = random_morphism(te.ring, x, y, rng)
+            m = tuple(tuple(mg.sample(rng) for _ in range(y)) for _ in range(x))
+            t = track_tau(te.ext, f, m)
             assert t.f0 == f and t.f1 == f
-            assert track_tau_inv(t) == m
+            flat = tuple(v[j] for j in range(mg.ngens) for row in m for v in row)
+            assert te.value(t) == flat
 
     def test_tau_shape_guard(self, cyclic4):
         f = ModQMor.identity(cyclic4.ring, 2)
         with pytest.raises(ShapeMismatch, match="module matrix is not"):
             track_tau(cyclic4, f, (((0,),),))
 
-    def test_tau_inv_needs_an_automorphism_track(self, cyclic4):
-        Q = cyclic4.ring
+    def test_tau_inv_needs_an_automorphism_track(self, matrix_extension):
+        Q = matrix_extension.ring
         f = ModQMor(Q, 1, 1, (((0,),),), {})
         g = ModQMor(Q, 1, 1, (((2,),),), {})
-        t = first_track(cyclic4, f, g)
+        t = matrix_extension.first_track(f, g)
         with pytest.raises(ValueError, match="only automorphism tracks"):
-            track_tau_inv(t)
+            matrix_extension.value(t)
 
     def test_tau_inv_rejects_values_outside_the_module_image(self, cyclic4):
         f = ModQMor.identity(cyclic4.ring, 1)
         t = track_tau(cyclic4, f, (((1,),),))
         crushed = dataclasses.replace(cyclic4, include=lambda mm: cyclic4.c1.zero())
-        broken = Track(crushed, f, f, t.h)
+        te = ModQTrackExtension(crushed, max_rank=1)
         with pytest.raises(ValueError, match="not in the kernel module image"):
-            track_tau_inv(broken)
+            te.value(Track(crushed, f, f, t.h))
 
-    def test_first_track_exists_exactly_for_homotopic_pairs(self, cyclic4):
+    def test_first_track_exists_exactly_for_homotopic_pairs(self, rank2_extension):
+        te = rank2_extension
         rng = random.Random(11)
         found = missing = 0
         for _ in range(40):
             x, y = rng.randint(1, 2), rng.randint(1, 2)
-            f = random_morphism(cyclic4.ring, x, y, rng)
-            g = random_morphism(cyclic4.ring, x, y, rng)
-            t = first_track(cyclic4, f, g)
-            if homotopic(cyclic4, f, g):
+            f = random_morphism(te.ring, x, y, rng)
+            g = random_morphism(te.ring, x, y, rng)
+            if quotient_matrix(te.ext, f) == quotient_matrix(te.ext, g):
                 found += 1
-                assert t is not None and t.f0 == f and t.f1 == g
+                t = te.first_track(f, g)
+                assert t.f0 == f and t.f1 == g
             else:
                 missing += 1
-                assert t is None
+                with pytest.raises(SectionInvalid, match="no track at entry"):
+                    te.first_track(f, g)
         assert found and missing
 
-    def test_first_track_needs_parallel_morphisms(self, cyclic4):
-        Q = cyclic4.ring
-        with pytest.raises(ShapeMismatch, match="parallel"):
-            first_track(cyclic4, ModQMor.zero(Q, 1, 1), ModQMor.zero(Q, 1, 2))
+    def test_first_track_needs_parallel_morphisms(self, matrix_extension):
+        Q = matrix_extension.ring
+        for shapes in [((1, 1), (1, 2)), ((1, 2), (1, 1)), ((2, 1), (1, 1))]:
+            F, G = (ModQMor.zero(Q, *shape) for shape in shapes)
+            with pytest.raises(ShapeMismatch, match="parallel"):
+                matrix_extension.first_track(F, G)
 
 
 class TestCyclicTrackExtension:
@@ -496,8 +506,8 @@ class TestMatrixTrackExtension:
 
     def test_size_and_kind_guards(self):
         base = cyclic_ring_extension(4, 2)
-        with pytest.raises(TooLarge, match="exceed the cap"):
-            ModQTrackExtension(base, max_rank=2, max_morphisms=10)
+        with pytest.raises(TooLarge, match="composable pairs"):
+            ModQTrackExtension(base, max_rank=4)
         unbounded = dataclasses.replace(base, module=FgAbGroup.free(1))
         with pytest.raises(NotFinite, match="must be finite"):
             ModQTrackExtension(unbounded)

@@ -129,11 +129,11 @@ class TestCommutatorSubgroupSequence:
 
 class TestSquareGroupVerify:
     def test_integer_model_passes(self):
-        report = square_group_verify(znil().square_group(), samples=400, seed=0)
+        report = square_group_verify(znil().square_group, samples=400, seed=0)
         assert report.passed, report.render()
 
     def test_word_model_passes(self):
-        sg = znil_monoid(["s", "t"], length_bound=4, sample_length=1).square_group()
+        sg = znil_monoid(["s", "t"], length_bound=4, sample_length=1).square_group
         report = square_group_verify(sg, samples=250, seed=1)
         assert report.passed, report.render()
 
@@ -153,7 +153,7 @@ class TestSquareGroupVerify:
 
 @pytest.fixture(scope="module")
 def sg():
-    return znil_monoid(["s", "t"], length_bound=4, sample_length=1).square_group()
+    return znil_monoid(["s", "t"], length_bound=4, sample_length=1).square_group
 
 
 class TestDerivedIdentities:
@@ -230,7 +230,7 @@ class TestMorphisms:
             ee=lambda a: (sum(c for _, c in a),),
             name="augmentation",
         )
-        report = morphism_verify(R.square_group(), znil().square_group(), f, samples=200, seed=0)
+        report = morphism_verify(R.square_group, znil().square_group, f, samples=200, seed=0)
         assert report.passed, report.render()
 
     def test_non_additive_map_fails_with_witness(self):

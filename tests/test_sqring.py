@@ -44,7 +44,7 @@ class TestZnil:
         assert R.act_pair((2,), (3,), (5,)) == (30,)
         assert R.two() == (2,)
         assert R.H(R.two()) == (1,)
-        assert R.square_group().cross((3,), (5,)) == (15,)
+        assert R.square_group.cross((3,), (5,)) == (15,)
 
     def test_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown ring kind"):
@@ -93,7 +93,7 @@ class TestWordModel:
         y = R.e.atom(("t",))
         assert R.mul(x, y) == R.e.atom(("s", "t"))
         assert R.mul(R.one, x) == x
-        assert R.square_group().cross(x, y) == R.ee.pair(("t",), ("s",))
+        assert R.square_group.cross(x, y) == R.ee.pair(("t",), ("s",))
 
     def test_overflowing_products_raise(self):
         R = znil_monoid(["s", "t"], length_bound=4, sample_length=1)
