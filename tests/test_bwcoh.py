@@ -174,7 +174,7 @@ class TestFinCat:
         with pytest.raises(TooLarge):
             FinCat.mod_r(2, 4)
 
-    @pytest.mark.parametrize("size, max_rank", [(8, 2), (4096, 1), (2, 4), (2, 10**9)])
+    @pytest.mark.parametrize("size, max_rank", [(8, 2), (4096, 1), (2, 10**9)])
     def test_matrix_guard_counts_pairs_before_building(self, size, max_rank):
         def dot(row, col):
             raise AssertionError("a table entry was built")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -172,16 +173,27 @@ class TestQuotientFunctor:
         assert quotient_matrix(cyclic4, f) == (((1,), (0,)),)
 
     def test_functorial_on_random_composites(self, rank2_extension):
+        # against the base's table up to rank 2, against a written-out
+        # product over the quotient ring at rank 3
         te = rank2_extension
+        R = te.ext.quot
         rng = random.Random(9)
         for _ in range(25):
-            x, y, z = (rng.randint(1, 2) for _ in range(3))
+            x, y, z = (rng.randint(1, 3) for _ in range(3))
             f = random_morphism(te.ring, x, y, rng)
             h = random_morphism(te.ring, y, z, rng)
-            composite = (x, z, quotient_matrix(te.ext, modq_compose(f, h)))
-            assert composite == te.base.compose(
-                (x, y, quotient_matrix(te.ext, f)), (y, z, quotient_matrix(te.ext, h))
+            qf, qh = quotient_matrix(te.ext, f), quotient_matrix(te.ext, h)
+            composite = quotient_matrix(te.ext, modq_compose(f, h))
+            expected = tuple(
+                tuple(
+                    functools.reduce(R.carrier.add, map(R.mul, row, col), R.carrier.zero())
+                    for col in zip(*qh)
+                )
+                for row in qf
             )
+            assert composite == expected
+            if max(x, y, z) <= 2:
+                assert (x, z, composite) == te.base.compose((x, y, qf), (y, z, qh))
 
     def test_homotopic_reads_off_the_quotient(self, matrix_extension):
         Q = matrix_extension.ring
@@ -267,13 +279,14 @@ class TestTracks:
 
 
 class TestTauAndFirstTrack:
-    def test_tau_roundtrip(self, rank2_extension):
-        # ``value`` inverts ``track_tau``, flattened generator-major
-        te = rank2_extension
+    def test_tau_roundtrip(self, matrix_extension):
+        # ``value`` inverts ``track_tau``, flattened generator-major; it reads
+        # any shape, whatever the base's rank
+        te = matrix_extension
         mg = te.ext.module
         rng = random.Random(9)
         for _ in range(25):
-            x, y = rng.randint(1, 2), rng.randint(1, 2)
+            x, y = rng.randint(1, 3), rng.randint(1, 3)
             f = random_morphism(te.ring, x, y, rng)
             m = tuple(tuple(mg.sample(rng) for _ in range(y)) for _ in range(x))
             t = track_tau(te.ext, f, m)
