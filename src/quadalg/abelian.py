@@ -611,12 +611,12 @@ class FgAbGroup:
     def generators(self) -> list[tuple[int, ...]]:
         return [self.generator(i) for i in range(self.ngens)]
 
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         n = self.order()
         if n is None:
             raise TooLarge("cannot enumerate an infinite group")
-        if n > bound:
-            raise TooLarge(f"group of order {n} exceeds enumeration bound {bound}")
+        if n > DEFAULT_ENUM_BOUND:
+            raise TooLarge(f"group of order {n} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
         ranges = [range(d) for d in self.invariant_factors]
         return [tuple(t) for t in itertools.product(*ranges)]
 

@@ -54,7 +54,11 @@ from .reports import Report
 MAX_ABSOLUTE_DEGREE = 3
 MAX_RELATIVE_DEGREE = 4
 DEFAULT_GENERATOR_CAP = 24000
-MAX_VERIFIED_EXTENSIONS = 20000
+# one composable triple per cocycle entry of modq.obstruction_cocycle and per
+# extension natsystem_verify checks: the rank <= 2 base over Z/2 (8,507
+# triples) takes 1.5 s for a shifted section and is admitted; over Z/4
+# (19.3 M) it would take about 55 min (extrapolated), and is refused
+MAX_COMPOSABLE_TRIPLES = 20_000
 # one table entry per composable pair: rank <= 3 mod 2 (349,691 pairs) builds
 # in 4 s at a 193 MB peak and is admitted; rank <= 1 mod 1,024 (1.05 M) took
 # 4.9 s at 466 MB, and it and rank <= 2 mod 6 (1.78 M) are refused
@@ -113,6 +117,25 @@ class FinCat:
             ]
         return chains
 
+    def count_chains(self, n: int) -> int:
+        """``len(composable_tuples(n))``, counted by the domain of each
+        chain's last morphism without listing a chain.
+
+        >>> C = FinCat.mod_r(2, 1)
+        >>> C.count_chains(3), len(C.composable_tuples(3))
+        (34, 34)
+        """
+        if n == 0:
+            return 1
+        hom = Counter((self.cod[f], self.dom[f]) for f in self.morphisms)
+        ends = Counter(self.dom[f] for f in self.morphisms)
+        for _ in range(n - 1):
+            longer: Counter = Counter()
+            for (c, d), k in hom.items():
+                longer[d] += ends[c] * k
+            ends = longer
+        return sum(ends.values())
+
     def validate(self) -> Report:
         r = Report(title=f"category tables: {self.name}")
         ok, witness = True, None
@@ -131,7 +154,10 @@ class FinCat:
                 ok, witness = False, f"morphism {f!r}"
                 break
         r.add("identities neutral", ok, witness)
-        pairs = [(f, g) for f in self.morphisms for g in self.morphisms if self.dom[f] == self.cod[g]]
+        count = self.count_chains(2)
+        if count * len(self.morphisms) > 2_000_000:
+            raise TooLarge(f"{count} composable pairs make associativity checks impractical")
+        pairs = self.composable_tuples(2)
         members = set(self.morphisms)
         closed, witness = True, None
         for f, g in pairs:
@@ -143,25 +169,27 @@ class FinCat:
         if not closed:
             r.note("associativity not checked because the table is not closed")
             return r
-        if len(pairs) * len(self.morphisms) > 2_000_000:
-            raise TooLarge(f"{len(pairs)} composable pairs make associativity checks impractical")
+        # the triples of composable_tuples(3), in its order, joined from the pairs
+        after: dict = {}
+        for g, h in pairs:
+            after.setdefault(g, []).append(h)
         ok, witness = True, None
-        for f, g in pairs:
-            for h in self.morphisms:
-                if self.dom[g] != self.cod[h]:
-                    continue
-                if self.compose(self.compose(f, g), h) != self.compose(f, self.compose(g, h)):
-                    ok, witness = False, f"triple ({f!r}, {g!r}, {h!r})"
-                    break
-            if not ok:
+        for f, g, h in ((f, g, h) for f, g in pairs for h in after.get(g, ())):
+            if self.compose(self.compose(f, g), h) != self.compose(f, self.compose(g, h)):
+                ok, witness = False, f"triple ({f!r}, {g!r}, {h!r})"
                 break
         r.add("composition associative", ok, witness)
         return r
 
     @classmethod
     def from_monoid(cls, elements: Sequence, mul: Callable, unit, name: str = "monoid") -> "FinCat":
+        """One object with the monoid's elements as morphisms, composed by
+        ``mul``. More than ``MAX_COMPOSABLE_PAIRS`` composable pairs raise
+        ``TooLarge`` before any product is taken."""
         obj = "*"
         elems = tuple(elements)
+        if len(elems) ** 2 > MAX_COMPOSABLE_PAIRS:
+            raise TooLarge(f"{name}: more than {MAX_COMPOSABLE_PAIRS} composable pairs")
         table = {(f, g): mul(f, g) for f in elems for g in elems}
         return cls(
             objects=(obj,),
@@ -365,9 +393,13 @@ def _same_map(f: AbMap, g: AbMap) -> bool:
 
 
 def natsystem_verify(D: NatSystem) -> Report:
-    """Functoriality of a natural system over its category, on at most
-    ``MAX_VERIFIED_EXTENSIONS`` pairs of extensions."""
+    """Functoriality of a natural system over its category. More than
+    ``MAX_COMPOSABLE_TRIPLES`` extensions raise ``TooLarge`` before any is
+    listed, and at most that many pairs of extensions are checked."""
     C = D.cat
+    extensions = C.count_chains(3)
+    if extensions > MAX_COMPOSABLE_TRIPLES:
+        raise TooLarge(f"{extensions} extensions exceed the verification cap")
     r = Report(title=f"natural system: {D.name}")
     ok, witness = True, None
     for alpha in C.morphisms:
@@ -383,15 +415,13 @@ def natsystem_verify(D: NatSystem) -> Report:
                 for psi in C.morphisms if C.dom[psi] == C.cod[f]]
 
     triples = [(nu, alpha, psi) for alpha in C.morphisms for nu, psi in around(alpha)]
-    if len(triples) > MAX_VERIFIED_EXTENSIONS:
-        raise TooLarge(f"{len(triples)} extensions exceed the verification cap")
     pairs = (
         (nu, alpha, psi, nu2, psi2) for nu, alpha, psi in triples
         for nu2, psi2 in around(C.compose(psi, C.compose(alpha, nu)))
     )
     ok, witness = True, None
     for count, (nu, alpha, psi, nu2, psi2) in enumerate(pairs):
-        if count == MAX_VERIFIED_EXTENSIONS:
+        if count == MAX_COMPOSABLE_TRIPLES:
             r.note(f"composition functoriality truncated at {count} cases")
             break
         beta = C.compose(psi, C.compose(alpha, nu))
@@ -729,12 +759,9 @@ def validate_projection(C: FinCat, K: FinCat, p: dict) -> None:
     for o in K.objects:
         if p[K.identity(o)] != C.identity(o):
             raise ValueError(f"projection sends the identity of {o!r} elsewhere")
-    for f in K.morphisms:
-        for g in K.morphisms:
-            if K.dom[f] != K.cod[g]:
-                continue
-            if p[K.compose(f, g)] != C.compose(p[f], p[g]):
-                raise ValueError(f"projection is not a functor at ({f!r}, {g!r})")
+    for f, g in K.composable_tuples(2):
+        if p[K.compose(f, g)] != C.compose(p[f], p[g]):
+            raise ValueError(f"projection is not a functor at ({f!r}, {g!r})")
     missing = set(C.morphisms) - set(p.values())
     if missing:
         raise NotSurjective(f"morphisms without preimage: {sorted(map(repr, missing))[:3]}")

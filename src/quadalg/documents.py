@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abelian import DEFAULT_ENUM_BOUND, AbMap, FgAbGroup, mat_shape, mat_vec
+from .abelian import AbMap, FgAbGroup, mat_shape, mat_vec
 from .bwcoh import (
     FinCat,
     NatSystem,
@@ -206,7 +206,7 @@ def _h_table(doc: dict, e: FgAbGroup, ee: FgAbGroup, where: str) -> dict:
             raise DocumentError(f"{where} H: each entry must be a [x, H(x)] pair")
         x = _coords(row[0], e, f"{where} H input")
         table[x] = _coords(row[1], ee, f"{where} H output")
-    missing = [x for x in e.elements(DEFAULT_ENUM_BOUND) if x not in table]
+    missing = [x for x in e.elements() if x not in table]
     if missing:
         raise DocumentError(f"{where} H: no value for {missing[0]}")
     if len(raw_h) != e.order():

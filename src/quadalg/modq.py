@@ -22,14 +22,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .abelian import DEFAULT_ENUM_BOUND, from_columns
-from .bwcoh import FinCat, bimodule_system
+from .abelian import from_columns
+from .bwcoh import MAX_COMPOSABLE_TRIPLES, FinCat, bimodule_system
 from .crossed import CrossedExtension
 from .errors import (
     BoundaryMismatch,
     NotFinite,
     SectionInvalid,
     ShapeMismatch,
+    TooLarge,
 )
 from .nil2 import Law, check_laws
 from .reports import Report
@@ -278,7 +279,7 @@ class _Morphisms:
         shapes = [dims] * self.count if self.parallel else zip(dims, dims[1:])
         return tuple(random_morphism(self.ring, x, y, rng) for x, y in shapes)
 
-    def elements(self, bound: int = DEFAULT_ENUM_BOUND) -> list:
+    def elements(self) -> list:
         raise NotFinite("random morphisms are sampled, not enumerated")
 
 
@@ -599,7 +600,7 @@ class ModQTrackExtension:
             raise TypeError("matrix tracks need a square-ring extension")
         self.ext = ext
         self.ring = ext.ring
-        relems = ext.quot.carrier.elements(DEFAULT_ENUM_BOUND)
+        relems = ext.quot.carrier.elements()
         car, mul = ext.quot.carrier, ext.quot.mul
         self.base = FinCat.matrices(
             relems, lambda row, col: car.sum(map(mul, row, col)),
@@ -608,13 +609,13 @@ class ModQTrackExtension:
         )
 
         self._pre: dict = {}
-        for v in ext.c0.elements(DEFAULT_ENUM_BOUND):
+        for v in ext.c0.elements():
             self._pre.setdefault(ext.quot.q(v), []).append(v)
         for rv in relems:
             if rv not in self._pre:
                 raise SectionInvalid(f"quotient element {rv!r} has no ring preimage")
         self._bnd: dict = {}
-        for c in ext.c1.elements(DEFAULT_ENUM_BOUND):
+        for c in ext.c1.elements():
             self._bnd.setdefault(ext.boundary(c), c)
         self._products: dict = {}
 
@@ -622,7 +623,7 @@ class ModQTrackExtension:
         if not mg.is_finite():
             raise NotFinite("the kernel module must be finite for track values")
         self._mg = mg
-        self._inc = {ext.include(m): m for m in ext.module.elements(DEFAULT_ENUM_BOUND)}
+        self._inc = {ext.include(m): m for m in ext.module.elements()}
         left = {rv: self._module_action(rv, left=True) for rv in relems}
         right = {rv: self._module_action(rv, left=False) for rv in relems}
         self.system = bimodule_system(
@@ -712,17 +713,19 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     track whose value is the cochain. Missing keys are zero.
     The whiskers' targets ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]``
     are lift products of the pair loop, which ``te`` may reuse; every
-    track is still certified.
+    track is still certified. A base with more than
+    ``MAX_COMPOSABLE_TRIPLES`` composable triples raises ``TooLarge``
+    before any lift is chosen.
     """
     C = te.base
+    triples = C.count_chains(3)
+    if triples > MAX_COMPOSABLE_TRIPLES:
+        raise TooLarge(f"{triples} composable triples exceed the cap {MAX_COMPOSABLE_TRIPLES}")
     s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}
     mu = {}
-    for phi in C.morphisms:
-        for psi in C.morphisms:
-            if C.dom[phi] != C.cod[psi]:
-                continue
-            prod = te.compose_lifts(s[phi], s[psi])
-            mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
+    for phi, psi in C.composable_tuples(2):
+        prod = te.compose_lifts(s[phi], s[psi])
+        mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
     out = {}
     for T in C.composable_tuples(3):
         phi, psi, chi = T

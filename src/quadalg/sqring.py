@@ -35,6 +35,7 @@ from .nil2 import (
     Law,
     Nil2Element,
     SquareGroup,
+    _finite_elements,
     check_laws,
     square_group_verify,
 )
@@ -551,15 +552,14 @@ def linear_elements(R) -> list:
     Finite carriers are enumerated; the free word model reports its word
     generators, and the integer model reports ``0`` and ``1``.
     """
-    try:
-        pool = R.e.elements(DEFAULT_ENUM_BOUND)
-    except (NotFinite, TooLarge):
+    pool = _finite_elements(R.e)
+    if pool is None:
         if isinstance(R.e, FreeNil2Carrier):
             pool = [R.e.atom(s) for s in R.e.symbols]
         elif isinstance(R.e, FgAbGroup):
             pool = [R.e.reduce(v) for v in _small_box(R.e.ngens, 4)]
         else:
-            raise
+            raise NotFinite("no linear element pool on this carrier")
     return [x for x in pool if R.ee.is_zero(R.H(x))]
 
 
@@ -590,9 +590,9 @@ def ad_ring(R) -> AdRing:
     on the chosen representatives, which happens exactly when the input
     fails the square-ring laws tying ``P`` to the multiplication.
     """
-    elements = R.e.elements(DEFAULT_ENUM_BOUND)
+    elements = R.e.elements()
     index = {x: i for i, x in enumerate(elements)}
-    image = {R.P(a) for a in R.ee.elements(DEFAULT_ENUM_BOUND)}
+    image = {R.P(a) for a in R.ee.elements()}
     label: dict = {}
     for x in elements:
         rep = min((R.e.add(x, w) for w in image), key=lambda v: index[v])

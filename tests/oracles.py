@@ -124,7 +124,7 @@ def homology_oracle(d1: AbMap, d2: AbMap, bound: int = 200) -> tuple[int, ...]:
     n = B.order()
     assert n is not None and n <= bound, "oracle needs a small finite middle group"
     zero_c = d2.target.zero()
-    kernel = [b for b in B.elements(bound) if d2.apply(b) == zero_c]
+    kernel = [b for b in B.elements() if d2.apply(b) == zero_c]
     img_gens = [
         B.reduce([d1.matrix[i][j] for i in range(B.ngens)])
         for j in range(d1.source.ngens)

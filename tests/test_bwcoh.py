@@ -207,6 +207,54 @@ class TestFinCat:
         with pytest.raises(ValueError, match="must be positive"):
             one_object_cyclic(0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: dm_natural_system(2, 1)[0],
+        lambda: dm_natural_system(2, 2)[0],
+        lambda: dm_natural_system(4, 1)[0],
+        lambda: cyclic_setup(4)[0],
+        lambda: arrow_fixture()[0],
+        lambda: pair_projection_fixture()[1],
+    ], ids=["dm2r1", "dm2r2", "dm4r1", "cyclic", "arrow", "pair"])
+    def test_count_chains_counts_the_listed_chains(self, make):
+        C = make()
+        for n in range(4):
+            assert C.count_chains(n) == len(C.composable_tuples(n)), n
+
+    def test_monoid_guard_counts_pairs_before_building(self, monkeypatch):
+        def mul(a, b):
+            raise AssertionError("a table entry was built")
+
+        monkeypatch.setattr(bwcoh, "MAX_COMPOSABLE_PAIRS", 24)
+        with pytest.raises(TooLarge, match="more than 24 composable pairs"):
+            FinCat.from_monoid(range(5), mul, 0, "oversized")
+        monkeypatch.setattr(bwcoh, "MAX_COMPOSABLE_PAIRS", 25)
+        assert len(FinCat.from_monoid(range(5), lambda a, b: (a + b) % 5, 0).table) == 25
+
+    def test_associativity_witness_is_the_first_failing_chain(self):
+        # subtraction mod 3: ((f - g) - h) and (f - (g - h)) differ when h != 0
+        C = FinCat.from_monoid(range(3), lambda a, b: (a - b) % 3, 0)
+        first = next(
+            (f, g, h) for f, g, h in C.composable_tuples(3)
+            if C.compose(C.compose(f, g), h) != C.compose(f, C.compose(g, h))
+        )
+        failed = {c.name: c.witness for c in C.validate().failures}
+        assert failed["composition associative"] == f"triple {first!r}" == "triple (0, 0, 1)"
+
+    def test_validate_refuses_before_listing_pairs(self):
+        # 600^3 triples: listing the 360,000 pairs alone would take tens of
+        # megabytes; the refusal comes first, even on a table that is not
+        # closed
+        C = one_object_cyclic(600)
+        C.table[(1, 1)] = "ghost"
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="360000 composable pairs"):
+                C.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestBarAgreement:
     @pytest.mark.parametrize("m", [2, 3])
@@ -447,6 +495,18 @@ class TestMatrixBimodule:
         _, D = dm_natural_system(4, 1, 2)
         assert D.name == "bimodule Z/2 matrices"
 
+    def test_verification_refuses_before_listing_extensions(self):
+        # 693,195 composable triples, each one extension to check
+        _, D = dm_natural_system(3, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="693195 extensions exceed the verification cap"):
+                natsystem_verify(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("modulus", [3, 4])
     def test_reduced_actions_are_functorial(self, modulus):
         # two-step actions such as 2 * 2 = 4 in Z/4 agree with one-step
@@ -608,6 +668,10 @@ class TestRelative:
         )
         with pytest.raises(NotIdentityOnObjects):
             validate_projection(point, K2, {0: "ia", 1: "ia"})
+        # the first composable pair that p does not preserve: 1 + 1 = 2 -> 1
+        broken = {0: 0, 1: 1, 2: 1, 3: 0}
+        with pytest.raises(ValueError, match=r"not a functor at \(1, 1\)"):
+            validate_projection(one_object_cyclic(2), one_object_cyclic(4), broken)
 
     def test_degree_guards(self):
         C, K, p = projection_fixture()

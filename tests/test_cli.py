@@ -147,6 +147,23 @@ class TestVerify:
         assert main_within_a_second(["verify", path]) == 3
         assert "more than 4096 words" in capsys.readouterr().err
 
+    def test_long_ztilde_word_model_exits_three_at_once(self, tmp_path, capsys):
+        doc = dict(EXT_ZTILDE, ring=dict(RING_WORDS, length_bound=4000))
+        path = write_json(tmp_path, "ztilde_long.json", doc)
+        # 4,001 words: checking T on every word pair would take 16 million steps
+        assert main_within_a_second(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert "4001 words give more than 16384 word pairs" in err and "Traceback" not in err
+
+    def test_oversized_monoid_category_exits_three_at_once(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "kind": "category", "construction": "one_object_cyclic",
+               "modulus": 10000}
+        path = write_json(tmp_path, "cyclic_big.json", doc)
+        # the table would hold 10^8 entries
+        assert main_within_a_second(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert "more than 500000 composable pairs" in err and "Traceback" not in err
+
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],
                "matrix": [[True]]}

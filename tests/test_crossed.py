@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from quadalg import crossed
 from quadalg.abelian import FgAbGroup
 from quadalg.crossed import (
+    MAX_WORD_PAIRS,
     PullbackCarrier,
     cyclic_ring_extension,
     linearly_generated,
@@ -20,6 +22,7 @@ from quadalg.errors import (
     NotASquareRing,
     NotSurjective,
     PullbackDegenerate,
+    TooLarge,
 )
 from quadalg.nil2 import SgMorphism, qpm_verify, square_group_verify
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
@@ -165,6 +168,22 @@ class TestZtildeOverWords:
             # every carrier draws from the ring's pool: all words up to length k
             assert max(map(len, drawn), default=-1) == k, name
 
+    def test_word_pair_guard_comes_before_the_ring_checks(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def verify_ring(R, samples, seed):
+            raise Checked
+
+        monkeypatch.setattr(crossed, "verify_ring", verify_ring)
+        # 129 words, one over the bound, are refused before any check
+        assert 128**2 <= MAX_WORD_PAIRS < 129**2
+        with pytest.raises(TooLarge, match="129 words give more than 16384 word pairs"):
+            ztilde_construction(znil_monoid(["s"], 128))
+        # the largest word model in use, 127 words, goes on to the checks
+        with pytest.raises(Checked):
+            ztilde_construction(znil_monoid(["s", "t"], 6))
+
     def test_rejects_a_broken_ring(self):
         broken = dataclasses.replace(znil(), H=lambda x: (x[0] * x[0],))
         with pytest.raises(NotASquareRing):
@@ -220,6 +239,14 @@ class TestFinitePullback:
 
     def test_c1_is_the_matching_pairs(self, ext):
         assert ext.c1.elements() == [((0,), (0,)), ((1,), (2,)), ((2,), (0,)), ((3,), (2,))]
+
+    def test_candidate_pairs_are_bounded_before_matching(self):
+        def matches(c, w):
+            raise AssertionError("a candidate pair was matched")
+
+        c1 = PullbackCarrier(FgAbGroup((64,)), FgAbGroup((128,)), matches, None)
+        with pytest.raises(TooLarge, match="direct sum has 8192 elements, bound 4096"):
+            c1.elements()
 
     def test_verifies_exhaustively(self, ext, monkeypatch):
         def no_sampling(self, rng):

@@ -527,3 +527,27 @@ class TestMatrixTrackExtension:
         quadratic = dataclasses.replace(base, kind="qpa", ring=cyclic_ring(4, "quadratic"))
         with pytest.raises(TypeError, match="square-ring extension"):
             ModQTrackExtension(quadratic)
+
+    def test_obstruction_refuses_before_the_first_lift_product(self):
+        # rank <= 2 over the quotient Z/4: 19.3 M composable triples, most
+        # of an hour of whiskers
+        te = ModQTrackExtension(cyclic_ring_extension(16, 4), max_rank=2)
+
+        def compose_lifts(F, G):
+            raise AssertionError("a lift product was taken")
+
+        te.compose_lifts = compose_lifts
+        with pytest.raises(TooLarge, match="19266417 composable triples exceed"):
+            obstruction_cocycle(te)
+
+    def test_obstruction_admits_the_rank_two_base_over_z2(self, rank2_extension, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def compose_lifts(F, G):
+            raise Admitted
+
+        assert rank2_extension.base.count_chains(3) == 8507
+        monkeypatch.setattr(rank2_extension, "compose_lifts", compose_lifts)
+        with pytest.raises(Admitted):
+            obstruction_cocycle(rank2_extension)
