@@ -129,8 +129,9 @@ _SWAP, _ADD, _NEG = range(3)
 
 def _add_row(M: IntMatrix, i: int, j: int, q: int) -> None:
     """Row ``i`` of ``M`` += ``q`` times row ``j``, in place; the zero
-    entries of row ``j`` cost nothing. Only :func:`_replay` uses it, on the
-    dense certificates; :func:`smith` adds its sparse rows itself."""
+    entries of row ``j`` cost nothing. :func:`_replay` and
+    :func:`kernel_basis` use it on dense certificates; :func:`smith` adds
+    its sparse rows itself."""
     Mi, Mj = M[i], M[j]
     for k in itertools.compress(range(len(Mj)), Mj):
         Mi[k] += q * Mj[k]
@@ -223,6 +224,14 @@ def smith(M: IntMatrix) -> SnfResult:
     same rule. On a matrix already in Smith form every pivot is the
     diagonal entry in place and no operation is performed, so it comes back
     unchanged with identity certificates.
+
+    A divisor floor saves rescans. Once the divisibility sweep at a pivot
+    ``p`` finds no stray row, every entry of the remaining block is a
+    multiple of ``floor = |p|``, and later row and column additions within
+    the block keep it so. No entry is then smaller than ``floor``: the pivot
+    search stops at the first row holding an entry of size ``floor``, as it
+    stops at a unit, and a pivot of size ``floor`` skips the sweep, which
+    could find nothing. Neither changes a pivot or a logged operation.
     """
     m, n = mat_shape(M)
     A = [{j: x for j, x in enumerate(row) if x} for row in M]
@@ -284,10 +293,13 @@ def smith(M: IntMatrix) -> SnfResult:
 
     # Rows before t hold only their diagonal entry and rows from t on hold
     # nothing left of column t, so a whole row from t on is its tail.
+    # Every entry of the remaining block is a multiple of ``floor``.
     t = 0
+    floor = 1
     while t < min(m, n):
         # Locate the pivot: minimal absolute value, ties by row then column,
-        # and no row after the first one holding a unit is looked at.
+        # and no row after the first one holding an entry of size ``floor``
+        # is looked at, since no entry is smaller.
         pivot = None
         best = 0
         for i in range(t, m):
@@ -298,7 +310,7 @@ def smith(M: IntMatrix) -> SnfResult:
             if not best or v < best:
                 best = v
                 pivot = (i, min(j for j, x in row.items() if abs(x) == v))
-                if v == 1:
+                if v == floor:
                     break
         if pivot is None:
             break
@@ -341,13 +353,14 @@ def smith(M: IntMatrix) -> SnfResult:
             if swapped:
                 continue
             # Divisibility sweep: the pivot must divide the remaining block,
-            # which below and left of the pivot is zero by now. A unit
-            # divides everything, so it needs no sweep.
-            if p in (1, -1):
+            # which below and left of the pivot is zero by now. A pivot of
+            # size ``floor`` divides everything, so it needs no sweep.
+            if abs(p) == floor:
                 break
             rem = p.__rmod__  # rem(x) == x % p
             stray = next((i for i in range(t + 1, m) if any(map(rem, A[i].values()))), None)
             if stray is None:
+                floor = abs(p)
                 break
             row_addmul(t, stray, 1)
         if A[t][t] < 0:
@@ -417,13 +430,27 @@ def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice ``{x : A @ x = 0}``.
 
     The basis is the last ``n - rank`` columns of the Smith certificate
-    ``V``, the only certificate this builds.
+    ``V``, but ``V`` is never built: ``V e_c`` is ``e_c`` with the column
+    log's operations applied last to first, so the log is replayed
+    backwards on those ``n - rank`` unit vectors alone, held as the rows
+    of an ``n x (n - rank)`` array.
 
     >>> kernel_basis([[1, 1]])
     [(-1, 1)]
     """
     r = smith(A)
-    return list(zip(*r.V))[r.rank :]
+    n, rank = mat_shape(A)[1], r.rank
+    # V is I with each logged column operation applied in turn, so
+    # V = T_1 ... T_k for the operations' matrices T; T for "column a +=
+    # q column b" adds q times coordinate a to coordinate b. smith logs no
+    # column negation, so every other operation is a swap.
+    X = [[int(i - rank == c) for c in range(n - rank)] for i in range(n)]
+    for kind, a, b, q in reversed(r.col_ops):
+        if kind == _ADD:
+            _add_row(X, b, a, q)
+        else:
+            X[a], X[b] = X[b], X[a]
+    return list(zip(*X))
 
 
 def lattice_basis(A: IntMatrix) -> list[tuple[int, ...]]:

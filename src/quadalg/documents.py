@@ -336,18 +336,21 @@ def _build_qpm(doc: dict) -> Qpm:
 # Categories and natural systems
 # ---------------------------------------------------------------------------
 
-def _build_category(doc: dict) -> FinCat:
+def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
+    """The category with the report of its table checks: an explicit table
+    is checked here, once, and refused if it fails; a construction's report
+    is ``None``, as nothing was checked."""
     construction = _field(doc, "construction", str, "category")
     if construction == "one_object_cyclic":
         modulus = _field(doc, "modulus", int, "category")
         if modulus < 1:
             raise DocumentError("category: modulus must be positive")
-        return one_object_cyclic(modulus)
+        return one_object_cyclic(modulus), None
     if construction == "dm":
         modulus = _field(doc, "modulus", int, "category")
         max_rank = _field(doc, "max_rank", int, "category")
         try:
-            return FinCat.mod_r(modulus, max_rank)
+            return FinCat.mod_r(modulus, max_rank), None
         except ValueError as exc:
             raise DocumentError(f"category: {exc}") from exc
     if construction != "explicit":
@@ -401,22 +404,26 @@ def _build_category(doc: dict) -> FinCat:
         ids=dict(ids_raw),
         name=doc.get("name", "explicit category"),
     )
-    failure = cat.validate().first_failure()
+    tables = cat.validate()
+    failure = tables.first_failure()
     if failure is not None:
         raise DocumentError(f"category: {failure.name} fails at {failure.witness}")
-    return cat
+    return cat, tables
 
 
 def _build_natural_system(
     doc: dict, default_category: FinCat | None = None
-) -> tuple[FinCat, NatSystem]:
+) -> tuple[FinCat, NatSystem, Report | None]:
+    """The category, the system, and the category's table report as
+    :func:`_build_category` gives it (``None`` unless checked here)."""
     construction = _field(doc, "construction", str, "natural_system")
     if construction == "trivial":
+        tables = None
         if "category" in doc:
             cat_doc = _field(doc, "category", dict, "natural_system")
             if check_envelope(cat_doc) != "category":
                 raise DocumentError("natural_system: the category field must hold a category")
-            cat = _build_category(cat_doc)
+            cat, tables = _build_category(cat_doc)
         elif default_category is not None:
             cat = default_category
         else:
@@ -424,7 +431,7 @@ def _build_natural_system(
         group = _factors(
             _field(doc, "coefficients", list, "natural_system"), "natural_system coefficients"
         )
-        return cat, trivial_system(cat, group)
+        return cat, trivial_system(cat, group), tables
     if construction == "dm":
         modulus = _field(doc, "modulus", int, "natural_system")
         max_rank = _field(doc, "max_rank", int, "natural_system")
@@ -432,7 +439,7 @@ def _build_natural_system(
         if coeff is not None and not _is_int(coeff):
             raise DocumentError("natural_system: coefficient_modulus must be an integer")
         try:
-            return dm_natural_system(modulus, max_rank, coeff)
+            return *dm_natural_system(modulus, max_rank, coeff), None
         except ValueError as exc:
             raise DocumentError(f"natural_system: {exc}") from exc
     raise DocumentError(f"unknown natural_system construction: {construction!r}")
@@ -598,9 +605,9 @@ def build_document(doc: dict):
     if kind == "extension":
         return _build_extension(doc)
     if kind == "category":
-        return _build_category(doc)
+        return _build_category(doc)[0]
     if kind == "natural_system":
-        return _build_natural_system(doc)
+        return _build_natural_system(doc)[:2]
     return _build_modq_program(doc)
 
 
@@ -610,7 +617,7 @@ def build_natural_system_over(doc: dict, category: FinCat) -> tuple[FinCat, NatS
     must agree with the supplied one on all tables."""
     if check_envelope(doc) != "natural_system":
         raise DocumentError("expected a natural_system document")
-    cat, system = _build_natural_system(doc, default_category=category)
+    cat, system, _ = _build_natural_system(doc, default_category=category)
     if cat is not category and (
         cat.objects != category.objects
         or cat.morphisms != category.morphisms
@@ -623,8 +630,25 @@ def build_natural_system_over(doc: dict, category: FinCat) -> tuple[FinCat, NatS
 
 
 def verify_document(doc: dict, samples: int = 1000, seed: int = 0) -> Report:
-    """Build the document's object and run the matching verifier."""
+    """Build the document's object and run the matching verifier.
+
+    A category's tables are checked once: an explicit table's report is the
+    one its build made. A natural system's own checks run before its
+    category's, since they refuse an oversized category by counting its
+    composable triples, which the category's associativity check walks;
+    the category's checks still come first in the report.
+    """
     kind = check_envelope(doc)
+    if kind == "category":
+        cat, tables = _build_category(doc)
+        return cat.validate() if tables is None else tables
+    if kind == "natural_system":
+        cat, system, tables = _build_natural_system(doc)
+        checks = natsystem_verify(system)
+        report = Report(title=f"natural system: {system.name}")
+        report.extend(cat.validate() if tables is None else tables, prefix="category: ")
+        report.extend(checks)
+        return report
     obj = build_document(doc)
     if kind == "abelian_map":
         return obj.verify()
@@ -636,12 +660,4 @@ def verify_document(doc: dict, samples: int = 1000, seed: int = 0) -> Report:
         return qpm_verify(obj, samples=samples, seed=seed)
     if kind == "extension":
         return verify_crossed(obj, samples=samples, seed=seed)
-    if kind == "category":
-        return obj.validate()
-    if kind == "natural_system":
-        cat, system = obj
-        report = Report(title=f"natural system: {system.name}")
-        report.extend(cat.validate(), prefix="category: ")
-        report.extend(natsystem_verify(system))
-        return report
     return obj.verify()

@@ -5,7 +5,9 @@ algebra: no Smith normal form, no lattice solving. Structures are identified
 by enumerating elements and counting, so these results cross-check the fast
 implementations rather than restating them. The exceptions are
 :func:`smith_reference`, a frozen copy of an earlier Smith normal form that
-the current one must reproduce exactly; :func:`quadratic_tensor`, which
+the current one must reproduce exactly, and :func:`smith_sparse_reference`,
+a frozen copy of the sparse-row elimination before its divisor floor, whose
+logs the current one must reproduce; :func:`quadratic_tensor`, which
 computes quadratic functors from square groups by a presentation of their
 own, and the table of values (:func:`quadratic_functor`,
 :func:`binary_functor`) it is checked against;
@@ -26,13 +28,18 @@ from math import gcd
 from typing import Sequence
 
 from quadalg.abelian import (
+    _ADD,
+    _NEG,
+    _SWAP,
     AbMap,
     FgAbGroup,
+    SnfResult,
     from_columns,
     identity,
     mat_copy,
     mat_shape,
     quotient_presentation,
+    zeros,
 )
 from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
@@ -318,6 +325,174 @@ def smith_reference(M: IntMatrix) -> ReferenceSnf:
             row_neg(t)
         t += 1
     return ReferenceSnf(A, U, V, Uinv, Vinv)
+
+
+# ---------------------------------------------------------------------------
+# Reference sparse-row Smith elimination
+# ---------------------------------------------------------------------------
+#
+# The library's sparse-row ``smith`` before it kept a divisor floor, copied
+# verbatim: every pivot search that meets no unit and every divisibility
+# sweep visits all remaining rows. The current ``smith`` must log exactly
+# the same operations, and ``kernel_basis`` must equal this result's ``V``
+# from column ``rank`` on.
+
+def smith_sparse_reference(M: IntMatrix) -> SnfResult:
+    """Smith normal form of ``M``, with certificates built on demand.
+
+    The elimination works on sparse rows, one ``{column: value}`` dict of
+    nonzeros per row, with an index from each column to the set of rows
+    holding it; every swap, row addition and column addition keeps both up
+    to date, so the pivot search, the reductions and the divisibility sweep
+    visit stored nonzeros only. ``S`` is made dense once, at the end. Each
+    elementary row and column operation is logged; :class:`SnfResult`
+    builds ``U``, ``V``, ``Uinv`` and ``Vinv`` from the logs when a caller
+    first reads them.
+
+    The pivot rule is deterministic: among nonzero entries of the working
+    submatrix pick one of minimal absolute value, breaking ties by smallest
+    row index, then smallest column index, and look at no row after the
+    first one holding a unit. Column ``t`` is reduced in increasing row
+    order and row ``t`` in increasing column order, so the logs, and with
+    them the certificates, are exactly those of a dense elimination by the
+    same rule. On a matrix already in Smith form every pivot is the
+    diagonal entry in place and no operation is performed, so it comes back
+    unchanged with identity certificates.
+    """
+    m, n = mat_shape(M)
+    A = [{j: x for j, x in enumerate(row) if x} for row in M]
+    rows_of: list[set[int]] = [set() for _ in range(n)]  # column -> rows holding it
+    for i, row in enumerate(A):
+        for j in row:
+            rows_of[j].add(i)
+    row_ops: list[tuple[int, int, int, int]] = []
+    col_ops: list[tuple[int, int, int, int]] = []
+
+    def row_swap(i: int, j: int) -> None:
+        # A column held by one of the two rows only moves to the other.
+        for k in A[i].keys() ^ A[j].keys():
+            rows_of[k] ^= {i, j}
+        A[i], A[j] = A[j], A[i]
+        row_ops.append((_SWAP, i, j, 0))
+
+    def row_addmul(i: int, j: int, q: int) -> None:
+        Ai = A[i]
+        for k, x in A[j].items():
+            y = Ai.get(k, 0) + q * x
+            if y:
+                if k not in Ai:
+                    rows_of[k].add(i)
+                Ai[k] = y
+            else:
+                del Ai[k]
+                rows_of[k].remove(i)
+        row_ops.append((_ADD, i, j, q))
+
+    def row_neg(i: int) -> None:
+        A[i] = {k: -x for k, x in A[i].items()}
+        row_ops.append((_NEG, i, i, 0))
+
+    def col_swap(i: int, j: int) -> None:
+        for r in rows_of[i] | rows_of[j]:
+            row = A[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
+        col_ops.append((_SWAP, i, j, 0))
+
+    def col_addmul(j: int, i: int, q: int) -> None:
+        # col j += q * col i
+        for r in rows_of[i]:
+            row = A[r]
+            y = row.get(j, 0) + q * row[i]
+            if y:
+                if j not in row:
+                    rows_of[j].add(r)
+                row[j] = y
+            else:
+                del row[j]
+                rows_of[j].remove(r)
+        col_ops.append((_ADD, j, i, q))
+
+    # Rows before t hold only their diagonal entry and rows from t on hold
+    # nothing left of column t, so a whole row from t on is its tail.
+    t = 0
+    while t < min(m, n):
+        # Locate the pivot: minimal absolute value, ties by row then column,
+        # and no row after the first one holding a unit is looked at.
+        pivot = None
+        best = 0
+        for i in range(t, m):
+            row = A[i]
+            if not row:
+                continue
+            v = min(map(abs, row.values()))
+            if not best or v < best:
+                best = v
+                pivot = (i, min(j for j, x in row.items() if abs(x) == v))
+                if v == 1:
+                    break
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            # Reduce column t below the pivot; on a leftover remainder swap it
+            # into the pivot slot and restart so every later step reduces
+            # against the smaller pivot (this keeps entries from blowing up).
+            # A row addition into row i changes column t in row i only, so
+            # the rows are listed once, in increasing order.
+            swapped = False
+            p = A[t][t]
+            for i in sorted(rows_of[t]):
+                if i == t:
+                    continue
+                q = A[i][t] // p
+                if q:
+                    row_addmul(i, t, -q)
+                if t in A[i]:
+                    row_swap(t, i)
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            # Column t now holds the pivot alone, so a column addition from
+            # it changes row t only.
+            for j in sorted(A[t]):
+                if j == t:
+                    continue
+                q = A[t][j] // p
+                if q:
+                    col_addmul(j, t, -q)
+                if j in A[t]:
+                    col_swap(t, j)
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            # Divisibility sweep: the pivot must divide the remaining block,
+            # which below and left of the pivot is zero by now. A unit
+            # divides everything, so it needs no sweep.
+            if p in (1, -1):
+                break
+            rem = p.__rmod__  # rem(x) == x % p
+            stray = next((i for i in range(t + 1, m) if any(map(rem, A[i].values()))), None)
+            if stray is None:
+                break
+            row_addmul(t, stray, 1)
+        if A[t][t] < 0:
+            row_neg(t)
+        t += 1
+    S = zeros(m, n)
+    for Si, row in zip(S, A):
+        for j, x in row.items():
+            Si[j] = x
+    return SnfResult(S, row_ops, col_ops)
 
 
 # ---------------------------------------------------------------------------

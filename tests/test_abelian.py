@@ -11,6 +11,7 @@ from quadalg.abelian import (
     AbMap,
     Factorization,
     FgAbGroup,
+    SnfResult,
     canonical_factors,
     columns,
     exact_at,
@@ -19,6 +20,7 @@ from quadalg.abelian import (
     identity,
     kernel_basis,
     lattice_basis,
+    mat_vec,
     matmul,
     quotient_presentation,
     smith,
@@ -31,6 +33,7 @@ from .oracles import (
     ReferenceGroupArithmetic,
     binary_functor,
     homology_oracle,
+    smith_sparse_reference,
     subgroup_closure,
 )
 
@@ -346,6 +349,71 @@ class TestKernelsAndExactness:
         assert incl.respects_relations() == (True, None)
         images = {incl.apply(k) for k in K.elements()}
         assert len(images) == K.order() and images <= kernel
+
+
+SMALL_ENTRIES = [-9, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9]
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Up to 10 x 10, about 80% zeros."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entry = st.integers(0, 99).map(lambda k: SMALL_ENTRIES[k % len(SMALL_ENTRIES)] if k >= 80 else 0)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@st.composite
+def stacked_relations(draw):
+    """``[d | m I]``: a sparse map into ``(Z/m)^r`` beside the relations of
+    its target, the matrix whose kernel ``homology_at`` takes."""
+    m = draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
+    r, k = draw(st.integers(1, 10)), draw(st.integers(0, 10))
+    entry = st.integers(0, 99).map(lambda x: x % (2 * m + 1) - m if x >= 80 else 0)
+    d = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)]
+    return [row + [m * (i == j) for j in range(r)] for i, row in enumerate(d)]
+
+
+@st.composite
+def multiples_of_a_modulus(draw):
+    """Every entry a multiple of ``m``: the blocks where a sweep proves a
+    divisor above 1, which then stops later searches and sweeps early."""
+    m = draw(st.sampled_from([2, 3, 4, 5]))
+    return [[m * x for x in row] for row in draw(sparse_integer_matrices())]
+
+
+class TestSmithAgainstSparseReference:
+    """``smith`` and ``kernel_basis`` against ``smith_sparse_reference``,
+    the elimination before the divisor floor: the same logs, and the
+    kernel basis read off its ``V``."""
+
+    @PROPERTY
+    @given(st.one_of(sparse_integer_matrices(), stacked_relations(), multiples_of_a_modulus()))
+    def test_logs_and_kernel_basis_match(self, A):
+        ref = smith_sparse_reference(A)
+        r = smith(A)
+        assert r.S == ref.S
+        assert r.row_ops == ref.row_ops
+        assert r.col_ops == ref.col_ops
+        basis = kernel_basis(A)
+        assert basis == list(zip(*ref.V))[ref.rank :]
+        assert all(not any(mat_vec(A, k)) for k in basis)
+
+    def test_no_dense_v_is_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("V was built")
+
+        monkeypatch.setattr(SnfResult, "V", property(refuse))
+        rng = random.Random(2)
+        b, c = 16, 10
+        d2 = [[rng.choice([0] * 5 + [1, 2, 3]) for _ in range(b)] for _ in range(c)]
+        A = [row + [4 * (i == j) for j in range(c)] for i, row in enumerate(d2)]
+        assert len(kernel_basis(A)) == b
+        # a free middle group and a trivial source leave no image to solve
+        # for, so only the kernel could have read V
+        Z = FgAbGroup.free(b)
+        h = homology_at(AbMap.zero_map(FgAbGroup.trivial(), Z), AbMap(Z, FgAbGroup((4,) * c), d2))
+        assert h.group == FgAbGroup.free(b)
+        assert all(x % 4 == 0 for k in h.kernel_basis for x in mat_vec(d2, k))
 
 
 class TestQuotientPresentation:

@@ -467,11 +467,25 @@ class TestClassification:
     def test_rank_two_degree_one_is_trivial(self):
         # dm mod 2 at rank <= 2; level 2 has 1,246 normalized generators
         C, D = dm_natural_system(2, 2)
+        assert cohomology(C, D, 0, normalized=True).invariant_factors == (2,)
         res = cohomology(C, D, 1, normalized=True)
         assert res.group == FgAbGroup.trivial()
         rng = random.Random(5)
         x = {obj: D.group_at(C.identity(obj)).sample(rng) for obj in C.objects}
         z = coboundary(C, D, 0, x, normalized=True)
+        assert z and res.is_cocycle(z)
+        assert res.class_of(z) == res.group.zero()
+
+    def test_rank_two_degree_one_on_full_chains(self):
+        # level 2 has 1,405 full generators; about 1.4 s, against 4.8 s
+        # while every Smith pivot search without a unit rescanned all rows
+        C, D = dm_natural_system(2, 2)
+        assert cohomology(C, D, 0, normalized=False).invariant_factors == (2,)
+        res = cohomology(C, D, 1, normalized=False)
+        assert res.invariant_factors == ()
+        rng = random.Random(6)
+        x = {obj: D.group_at(C.identity(obj)).sample(rng) for obj in C.objects}
+        z = coboundary(C, D, 0, x, normalized=False)
         assert z and res.is_cocycle(z)
         assert res.class_of(z) == res.group.zero()
 

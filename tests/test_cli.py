@@ -164,6 +164,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "more than 500000 composable pairs" in err and "Traceback" not in err
 
+    def test_oversized_natural_system_exits_three_at_once(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
+               "modulus": 3, "max_rank": 2}
+        path = write_json(tmp_path, "ns_dm3.json", doc)
+        # the category's associativity check would walk all 693,195 triples
+        # before the system's own guard refuses them
+        assert main_within_a_second(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert "693195 extensions exceed the verification cap" in err and "Traceback" not in err
+
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "abelian_map", "source": [4], "target": [4],
                "matrix": [[True]]}

@@ -457,6 +457,21 @@ class TestCategoryDocuments:
         assert cat.validate().passed
         assert verify_document(CAT_EXPLICIT).passed
 
+    @pytest.mark.parametrize(
+        "doc", [CAT_EXPLICIT, tampered(COEFF_Z4, category=CAT_EXPLICIT)], ids=["category", "system"]
+    )
+    def test_explicit_tables_are_validated_once(self, monkeypatch, doc):
+        calls = []
+        validate = FinCat.validate
+
+        def counting_validate(cat):
+            calls.append(cat.name)
+            return validate(cat)
+
+        monkeypatch.setattr(FinCat, "validate", counting_validate)
+        assert verify_document(doc).passed
+        assert calls == ["explicit category"]
+
     def test_modulus_guards(self):
         with pytest.raises(DocumentError, match="modulus must be positive"):
             build_document(tampered(CAT_Z4, modulus=0))
@@ -505,6 +520,9 @@ class TestNaturalSystemDocuments:
         assert isinstance(cat, FinCat) and isinstance(system, NatSystem)
         report = verify_document(NS_DM)
         assert report.passed, report.render()
+        # the category's checks come first, though the system's ran first
+        prefixed = [check.name.startswith("category: ") for check in report.checks]
+        assert prefixed == sorted(prefixed, reverse=True) and prefixed[0] and not prefixed[-1]
 
     def test_trivial_system_with_inline_category(self):
         doc = tampered(COEFF_Z4, category=CAT_Z4)
