@@ -39,6 +39,10 @@ from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 IntMatrix = list[list[int]]
 
 DEFAULT_ENUM_BOUND = 4096
+# finite_abelian_invariants adds each element to itself up to its order: at
+# the bound, Z/20,000 takes 221 s and Z/20 + Z/1,000 13 s, at an 18 MB peak;
+# its callers list carriers, which refuse more than DEFAULT_ENUM_BOUND elements
+MAX_ENUMERATED_ORDER = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -767,15 +771,6 @@ class AbMap:
             return AbMap.zero_map(first.source, self.target)
         return AbMap(first.source, self.target, matmul(self.matrix, first.matrix))
 
-    def add(self, other: "AbMap") -> "AbMap":
-        if other.source != self.source or other.target != self.target:
-            raise ShapeMismatch("sum of maps with different ends")
-        M = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.matrix, other.matrix)
-        ]
-        return AbMap(self.source, self.target, M)
-
     def is_zero_map(self) -> bool:
         """Whether the map is zero as a homomorphism (not just as a matrix).
 
@@ -843,10 +838,6 @@ class HomologyResult:
     middle: FgAbGroup
     _kernel: Factorization = field(repr=False, compare=False)
     _classes: Factorization | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.group.invariant_factors
 
     def express(self, coords) -> tuple[int, ...]:
         """Class of a kernel element in homology coordinates."""
@@ -984,7 +975,7 @@ def finite_abelian_invariants(elements, add, zero) -> tuple[int, ...]:
     (2, 4)
     """
     n = len(elements)
-    if n > 20000:
+    if n > MAX_ENUMERATED_ORDER:
         raise TooLarge(f"group of order {n} is beyond the enumeration limit")
     if n == 1:
         return ()

@@ -63,6 +63,10 @@ MAX_COMPOSABLE_TRIPLES = 20_000
 # in 4 s at a 193 MB peak and is admitted; rank <= 1 mod 1,024 (1.05 M) took
 # 4.9 s at 466 MB, and it and rank <= 2 mod 6 (1.78 M) are refused
 MAX_COMPOSABLE_PAIRS = 500_000
+# composable pairs times morphisms, a bound on the triples FinCat.validate's
+# associativity pass walks: one_object_cyclic(125) (1.95 M) validates in
+# 2.2 s at a 19 MB peak and is admitted; one_object_cyclic(126) is refused
+MAX_ASSOCIATIVITY_CASES = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +159,7 @@ class FinCat:
                 break
         r.add("identities neutral", ok, witness)
         count = self.count_chains(2)
-        if count * len(self.morphisms) > 2_000_000:
+        if count * len(self.morphisms) > MAX_ASSOCIATIVITY_CASES:
             raise TooLarge(f"{count} composable pairs make associativity checks impractical")
         pairs = self.composable_tuples(2)
         members = set(self.morphisms)
@@ -510,17 +514,7 @@ def _level_size(C: FinCat, D: NatSystem, n: int, normalized: bool) -> int:
     return sum(k * D.group_at(h).ngens for (h, _), k in counts.items())
 
 
-def _check_level_sizes(
-    C: FinCat, D: NatSystem, degrees: Sequence[int], normalized: bool, cap: int
-) -> None:
-    """Refuse before any level is built when one of them exceeds ``cap``."""
-    for n in degrees:
-        total = _level_size(C, D, n, normalized)
-        if total > cap:
-            raise InfeasibleSize(f"cochain level {n} needs {total} generators (cap {cap})")
-
-
-def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) -> _Level:
+def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool) -> _Level:
     """Level ``n``: if a stable sort of the blocks' factors (zeros last) is a
     divisibility chain, it is the level's group and orders the coordinates;
     otherwise they stay in key order and a Smith form gives the group."""
@@ -530,13 +524,7 @@ def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool, cap: int) ->
     else:
         keys = C.composable_tuples(n, normalized)
         blocks = {t: D.group_at(C.product(t)) for t in keys}
-    factors = []
-    for k in keys:
-        factors += blocks[k].invariant_factors
-        if len(factors) > cap:
-            raise InfeasibleSize(
-                f"cochain level {n} needs at least {len(factors)} generators (cap {cap})"
-            )
+    factors = [d for k in keys for d in blocks[k].invariant_factors]
     order = sorted(range(len(factors)), key=lambda i: (factors[i] == 0, factors[i]))
     finite = [factors[i] for i in order if factors[i]]
     chained = not any(b % a for a, b in zip(finite, finite[1:]))
@@ -595,8 +583,8 @@ class CochainComplex:
 
     Levels, presented differentials and their maps of presented groups
     are built on first use and kept, so every degree asked of one complex
-    shares them. Levels above ``cap`` generators are refused; call
-    :meth:`check_sizes` first to refuse before anything is built.
+    shares them. Every level is counted before it is listed: :meth:`level`
+    calls :meth:`check_sizes`, which refuses more than ``cap`` generators.
 
     >>> C = one_object_cyclic(2)
     >>> cx = CochainComplex(C, trivial_system(C, FgAbGroup.cyclic(2)), False)
@@ -608,18 +596,28 @@ class CochainComplex:
         self, C: FinCat, D: NatSystem, normalized: bool, cap: int = DEFAULT_GENERATOR_CAP
     ):
         self.C, self.D, self.normalized, self.cap = C, D, normalized, cap
+        self._sizes: dict = {}
         self._levels: dict = {}
         self._d_presented: dict = {}
         self._d: dict = {}
 
     def check_sizes(self, degrees: Sequence[int]) -> None:
-        _check_level_sizes(self.C, self.D, degrees, self.normalized, self.cap)
+        """Refuse the first of ``degrees`` whose level has more than ``cap``
+        generators; each degree is counted once per complex."""
+        for n in degrees:
+            if n not in self._sizes:
+                self._sizes[n] = _level_size(self.C, self.D, n, self.normalized)
+            if self._sizes[n] > self.cap:
+                raise InfeasibleSize(
+                    f"cochain level {n} needs {self._sizes[n]} generators (cap {self.cap})"
+                )
 
     def _build_level(self, n: int) -> _Level:
-        return _build_level(self.C, self.D, n, self.normalized, self.cap)
+        return _build_level(self.C, self.D, n, self.normalized)
 
     def level(self, n: int) -> _Level:
         if n not in self._levels:
+            self.check_sizes([n])
             self._levels[n] = self._build_level(n)
         return self._levels[n]
 

@@ -27,11 +27,9 @@ from typing import Callable
 from .abelian import (
     DEFAULT_ENUM_BOUND,
     AbMap,
-    Factorization,
     FgAbGroup,
     finite_abelian_invariants,
     from_columns,
-    identity,
     mat_hstack,
     mat_vec,
     quotient_presentation,
@@ -264,54 +262,35 @@ def _exactness_checks(ext: CrossedExtension, r: Report, samples: int, rng: rando
 
 
 def linearly_generated(ext: CrossedExtension) -> tuple[bool, str | None]:
-    """Does the image of the ``H`` kernel generate ``R`` additively?"""
+    """Does the image of the ``H`` kernel generate ``R`` additively?
+
+    The images are written in the quotient carrier's integer coordinates,
+    an ``FgAbGroup`` tuple or a vector over a ``FreeAbelianCarrier``'s
+    symbols, and one :func:`quotient_presentation` decides whether they,
+    with the carrier's relations, present the trivial group.
+    """
     try:
         pool = linear_elements(ext.ring)
     except (NotFinite, TooLarge):
         return (False, "no linear element pool available")
     images = [ext.quot.q(x) for x in pool]
     carrier = ext.quot.carrier
-    finite = _finite_elements(carrier)
-    if finite is not None:
-        reached = {carrier.zero()}
-        frontier = [carrier.zero()]
-        while frontier:
-            base = frontier.pop()
-            for img in images:
-                for step in (img, carrier.neg(img)):
-                    nxt = carrier.add(base, step)
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
-        if reached == set(finite):
-            return (True, None)
-        missing = next(iter(set(finite) - reached))
-        return (False, f"element {missing!r} not reached")
     if isinstance(carrier, FgAbGroup):
-        rels = mat_hstack(
-            from_columns([list(v) for v in images], carrier.ngens),
-            carrier.relation_matrix(),
-        )
-        grp, _, _ = quotient_presentation(carrier.ngens, rels)
-        if grp.is_trivial():
-            return (True, None)
-        return (False, f"quotient by the image is {grp.describe()}")
-    if isinstance(carrier, FreeAbelianCarrier):
-        symbols = carrier.symbols
-        index = {s: i for i, s in enumerate(symbols)}
-        cols = []
+        rank, cols, rels = carrier.ngens, [list(v) for v in images], carrier.relation_matrix()
+    elif isinstance(carrier, FreeAbelianCarrier):
+        index = {s: i for i, s in enumerate(carrier.symbols)}
+        rank, cols, rels = len(index), [], []
         for img in images:
-            v = [0] * len(symbols)
+            v = [0] * rank
             for s, n in img:
                 v[index[s]] = n
             cols.append(v)
-        span = Factorization(from_columns(cols, len(symbols)))
-        for s in symbols:
-            unit = tuple(1 if t == s else 0 for t in symbols)
-            if not span.contains(unit):
-                return (False, f"basis symbol {s!r} not generated")
+    else:
+        return (False, f"cannot decide generation for {type(carrier).__name__}")
+    grp, _, _ = quotient_presentation(rank, mat_hstack(from_columns(cols, rank), rels))
+    if grp.is_trivial():
         return (True, None)
-    return (False, f"cannot decide generation for {type(carrier).__name__}")
+    return (False, f"quotient by the image is {grp.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +457,7 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     G = R.ee
     n = G.ngens
     tmat_cols = [sg.tmap(G.generator(i)) for i in range(n)]
-    one_minus_t = [
-        [identity(n)[i][j] - tmat_cols[j][i] for j in range(n)] for i in range(n)
-    ]
+    one_minus_t = [[int(i == j) - tmat_cols[j][i] for j in range(n)] for i in range(n)]
     grp, project, lift = quotient_presentation(
         n, mat_hstack(G.relation_matrix(), one_minus_t)
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .abelian import AbMap, FgAbGroup, mat_shape, mat_vec
 from .bwcoh import (
@@ -45,18 +46,6 @@ from .reports import Report
 from .sqring import SquareRing, cyclic_ring, verify_ring, znil, znil_monoid
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "abelian_map",
-    "square_group",
-    "square_ring",
-    "quadratic_ring",
-    "qpm",
-    "extension",
-    "category",
-    "natural_system",
-    "modq_program",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +81,7 @@ def check_envelope(doc: dict) -> str:
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise DocumentError(f"unknown document kind: {kind!r}")
     return kind
 
@@ -591,24 +580,32 @@ def _build_modq_program(doc: dict) -> ModQProgram:
 # Dispatch
 # ---------------------------------------------------------------------------
 
+def _own_verify(obj, samples: int, seed: int) -> Report:
+    """Documents whose object checks itself, with no sampling."""
+    return obj.verify()
+
+
+# Each kind's builder and its verifier, called as ``verify(obj, samples=,
+# seed=)``. Categories and natural systems are verified in
+# :func:`verify_document`, which reuses the report of an explicit table's
+# checks, so they have no verifier here.
+KINDS = MappingProxyType({
+    "abelian_map": (_build_abelian_map, _own_verify),
+    "square_group": (_build_square_group, square_group_verify),
+    "square_ring": (lambda doc: _build_ring(doc, "square_ring"), verify_ring),
+    "quadratic_ring": (lambda doc: _build_ring(doc, "quadratic_ring"), verify_ring),
+    "qpm": (_build_qpm, qpm_verify),
+    "extension": (_build_extension, verify_crossed),
+    "category": (lambda doc: _build_category(doc)[0], None),
+    "natural_system": (lambda doc: _build_natural_system(doc)[:2], None),
+    "modq_program": (_build_modq_program, _own_verify),
+})
+
+
 def build_document(doc: dict):
     """Construct the object a validated document describes."""
-    kind = check_envelope(doc)
-    if kind == "abelian_map":
-        return _build_abelian_map(doc)
-    if kind == "square_group":
-        return _build_square_group(doc)
-    if kind in ("square_ring", "quadratic_ring"):
-        return _build_ring(doc, kind)
-    if kind == "qpm":
-        return _build_qpm(doc)
-    if kind == "extension":
-        return _build_extension(doc)
-    if kind == "category":
-        return _build_category(doc)[0]
-    if kind == "natural_system":
-        return _build_natural_system(doc)[:2]
-    return _build_modq_program(doc)
+    build, _ = KINDS[check_envelope(doc)]
+    return build(doc)
 
 
 def build_natural_system_over(doc: dict, category: FinCat) -> tuple[FinCat, NatSystem]:
@@ -649,15 +646,5 @@ def verify_document(doc: dict, samples: int = 1000, seed: int = 0) -> Report:
         report.extend(cat.validate() if tables is None else tables, prefix="category: ")
         report.extend(checks)
         return report
-    obj = build_document(doc)
-    if kind == "abelian_map":
-        return obj.verify()
-    if kind == "square_group":
-        return square_group_verify(obj, samples=samples, seed=seed)
-    if kind in ("square_ring", "quadratic_ring"):
-        return verify_ring(obj, samples=samples, seed=seed)
-    if kind == "qpm":
-        return qpm_verify(obj, samples=samples, seed=seed)
-    if kind == "extension":
-        return verify_crossed(obj, samples=samples, seed=seed)
-    return obj.verify()
+    build, verify = KINDS[kind]
+    return verify(build(doc), samples=samples, seed=seed)

@@ -467,6 +467,14 @@ def _finite_elements(carrier: Carrier) -> list | None:
         return None
 
 
+def _coset_labels(elements: list, add: Callable, image: Iterable) -> tuple[dict, list]:
+    """Label each of ``elements`` by the first listed element of its coset
+    ``x + image``; return the labels and the distinct labels in listing order."""
+    position = {x: i for i, x in enumerate(elements)}
+    labels = {x: min((add(x, w) for w in image), key=position.__getitem__) for x in elements}
+    return labels, sorted(set(labels.values()), key=position.__getitem__)
+
+
 def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> list[tuple]:
     """Either every tuple from the product of the carriers or a sample."""
     pools = [_finite_elements(c) for c in carriers]
@@ -844,15 +852,7 @@ def qpm_homology(Q: Qpm) -> tuple[FgAbGroup, FgAbGroup]:
             conj = Q.c0.add(Q.c0.add(g, w), Q.c0.neg(g))
             if conj not in image:
                 raise NotAQpm(f"image of the boundary is not normal at {w!r} conjugated by {g!r}")
-    # cosets of the image
-    labels: dict = {}
-    for g in c0:
-        rep = min(
-            (Q.c0.add(g, w) for w in image),
-            key=lambda v: c0.index(v),
-        )
-        labels[g] = rep
-    classes = sorted(set(labels.values()), key=c0.index)
+    labels, classes = _coset_labels(c0, Q.c0.add, image)
     for g in c0:
         for h in c0:
             left = labels[Q.c0.add(g, h)]

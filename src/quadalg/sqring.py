@@ -35,6 +35,7 @@ from .nil2 import (
     Law,
     Nil2Element,
     SquareGroup,
+    _coset_labels,
     _finite_elements,
     check_laws,
     square_group_verify,
@@ -591,13 +592,8 @@ def ad_ring(R) -> AdRing:
     fails the square-ring laws tying ``P`` to the multiplication.
     """
     elements = R.e.elements()
-    index = {x: i for i, x in enumerate(elements)}
     image = {R.P(a) for a in R.ee.elements()}
-    label: dict = {}
-    for x in elements:
-        rep = min((R.e.add(x, w) for w in image), key=lambda v: index[v])
-        label[x] = rep
-    reps = sorted(set(label.values()), key=lambda v: index[v])
+    label, reps = _coset_labels(elements, R.e.add, image)
     for x in reps:
         for y in reps:
             base = label[R.mul(x, y)]

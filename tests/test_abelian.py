@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadalg import abelian
 from quadalg.abelian import (
     AbMap,
     Factorization,
@@ -15,6 +16,7 @@ from quadalg.abelian import (
     canonical_factors,
     columns,
     exact_at,
+    finite_abelian_invariants,
     from_columns,
     homology_at,
     identity,
@@ -164,6 +166,16 @@ class TestAbMap:
         k, incl = AbMap(FgAbGroup((4,)), FgAbGroup((2,)), [[1]]).kernel()
         assert k.invariant_factors == (2,)
         assert incl.apply(k.generator(0)) == (2,)
+
+
+class TestFiniteAbelianInvariants:
+    def test_the_order_bound_is_read_at_call_time(self, monkeypatch):
+        elements, add = list(range(6)), lambda a, b: (a + b) % 6
+        monkeypatch.setattr(abelian, "MAX_ENUMERATED_ORDER", 6)
+        assert finite_abelian_invariants(elements, add, 0) == (6,)
+        monkeypatch.setattr(abelian, "MAX_ENUMERATED_ORDER", 5)
+        with pytest.raises(TooLarge, match="group of order 6 is beyond the enumeration limit"):
+            finite_abelian_invariants(elements, add, 0)
 
 
 class TestHomology:

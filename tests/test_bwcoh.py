@@ -240,6 +240,14 @@ class TestFinCat:
         failed = {c.name: c.witness for c in C.validate().failures}
         assert failed["composition associative"] == f"triple {first!r}" == "triple (0, 0, 1)"
 
+    def test_validate_bounds_pairs_times_morphisms(self, monkeypatch):
+        # one_object_cyclic(3): 9 composable pairs times 3 morphisms
+        monkeypatch.setattr(bwcoh, "MAX_ASSOCIATIVITY_CASES", 27)
+        assert one_object_cyclic(3).validate().passed
+        monkeypatch.setattr(bwcoh, "MAX_ASSOCIATIVITY_CASES", 26)
+        with pytest.raises(TooLarge, match="9 composable pairs make associativity checks"):
+            one_object_cyclic(3).validate()
+
     def test_validate_refuses_before_listing_pairs(self):
         # 600^3 triples: listing the 360,000 pairs alone would take tens of
         # megabytes; the refusal comes first, even on a table that is not
@@ -357,7 +365,7 @@ class TestLevelLayout:
 
     def test_coordinates_follow_the_sorted_factors(self):
         C = one_object_cyclic(2)
-        level = _build_level(C, trivial_system(C, FgAbGroup.from_factors([2, 4])), 1, False, 100)
+        level = _build_level(C, trivial_system(C, FgAbGroup.from_factors([2, 4])), 1, False)
         assert level.grp == FgAbGroup((2, 2, 4, 4))
         assert level.index == {(0,): [0, 2], (1,): [1, 3]}
 
@@ -392,7 +400,7 @@ class TestDifferential:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_squares_to_zero(self, m, normalized):
         C, D = cyclic_setup(m)
-        levels = {n: _build_level(C, D, n, normalized, 100000) for n in range(4)}
+        levels = {n: _build_level(C, D, n, normalized) for n in range(4)}
         for n in range(2):
             d1 = _canonical_map(
                 _d_presented(C, D, levels[n], levels[n + 1]), levels[n], levels[n + 1]
@@ -417,8 +425,8 @@ class TestDifferential:
         rng = random.Random(7)
         m = 4
         C, D = cyclic_setup(m)
-        src = _build_level(C, D, degree, False, 100000)
-        tgt = _build_level(C, D, degree + 1, False, 100000)
+        src = _build_level(C, D, degree, False)
+        tgt = _build_level(C, D, degree + 1, False)
         dmat = _d_presented(C, D, src, tgt)
         for _ in range(12):
             cochain = {}
@@ -488,6 +496,42 @@ class TestClassification:
         z = coboundary(C, D, 0, x, normalized=False)
         assert z and res.is_cocycle(z)
         assert res.class_of(z) == res.group.zero()
+
+
+class TestNatSystemVerify:
+    def test_identity_extension_failure_names_the_morphism(self):
+        C = one_object_cyclic(3)
+        G = FgAbGroup.cyclic(2)
+        D = NatSystem(cat=C, group=lambda alpha: G, act=lambda nu, alpha, psi: AbMap(G, G, [[0]]))
+        report = natsystem_verify(D)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+            ("identity extension acts as the identity", False, "morphism 0"),
+            ("extensions compose functorially", True, None),
+        ]
+
+    def test_functoriality_failure_names_both_extensions(self):
+        # acting by -1 on Z/3 along every nu but the identity: 1 then 1 acts
+        # by (-1)^2 = 1, but their composite 2 acts by -1
+        C = one_object_cyclic(3)
+        G = FgAbGroup.cyclic(3)
+        D = NatSystem(
+            cat=C, group=lambda alpha: G, act=lambda nu, alpha, psi: AbMap(G, G, [[2 if nu else 1]])
+        )
+        report = natsystem_verify(D)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+            ("identity extension acts as the identity", True, None),
+            ("extensions compose functorially", False, "(1, 0, 0) then (1, 0)"),
+        ]
+
+    def test_functoriality_is_truncated_at_the_triple_bound(self, monkeypatch):
+        # 27 composable triples pass the count; 243 pairs of extensions
+        # are more than the 30 checked
+        C, D = cyclic_setup(3)
+        assert C.count_chains(3) == 27
+        monkeypatch.setattr(bwcoh, "MAX_COMPOSABLE_TRIPLES", 30)
+        report = natsystem_verify(D)
+        assert report.passed, report.render()
+        assert report.notes == ["composition functoriality truncated at 30 cases"]
 
 
 class TestMatrixBimodule:
@@ -745,10 +789,18 @@ class TestGuards:
             cohomology(C, D, 3)
         assert time.perf_counter() - start < 5
 
+    def test_a_level_is_counted_before_its_chains_are_listed(self, monkeypatch):
+        cx = CochainComplex(*dm_natural_system(2, 2), True)
+
+        def listed(*args):
+            raise AssertionError("chains listed before the level was counted")
+
+        monkeypatch.setattr(FinCat, "composable_tuples", listed)
+        with pytest.raises(InfeasibleSize, match=r"level 4 needs 325154 generators \(cap 24000\)"):
+            cx.level(4)
+
     @pytest.mark.parametrize("normalized", [False, True])
     def test_level_sizes_match_the_built_levels(self, normalized):
         for C, D in [cyclic_setup(4), dm_natural_system(4, 1)]:
             for n in range(4):
-                assert _level_size(C, D, n, normalized) == _build_level(
-                    C, D, n, normalized, 100000
-                ).ngens
+                assert _level_size(C, D, n, normalized) == _build_level(C, D, n, normalized).ngens

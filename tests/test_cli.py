@@ -1,12 +1,14 @@
 """The command line, run in process through ``main``."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 
 import pytest
 
-from quadalg.cli import main
+from quadalg.cli import _nu_report, main
+from quadalg.crossed import cyclic_ring_extension
 
 from .test_documents import (
     CAT_EXPLICIT,
@@ -314,6 +316,29 @@ class TestNu:
         captured = capsys.readouterr()
         assert code == 2
         assert "expected an extension document" in captured.err
+
+
+    def test_nu_outside_the_kernel_is_a_failed_check(self):
+        # nu = P(H(2)) = 1 in Z/4, whose boundary 2 * 1 is not zero
+        ext = dataclasses.replace(cyclic_ring_extension(4, 2), P=lambda a: (1,))
+        report = _nu_report(ext, 10, 0)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+            ("nu lies in the kernel of the boundary", False, "boundary of nu is (2,)"),
+        ]
+
+    def test_nu_of_order_four_is_a_failed_check(self):
+        # nu = 1 in Z/4 with a zero boundary: in the kernel, but 2 nu != 0
+        ext = dataclasses.replace(
+            cyclic_ring_extension(4, 2), P=lambda a: (1,), boundary=lambda s: (0,)
+        )
+        report = _nu_report(ext, 10, 0)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+            (
+                "nu has order dividing two",
+                False,
+                "nu does not have order dividing two; the input is not a crossed extension",
+            ),
+        ]
 
 
 class TestZnilDemo:

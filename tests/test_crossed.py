@@ -24,7 +24,7 @@ from quadalg.errors import (
     PullbackDegenerate,
     TooLarge,
 )
-from quadalg.nil2 import SgMorphism, qpm_verify, square_group_verify
+from quadalg.nil2 import DirectSumCarrier, SgMorphism, qpm_verify, square_group_verify
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
 
@@ -63,6 +63,20 @@ class TestCyclicExtensions:
         assert result.order == 1
         assert result.is_invariant
         assert result.describe() == "nu = 0"
+
+    def test_a_quotient_the_linear_elements_miss(self):
+        ext = cyclic_ring_extension(4, 2)
+        zero = ext.quot.carrier.zero()
+        crushed = dataclasses.replace(ext, quot=dataclasses.replace(ext.quot, q=lambda x: zero))
+        assert linearly_generated(crushed) == (False, "quotient by the image is Z/2")
+
+    def test_generation_is_decided_on_integer_carriers_only(self):
+        ext = cyclic_ring_extension(4, 2)
+        pairs = DirectSumCarrier(ext.quot.carrier, ext.quot.carrier)
+        other = dataclasses.replace(ext, quot=dataclasses.replace(ext.quot, carrier=pairs))
+        assert linearly_generated(other) == (
+            False, "cannot decide generation for DirectSumCarrier"
+        )
 
     def test_pair_module_view_verifies(self):
         report = qpm_verify(cyclic_ring_extension(4, 2).qpm(), samples=200, seed=1)
@@ -183,6 +197,13 @@ class TestZtildeOverWords:
         # the largest word model in use, 127 words, goes on to the checks
         with pytest.raises(Checked):
             ztilde_construction(znil_monoid(["s", "t"], 6))
+
+    def test_a_missing_word_is_the_free_quotient(self):
+        ext = ztilde_construction(znil_monoid(["s"], 3, sample_length=1))
+        q = ext.quot.q
+        dropped = lambda x: tuple(t for t in q(x) if t[0] != ("s",))
+        broken = dataclasses.replace(ext, quot=dataclasses.replace(ext.quot, q=dropped))
+        assert linearly_generated(broken) == (False, "quotient by the image is Z")
 
     def test_rejects_a_broken_ring(self):
         broken = dataclasses.replace(znil(), H=lambda x: (x[0] * x[0],))

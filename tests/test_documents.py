@@ -220,6 +220,11 @@ class TestEnvelope:
         with pytest.raises(DocumentError, match="unknown document kind"):
             check_envelope(tampered(RING_ZNIL, kind="banana"))
 
+    @pytest.mark.parametrize("kind", [["square_ring"], {"k": 1}, None])
+    def test_kind_that_is_no_string(self, kind):
+        with pytest.raises(DocumentError, match="unknown document kind"):
+            check_envelope(tampered(RING_ZNIL, kind=kind))
+
     def test_missing_and_mistyped_fields(self):
         doc = {"schema_version": 1, "kind": "square_ring"}
         with pytest.raises(DocumentError, match="missing field 'construction'"):
