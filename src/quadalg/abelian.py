@@ -13,13 +13,12 @@ Conventions
   ``j``-th generator of the source.
 * A relation matrix for a presentation has one column per relation.
 
-Linear solves go through :class:`Factorization`, which computes the Smith
-normal form of one matrix once and then answers ``solve(b)`` and
-``contains(b)`` for any number of right-hand sides. :func:`smith`
-eliminates on sparse rows of the matrix alone, visiting only its nonzero
-entries, and logs its elementary operations; each certificate ``U``,
-``V``, ``Uinv`` or ``Vinv`` is built from that log when a caller first
-reads it, so a caller pays only for those it uses.
+One :func:`smith` record, :class:`SnfResult`, answers every lattice
+question about a matrix: ``solve(b)``, ``contains(b)``, and the free basis
+of the column lattice with the coordinates in it. :func:`smith` eliminates
+on sparse rows, visiting only nonzero entries, and logs its elementary
+operations; answers replay the logs on the vectors asked about, and each
+certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` is built only when read.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are both
@@ -31,6 +30,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,9 +39,9 @@ from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 IntMatrix = list[list[int]]
 
 DEFAULT_ENUM_BOUND = 4096
-# finite_abelian_invariants adds each element to itself up to its order: at
-# the bound, Z/20,000 takes 221 s and Z/20 + Z/1,000 13 s, at an 18 MB peak;
-# its callers list carriers, which refuse more than DEFAULT_ENUM_BOUND elements
+# finite_abelian_invariants on a 2-vCPU container: Z/20,000 takes 2.3 s and
+# Z/20 + Z/1,000 1.2 s, at a 0.1 MB peak beyond the listing; its callers list
+# carriers, which refuse more than DEFAULT_ENUM_BOUND elements
 MAX_ENUMERATED_ORDER = 20_000
 
 
@@ -124,56 +124,56 @@ def from_columns(cols: list[tuple[int, ...]] | list[list[int]], nrows: int) -> I
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-# Kinds of logged elementary operation, each acting on the rows of an
-# identity matrix when a certificate is built: ``(_SWAP, i, j, 0)`` swaps rows
-# ``i`` and ``j``, ``(_ADD, i, j, q)`` adds ``q`` times row ``j`` to row ``i``
-# and ``(_NEG, i, i, 0)`` negates row ``i``.
+# Kinds of logged elementary operation. Each is read as a row operation:
+# ``(_SWAP, i, j, 0)`` swaps rows ``i`` and ``j``, ``(_ADD, i, j, q)`` adds
+# ``q`` times row ``j`` to row ``i`` and ``(_NEG, i, i, 0)`` negates row ``i``.
 _SWAP, _ADD, _NEG = range(3)
 
 
-def _add_row(M: IntMatrix, i: int, j: int, q: int) -> None:
-    """Row ``i`` of ``M`` += ``q`` times row ``j``, in place; the zero
-    entries of row ``j`` cost nothing. :func:`_replay` and
-    :func:`kernel_basis` use it on dense certificates; :func:`smith` adds
-    its sparse rows itself."""
-    Mi, Mj = M[i], M[j]
-    for k in itertools.compress(range(len(Mj)), Mj):
-        Mi[k] += q * Mj[k]
-
-
-def _replay(ops: list[tuple[int, int, int, int]], n: int, inverse_transpose: bool) -> IntMatrix:
-    """``identity(n)`` with the logged row operations applied in order.
-
-    With ``inverse_transpose`` each operation is replaced by its inverse
-    transpose: a swap or a negation is its own, and adding ``q`` times row
-    ``j`` to row ``i`` becomes subtracting ``q`` times row ``i`` from row ``j``.
+def _apply(ops: list, X: IntMatrix, inverse: bool, transpose: bool) -> IntMatrix:
+    """``X`` times ``P``, ``P^-1``, ``P^T`` or ``P^-T`` on the left, in place,
+    for ``P = E_k ... E_1`` the logged row operations: each operation, its
+    inverse (``-q``), transpose (``i <-> j``) or inverse transpose, first to
+    last for ``P`` and ``P^-T``, last to first otherwise. The columns of
+    ``X`` are the vectors multiplied; zero entries of an added row are free.
     """
-    M = identity(n)
-    for kind, i, j, q in ops:
+    sign = -1 if inverse else 1
+    for kind, i, j, q in reversed(ops) if inverse != transpose else ops:
         if kind == _ADD:
-            if inverse_transpose:
-                i, j, q = j, i, -q
-            _add_row(M, i, j, q)
+            if transpose:
+                i, j = j, i
+            Xi, Xj = X[i], X[j]
+            q *= sign
+            for k in itertools.compress(range(len(Xj)), Xj):
+                Xi[k] += q * Xj[k]
         elif kind == _SWAP:
-            M[i], M[j] = M[j], M[i]
+            X[i], X[j] = X[j], X[i]
         else:
-            M[i] = [-a for a in M[i]]
-    return M
+            X[i] = [-a for a in X[i]]
+    return X
 
 
-def _transpose(M: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*M)]
+def _units(n: int, cols) -> IntMatrix:
+    """The columns ``e_c`` of ``identity(n)``, for ``c`` in ``cols``."""
+    return [[int(i == c) for c in cols] for i in range(n)]
 
 
 @dataclass
 class SnfResult:
-    """Smith normal form ``S = U @ M @ V`` with both certificates invertible.
+    """Smith normal form ``S = U @ M @ V`` of ``M``, and every solve against it.
 
-    ``smith`` records its row operations in ``row_ops`` and its column
-    operations in ``col_ops``. ``U``, ``V`` and their integer inverses
-    ``Uinv`` and ``Vinv`` are built from these logs the first time each is
-    read, and kept. ``diagonal`` lists the diagonal entries of ``S`` and
-    ``rank`` counts the nonzero ones.
+    ``U`` is the product of the row log ``row_ops`` and ``V`` the transpose
+    of that of the column log ``col_ops``; each certificate is built the
+    first time it is read, and no answer reads one. ``diagonal`` lists the
+    ``d_j`` of ``S``, the ``rank`` nonzero ones first. The column lattice of
+    ``M`` is that of ``M V = Uinv S``, with free basis ``d_j Uinv e_j``,
+    ``j < rank``, in which ``b`` has the coordinates ``(U b)_j / d_j``.
+
+    >>> r = smith([[2, 4], [0, 6]])
+    >>> r.solve((4, 12)), r.contains((1, 0)), r.column_basis()
+    ((-2, 2), False, [(2, 0), (0, 6)])
+    >>> r.column_coordinates([(4, 6), (1, 0)])
+    [(2, 1), None]
     """
 
     S: IntMatrix
@@ -182,20 +182,19 @@ class SnfResult:
 
     @cached_property
     def U(self) -> IntMatrix:
-        return _replay(self.row_ops, len(self.S), False)
+        return _apply(self.row_ops, identity(len(self.S)), False, False)
 
     @cached_property
     def Uinv(self) -> IntMatrix:
-        return _transpose(_replay(self.row_ops, len(self.S), True))
+        return _apply(self.row_ops, identity(len(self.S)), True, False)
 
     @cached_property
     def V(self) -> IntMatrix:
-        # A column operation on V is the same operation on the rows of V^T.
-        return _transpose(_replay(self.col_ops, mat_shape(self.S)[1], False))
+        return _apply(self.col_ops, identity(mat_shape(self.S)[1]), False, True)
 
     @cached_property
     def Vinv(self) -> IntMatrix:
-        return _replay(self.col_ops, mat_shape(self.S)[1], True)
+        return _apply(self.col_ops, identity(mat_shape(self.S)[1]), True, True)
 
     @property
     def diagonal(self) -> list[int]:
@@ -205,6 +204,40 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    def column_basis(self) -> list[tuple[int, ...]]:
+        """The free basis ``d_j Uinv e_j``, ``j < rank``, of the column lattice."""
+        X = _apply(self.row_ops, _units(len(self.S), range(self.rank)), True, False)
+        return [tuple(d * x for x in col) for d, col in zip(self.diagonal, zip(*X))]
+
+    def column_coordinates(self, vectors) -> list[tuple[int, ...] | None]:
+        """The unique coordinates in :meth:`column_basis` of each of
+        ``vectors``, or ``None`` outside the lattice: ``U b`` must be
+        ``c_j d_j`` at each ``j < rank`` and zero after."""
+        m, rank, diag = len(self.S), self.rank, self.diagonal
+        if any(len(b) != m for b in vectors):
+            raise ShapeMismatch("right-hand side length does not match row count")
+        UB = _apply(self.row_ops, [[b[i] for b in vectors] for i in range(m)], False, False)
+        out = []
+        for c in range(len(vectors)):
+            Ub = [row[c] for row in UB]
+            qr = [divmod(x, d) for x, d in zip(Ub[:rank], diag)]
+            ok = not any(Ub[rank:]) and not any(r for _, r in qr)
+            out.append(tuple(q for q, _ in qr) if ok else None)
+        return out
+
+    def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
+        """One integer solution ``x`` of ``M @ x = b``, or ``None``: ``V y``
+        for ``y`` the coordinates of ``b``, padded with zeros."""
+        (y,) = self.column_coordinates([b])
+        if y is None:
+            return None
+        Y = [[c] for c in y] + [[0] for _ in range(mat_shape(self.S)[1] - len(y))]
+        return tuple(x for x, in _apply(self.col_ops, Y, False, True))
+
+    def contains(self, b: tuple[int, ...] | list[int]) -> bool:
+        """Whether ``b`` lies in the lattice spanned by the columns of ``M``."""
+        return self.column_coordinates([b])[0] is not None
 
 
 def smith(M: IntMatrix) -> SnfResult:
@@ -377,96 +410,33 @@ def smith(M: IntMatrix) -> SnfResult:
     return SnfResult(S, row_ops, col_ops)
 
 
-class Factorization:
-    """The Smith normal form of one matrix ``A``, reused for every solve.
-
-    Each :meth:`solve` or :meth:`contains` costs two matrix-vector
-    products; the factorization itself is computed once, here.
-
-    >>> f = Factorization([[2, 0], [0, 3]])
-    >>> f.solve((4, 9))
-    (2, 3)
-    >>> f.contains((3, 0)), f.contains((0, 3))
-    (False, True)
-    """
-
-    __slots__ = ("snf", "_diagonal")
-
-    def __init__(self, A: IntMatrix):
-        self.snf = smith(A)
-        self._diagonal = self.snf.diagonal
-
-    def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-        """One integer solution ``x`` of ``A @ x = b``, or ``None``."""
-        r, diag = self.snf, self._diagonal
-        if len(b) != len(r.U):
-            raise ShapeMismatch("right-hand side length does not match row count")
-        y = [0] * len(r.V)
-        for i, c in enumerate(mat_vec(r.U, tuple(b))):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                if c % d:
-                    return None
-                y[i] = c // d
-            elif c:
-                return None
-        return mat_vec(r.V, tuple(y))
-
-    def contains(self, b: tuple[int, ...] | list[int]) -> bool:
-        """Whether ``b`` lies in the lattice spanned by the columns of ``A``."""
-        return self.solve(b) is not None
-
-
 def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
     """One integer solution ``x`` of ``A @ x = b``, or ``None``.
 
-    Factors ``A`` on every call; use :class:`Factorization` for many ``b``.
+    Factors ``A`` on every call; use ``smith(A).solve`` for many ``b``.
 
     >>> solve_integer([[2, 0], [0, 3]], (4, 9))
     (2, 3)
     >>> solve_integer([[2]], (3,)) is None
     True
     """
-    return Factorization(A).solve(b)
+    return smith(A).solve(b)
 
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice ``{x : A @ x = 0}``.
 
     The basis is the last ``n - rank`` columns of the Smith certificate
-    ``V``, but ``V`` is never built: ``V e_c`` is ``e_c`` with the column
-    log's operations applied last to first, so the log is replayed
-    backwards on those ``n - rank`` unit vectors alone, held as the rows
-    of an ``n x (n - rank)`` array.
+    ``V``, but ``V`` is never built: the column log is applied to those
+    ``n - rank`` unit vectors alone, held as the columns of an
+    ``n x (n - rank)`` array.
 
     >>> kernel_basis([[1, 1]])
     [(-1, 1)]
     """
     r = smith(A)
     n, rank = mat_shape(A)[1], r.rank
-    # V is I with each logged column operation applied in turn, so
-    # V = T_1 ... T_k for the operations' matrices T; T for "column a +=
-    # q column b" adds q times coordinate a to coordinate b. smith logs no
-    # column negation, so every other operation is a swap.
-    X = [[int(i - rank == c) for c in range(n - rank)] for i in range(n)]
-    for kind, a, b, q in reversed(r.col_ops):
-        if kind == _ADD:
-            _add_row(X, b, a, q)
-        else:
-            X[a], X[b] = X[b], X[a]
-    return list(zip(*X))
-
-
-def lattice_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the lattice spanned by the columns of ``A``."""
-    m, _ = mat_shape(A)
-    r = smith(A)
-    Uinv = r.Uinv
-    out = []
-    for j in range(r.rank):
-        d = r.S[j][j]
-        out.append(tuple(d * Uinv[i][j] for i in range(m)))
-    return out
+    return list(zip(*_apply(r.col_ops, _units(n, range(rank, n)), False, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,31 +759,27 @@ class AbMap:
 
 
 def quotient_presentation(
-    rank: int, rels: IntMatrix | Factorization
+    rank: int, rels: SnfResult
 ) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
-    """Structure of ``Z^rank`` modulo the column lattice of ``rels``, a
-    matrix or the :class:`Factorization` of one.
+    """Structure of ``Z^rank`` modulo the column lattice of a ``rank``-row
+    matrix, given by its :func:`smith` record ``rels``.
 
     Returns ``(group, project, lift)`` where ``project`` maps old coordinates
     onto the group's invariant coordinates and ``lift`` sends each new
     generator to an old-coordinate representative; ``project @ lift`` is the
-    identity.
+    identity. They are the rows of ``U`` and columns of ``Uinv`` kept.
 
-    >>> g, p, l = quotient_presentation(2, [[2, 0], [0, 3]])
+    >>> g, p, l = quotient_presentation(2, smith([[2, 0], [0, 3]]))
     >>> g
     FgAbGroup((6,))
     """
     if rank == 0:
         return FgAbGroup.trivial(), [], []
-    if not isinstance(rels, Factorization):
-        rels = Factorization(rels or zeros(rank, 0))
-    r = rels.snf
-    diag = r.diagonal + [0] * (rank - len(r.diagonal))
+    diag = rels.diagonal + [0] * (rank - len(rels.diagonal))
     kept = [i for i, d in enumerate(diag) if d != 1]
     group = FgAbGroup(tuple(diag[i] for i in kept))
-    U, Uinv = r.U, r.Uinv
-    project = [U[i][:] for i in kept]
-    lift = [[Uinv[i][j] for j in kept] for i in range(rank)]
+    project = [list(col) for col in zip(*_apply(rels.row_ops, _units(rank, kept), False, True))]
+    lift = _apply(rels.row_ops, _units(rank, kept), True, False)
     return group, project, lift
 
 
@@ -826,9 +792,10 @@ class HomologyResult:
     """``ker(d2)/im(d1)`` together with a witness.
 
     ``kernel_basis`` lists middle-group coordinate tuples generating the
-    kernel; :meth:`express` sends a kernel element to its class. Both
-    directions solve against one factorization each, made at most once per
-    result.
+    kernel; :meth:`express` sends a kernel element to its class through
+    its coordinates in that basis, read off ``_kernel``, the :func:`smith`
+    record the basis came from; :meth:`representative` solves against one
+    more record, made on its first call.
     """
 
     group: FgAbGroup
@@ -836,13 +803,13 @@ class HomologyResult:
     _basis_matrix: IntMatrix
     _project: IntMatrix
     middle: FgAbGroup
-    _kernel: Factorization = field(repr=False, compare=False)
-    _classes: Factorization | None = field(default=None, repr=False, compare=False)
+    _kernel: SnfResult = field(repr=False, compare=False)
+    _classes: SnfResult | None = field(default=None, repr=False, compare=False)
 
     def express(self, coords) -> tuple[int, ...]:
         """Class of a kernel element in homology coordinates."""
         v = self.middle.reduce(coords)
-        sol = self._kernel.solve(v)
+        (sol,) = self._kernel.column_coordinates([v])
         if sol is None:
             raise ShapeMismatch(f"element {v} is not in the kernel")
         return self.group.reduce(mat_vec(self._project, sol))
@@ -857,9 +824,7 @@ class HomologyResult:
         if self.group.is_trivial():
             return self.middle.zero()
         if self._classes is None:
-            self._classes = Factorization(
-                mat_hstack(self._project, self.group.relation_matrix())
-            )
+            self._classes = smith(mat_hstack(self._project, self.group.relation_matrix()))
         sol = self._classes.solve(h)
         if sol is None:
             raise ShapeMismatch(f"class {h} has no kernel representative")
@@ -897,22 +862,20 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
         ker_span = [B.generator(i) for i in range(b)]
     else:
         ker_span = [v[:b] for v in kernel_basis(A2)]
-    span = from_columns(ker_span, b) if ker_span else zeros(b, 0)
-    basis = lattice_basis(span) if ker_span else []
-    BK = from_columns(basis, b) if basis else zeros(b, 0)
+    # one Smith form of a spanning set: the free basis, and coordinates in it
+    kernel = smith(from_columns(ker_span, b))
+    basis = kernel.column_basis()
+    BK = from_columns(basis, b)
     k = len(basis)
-    kernel = Factorization(BK)
-    den = mat_hstack(d1.matrix, B.relation_matrix())
-    rel_cols = []
-    for c in columns(den):
-        sol = kernel.solve(c)
+    den = columns(mat_hstack(d1.matrix, B.relation_matrix()))
+    rel_cols = kernel.column_coordinates(den)
+    for c, sol in zip(den, rel_cols):
         if sol is None:
             raise CompositionNonzero(
                 f"image element {c} does not lie in the kernel lattice"
             )
-        rel_cols.append(sol)
-    rels = from_columns(rel_cols, k) if rel_cols else zeros(k, 0)
-    grp, project, _lift = quotient_presentation(k, rels)
+    rels = from_columns(rel_cols, k)
+    grp, project, _lift = quotient_presentation(k, smith(rels))
     return HomologyResult(
         group=grp,
         kernel_basis=[B.reduce(v) for v in basis],
@@ -960,13 +923,31 @@ def _divisibility_chains(n: int, lo: int = 2):
                     yield (d,) + rest
 
 
+def _order(x, add, zero, divisors) -> int:
+    """The least ``k`` in the ascending ``divisors`` with ``k x = 0``, or 0;
+    ``k x`` is the sum of the doublings ``2^i x`` at the bits of ``k``."""
+    doublings = [x]
+    for k in divisors:
+        while k >> len(doublings):
+            doublings.append(add(doublings[-1], doublings[-1]))
+        acc = None
+        for i, y in enumerate(doublings):
+            if k >> i & 1:
+                acc = y if acc is None else add(acc, y)
+        if acc == zero:
+            return k
+    return 0
+
+
 def finite_abelian_invariants(elements, add, zero) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group given by enumeration.
 
     ``elements`` is the full element list and ``add`` the group law. The
     factors are recovered from the order profile: the number of elements
     killed by ``k`` equals the product of ``gcd(k, d_i)``, and that
-    profile pins down the chain uniquely.
+    profile pins down the chain uniquely. Orders divide ``len(elements)``,
+    and a chain matches at every ``k`` if it does at the divisors of the
+    exponent, which each ``d_i`` must divide.
 
     >>> finite_abelian_invariants(list(range(6)), lambda a, b: (a + b) % 6, 0)
     (6,)
@@ -979,32 +960,21 @@ def finite_abelian_invariants(elements, add, zero) -> tuple[int, ...]:
         raise TooLarge(f"group of order {n} is beyond the enumeration limit")
     if n == 1:
         return ()
-    orders = []
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    orders = Counter()
     for x in elements:
-        acc = x
-        o = 1
-        while acc != zero:
-            acc = add(acc, x)
-            o += 1
-            if o > n:
-                raise ValueError(f"element {x!r} has no finite order in the listing")
-        orders.append(o)
-    exponent = 1
-    for o in orders:
-        exponent = exponent * o // math.gcd(exponent, o)
-    matches = []
-    for chain in _divisibility_chains(n):
-        ok = True
-        for k in range(1, exponent + 1):
-            profile = 1
-            for d in chain:
-                profile *= math.gcd(k, d)
-            if profile != sum(1 for o in orders if k % o == 0):
-                ok = False
-                break
-        if ok:
-            # ascending divisibility convention (largest factor last)
-            matches.append(tuple(chain))
+        o = _order(x, add, zero, divisors)
+        if not o:
+            raise ValueError(f"element {x!r} has no finite order in the listing")
+        orders[o] += 1
+    exponent = math.lcm(*orders)
+    profile = {k: sum(c for o, c in orders.items() if not k % o) for k in divisors if not exponent % k}
+    # ascending divisibility convention (largest factor last)
+    matches = [
+        chain
+        for chain in _divisibility_chains(n)
+        if all(math.prod(math.gcd(k, d) for d in chain) == p for k, p in profile.items())
+    ]
     if len(matches) != 1:
         raise ValueError(f"order profile matched {len(matches)} chains: {matches!r}")
     return matches[0]

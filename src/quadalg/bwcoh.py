@@ -28,11 +28,12 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Sequence
 
+from . import abelian
 from .abelian import (
     AbMap,
-    Factorization,
     FgAbGroup,
     HomologyResult,
+    SnfResult,
     exact_at,
     homology_at,
     identity as identity_matrix,
@@ -456,7 +457,7 @@ class _Level:
     proj: list | None = None
     lift: list | None = None
     extra: list | None = None
-    factored: Factorization | None = None
+    factored: SnfResult | None = None
 
     @property
     def rels(self) -> list:
@@ -472,7 +473,7 @@ class _Level:
     def presented(self, extra: list | None = None) -> "_Level":
         """This level modulo its block relations and the columns of ``extra``."""
         level = replace(self, extra=extra)
-        level.factored = Factorization(level.rels)
+        level.factored = abelian.smith(level.rels)
         level.grp, level.proj, level.lift = quotient_presentation(self.ngens, level.factored)
         return level
 
@@ -496,22 +497,23 @@ class _Level:
 def _level_size(C: FinCat, D: NatSystem, n: int, normalized: bool) -> int:
     """Generators of cochain level ``n``, counted without listing the chains.
 
-    Chains are counted by their composite and the domain of their last
-    morphism, which is all that extending a chain and its coefficient
-    group depend on.
+    Chains are counted by their composite, which is all that extending a
+    chain and its coefficient group depend on: the domain of the last
+    morphism is the composite's.
     """
     if n == 0:
         return sum(D.group_at(C.identity(o)).ngens for o in C.objects)
     pool = [f for f in C.morphisms if not (normalized and C.is_identity(f))]
-    counts = Counter((f, C.dom[f]) for f in pool)
+    counts = Counter(pool)
     for _ in range(n - 1):
         longer: Counter = Counter()
-        for (h, d), k in counts.items():
+        for h, k in counts.items():
+            d = C.dom[h]
             for g in pool:
                 if d == C.cod[g]:
-                    longer[(C.compose(h, g), C.dom[g])] += k
+                    longer[C.compose(h, g)] += k
         counts = longer
-    return sum(k * D.group_at(h).ngens for (h, _), k in counts.items())
+    return sum(k * D.group_at(h).ngens for h, k in counts.items())
 
 
 def _build_level(C: FinCat, D: NatSystem, n: int, normalized: bool) -> _Level:

@@ -33,6 +33,7 @@ from .abelian import (
     mat_hstack,
     mat_vec,
     quotient_presentation,
+    smith,
 )
 from .errors import (
     NotASquareRing,
@@ -287,7 +288,7 @@ def linearly_generated(ext: CrossedExtension) -> tuple[bool, str | None]:
             cols.append(v)
     else:
         return (False, f"cannot decide generation for {type(carrier).__name__}")
-    grp, _, _ = quotient_presentation(rank, mat_hstack(from_columns(cols, rank), rels))
+    grp, _, _ = quotient_presentation(rank, smith(mat_hstack(from_columns(cols, rank), rels)))
     if grp.is_trivial():
         return (True, None)
     return (False, f"quotient by the image is {grp.describe()}")
@@ -459,7 +460,7 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     tmat_cols = [sg.tmap(G.generator(i)) for i in range(n)]
     one_minus_t = [[int(i == j) - tmat_cols[j][i] for j in range(n)] for i in range(n)]
     grp, project, lift = quotient_presentation(
-        n, mat_hstack(G.relation_matrix(), one_minus_t)
+        n, smith(mat_hstack(G.relation_matrix(), one_minus_t))
     )
 
     def proj(a):
@@ -475,7 +476,7 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     image_cols = [list(boundary(grp.generator(i))) for i in range(grp.ngens)]
     rgrp, rproject, rlift = quotient_presentation(
         base.ngens,
-        mat_hstack(base.relation_matrix(), from_columns(image_cols, base.ngens)),
+        smith(mat_hstack(base.relation_matrix(), from_columns(image_cols, base.ngens))),
     )
 
     def q(x):

@@ -38,7 +38,9 @@ from quadalg.abelian import (
     identity,
     mat_copy,
     mat_shape,
+    mat_vec,
     quotient_presentation,
+    smith,
     zeros,
 )
 from quadalg.bwcoh import FinCat, NatSystem
@@ -495,6 +497,26 @@ def smith_sparse_reference(M: IntMatrix) -> SnfResult:
     return SnfResult(S, row_ops, col_ops)
 
 
+def dense_solve(r: SnfResult, b) -> tuple[int, ...] | None:
+    """One integer solution of ``M @ x = b`` for the ``M`` that ``r`` is
+    the Smith form of, or ``None``, through the dense certificates: solve
+    ``S y = U b`` entry by entry and return ``V y``. This is the solve
+    that ``SnfResult.solve`` replaced, which replays the logs instead."""
+    if len(b) != len(r.U):
+        raise ShapeMismatch("right-hand side length does not match row count")
+    diag = r.diagonal
+    y = [0] * len(r.V)
+    for i, c in enumerate(mat_vec(r.U, tuple(b))):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            if c % d:
+                return None
+            y[i] = c // d
+        elif c:
+            return None
+    return mat_vec(r.V, tuple(y))
+
+
 # ---------------------------------------------------------------------------
 # The integer route for track extensions
 # ---------------------------------------------------------------------------
@@ -662,7 +684,7 @@ def quadratic_tensor(A: FgAbGroup, sg: SquareGroup) -> FgAbGroup:
     for p, (i, j) in enumerate(pairs):
         for l, o in enumerate(ee.invariant_factors):
             rels.extend(bracket(p, l, c) for c in (o, d[i], d[j]))
-    return quotient_presentation(rank, from_columns([r for r in rels if any(r)], rank))[0]
+    return quotient_presentation(rank, smith(from_columns([r for r in rels if any(r)], rank)))[0]
 
 
 def _linear_module(name: str, e: FgAbGroup, ee: FgAbGroup, H, P) -> SquareGroup:

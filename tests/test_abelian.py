@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from quadalg import abelian
 from quadalg.abelian import (
     AbMap,
-    Factorization,
     FgAbGroup,
     SnfResult,
     canonical_factors,
@@ -21,7 +20,6 @@ from quadalg.abelian import (
     homology_at,
     identity,
     kernel_basis,
-    lattice_basis,
     mat_vec,
     matmul,
     quotient_presentation,
@@ -35,6 +33,8 @@ from .oracles import (
     ReferenceGroupArithmetic,
     binary_functor,
     homology_oracle,
+    group_from_order_counts,
+    invariant_chains,
     smith_sparse_reference,
     subgroup_closure,
 )
@@ -86,12 +86,12 @@ class TestSmithNormalForm:
 
     def test_lattice_basis_spans(self):
         A = [[2, 4], [0, 6]]
-        basis = lattice_basis(A)
+        basis = smith(A).column_basis()
         B = from_columns(basis, 2)
         for c in columns(A):
-            assert Factorization(B).contains(c)
+            assert smith(B).contains(c)
         for c in basis:
-            assert Factorization(A).contains(c)
+            assert smith(A).contains(c)
 
 
 class TestFgAbGroup:
@@ -176,6 +176,46 @@ class TestFiniteAbelianInvariants:
         monkeypatch.setattr(abelian, "MAX_ENUMERATED_ORDER", 5)
         with pytest.raises(TooLarge, match="group of order 6 is beyond the enumeration limit"):
             finite_abelian_invariants(elements, add, 0)
+
+    @pytest.mark.parametrize("factors", [(4096,), (2, 2048)])
+    def test_orders_are_found_by_doubling(self, factors):
+        # every order is a power of two up to 2^12, reached by at most 12
+        # doublings; adding each element to itself until zero made about
+        # 11 million additions on Z/4,096
+        g = FgAbGroup(factors)
+        calls = 0
+
+        def add(a, b):
+            nonlocal calls
+            calls += 1
+            return g.add(a, b)
+
+        elements = g.elements()
+        assert finite_abelian_invariants(elements, add, g.zero()) == factors
+        assert calls <= 12 * len(elements)
+
+    def test_agrees_with_repeated_addition(self):
+        # every group of order at most 64, and some of order up to 1,024,
+        # against the oracle that adds each element to itself until zero
+        chains = [c for n in range(1, 65) for c in invariant_chains(n)]
+        chains += [(1024,), (2, 512), (32, 32), (2,) * 10, (3, 6, 54), (10, 100), (1000,)]
+        for factors in chains:
+            g = FgAbGroup(factors)
+            elements = g.elements()
+            expected = group_from_order_counts(elements, g.add, g.zero(), g.neg)
+            got = finite_abelian_invariants(elements, g.add, g.zero())
+            assert got == expected == factors, factors
+
+    def test_a_listing_that_is_not_a_group(self):
+        def add(a, b):
+            return (a + b) % 4
+
+        # 3 * 1 is not zero mod 4
+        with pytest.raises(ValueError, match="element 1 has no finite order in the listing"):
+            finite_abelian_invariants([0, 1, 2], add, 0)
+        # one element of order 1 and three of order 4 fit neither Z/4 nor Z/2 + Z/2
+        with pytest.raises(ValueError, match="order profile matched 0 chains"):
+            finite_abelian_invariants([0, 1, 3, 1], add, 0)
 
 
 class TestHomology:
@@ -435,7 +475,7 @@ class TestQuotientPresentation:
             rank = rng.randint(1, 4)
             nrels = rng.randint(0, 5)
             rels = [[rng.randint(-6, 6) for _ in range(nrels)] for _ in range(rank)]
-            grp, project, lift = quotient_presentation(rank, rels)
+            grp, project, lift = quotient_presentation(rank, smith(rels))
             if grp.ngens:
                 assert matmul(project, lift) == identity(grp.ngens)
             # every relation dies in the quotient

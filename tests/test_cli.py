@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import signal
 
 import pytest
@@ -392,6 +393,13 @@ class TestSnf:
         assert "equal-length integer lists" in capsys.readouterr().err
         assert main(["snf", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_oversized_matrix_exits_three_at_once(self, tmp_path, capsys):
+        rng = random.Random(0)
+        big = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+        path = write_json(tmp_path, "big.json", big)
+        assert main_within_a_second(["snf", path]) == 3
+        assert "40x40 matrix exceeds the bound of 24 rows and columns" in capsys.readouterr().err
 
     def test_json_booleans_are_not_integers(self, tmp_path, capsys):
         path = write_json(tmp_path, "bool.json", [[True, 2], [3, 4]])

@@ -1,10 +1,13 @@
-"""Property tests of Smith forms, factor-once solves and zero maps.
+"""Property tests of Smith forms, the solves of one Smith record and zero maps.
 
 The oracle is ``sympy``'s ``smith_normal_form``, which shares no code with
 ``quadalg``; the certificates are checked against ``smith_reference``, the
-eager Smith form that ``smith`` replaced. Lattice membership is decided from it by an index count: ``b``
-lies in the column lattice of ``A`` exactly when appending ``b`` changes
-neither the rank nor the product of the nonzero invariant factors.
+eager Smith form that ``smith`` replaced, and the solves, which replay the
+operation logs, against ``dense_solve``, which multiplies by the dense
+certificates. Lattice membership is decided from ``sympy`` by an index
+count: ``b`` lies in the column lattice of ``A`` exactly when appending
+``b`` changes neither the rank nor the product of the nonzero invariant
+factors.
 """
 from __future__ import annotations
 
@@ -18,18 +21,27 @@ from sympy.matrices.normalforms import smith_normal_form
 from quadalg import abelian
 from quadalg.abelian import (
     AbMap,
-    Factorization,
     FgAbGroup,
+    SnfResult,
     columns,
+    homology_at,
     identity,
     mat_vec,
     smith,
+    solve_integer,
     zeros,
 )
-from quadalg.bwcoh import cohomology, one_object_cyclic, trivial_system
+from quadalg.bwcoh import (
+    CochainComplex,
+    cohomology,
+    dm_natural_system,
+    one_object_cyclic,
+    trivial_system,
+)
 from quadalg.errors import ShapeMismatch
 
-from .oracles import smith_reference
+from .oracles import dense_solve, smith_reference
+from .test_abelian import stacked_relations
 
 PROPERTY = settings(max_examples=150, deadline=None)
 CERTIFICATES = ("U", "V", "Uinv", "Vinv")
@@ -152,7 +164,7 @@ class TestFactorization:
     @given(matrices(), st.data())
     def test_solves_every_consistent_right_hand_side(self, case, data):
         A, m, n = case
-        f = Factorization(A)
+        f = smith(A)
         for _ in range(3):
             x = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
             b = mat_vec(A, x)
@@ -164,7 +176,7 @@ class TestFactorization:
     @given(matrices(min_dim=1, bound=6), st.data())
     def test_contains_agrees_with_in_lattice_and_sympy(self, case, data):
         A, m, _ = case
-        f = Factorization(A)
+        f = smith(A)
         for _ in range(3):
             b = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)))
             assert f.contains(b) == sympy_in_lattice(A, b)
@@ -172,20 +184,83 @@ class TestFactorization:
     def test_contains_on_empty_matrices(self):
         # with no columns only zero lies in the lattice; with no rows the
         # empty vector does
-        assert Factorization(zeros(2, 0)).contains((0, 0))
-        assert not Factorization(zeros(2, 0)).contains((0, 1))
-        assert Factorization([]).contains(())
+        assert smith(zeros(2, 0)).contains((0, 0))
+        assert not smith(zeros(2, 0)).contains((0, 1))
+        assert smith([]).contains(())
 
     def test_right_hand_side_of_the_wrong_length(self):
         with pytest.raises(ShapeMismatch):
-            Factorization([[1, 0], [0, 1]]).solve((1,))
+            smith([[1, 0], [0, 1]]).solve((1,))
+
+
+class TestSolvesFromTheLogs:
+    """``SnfResult`` answers from its operation logs what the dense
+    certificates answered, and ``homology_at`` factors the kernel once."""
+
+    @PROPERTY
+    @given(
+        st.one_of(matrices().map(lambda case: case[0]), sparse_matrices(), stacked_relations()),
+        st.data(),
+    )
+    def test_solve_agrees_with_the_dense_solve(self, A, data):
+        r = smith(A)
+        m, n = len(A), len(A[0]) if A else 0
+        for _ in range(3):
+            if data.draw(st.booleans()):
+                b = mat_vec(A, data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+            else:
+                b = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)))
+            assert r.solve(b) == dense_solve(r, b)
+
+    @PROPERTY
+    @given(matrices(min_dim=1, bound=6), st.data())
+    def test_coordinates_invert_the_column_basis(self, case, data):
+        A, m, _ = case
+        r = smith(A)
+        basis = r.column_basis()
+        assert len(basis) == r.rank
+        coords = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=r.rank, max_size=r.rank)))
+        v = tuple(sum(c * u[i] for c, u in zip(coords, basis)) for i in range(m))
+        b = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)))
+        got, of_b = r.column_coordinates([v, b])
+        assert got == coords
+        assert (of_b is not None) == sympy_in_lattice(A, b)
+        if of_b is not None:
+            assert tuple(sum(c * u[i] for c, u in zip(of_b, basis)) for i in range(m)) == b
+        assert None not in r.column_coordinates(columns(A))
+
+    def test_no_answer_reads_a_certificate(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a certificate was built")
+
+        for name in CERTIFICATES:
+            monkeypatch.setattr(SnfResult, name, property(refuse))
+        assert solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
+        C = one_object_cyclic(4)
+        res = cohomology(C, trivial_system(C, FgAbGroup((4,))), 2)
+        carry = {(a, b): ((a + b) // 4,) for a in range(4) for b in range(4)}
+        assert res.group.element_order(res.class_of(carry)) == 4
+        g = res.group.generator(0)
+        assert res.hom.express(res.hom.representative(g)) == g
+
+    def test_one_homology_makes_three_smith_forms(self, monkeypatch):
+        # the kernel of d2, one Smith form of its spanning set for the basis
+        # and every coordinate, and the relations among the image's
+        # coordinates; the kernel basis used to be factored a second time
+        cx = CochainComplex(*dm_natural_system(4, 1), False)
+        d1, d2 = cx.d(1), cx.d(2)
+        calls = []
+        smith_form = abelian.smith
+        monkeypatch.setattr(abelian, "smith", lambda M: calls.append(M) or smith_form(M))
+        assert homology_at(d1, d2).group == FgAbGroup((2, 4))
+        assert len(calls) == 3
 
 
 def old_is_zero_map(f: AbMap) -> bool:
     """The per-column lattice test that ``is_zero_map`` used to run."""
     rel = f.target.relation_matrix()
     return all(
-        Factorization(rel).contains(c) if rel else all(x == 0 for x in c)
+        smith(rel).contains(c) if rel else all(x == 0 for x in c)
         for c in columns(f.matrix)
     )
 
