@@ -507,7 +507,9 @@ class FgAbGroup:
     The group is ``Z/d_1 + ... + Z/d_k`` with each finite ``d_i >= 2``
     dividing the next and ``d_i = 0`` meaning an infinite cyclic summand;
     zeros come last. Elements are coordinate tuples, stored reduced
-    (``0 <= c_i < d_i`` on finite coordinates).
+    (``0 <= c_i < d_i`` on finite coordinates). ``sample`` draws each
+    coordinate in order with ``rng.randrange(0, d_i)``, or with
+    ``rng.randrange(-9, 10)`` on a free one.
 
     >>> FgAbGroup.from_factors([2, 3])
     FgAbGroup((6,))
@@ -517,13 +519,17 @@ class FgAbGroup:
     FgAbGroup((0, 0))
     """
 
-    __slots__ = ("invariant_factors", "ngens", "_zero", "_finite")
+    __slots__ = ("invariant_factors", "ngens", "_zero", "_finite", "_free", "_starts", "_stops")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
-        self.invariant_factors = validate_factors(invariant_factors)
-        self.ngens = len(self.invariant_factors)
+        factors = self.invariant_factors = validate_factors(invariant_factors)
+        self.ngens = len(factors)
         self._zero = (0,) * self.ngens
-        self._finite = 0 not in self.invariant_factors
+        self._finite = 0 not in factors
+        self._free = not any(factors)
+        # the draw bounds of ``sample``, one pair per coordinate
+        self._starts = tuple(0 if d else -9 for d in factors)
+        self._stops = tuple(d or 10 for d in factors)
 
     # -- constructors ------------------------------------------------------
 
@@ -577,6 +583,8 @@ class FgAbGroup:
 
     def _reduce(self, coords) -> tuple[int, ...]:
         """``reduce`` of ``ngens`` coordinates, given as any iterable."""
+        if self._free:
+            return tuple(map(int, coords))
         if self._finite:
             return tuple(map(operator.mod, coords, self.invariant_factors))
         return tuple(
@@ -596,7 +604,9 @@ class FgAbGroup:
         return self._reduce(map(operator.add, a, b))
 
     def neg(self, a) -> tuple[int, ...]:
-        return self.reduce([-x for x in a])
+        if len(a) != self.ngens:
+            raise self._mismatch(a)
+        return self._reduce(map(operator.neg, a))
 
     def sub(self, a, b) -> tuple[int, ...]:
         if len(a) != self.ngens or len(b) != self.ngens:
@@ -623,9 +633,7 @@ class FgAbGroup:
 
     def sample(self, rng: random.Random) -> tuple[int, ...]:
         """A random element; free coordinates come from ``-9..9``."""
-        return tuple(
-            rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors
-        )
+        return tuple(map(rng.randrange, self._starts, self._stops))
 
     # -- the rest of the nil2 carrier interface -----------------------------
 

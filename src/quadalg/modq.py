@@ -87,7 +87,7 @@ class FreeModElement:
         if other.rank != self.rank:
             raise ShapeMismatch("rank mismatch in module addition")
         Q, e, ee = self.ring, self.ring.e, self.ring.ee
-        h2 = Q.H(Q.two())
+        h2 = Q.h_two
         coords = tuple(e.add(a, b) for a, b in zip(self.coords, other.coords))
         pairs = {}
         for i in range(self.rank):
@@ -99,7 +99,7 @@ class FreeModElement:
 
     def neg(self) -> "FreeModElement":
         Q, e, ee = self.ring, self.ring.e, self.ring.ee
-        h2 = Q.H(Q.two())
+        h2 = Q.h_two
         coords = tuple(e.neg(a) for a in self.coords)
         pairs = {}
         for i in range(self.rank):
@@ -309,9 +309,11 @@ def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
     Q = f.ring
     e, ee = Q.e, Q.ee
     tmap = Q.square_group.tmap
-    h2 = Q.H(Q.two())
+    h2 = Q.h_two
     x, y, z = f.nrows, f.ncols, g.ncols
     g_pairs = sorted(g.fij.items())
+    # prod[i][k][s] = f_ik . g_ks, read by both layers
+    prod = [[[Q.mul(a, b) for b in g.fi[k]] for k, a in enumerate(row)] for row in f.fi]
 
     fi = []
     for i in range(x):
@@ -319,7 +321,7 @@ def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
         for s in range(z):
             acc = e.zero()
             for k in range(y):
-                acc = e.add(acc, Q.mul(f.fi[i][k], g.fi[k][s]))
+                acc = e.add(acc, prod[i][k][s])
             for (k, l), col in g_pairs:
                 acc = e.add(acc, Q.P(Q.act_pair(f.fi[i][k], f.fi[i][l], col[s])))
             row.append(acc)
@@ -341,14 +343,7 @@ def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
                     acc = ee.add(acc, Q.act_pair(f.fi[i][l], f.fi[j][k], tmap(col[s])))
                 for k in range(y):
                     for l in range(k + 1, y):
-                        acc = ee.add(
-                            acc,
-                            Q.act_pair(
-                                Q.mul(f.fi[i][l], g.fi[l][s]),
-                                Q.mul(f.fi[j][k], g.fi[k][s]),
-                                h2,
-                            ),
-                        )
+                        acc = ee.add(acc, Q.act_pair(prod[i][l][s], prod[j][k][s], h2))
                 col_out.append(acc)
             fij[(i, j)] = tuple(col_out)
     return ModQMor(Q, x, z, tuple(fi), fij)
@@ -418,16 +413,6 @@ def composition_report(
             [morphisms(2, parallel=True), ring.e], distributes, "(m,n) v"),
     ], samples, rng)
     return r
-
-
-# ---------------------------------------------------------------------------
-# Quotient functor
-# ---------------------------------------------------------------------------
-
-def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:
-    """Entrywise image of a morphism in the quotient ring."""
-    q = ext.quot.q
-    return tuple(tuple(q(v) for v in row) for row in f.fi)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +554,6 @@ def _right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
             row.append(c1.add(main, ext.P(corr)))
         h.append(tuple(row))
     return Track(ext, modq_compose(t.f0, g), compose_f1(t.f1, g), tuple(h))
-
-
-def track_tau(ext: CrossedExtension, f: ModQMor, m: tuple) -> Track:
-    """The automorphism track of ``f`` attached to a kernel-module matrix."""
-    x, y = f.nrows, f.ncols
-    if len(m) != x or any(len(row) != y for row in m):
-        raise ShapeMismatch(f"module matrix is not {x} by {y}")
-    h = tuple(tuple(ext.include(v) for v in row) for row in m)
-    return Track(ext, f, f, h)
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,8 @@ def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> li
         total = total * len(p) if p is not None else 0
     if all(p is not None for p in pools) and 0 < total <= DEFAULT_ENUM_BOUND:
         return list(itertools.product(*pools))
-    return [tuple(c.sample(rng) for c in carriers) for _ in range(samples)]
+    samplers = [c.sample for c in carriers]
+    return [tuple([draw(rng) for draw in samplers]) for _ in range(samples)]
 
 
 def counterexample(

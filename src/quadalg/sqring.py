@@ -60,6 +60,11 @@ class _AdditiveStructure:
         """The additive square group, built once per ring."""
         return SquareGroup(e=self.e, ee=self.ee, H=self.H, P=self.P, name=self.name)
 
+    @cached_property
+    def h_two(self):
+        """``H(2)``, built once per ring."""
+        return self.H(self.two())
+
     def two(self):
         return self.e.add(self.one, self.one)
 
@@ -185,7 +190,7 @@ def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
     r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
     e, ee, sg = R.e, R.ee, R.square_group
     H, P, mul, pair, right = R.H, R.P, R.mul, R.act_pair, R.act_right
-    htwo = H(R.two())
+    htwo = R.h_two
     check_laws(r, _ring_laws(R) + [
         Law("pair action additive in ee", [e, e, ee, ee],
             lambda x, y, a, b: pair(x, y, ee.add(a, b)) == ee.add(pair(x, y, a), pair(x, y, b)),

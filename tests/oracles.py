@@ -15,14 +15,17 @@ own, and the table of values (:func:`quadratic_functor`,
 the matrix track machinery is checked against; and
 :func:`monoid_mul_reference`, the free word model's product by the
 recursion through law (ii), which its closed form must reproduce exactly;
-and :class:`ReferenceGroupArithmetic` and :class:`ReferenceWordMake`,
-frozen copies of the group arithmetic and word normal forms that their
-faster rewrites must reproduce.
+and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples` and
+:class:`ReferenceWordMake`, frozen copies of the group arithmetic and
+sampler, the law driver's sampling loop and the word normal forms that
+their faster rewrites must reproduce. :func:`quotient_matrix` and
+:func:`track_tau` are matrix-category helpers that only tests use.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -44,8 +47,10 @@ from quadalg.abelian import (
     zeros,
 )
 from quadalg.bwcoh import FinCat, NatSystem
+from quadalg.crossed import CrossedExtension
 from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
-from quadalg.nil2 import Nil2Element, SquareGroup
+from quadalg.modq import ModQMor, Track
+from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements
 from quadalg.sqring import _comb2
 
 
@@ -615,6 +620,21 @@ class CycTrack:
             )
 
 
+def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:
+    """Entrywise image of a morphism in the quotient ring."""
+    q = ext.quot.q
+    return tuple(tuple(q(v) for v in row) for row in f.fi)
+
+
+def track_tau(ext: CrossedExtension, f: ModQMor, m: tuple) -> Track:
+    """The automorphism track of ``f`` attached to a kernel-module matrix."""
+    x, y = f.nrows, f.ncols
+    if len(m) != x or any(len(row) != y for row in m):
+        raise ShapeMismatch(f"module matrix is not {x} by {y}")
+    h = tuple(tuple(ext.include(v) for v in row) for row in m)
+    return Track(ext, f, f, h)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic functors as tensor products with square groups
 # ---------------------------------------------------------------------------
@@ -880,9 +900,10 @@ def _mul_word(core, s: tuple, y: Nil2Element) -> Nil2Element:
 # ---------------------------------------------------------------------------
 
 class ReferenceGroupArithmetic:
-    """``FgAbGroup``'s element arithmetic before its precomputed fast path,
-    copied method for method, which the current methods must reproduce on
-    operands of the right length.
+    """``FgAbGroup``'s element arithmetic and sampler before their
+    precomputed and shape-specialised fast paths, copied method for
+    method, which the current methods must reproduce on operands of the
+    right length, draw for draw.
 
     >>> ReferenceGroupArithmetic((2, 4, 0)).add((1, 3, -5), (1, 2, 7))
     (0, 1, 2)
@@ -918,6 +939,22 @@ class ReferenceGroupArithmetic:
 
     def sum(self, items) -> tuple[int, ...]:
         return self.reduce([sum(c) for c in zip(self.zero(), *items)])
+
+    def sample(self, rng: random.Random) -> tuple[int, ...]:
+        return tuple(
+            rng.randrange(d) if d else rng.randint(-9, 9) for d in self.invariant_factors
+        )
+
+
+def reference_tuples(carriers: Sequence, samples: int, rng: random.Random) -> list[tuple]:
+    """``nil2._tuples`` before its flat sampling loop, copied verbatim."""
+    pools = [_finite_elements(c) for c in carriers]
+    total = 1
+    for p in pools:
+        total = total * len(p) if p is not None else 0
+    if all(p is not None for p in pools) and 0 < total <= DEFAULT_ENUM_BOUND:
+        return list(itertools.product(*pools))
+    return [tuple(c.sample(rng) for c in carriers) for _ in range(samples)]
 
 
 class ReferenceWordMake:

@@ -379,6 +379,38 @@ class TestGroupArithmetic:
         too_long = a + (1,)
         assert _mismatch(g.reduce, too_long) == _mismatch(ref.reduce, too_long)
 
+    @PROPERTY
+    @given(divisibility_chains(), st.integers(0, 2**64), st.integers(0, 30))
+    def test_sample_draws_like_the_reference(self, factors, seed, n):
+        g, ref = FgAbGroup(factors), ReferenceGroupArithmetic(factors)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert [g.sample(rng) for _ in range(n)] == [ref.sample(ref_rng) for _ in range(n)]
+        assert rng.getstate() == ref_rng.getstate()
+
+    @PROPERTY
+    @given(divisibility_chains(), st.data())
+    def test_non_canonical_input_matches_the_reference(self, factors, data):
+        g, ref = FgAbGroup(factors), ReferenceGroupArithmetic(factors)
+        entry = st.one_of(st.integers(-(2**70), 2**70), st.booleans())
+        coords = st.lists(entry, min_size=g.ngens, max_size=g.ngens).map(tuple)
+        a, b = data.draw(coords), data.draw(coords)
+        for name, args in [("reduce", (a,)), ("add", (a, b)), ("sub", (a, b)), ("neg", (a,))]:
+            got, want = getattr(g, name)(*args), getattr(ref, name)(*args)
+            assert got == want and list(map(type, got)) == list(map(type, want)), name
+
+    @pytest.mark.parametrize("factors", [(0, 0), (2, 6), (3, 0), ()])
+    def test_every_operation_checks_the_length(self, factors):
+        g = FgAbGroup(factors)
+        ok = g.zero()
+        for bad in (ok + (1,), ok[:-1]) if ok else ((1,),):
+            for method, args in [
+                (g.reduce, (bad,)), (g.neg, (bad,)), (g.add, (bad, ok)), (g.add, (ok, bad)),
+                (g.sub, (bad, ok)), (g.sub, (ok, bad)), (g.sum, ([ok, bad],)),
+            ]:
+                assert _mismatch(method, *args) == (
+                    f"element of length {len(bad)} in group with {g.ngens} generators"
+                )
+
 
 class TestKernelsAndExactness:
     @PROPERTY

@@ -26,17 +26,15 @@ from quadalg.modq import (
     composition_report,
     modq_compose,
     obstruction_cocycle,
-    quotient_matrix,
     random_morphism,
     track_invert,
     track_left_whisker,
     track_right_whisker,
-    track_tau,
     track_vcomp,
 )
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
-from .oracles import CycTrack, CyclicTrackExtension
+from .oracles import CycTrack, CyclicTrackExtension, quotient_matrix, track_tau
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +153,29 @@ class TestCompositionRoutes:
     def test_rejects_a_max_dim_below_one(self, max_dim):
         with pytest.raises(ValueError, match=f"max_dim must be at least 1, got {max_dim}"):
             composition_report(znil(), samples=5, max_dim=max_dim)
+
+    def test_closed_route_computes_h_two_once_and_each_product_once(self):
+        ring = znil_monoid(["s", "t"], 6)
+        calls = {"H": 0, "mul": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        Q = dataclasses.replace(ring, H=counted("H", ring.H), mul=counted("mul", ring.mul))
+        rng = random.Random(0)
+        f, g = random_morphism(Q, 3, 3, rng), random_morphism(Q, 3, 2, rng)
+        counts = []
+        for _ in range(2):
+            calls.update(H=0, mul=0)
+            composite = modq_compose(f, g)
+            counts.append(dict(calls))
+        # one product f_ik g_ks per (i, k, s); H(2) only in the first composite
+        assert counts == [{"H": 31, "mul": 18}, {"H": 30, "mul": 18}]
+        assert Q.h_two == ring.H(ring.two())
+        assert composite == modq_compose(f, g, "oracle")
 
     def test_unknown_mode(self):
         f = ModQMor.identity(znil(), 1)

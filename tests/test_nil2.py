@@ -19,10 +19,11 @@ from quadalg.nil2 import (
     morphism_is_bijective,
     morphism_verify,
     square_group_verify,
+    _tuples,
 )
 from quadalg.sqring import znil, znil_monoid
 
-from .oracles import ReferenceWordMake
+from .oracles import ReferenceWordMake, reference_tuples
 
 
 def mod4_square_group() -> SquareGroup:
@@ -320,3 +321,24 @@ class TestOnePassMake:
             FreeAbelianCarrier(["s"], ["s"]).make({"s": 1, "u": 0})
         with pytest.raises(BasisMismatch, match=r"^unknown symbol pair \('u', 's'\)$"):
             FreePairsCarrier(["s"], ["s"]).make({("u", "s"): 0})
+
+
+CARRIER_SHAPES = [(0,), (0, 0), (2, 6), (3, 0), (), (5,)]
+
+
+class TestFlatSampling:
+    """The law driver's ``_tuples`` against the frozen copy in ``reference_tuples``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(range(len(CARRIER_SHAPES) + 1)), max_size=3),
+        st.integers(0, 2**64),
+        st.integers(0, 20),
+    )
+    def test_tuples_match_the_reference(self, picks, seed, samples):
+        words = FreeNil2Carrier(["s", "t"], ["s", "t"])
+        carriers = [FgAbGroup(CARRIER_SHAPES[k]) if k < len(CARRIER_SHAPES) else words
+                    for k in picks]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _tuples(carriers, samples, rng) == reference_tuples(carriers, samples, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
