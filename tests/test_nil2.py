@@ -323,7 +323,9 @@ class TestOnePassMake:
             FreePairsCarrier(["s"], ["s"]).make({("u", "s"): 0})
 
 
-CARRIER_SHAPES = [(0,), (0, 0), (2, 6), (3, 0), (), (5,)]
+SAMPLED_CARRIERS = [FgAbGroup(factors) for factors in [(0,), (0, 0), (2, 6), (3, 0), (), (5,)]] + [
+    FreeNil2Carrier(["s", "t"], ["s", "t"])
+]
 
 
 class TestFlatSampling:
@@ -331,14 +333,11 @@ class TestFlatSampling:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.sampled_from(range(len(CARRIER_SHAPES) + 1)), max_size=3),
+        st.lists(st.sampled_from(SAMPLED_CARRIERS), max_size=3),
         st.integers(0, 2**64),
         st.integers(0, 20),
     )
-    def test_tuples_match_the_reference(self, picks, seed, samples):
-        words = FreeNil2Carrier(["s", "t"], ["s", "t"])
-        carriers = [FgAbGroup(CARRIER_SHAPES[k]) if k < len(CARRIER_SHAPES) else words
-                    for k in picks]
+    def test_tuples_match_the_reference(self, carriers, seed, samples):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert _tuples(carriers, samples, rng) == reference_tuples(carriers, samples, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
