@@ -1,10 +1,19 @@
-"""The command line, run in process through ``main``."""
+"""The command line, run in process through ``main``.
+
+``tests/golden/modq_program_znil.txt`` pins the full output of a matrix
+program; after a deliberate change to it, rewrite the file with
+``PYTHONPATH=src python -m tests.test_cli`` and review the diff.
+"""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
 import signal
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +36,7 @@ from .test_documents import (
 )
 
 MATRIX = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+PROGRAM_GOLDEN = Path(__file__).parent / "golden" / "modq_program_znil.txt"
 
 
 def main_within_a_second(argv):
@@ -407,7 +417,21 @@ class TestSnf:
         assert "matrix entries must be integers" in capsys.readouterr().err
 
 
+def program_output(command: str, path: str) -> str:
+    """What ``quadalg <command> FILE`` prints on the matrix program at
+    ``path`` with ``--format human`` and then with ``--format machine``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for fmt in ("human", "machine"):
+            main([command, path, "--format", fmt])
+    return out.getvalue()
+
+
 class TestModqProgram:
+    @pytest.mark.parametrize("command", ["modq", "verify"])
+    def test_program_output_matches_golden(self, docs, command):
+        assert program_output(command, docs["modq"]) == PROGRAM_GOLDEN.read_text()
+
     def test_program_runs_both_routes(self, docs, capsys):
         code = main(["modq", docs["modq"]])
         out = capsys.readouterr().out
@@ -421,3 +445,10 @@ class TestModqProgram:
         captured = capsys.readouterr()
         assert code == 2
         assert "expected a modq_program document" in captured.err
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp), "modq.json", MODQ_ZNIL)
+        PROGRAM_GOLDEN.write_text(program_output("modq", path))
+    print(f"wrote {PROGRAM_GOLDEN}")
