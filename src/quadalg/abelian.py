@@ -314,19 +314,17 @@ def smith(M: IntMatrix) -> SnfResult:
         rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
         col_ops.append((_SWAP, i, j, 0))
 
-    def col_addmul(j: int, i: int, q: int) -> None:
-        # col j += q * col i
-        for r in rows_of[i]:
-            row = A[r]
-            y = row.get(j, 0) + q * row[i]
-            if y:
-                if j not in row:
-                    rows_of[j].add(r)
-                row[j] = y
-            else:
-                del row[j]
-                rows_of[j].remove(r)
-        col_ops.append((_ADD, j, i, q))
+    def col_addmul(j: int, q: int) -> None:
+        # col j += q * col t, where column t holds the pivot alone and row t
+        # holds column j
+        row = A[t]
+        y = row[j] + q * row[t]
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+            rows_of[j].remove(t)
+        col_ops.append((_ADD, j, t, q))
 
     # Rows before t hold only their diagonal entry and rows from t on hold
     # nothing left of column t, so a whole row from t on is its tail.
@@ -382,7 +380,7 @@ def smith(M: IntMatrix) -> SnfResult:
                     continue
                 q = A[t][j] // p
                 if q:
-                    col_addmul(j, t, -q)
+                    col_addmul(j, -q)
                 if j in A[t]:
                     col_swap(t, j)
                     swapped = True
@@ -856,13 +854,10 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
         raise ShapeMismatch(
             f"middle group mismatch: {d1.target.describe()} vs {d2.source.describe()}"
         )
-    comp = d2.compose(d1)
-    if not comp.is_zero_map():
-        for j, col in enumerate(columns(comp.matrix)):
-            if any(d2.target.reduce(col)):
-                raise CompositionNonzero(
-                    f"d2(d1(generator {j})) = {d2.target.reduce(col)} != 0"
-                )
+    for j, col in enumerate(columns(d2.compose(d1).matrix)):
+        image = d2.target.reduce(col)
+        if any(image):
+            raise CompositionNonzero(f"d2(d1(generator {j})) = {image} != 0")
     B = d1.target
     b = B.ngens
     A2 = mat_hstack(d2.matrix, d2.target.relation_matrix())

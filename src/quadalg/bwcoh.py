@@ -668,7 +668,7 @@ class CohomologyResult:
 
     def is_cocycle(self, cochain: dict) -> bool:
         v = self.level.to_group(self.level.assemble(cochain))
-        return self.d_out.target.reduce(self.d_out.apply(v)) == self.d_out.target.zero()
+        return not any(self.d_out.apply(v))
 
 
 def _check_degree(degree: int, what: str) -> None:

@@ -4,7 +4,8 @@ Subcommands
 -----------
 
 ``verify FILE``
-    Run the axiom suite matching the document's kind.
+    Run the axiom suite matching the document's kind; on a matrix
+    program, compose by both routes and compare.
 ``cohomology CAT COEFF --degree N``
     Cohomology of a finite category with natural-system coefficients.
 ``nu FILE``
@@ -14,8 +15,6 @@ Subcommands
 ``snf FILE``
     Smith normal form of an integer matrix, certificates re-checked; at
     most ``MAX_SNF_DIM`` rows and columns.
-``modq FILE``
-    Run a matrix program, composing by both routes and comparing.
 
 Exit codes: 0 when every check passes, 1 when an axiom check fails
 (the report carries a witness), 2 for malformed input, and 3 when the
@@ -200,14 +199,6 @@ def _cmd_snf(args) -> int:
     return _emit(r, args.format)
 
 
-def _cmd_modq(args) -> int:
-    doc = load_document(args.file)
-    if doc["kind"] != "modq_program":
-        raise DocumentError(f"{args.file}: expected a modq_program document")
-    program = build_document(doc)
-    return _emit(program.verify(), args.format)
-
-
 def _add_format(p) -> None:
     p.add_argument(
         "--format",
@@ -224,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the axiom suite for a document")
+    p = sub.add_parser("verify", help="run the axiom suite or matrix program of a document")
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -259,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("modq", help="compose a matrix program by both routes")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_modq)
 
     return parser
 

@@ -54,6 +54,7 @@ from .nil2 import (
     SgMorphism,
     SquareGroup,
     _finite_elements,
+    _fold_pairs,
     check_laws,
     counterexample,
     square_group_verify,
@@ -378,16 +379,9 @@ class ZtildePairsCarrier(DirectSumCarrier):
 
     def reduce(self, coeffs: dict) -> tuple:
         rank = self.left._rank
-        off: dict = {}
-        diag: set = set()
-        for (u, v), c in coeffs.items():
-            if u == v:
-                if c % 2:
-                    diag.symmetric_difference_update({u})
-            elif rank[u] < rank[v]:
-                off[(u, v)] = off.get((u, v), 0) + c
-            else:
-                off[(v, u)] = off.get((v, u), 0) - c
+        # the keys are distinct, so a diagonal word's parity is its own
+        diag = [u for (u, v), c in coeffs.items() if u == v and c % 2]
+        off = _fold_pairs(rank, coeffs.items(), {})
         return (self.left.make(off), tuple(sorted(diag, key=rank.get)))
 
     def lift(self, el: tuple) -> dict:

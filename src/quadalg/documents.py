@@ -135,6 +135,18 @@ def _has_shape(M: list[list[int]], rows: int, cols: int) -> bool:
     return len(M) == rows and all(len(row) == cols for row in M)
 
 
+def _linear_map(doc: dict, key: str, source: FgAbGroup, target: FgAbGroup, where: str):
+    """The map ``source -> target`` given by the integer matrix at ``key``,
+    one row per generator of ``target``."""
+    M = _int_matrix(_field(doc, key, list, where), f"{where} {key}")
+    if not _has_shape(M, target.ngens, source.ngens):
+        rows, cols = mat_shape(M)
+        raise DocumentError(
+            f"{where} {key}: matrix is {rows}x{cols}, wanted {target.ngens}x{source.ngens}"
+        )
+    return lambda v: target.reduce(mat_vec(M, v))
+
+
 # ---------------------------------------------------------------------------
 # Abelian maps
 # ---------------------------------------------------------------------------
@@ -214,17 +226,11 @@ def _build_square_group(doc: dict) -> SquareGroup:
     if ge.order() is None or gee.order() is None:
         raise DocumentError("explicit square groups must have finite carriers")
     table = _h_table(doc, ge, gee, "square_group")
-    pmat = _int_matrix(_field(doc, "P", list, "square_group"), "square_group P")
-    if not _has_shape(pmat, ge.ngens, gee.ngens):
-        rows, cols = mat_shape(pmat)
-        raise DocumentError(
-            f"square_group P: matrix is {rows}x{cols}, wanted {ge.ngens}x{gee.ngens}"
-        )
     return SquareGroup(
         e=ge,
         ee=gee,
         H=lambda x: table[ge.reduce(x)],
-        P=lambda a: ge.reduce(mat_vec(pmat, a)),
+        P=_linear_map(doc, "P", gee, ge, "square_group"),
         name="explicit square group",
     )
 
@@ -300,23 +306,13 @@ def _build_qpm(doc: dict) -> Qpm:
     if g0.order() is None or gee.order() is None:
         raise DocumentError("explicit pair modules must have finite carriers")
     table = _h_table(doc, g0, gee, "qpm")
-    pmat = _int_matrix(_field(doc, "P", list, "qpm"), "qpm P")
-    bmat = _int_matrix(_field(doc, "boundary", list, "qpm"), "qpm boundary")
-    if not _has_shape(pmat, g1.ngens, gee.ngens):
-        prows, pcols = mat_shape(pmat)
-        raise DocumentError(f"qpm P: matrix is {prows}x{pcols}, wanted {g1.ngens}x{gee.ngens}")
-    if not _has_shape(bmat, g0.ngens, g1.ngens):
-        brows, bcols = mat_shape(bmat)
-        raise DocumentError(
-            f"qpm boundary: matrix is {brows}x{bcols}, wanted {g0.ngens}x{g1.ngens}"
-        )
     return Qpm(
         c0=g0,
         c1=g1,
         cee=gee,
         H=lambda x: table[g0.reduce(x)],
-        P=lambda a: g1.reduce(mat_vec(pmat, a)),
-        boundary=lambda s: g0.reduce(mat_vec(bmat, s)),
+        P=_linear_map(doc, "P", gee, g1, "qpm"),
+        boundary=_linear_map(doc, "boundary", g1, g0, "qpm"),
         name="explicit qpm",
     )
 

@@ -225,6 +225,24 @@ def _in_rank_order(ranked: list) -> tuple:
     return tuple(map(_ITEM, ranked))
 
 
+def _fold_pairs(rank: dict, pairs: Iterable, out: dict) -> dict:
+    """Add the terms ``((u, v), c)`` of ``pairs`` to ``out`` on strictly
+    ordered pairs: ``c`` at ``(u, v)`` when ``u`` comes first in ``rank``,
+    ``-c`` at ``(v, u)`` otherwise; a pair of equal words adds nothing.
+
+    >>> _fold_pairs({"s": 0, "t": 1}, [(("t", "s"), 2), (("s", "s"), 5), (("s", "t"), 1)], {})
+    {('s', 't'): -1}
+    """
+    for (u, v), c in pairs:
+        if u == v:
+            continue
+        if rank[u] < rank[v]:
+            out[(u, v)] = out.get((u, v), 0) + c
+        else:
+            out[(v, u)] = out.get((v, u), 0) - c
+    return out
+
+
 class FreeNil2Carrier(Carrier):
     """The free group of nilpotency class two on an ordered symbol list.
 

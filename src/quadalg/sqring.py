@@ -37,6 +37,7 @@ from .nil2 import (
     SquareGroup,
     _coset_labels,
     _finite_elements,
+    _fold_pairs,
     check_laws,
     square_group_verify,
 )
@@ -118,6 +119,16 @@ class QuadraticRing(_AdditiveStructure):
     def act_right(self, a, z):
         """``a . z = a Delta(z)``."""
         return self.eemul(a, self.square_group.delta(z))
+
+
+def _ring(kind: str, act_pair: Callable, act_right: Callable, **common):
+    """The ring ``common`` describes, packaged as ``kind``: a
+    ``QuadraticRing``, or a ``SquareRing`` with the given actions."""
+    if kind == "quadratic":
+        return QuadraticRing(**common)
+    if kind == "square":
+        return SquareRing(act_pair=act_pair, act_right=act_right, **common)
+    raise ValueError(f"unknown ring kind: {kind!r}")
 
 
 def forget_U(Q: QuadraticRing) -> SquareRing:
@@ -281,9 +292,10 @@ def znil(kind: str = "square"):
     >>> R.mul((3,), (5,))
     (15,)
     """
-    if kind not in ("square", "quadratic"):
-        raise ValueError(f"unknown ring kind: {kind!r}")
-    common = dict(
+    return _ring(
+        kind,
+        act_pair=lambda x, y, a: (x[0] * y[0] * a[0],),
+        act_right=lambda a, z: (a[0] * z[0],),
         e=FgAbGroup.free(1),
         ee=FgAbGroup.free(1),
         H=lambda x: (_comb2(x[0]),),
@@ -291,14 +303,7 @@ def znil(kind: str = "square"):
         one=(1,),
         mul=lambda x, y: (x[0] * y[0],),
         eemul=lambda a, b: (a[0] * b[0],),
-    )
-    if kind == "quadratic":
-        return QuadraticRing(name="znil", **common)
-    return SquareRing(
-        act_pair=lambda x, y, a: (x[0] * y[0] * a[0],),
-        act_right=lambda a, z: (a[0] * z[0],),
         name="znil",
-        **common,
     )
 
 
@@ -314,12 +319,13 @@ def cyclic_ring(n: int, kind: str = "square"):
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    if kind not in ("square", "quadratic"):
-        raise ValueError(f"unknown ring kind: {kind!r}")
     e = FgAbGroup((n,)) if n > 1 else FgAbGroup.trivial()
     ee = FgAbGroup.trivial()
     zero_ee = ee.zero()
-    common = dict(
+    return _ring(
+        kind,
+        act_pair=lambda x, y, a: zero_ee,
+        act_right=lambda a, z: zero_ee,
         e=e,
         ee=ee,
         H=lambda x: zero_ee,
@@ -328,13 +334,6 @@ def cyclic_ring(n: int, kind: str = "square"):
         mul=lambda x, y: e.reduce((x[0] * y[0],)) if n > 1 else e.zero(),
         eemul=lambda a, b: zero_ee,
         name=f"Z/{n}",
-    )
-    if kind == "quadratic":
-        return QuadraticRing(**common)
-    return SquareRing(
-        act_pair=lambda x, y, a: zero_ee,
-        act_right=lambda a, z: zero_ee,
-        **common,
     )
 
 
@@ -399,22 +398,7 @@ class _MonoidRing:
         return self.ee.make(out)
 
     def P(self, a) -> Nil2Element:
-        return self.e.make({}, self._add_P({}, a))
-
-    def _add_P(self, cm: dict, pairs) -> dict:
-        """Add ``P`` of the pair terms ``pairs`` to the central coordinates
-        ``cm``: a pair ``(u, v)`` adds its coefficient to ``(u, v)`` when
-        ``u`` comes first in rank and subtracts it from ``(v, u)``
-        otherwise; a pair of equal words adds nothing."""
-        rank = self.e._rank
-        for (u, v), c in pairs:
-            if u == v:
-                continue
-            if rank[u] < rank[v]:
-                cm[(u, v)] = cm.get((u, v), 0) + c
-            else:
-                cm[(v, u)] = cm.get((v, u), 0) - c
-        return cm
+        return self.e.make({}, _fold_pairs(self.e._rank, a, {}))
 
     # -- multiplicative structure -------------------------------------------
 
@@ -498,7 +482,7 @@ class _MonoidRing:
                 act(pairs, r, s, k * n, hy)
         for w, m in y.linear:  # c_x y
             self._shift_right(pairs, x.comm, w, m)
-        return self.e.make(lin, self._add_P(cm, pairs.items()))
+        return self.e.make(lin, _fold_pairs(rank, pairs.items(), cm))
 
 
 def znil_monoid(
@@ -526,14 +510,15 @@ def znil_monoid(
     >>> R.square_group.cross(x, y) == R.ee.pair(("t",), ("s",))
     True
     """
-    if kind not in ("square", "quadratic"):
-        raise ValueError(f"unknown ring kind: {kind!r}")
     if sample_length < 0:
         raise ValueError(f"sample_length must be at least 0, got {sample_length}")
     if 3 * sample_length > length_bound:
         raise ValueError("sampled triple products would overflow the length bound")
     core = _MonoidRing(symbols, length_bound, sample_length)
-    common = dict(
+    return _ring(
+        kind,
+        act_pair=core.act_pair,
+        act_right=core.act_right,
         e=core.e,
         ee=core.ee,
         H=core.H,
@@ -543,9 +528,6 @@ def znil_monoid(
         eemul=core.eemul,
         name=f"znil[{', '.join(map(str, symbols))}]",
     )
-    if kind == "quadratic":
-        return QuadraticRing(**common)
-    return SquareRing(act_pair=core.act_pair, act_right=core.act_right, **common)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ program; after a deliberate change to it, rewrite the file with
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -27,6 +28,7 @@ from .test_documents import (
     EXT_C42,
     EXT_ZTILDE,
     MAP_BAD,
+    MODQ_WORDS,
     MODQ_ZNIL,
     QPM_EXPLICIT,
     RING_C5,
@@ -417,38 +419,39 @@ class TestSnf:
         assert "matrix entries must be integers" in capsys.readouterr().err
 
 
-def program_output(command: str, path: str) -> str:
-    """What ``quadalg <command> FILE`` prints on the matrix program at
+def program_output(path: str) -> str:
+    """What ``quadalg verify FILE`` prints on the matrix program at
     ``path`` with ``--format human`` and then with ``--format machine``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         for fmt in ("human", "machine"):
-            main([command, path, "--format", fmt])
+            main(["verify", path, "--format", fmt])
     return out.getvalue()
 
 
 class TestModqProgram:
-    @pytest.mark.parametrize("command", ["modq", "verify"])
-    def test_program_output_matches_golden(self, docs, command):
-        assert program_output(command, docs["modq"]) == PROGRAM_GOLDEN.read_text()
+    def test_program_output_matches_golden(self, docs):
+        assert program_output(docs["modq"]) == PROGRAM_GOLDEN.read_text()
 
     def test_program_runs_both_routes(self, docs, capsys):
-        code = main(["modq", docs["modq"]])
+        code = main(["verify", docs["modq"]])
         out = capsys.readouterr().out
         assert code == 0
         assert "note: f: 2x2, 1 quadratic rows" in out
         assert "[PASS] compose f.g: closed route equals substitution route" in out
         assert "[PASS] compose f.f: closed route equals substitution route" in out
 
-    def test_needs_a_program_document(self, docs, capsys):
-        code = main(["modq", docs["ring"]])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "expected a modq_program document" in captured.err
+    def test_pair_entry_naming_an_unknown_word_exits_two(self, tmp_path, capsys):
+        doc = copy.deepcopy(MODQ_WORDS)
+        doc["morphisms"]["g"]["pairs"] = [{"rows": [0, 1], "entries": [[[["t"], ["s"], 1]]]}]
+        assert main(["verify", write_json(tmp_path, "unknown.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: modq_program morphism 'g' pair [0, 1]: ")
+        assert "unknown symbol pair" in err
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(Path(tmp), "modq.json", MODQ_ZNIL)
-        PROGRAM_GOLDEN.write_text(program_output("modq", path))
+        PROGRAM_GOLDEN.write_text(program_output(path))
     print(f"wrote {PROGRAM_GOLDEN}")

@@ -10,6 +10,7 @@ from quadalg import crossed
 from quadalg.abelian import FgAbGroup
 from quadalg.crossed import (
     MAX_WORD_PAIRS,
+    Mod2WordsCarrier,
     PullbackCarrier,
     cyclic_ring_extension,
     linearly_generated,
@@ -24,7 +25,13 @@ from quadalg.errors import (
     PullbackDegenerate,
     TooLarge,
 )
-from quadalg.nil2 import DirectSumCarrier, SgMorphism, qpm_verify, square_group_verify
+from quadalg.nil2 import (
+    DirectSumCarrier,
+    FreePairsCarrier,
+    SgMorphism,
+    qpm_verify,
+    square_group_verify,
+)
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
 
@@ -63,6 +70,13 @@ class TestCyclicExtensions:
         assert result.order == 1
         assert result.is_invariant
         assert result.describe() == "nu = 0"
+
+    def test_a_colliding_include_is_a_failed_check(self):
+        ext = cyclic_ring_extension(4, 2)
+        collapsed = dataclasses.replace(ext, include=lambda m: ext.c1.zero())
+        report = verify_crossed(collapsed, samples=120, seed=0)
+        check = next(c for c in report.checks if c.name == "include injective")
+        assert (check.ok, check.witness) == (False, "(1,) and (0,) collide")
 
     def test_a_quotient_the_linear_elements_miss(self):
         ext = cyclic_ring_extension(4, 2)
@@ -197,6 +211,12 @@ class TestZtildeOverWords:
         # the largest word model in use, 127 words, goes on to the checks
         with pytest.raises(Checked):
             ztilde_construction(znil_monoid(["s", "t"], 6))
+
+    def test_diagonal_classes_are_listed_up_to_twelve_words(self):
+        words = [("s",) * k for k in range(13)]
+        assert len(Mod2WordsCarrier(FreePairsCarrier(words[:12], [])).elements()) == 2**12
+        with pytest.raises(TooLarge, match=r"2\^13 subsets exceed the bound"):
+            Mod2WordsCarrier(FreePairsCarrier(words, [])).elements()
 
     def test_a_missing_word_is_the_free_quotient(self):
         ext = ztilde_construction(znil_monoid(["s"], 3, sample_length=1))

@@ -582,6 +582,14 @@ class TestModqProgramDocuments:
         report = verify_document(MODQ_WORDS)
         assert report.passed, report.render()
 
+    def test_word_entry_with_a_comm_part_decodes(self):
+        doc = copy.deepcopy(MODQ_WORDS)
+        doc["morphisms"]["g"]["entries"][0][0]["comm"] = [[[], ["s"], 2]]
+        program = build_document(doc)
+        e = program.ring.e
+        assert program.morphisms["g"].fi[0][0] == e.make({("s",): 3}, {((), ("s",)): 2})
+        assert verify_document(doc).passed
+
     def test_ring_envelope_guard(self):
         with pytest.raises(DocumentError, match="must hold a square_ring"):
             build_document(tampered(MODQ_ZNIL, ring=QRING))

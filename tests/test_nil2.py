@@ -16,6 +16,7 @@ from quadalg.nil2 import (
     SgMorphism,
     TwistedProductCarrier,
     SquareGroup,
+    SubgroupCarrier,
     morphism_is_bijective,
     morphism_verify,
     square_group_verify,
@@ -261,6 +262,17 @@ class TestSmallCarrierUtilities:
             assert t.neg(a) == d.neg(a)
             for b in elements:
                 assert t.add(a, b) == d.add(a, b)
+
+    @pytest.mark.parametrize("members, message", [
+        ([(0,), (2,), (2,), (4,)], "subgroup members are not distinct"),
+        ([(2,), (4,)], "subgroup does not contain zero"),
+        ([(0,), (2,)], "subgroup not closed under negation at (2,)"),
+        ([(0,), (1,), (5,)], "subgroup not closed under addition at ((1,), (1,))"),
+    ])
+    def test_subgroup_refusals(self, members, message):
+        with pytest.raises(ValueError) as info:
+            SubgroupCarrier(FgAbGroup((6,)), members)
+        assert str(info.value) == message
 
     def test_free_pairs_carrier(self):
         c = FreePairsCarrier(["s", "t"], ["s", "t"])
