@@ -39,9 +39,9 @@ from .errors import CompositionNonzero, ShapeMismatch, TooLarge
 IntMatrix = list[list[int]]
 
 DEFAULT_ENUM_BOUND = 4096
-# finite_abelian_invariants on a 2-vCPU container: Z/20,000 takes 2.3 s and
-# Z/20 + Z/1,000 1.2 s, at a 0.1 MB peak beyond the listing; its callers list
-# carriers, which refuse more than DEFAULT_ENUM_BOUND elements
+# finite_abelian_invariants on a 2-vCPU container: Z/20,000 takes 0.04 s
+# (19,999 additions) and Z/20 + Z/1,000 0.09 s; its callers list carriers,
+# which refuse more than DEFAULT_ENUM_BOUND elements
 MAX_ENUMERATED_ORDER = 20_000
 
 
@@ -926,20 +926,28 @@ def _divisibility_chains(n: int, lo: int = 2):
                     yield (d,) + rest
 
 
-def _order(x, add, zero, divisors) -> int:
-    """The least ``k`` in the ascending ``divisors`` with ``k x = 0``, or 0;
-    ``k x`` is the sum of the doublings ``2^i x`` at the bits of ``k``."""
-    doublings = [x]
-    for k in divisors:
-        while k >> len(doublings):
-            doublings.append(add(doublings[-1], doublings[-1]))
-        acc = None
-        for i, y in enumerate(doublings):
-            if k >> i & 1:
-                acc = y if acc is None else add(acc, y)
-        if acc == zero:
-            return k
-    return 0
+def _orders(elements, add, zero) -> Counter:
+    """The number of listed elements of each order.
+
+    Each element not yet labelled walks its cyclic subgroup, adding
+    itself until it reaches zero, and labels its multiple ``j x`` with
+    ``ord / gcd(j, ord)``; a walk longer than the listing, or an order
+    that does not divide its length, is refused.
+    """
+    n = len(elements)
+    label: dict = {}
+    for x in elements:
+        if x in label:
+            continue
+        walk = [x]
+        while walk[-1] != zero and len(walk) < n:
+            walk.append(add(walk[-1], x))
+        o = len(walk)
+        if walk[-1] != zero or n % o:
+            raise ValueError(f"element {x!r} has no finite order in the listing")
+        for j, y in enumerate(walk, 1):
+            label.setdefault(y, o // math.gcd(j, o))
+    return Counter(label[x] for x in elements)
 
 
 def finite_abelian_invariants(elements, add, zero) -> tuple[int, ...]:
@@ -963,13 +971,8 @@ def finite_abelian_invariants(elements, add, zero) -> tuple[int, ...]:
         raise TooLarge(f"group of order {n} is beyond the enumeration limit")
     if n == 1:
         return ()
+    orders = _orders(elements, add, zero)
     divisors = [k for k in range(1, n + 1) if n % k == 0]
-    orders = Counter()
-    for x in elements:
-        o = _order(x, add, zero, divisors)
-        if not o:
-            raise ValueError(f"element {x!r} has no finite order in the listing")
-        orders[o] += 1
     exponent = math.lcm(*orders)
     profile = {k: sum(c for o, c in orders.items() if not k % o) for k in divisors if not exponent % k}
     # ascending divisibility convention (largest factor last)

@@ -427,7 +427,8 @@ class Track:
     quadratic layers of ``f0`` and ``f1`` are not constrained. The
     constructor checks every boundary, so any operation that builds a
     track re-certifies its own correction terms, also a whisker whose
-    target composite was read from a lifting problem's products.
+    target composite was read from a lifting problem's products. Tracks
+    are hashable on their source and entries, which equal tracks share.
     """
 
     ext: CrossedExtension
@@ -451,6 +452,9 @@ class Track:
                         f"entry ({i}, {k}): boundary {got!r} does not bound the "
                         f"difference {want!r}"
                     )
+
+    def __hash__(self) -> int:
+        return hash((self.f0, self.h))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -687,29 +691,55 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     first track from the composed lifts to the lifted composite. The
     two ways of rebracketing a triple then differ by an automorphism
     track whose value is the cochain. Missing keys are zero.
-    The whiskers' targets ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]``
-    are lift products of the pair loop, which ``te`` may reuse; every
-    track is still certified. A base with more than
+
+    Each distinct pair track gets an integer id, so ``te``'s tracks must
+    be hashable. The route ``(phi psi) chi`` is built once per key
+    ``(id of mu[phi, psi], phi psi, chi)`` and the inverse of the route
+    ``phi (psi chi)`` once per ``(phi, id of mu[psi, chi], psi chi)``;
+    each key holds the composites because the route reads the pair
+    tracks there, so it is right for any section. Only pasting the two
+    routes and reading the value are left per triple, and every track
+    that is built is still certified. The whiskers' targets
+    ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]`` are lift products of
+    the pair loop, which ``te`` may reuse. A base with more than
     ``MAX_COMPOSABLE_TRIPLES`` composable triples raises ``TooLarge``
     before any lift is chosen.
+
+    >>> from quadalg.crossed import cyclic_ring_extension
+    >>> te = ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
+    >>> obstruction_cocycle(te)
+    {}
+    >>> sorted(set(obstruction_cocycle(te, te.second_section).values()))
+    [(1,)]
     """
     C = te.base
     triples = C.count_chains(3)
     if triples > MAX_COMPOSABLE_TRIPLES:
         raise TooLarge(f"{triples} composable triples exceed the cap {MAX_COMPOSABLE_TRIPLES}")
     s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}
-    mu = {}
+    mu, tid, ids = {}, {}, {}
     for phi, psi in C.composable_tuples(2):
         prod = te.compose_lifts(s[phi], s[psi])
-        mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
-    out = {}
+        t = mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
+        tid[(phi, psi)] = ids.setdefault(t, len(ids))
+    routes1, inverses2, out = {}, {}, {}
     for T in C.composable_tuples(3):
         phi, psi, chi = T
         phipsi = C.compose(phi, psi)
         psichi = C.compose(psi, chi)
-        route1 = te.vcomp(te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)])
-        route2 = te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
-        coords = te.value(te.vcomp(te.invert(route2), route1))
+        key = (tid[(phi, psi)], phipsi, chi)
+        route1 = routes1.get(key)
+        if route1 is None:
+            route1 = routes1[key] = te.vcomp(
+                te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)]
+            )
+        key = (phi, tid[(psi, chi)], psichi)
+        inverse2 = inverses2.get(key)
+        if inverse2 is None:
+            inverse2 = inverses2[key] = te.invert(
+                te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
+            )
+        coords = te.value(te.vcomp(inverse2, route1))
         if any(coords):
             out[T] = coords
     return out

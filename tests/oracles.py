@@ -7,13 +7,17 @@ implementations rather than restating them. The exceptions are
 :func:`smith_reference`, a frozen copy of an earlier Smith normal form that
 the current one must reproduce exactly, and :func:`smith_sparse_reference`,
 a frozen copy of the sparse-row elimination before its divisor floor, whose
-logs the current one must reproduce; :func:`quadratic_tensor`, which
-computes quadratic functors from square groups by a presentation of their
-own, and the table of values (:func:`quadratic_functor`,
-:func:`binary_functor`) it is checked against;
+logs the current one must reproduce; :func:`reference_orders`, a frozen
+copy of the divisor search for element orders, which the cyclic-subgroup
+walks of ``finite_abelian_invariants`` must reproduce;
+:func:`quadratic_tensor`, which computes quadratic functors from square
+groups by a presentation of their own, and the table of values
+(:func:`quadratic_functor`, :func:`binary_functor`) it is checked against;
 :class:`CyclicTrackExtension`, a lifting problem written on integers that
-the matrix track machinery is checked against; and
-:func:`monoid_mul_reference`, the free word model's product by the
+the matrix track machinery is checked against, and
+:func:`reference_obstruction_cocycle`, the obstruction cocycle with both
+routes rebuilt for every triple, which the route-sharing one must
+reproduce; :func:`monoid_mul_reference`, the free word model's product by the
 recursion through law (ii), which its closed form must reproduce exactly;
 and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples` and
 :class:`ReferenceWordMake`, frozen copies of the group arithmetic and
@@ -26,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -171,6 +176,37 @@ def group_from_order_counts(elements, add, zero, neg) -> tuple[int, ...]:
     matches = [c for c in invariant_chains(n) if profile(c) == actual]
     assert len(matches) == 1
     return matches[0]
+
+
+def _divisor_search_order(x, add, zero, divisors) -> int:
+    """The least ``k`` in the ascending ``divisors`` with ``k x = 0``, or 0;
+    ``k x`` is the sum of the doublings ``2^i x`` at the bits of ``k``."""
+    doublings = [x]
+    for k in divisors:
+        while k >> len(doublings):
+            doublings.append(add(doublings[-1], doublings[-1]))
+        acc = None
+        for i, y in enumerate(doublings):
+            if k >> i & 1:
+                acc = y if acc is None else add(acc, y)
+        if acc == zero:
+            return k
+    return 0
+
+
+def reference_orders(elements, add, zero) -> Counter:
+    """The number of listed elements of each order, each order found by
+    the divisor search that ``finite_abelian_invariants`` made before it
+    walked cyclic subgroups, kept verbatim."""
+    n = len(elements)
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    orders = Counter()
+    for x in elements:
+        o = _divisor_search_order(x, add, zero, divisors)
+        if not o:
+            raise ValueError(f"element {x!r} has no finite order in the listing")
+        orders[o] += 1
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +654,29 @@ class CycTrack:
             raise BoundaryMismatch(
                 f"{self.d} * {self.r} does not bound {self.f0} - {self.f1} mod {self.m}"
             )
+
+
+def reference_obstruction_cocycle(te, section=None) -> dict:
+    """The obstruction cocycle with both routes rebuilt for every triple,
+    frozen from before :func:`~quadalg.modq.obstruction_cocycle` built each
+    route once per distinct pair track; the size guard is left out."""
+    C = te.base
+    s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}
+    mu = {}
+    for phi, psi in C.composable_tuples(2):
+        prod = te.compose_lifts(s[phi], s[psi])
+        mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
+    out = {}
+    for T in C.composable_tuples(3):
+        phi, psi, chi = T
+        phipsi = C.compose(phi, psi)
+        psichi = C.compose(psi, chi)
+        route1 = te.vcomp(te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)])
+        route2 = te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
+        coords = te.value(te.vcomp(te.invert(route2), route1))
+        if any(coords):
+            out[T] = coords
+    return out
 
 
 def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:

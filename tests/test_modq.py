@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import random
 
 import pytest
@@ -34,7 +35,13 @@ from quadalg.modq import (
 )
 from quadalg.sqring import cyclic_ring, znil, znil_monoid
 
-from .oracles import CycTrack, CyclicTrackExtension, quotient_matrix, track_tau
+from .oracles import (
+    CycTrack,
+    CyclicTrackExtension,
+    quotient_matrix,
+    reference_obstruction_cocycle,
+    track_tau,
+)
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +434,12 @@ class TestCyclicTrackExtension:
         assert res.class_of(default) == res.class_of(shifted)
         assert coboundary(te.base, te.system, 3, shifted) == {}
 
+    @pytest.mark.parametrize("m, d", [(2, 0), (4, 2), (8, 4), (9, 3), (12, 6), (16, 8)])
+    def test_shared_routes_give_the_per_triple_cocycle(self, m, d):
+        te = CyclicTrackExtension(m, d)
+        for section in (None, te.second_section):
+            assert obstruction_cocycle(te, section) == reference_obstruction_cocycle(te, section)
+
     def test_split_quotient_has_zero_obstruction_for_both_sections(self):
         te = CyclicTrackExtension(2, 0)
         assert obstruction_cocycle(te) == {}
@@ -502,20 +515,41 @@ class TestMatrixTrackExtension:
         te = ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
         C = te.base
         pairs = sum(C.dom[f] == C.cod[g] for f in C.morphisms for g in C.morphisms)
-        triples = len(C.composable_tuples(3))
-        assert (pairs, triples) == (13, 34)
-        calls = []
+        triples = C.composable_tuples(3)
+        assert (pairs, len(triples)) == (13, 34)
+        # a route is built once per pair track and the composites it reads
+        s = {f: te.section(f) for f in C.morphisms}
+        mu = {
+            (f, g): te.first_track(modq_compose(s[f], s[g]), s[C.compose(f, g)])
+            for f, g in C.composable_tuples(2)
+        }
+        right_keys = {(mu[f, g], C.compose(f, g), h) for f, g, h in triples}
+        left_keys = {(f, mu[g, h], C.compose(g, h)) for f, g, h in triples}
+        calls, whiskers = [], {"left": [], "right": []}
         compose = modq.modq_compose
 
         def counted(*args):
             calls.append(args)
             return compose(*args)
 
+        def counted_whisker(side):
+            whisker = getattr(te, f"{side}_whisker")
+
+            def wrapped(a, b):
+                whiskers[side].append((a, b))
+                return whisker(a, b)
+            return wrapped
+
         monkeypatch.setattr(modq, "modq_compose", counted)
+        for side in whiskers:
+            monkeypatch.setattr(te, f"{side}_whisker", counted_whisker(side))
         assert obstruction_cocycle(te) == {}
-        # one composite per pair, and per triple only the sources of its two
-        # whiskers: their targets are lift products (149 when composed anew)
-        assert len(calls) == pairs + 2 * triples == 81
+        # one composite per pair, and per route key only the source of its
+        # whisker: the targets are lift products (149 when composed anew,
+        # 81 when the routes were rebuilt for every triple)
+        assert len(calls) == pairs + len(right_keys) + len(left_keys) == 39
+        assert len(whiskers["right"]) == len(set(whiskers["right"])) == len(right_keys)
+        assert len(whiskers["left"]) == len(set(whiskers["left"])) == len(left_keys)
 
     @pytest.mark.parametrize("second", [False, True])
     def test_reuse_leaves_the_cocycle_unchanged(self, second):
@@ -532,6 +566,22 @@ class TestMatrixTrackExtension:
         got = obstruction_cocycle(te, te.second_section if second else None)
         want = obstruction_cocycle(again, again.second_section if second else None)
         assert got == want and got
+
+    @pytest.mark.parametrize(
+        "m, d", [(m, d) for m in range(2, 17) for d in range(1, m + 1) if not m % d]
+    )
+    def test_shared_routes_give_the_per_triple_cocycle(self, m, d):
+        te = ModQTrackExtension(cyclic_ring_extension(m, d), max_rank=1)
+        for section in (None, te.second_section):
+            assert obstruction_cocycle(te, section) == reference_obstruction_cocycle(te, section)
+
+    def test_rank_two_cocycles_are_pinned(self, rank2_extension):
+        te = rank2_extension
+        assert obstruction_cocycle(te) == {}
+        shifted = obstruction_cocycle(te, te.second_section)
+        digest = hashlib.sha256(repr(sorted(shifted.items())).encode()).hexdigest()
+        assert len(shifted) == 3176
+        assert digest == "33015ccaaaeb03470e785e36aa4a8d42e204d26cf3ce6b73b080cdc996e6dd0e"
 
     def test_rejects_a_negative_rank(self):
         # an empty base would give a vacuous zero obstruction
