@@ -43,13 +43,7 @@ from .abelian import (
     quotient_presentation,
     zeros,
 )
-from .errors import (
-    DegreeTooHigh,
-    InfeasibleSize,
-    NotIdentityOnObjects,
-    NotSurjective,
-    TooLarge,
-)
+from .errors import DegreeTooHigh, NotIdentityOnObjects, NotSurjective, TooLarge
 from .reports import Report
 
 MAX_ABSOLUTE_DEGREE = 3
@@ -610,7 +604,7 @@ class CochainComplex:
             if n not in self._sizes:
                 self._sizes[n] = _level_size(self.C, self.D, n, self.normalized)
             if self._sizes[n] > self.cap:
-                raise InfeasibleSize(
+                raise TooLarge(
                     f"cochain level {n} needs {self._sizes[n]} generators (cap {self.cap})"
                 )
 

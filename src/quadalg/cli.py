@@ -30,20 +30,16 @@ from .abelian import FgAbGroup, identity, mat_shape, matmul, smith
 from .bwcoh import DEFAULT_GENERATOR_CAP, cohomology
 from .crossed import nu_class, ztilde_construction
 from .documents import (
+    KINDS,
     _int_matrix,
+    _own_verify,
     build_document,
     build_natural_system_over,
     load_document,
     read_json,
     verify_document,
 )
-from .errors import (
-    DocumentError,
-    InfeasibleSize,
-    NotInKernel,
-    QuadAlgError,
-    TooLarge,
-)
+from .errors import DocumentError, NotInKernel, QuadAlgError, TooLarge
 from .reports import Report
 from .sqring import znil
 
@@ -68,8 +64,15 @@ def _emit_records(records: list[dict], lines: list[str], fmt: str) -> None:
             print(line)
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _cmd_verify(args) -> int:
     doc = load_document(args.file)
+    if KINDS[doc["kind"]][1] not in (None, _own_verify):  # the kinds that sample
+        _check_samples(args)
     report = verify_document(doc, samples=args.samples, seed=args.seed)
     return _emit(report, args.format)
 
@@ -133,6 +136,7 @@ def _nu_report(ext, samples: int, seed: int) -> Report:
 
 
 def _cmd_nu(args) -> int:
+    _check_samples(args)
     doc = load_document(args.file)
     if doc["kind"] != "extension":
         raise DocumentError(f"{args.file}: expected an extension document")
@@ -258,12 +262,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "samples", 1) < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if getattr(args, "max_generators", 1) < 1:
             raise ValueError(f"--max-generators must be at least 1, got {args.max_generators}")
         return args.func(args)
-    except (InfeasibleSize, TooLarge) as exc:
+    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, QuadAlgError) as exc:

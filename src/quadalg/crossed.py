@@ -432,7 +432,8 @@ def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> Cro
     diagonal pair action. The input must pass the square-ring checks,
     otherwise ``NotASquareRing`` is raised. A word model of more than
     ``MAX_WORD_PAIRS`` ordered pairs of words raises ``TooLarge`` before
-    any check runs.
+    any check runs. Each carrier model gives ``C1``, its projection and a
+    lift to ``ee``, the module and the quotient; the extension is built here.
     """
     if isinstance(R.ee, FreePairsCarrier) and len(R.ee.symbols) ** 2 > MAX_WORD_PAIRS:
         raise TooLarge(f"{len(R.ee.symbols)} words give more than {MAX_WORD_PAIRS} word pairs")
@@ -442,13 +443,27 @@ def ztilde_construction(R: SquareRing, samples: int = 200, seed: int = 0) -> Cro
         raise NotASquareRing(f"{failure.name}: {failure.witness or 'failed'}")
     sg = R.square_group
     if isinstance(R.e, FgAbGroup) and isinstance(R.ee, FgAbGroup):
-        return _ztilde_abelian(R, sg)
-    if isinstance(R.e, FreeNil2Carrier) and isinstance(R.ee, FreePairsCarrier):
-        return _ztilde_pairs(R, sg)
-    raise ValueError("the quotient construction needs abelian or word-pair carriers")
+        c1, proj, lift, module, include, quot = _ztilde_abelian(R, sg)
+    elif isinstance(R.e, FreeNil2Carrier) and isinstance(R.ee, FreePairsCarrier):
+        c1, proj, lift, module, include, quot = _ztilde_pairs(R, sg)
+    else:
+        raise ValueError("the quotient construction needs abelian or word-pair carriers")
+    return CrossedExtension(
+        kind="csr",
+        ring=R,
+        c1=c1,
+        P=proj,
+        boundary=lambda r7: R.P(lift(r7)),
+        act_left=lambda x, r7: proj(R.act_pair(x, x, lift(r7))),
+        act_right=lambda r7, y: proj(R.act_right(lift(r7), y)),
+        module=module,
+        include=include,
+        quot=quot,
+        name=f"ztilde({R.name})",
+    )
 
 
-def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
+def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> tuple:
     G = R.ee
     n = G.ngens
     tmat_cols = [sg.tmap(G.generator(i)) for i in range(n)]
@@ -463,11 +478,8 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def lift_el(r7):
         return G.reduce(mat_vec(lift, r7))
 
-    def boundary(r7):
-        return R.P(lift_el(r7))
-
     base = R.e
-    image_cols = [list(boundary(grp.generator(i))) for i in range(grp.ngens)]
+    image_cols = [list(R.P(lift_el(grp.generator(i)))) for i in range(grp.ngens)]
     rgrp, rproject, rlift = quotient_presentation(
         base.ngens,
         smith(mat_hstack(base.relation_matrix(), from_columns(image_cols, base.ngens))),
@@ -480,23 +492,11 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
         return q(R.mul(base.reduce(mat_vec(rlift, u)), base.reduce(mat_vec(rlift, v))))
 
     kernel_group, kernel_incl = AbMap.from_columns(grp, base, image_cols).kernel()
-
-    return CrossedExtension(
-        kind="csr",
-        ring=R,
-        c1=grp,
-        P=proj,
-        boundary=boundary,
-        act_left=lambda x, r7: proj(R.act_pair(x, x, lift_el(r7))),
-        act_right=lambda r7, y: proj(R.act_right(lift_el(r7), y)),
-        module=kernel_group,
-        include=kernel_incl.apply,
-        quot=QuotientRing(carrier=rgrp, mul=rmul, one=q(R.one), q=q),
-        name=f"ztilde({R.name})",
-    )
+    quot = QuotientRing(carrier=rgrp, mul=rmul, one=q(R.one), q=q)
+    return grp, proj, lift_el, kernel_group, kernel_incl.apply, quot
 
 
-def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
+def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> tuple:
     words = R.ee.symbols
     for u in words:
         for v in words:
@@ -513,9 +513,6 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def lift_el(r7):
         return R.ee.make(c1.lift(r7))
 
-    def boundary(r7):
-        return R.P(lift_el(r7))
-
     rcar = FreeAbelianCarrier(words, R.ee.pool)
 
     def q(x):
@@ -524,19 +521,8 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> CrossedExtension:
     def rmul(u, v):
         return q(R.mul(R.e.make(dict(u)), R.e.make(dict(v))))
 
-    return CrossedExtension(
-        kind="csr",
-        ring=R,
-        c1=c1,
-        P=proj,
-        boundary=boundary,
-        act_left=lambda x, r7: proj(R.act_pair(x, x, lift_el(r7))),
-        act_right=lambda r7, y: proj(R.act_right(lift_el(r7), y)),
-        module=c1.right,
-        include=lambda m: ((), m),
-        quot=QuotientRing(carrier=rcar, mul=rmul, one=rcar.atom(()), q=q),
-        name=f"ztilde({R.name})",
-    )
+    quot = QuotientRing(carrier=rcar, mul=rmul, one=rcar.atom(()), q=q)
+    return c1, proj, lift_el, c1.right, lambda m: ((), m), quot
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,8 @@ class CompositionNonzero(QuadAlgError):
 
 
 class TooLarge(QuadAlgError):
-    """An exhaustive computation was requested beyond its configured bound."""
-
-
-class InfeasibleSize(QuadAlgError):
-    """The requested computation is estimated to exceed the feasible size."""
+    """A request beyond a configured bound, refused before work starts: an
+    enumeration, chain, word-pair or matrix-size cap, or a cochain level's."""
 
 
 class DegreeTooHigh(QuadAlgError):

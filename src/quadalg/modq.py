@@ -483,18 +483,15 @@ def _pair_keys(f: ModQMor, g: ModQMor):
     return sorted(set(f.fij) | set(g.fij))
 
 
-def track_left_whisker(u: ModQMor, t: Track) -> Track:
+def track_left_whisker(u: ModQMor, t: Track, compose_f1: Callable) -> Track:
     """The track ``u . f0 => u . f1`` induced on composites.
 
     The main term pushes the homotopy through the left action; the
     correction collects the quadratic entries of the two targets and
     the cross effects produced by reordering the entrywise differences.
+    The target ``u . f1`` is ``compose_f1(u, f1)``: ``modq_compose``, or
+    ``ModQTrackExtension.compose_lifts``, which reuses the products it kept.
     """
-    return _left_whisker(u, t, modq_compose)
-
-
-def _left_whisker(u: ModQMor, t: Track, compose_f1: Callable) -> Track:
-    """``track_left_whisker``, with ``u . f1`` taken from ``compose_f1(u, f1)``."""
     if u.ncols != t.f0.nrows:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
@@ -520,13 +517,9 @@ def _left_whisker(u: ModQMor, t: Track, compose_f1: Callable) -> Track:
     return Track(ext, modq_compose(u, t.f0), compose_f1(u, t.f1), tuple(h))
 
 
-def track_right_whisker(t: Track, g: ModQMor) -> Track:
-    """The track ``f0 . g => f1 . g`` induced on composites."""
-    return _right_whisker(t, g, modq_compose)
-
-
-def _right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
-    """``track_right_whisker``, with ``f1 . g`` taken from ``compose_f1(f1, g)``."""
+def track_right_whisker(t: Track, g: ModQMor, compose_f1: Callable) -> Track:
+    """The track ``f0 . g => f1 . g`` induced on composites, with the
+    target ``f1 . g`` taken from ``compose_f1(f1, g)``."""
     if t.f0.ncols != g.nrows:
         raise ShapeMismatch("whiskering morphism does not compose")
     ext, Q = t.ext, t.ext.ring
@@ -570,9 +563,9 @@ class ModQTrackExtension:
     The base is the matrix category of the quotient ring up to
     ``max_rank``; lifts are matrix morphisms over the total ring with
     entrywise preimages and no quadratic layer, and tracks come from
-    the extension's degree one. The whiskers reuse the products that
-    ``compose_lifts`` made for their targets' composites, and still
-    build certified tracks.
+    the extension's degree one. The whiskers take their targets'
+    composites from ``compose_lifts``, which keeps every lift product,
+    and still build certified tracks.
     """
 
     def __init__(self, ext: CrossedExtension, max_rank: int = 1):
@@ -633,13 +626,11 @@ class ModQTrackExtension:
         return ModQMor(self.ring, x, y, fi, {})
 
     def compose_lifts(self, F: ModQMor, G: ModQMor) -> ModQMor:
-        prod = self._products[F, G] = modq_compose(F, G)
-        return prod
-
-    def _lift_product(self, F: ModQMor, G: ModQMor) -> ModQMor:
-        """``F . G``, read from ``compose_lifts``'s products when it made it."""
+        """``F . G``: the kept product, or composed now and kept."""
         prod = self._products.get((F, G))
-        return modq_compose(F, G) if prod is None else prod
+        if prod is None:
+            prod = self._products[F, G] = modq_compose(F, G)
+        return prod
 
     def first_track(self, F: ModQMor, G: ModQMor) -> Track:
         """The track ``F => G`` of first boundary preimages; one exists
@@ -665,10 +656,10 @@ class ModQTrackExtension:
         return track_invert(t)
 
     def left_whisker(self, F: ModQMor, t: Track) -> Track:
-        return _left_whisker(F, t, self._lift_product)
+        return track_left_whisker(F, t, self.compose_lifts)
 
     def right_whisker(self, t: Track, G: ModQMor) -> Track:
-        return _right_whisker(t, G, self._lift_product)
+        return track_right_whisker(t, G, self.compose_lifts)
 
     def value(self, t: Track) -> tuple:
         """The kernel-module matrix of an automorphism track, flattened as in

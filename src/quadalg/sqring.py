@@ -163,14 +163,20 @@ def forget_U(Q: QuadraticRing) -> SquareRing:
 def verify_ring(R, samples: int = 1000, seed: int = 0) -> Report:
     """Check all square-ring or quadratic-ring laws on ``R``.
 
-    Dispatches on the structure type. Small finite carriers are checked
-    exhaustively, infinite ones by seeded sampling.
+    The type picks the title and the kind's own laws, checked after the
+    additive and the shared ring laws; small finite carriers exhaustively,
+    infinite ones by seeded sampling.
     """
     if isinstance(R, SquareRing):
-        return _verify_square_ring(R, samples, seed)
-    if isinstance(R, QuadraticRing):
-        return _verify_quadratic_ring(R, samples, seed)
-    raise TypeError(f"expected a SquareRing or QuadraticRing, got {type(R).__name__}")
+        title, kind_laws = "square ring", _square_ring_laws
+    elif isinstance(R, QuadraticRing):
+        title, kind_laws = "quadratic ring", _quadratic_ring_laws
+    else:
+        raise TypeError(f"expected a SquareRing or QuadraticRing, got {type(R).__name__}")
+    r = Report(title=f"{title}: {R.name}", samples=samples, seed=seed)
+    r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
+    check_laws(r, _ring_laws(R) + kind_laws(R), samples, random.Random(seed))
+    return r
 
 
 def _ring_laws(R) -> list[Law]:
@@ -195,14 +201,11 @@ def _left_distributive(R) -> Law:
                lambda x, y, z: mul(x, e.add(y, z)) == e.add(mul(x, y), mul(x, z)), "x y z")
 
 
-def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
-    rng = random.Random(seed)
-    r = Report(title=f"square ring: {R.name}", samples=samples, seed=seed)
-    r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
+def _square_ring_laws(R: SquareRing) -> list[Law]:
     e, ee, sg = R.e, R.ee, R.square_group
     H, P, mul, pair, right = R.H, R.P, R.mul, R.act_pair, R.act_right
     htwo = R.h_two
-    check_laws(r, _ring_laws(R) + [
+    return [
         Law("pair action additive in ee", [e, e, ee, ee],
             lambda x, y, a, b: pair(x, y, ee.add(a, b)) == ee.add(pair(x, y, a), pair(x, y, b)),
             "x y a b"),
@@ -243,17 +246,13 @@ def _verify_square_ring(R: SquareRing, samples: int, seed: int) -> Report:
             lambda x, a: P(pair(x, x, a)) == mul(x, P(a)), "x a"),
         Law("(vii) H is multiplicative with correction", [e, e],
             lambda x, y: H(mul(x, y)) == ee.add(pair(x, x, H(y)), right(H(x), y)), "x y"),
-    ], samples, rng)
-    return r
+    ]
 
 
-def _verify_quadratic_ring(R: QuadraticRing, samples: int, seed: int) -> Report:
-    rng = random.Random(seed)
-    r = Report(title=f"quadratic ring: {R.name}", samples=samples, seed=seed)
-    r.extend(square_group_verify(R.square_group, samples, seed), prefix="additive: ")
+def _quadratic_ring_laws(R: QuadraticRing) -> list[Law]:
     e, ee, sg = R.e, R.ee, R.square_group
     H, P, mul, eemul, cross = R.H, R.P, R.mul, R.eemul, sg.cross
-    check_laws(r, _ring_laws(R) + [
+    return [
         _left_distributive(R),
         Law("(ii) right distributive with correction", [e, e, e],
             lambda x, y, z: mul(e.add(x, y), z)
@@ -271,8 +270,7 @@ def _verify_quadratic_ring(R: QuadraticRing, samples: int, seed: int) -> Report:
         Law("(vii) H is multiplicative with correction", [e, e],
             lambda x, y: H(mul(x, y)) == ee.add(eemul(cross(x, x), H(y)), eemul(H(x), sg.delta(y))),
             "x y"),
-    ], samples, rng)
-    return r
+    ]
 
 
 # ---------------------------------------------------------------------------

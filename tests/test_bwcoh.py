@@ -37,7 +37,6 @@ from quadalg.bwcoh import (
 from quadalg.crossed import cyclic_ring_extension
 from quadalg.errors import (
     DegreeTooHigh,
-    InfeasibleSize,
     NotIdentityOnObjects,
     NotSurjective,
     TooLarge,
@@ -169,6 +168,9 @@ class TestFinCat:
         assert report.passed, report.render()
         assert cat.objects == (0, 1)
         assert len(cat.morphisms) == 5
+        # a 1x1 matrix after a 0x1 one: the shapes do not meet
+        with pytest.raises(ValueError, match="not composable"):
+            FinCat.mod_r(2, 1).compose((1, 1, ((1,),)), (0, 1, ()))
 
     def test_matrix_category_growth_guard(self):
         with pytest.raises(TooLarge):
@@ -476,6 +478,8 @@ class TestClassification:
         broken = {(a, b): ((a + b) // 4,) for a in range(4) for b in range(4)}
         broken[(1, 1)] = ((broken[(1, 1)][0] + 1) % 4,)
         assert not res.is_cocycle(broken)
+        with pytest.raises(ValueError, match="unknown cochain index"):
+            res.class_of({("bogus",): (1,)})
 
     def test_rank_two_degree_one_is_trivial(self):
         # dm mod 2 at rank <= 2; level 2 has 1,246 normalized generators
@@ -545,6 +549,10 @@ class TestMatrixBimodule:
         assert D.name == "bimodule Z/2 matrices"
         report = natsystem_verify(D)
         assert report.passed, report.render()
+        # nu: 1 -> 1 cannot extend alpha: 0 -> 1 on the right
+        one, row = (1, 1, ((1,),)), (1, 0, ((),))
+        with pytest.raises(ValueError, match="do not align"):
+            D.map_for(one, row, one)
 
     def test_cohomology_values(self):
         cat, D = dm_natural_system(2, 1)
@@ -781,7 +789,7 @@ class TestGuards:
 
     def test_generator_cap(self):
         C, D = cyclic_setup(4)
-        with pytest.raises(InfeasibleSize, match="cap 5"):
+        with pytest.raises(TooLarge, match="cap 5"):
             cohomology(C, D, 2, max_generators=5)
 
     def test_generator_cap_is_checked_before_any_level_is_built(self):
@@ -790,7 +798,7 @@ class TestGuards:
         # is over it
         C, D = dm_natural_system(2, 2)
         start = time.perf_counter()
-        with pytest.raises(InfeasibleSize, match="level 4 needs 325154 generators"):
+        with pytest.raises(TooLarge, match="level 4 needs 325154 generators"):
             cohomology(C, D, 3)
         assert time.perf_counter() - start < 5
 
@@ -801,7 +809,7 @@ class TestGuards:
             raise AssertionError("chains listed before the level was counted")
 
         monkeypatch.setattr(FinCat, "composable_tuples", listed)
-        with pytest.raises(InfeasibleSize, match=r"level 4 needs 325154 generators \(cap 24000\)"):
+        with pytest.raises(TooLarge, match=r"level 4 needs 325154 generators \(cap 24000\)"):
             cx.level(4)
 
     @pytest.mark.parametrize("normalized", [False, True])

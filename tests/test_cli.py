@@ -1,4 +1,5 @@
-"""The command line, run in process through ``main``.
+"""The command line, run in process through ``main``, and once through
+``python -m quadalg`` to pin that the process exits with ``main``'s value.
 
 ``tests/golden/modq_program_znil.txt`` pins the full output of a matrix
 program; after a deliberate change to it, rewrite the file with
@@ -11,8 +12,11 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +32,7 @@ from .test_documents import (
     EXT_C42,
     EXT_ZTILDE,
     MAP_BAD,
+    MAP_OK,
     MODQ_WORDS,
     MODQ_ZNIL,
     QPM_EXPLICIT,
@@ -39,6 +44,7 @@ from .test_documents import (
 
 MATRIX = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
 PROGRAM_GOLDEN = Path(__file__).parent / "golden" / "modq_program_znil.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def main_within_a_second(argv):
@@ -64,6 +70,7 @@ def docs(tmp_path):
     return {
         "ring": write_json(tmp_path, "ring.json", RING_ZNIL),
         "ring_c5": write_json(tmp_path, "ring_c5.json", RING_C5),
+        "map_ok": write_json(tmp_path, "map_ok.json", MAP_OK),
         "map_bad": write_json(tmp_path, "map_bad.json", MAP_BAD),
         "cat": write_json(tmp_path, "cat.json", CAT_Z4),
         "coeff": write_json(tmp_path, "coeff.json", COEFF_Z4),
@@ -114,6 +121,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("name", ["modq", "map_ok"])
+    def test_kinds_that_sample_nothing_take_any_samples(self, docs, capsys, name):
+        # a matrix program and an abelian map check themselves and never
+        # read --samples or --seed
+        assert main(["verify", docs[name]]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", docs[name], "--samples", "0"]) == 0
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("coeff", [0, 1])
     def test_coefficient_modulus_below_two_exits_two(self, tmp_path, capsys, coeff):
@@ -417,6 +433,34 @@ class TestSnf:
         path = write_json(tmp_path, "bool.json", [[True, 2], [3, 4]])
         assert main(["snf", path]) == 2
         assert "matrix entries must be integers" in capsys.readouterr().err
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m quadalg ARGV`` in a child process with ``src`` first on
+    its path, killed after a minute."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "quadalg", *argv],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+        capture_output=True, encoding="utf-8", timeout=60,
+    )
+
+
+class TestEntryPoint:
+    def test_znil_demo_exits_zero(self):
+        done = run_module("znil-demo")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "nu = 1 in Z/2: generator — PASS"
+
+    def test_oversized_matrix_exits_three(self, tmp_path):
+        done = run_module("snf", write_json(tmp_path, "big.json", [[1] * 25] * 25))
+        assert done.returncode == 3
+        assert "25x25 matrix exceeds the bound of 24 rows and columns" in done.stderr
+
+    def test_missing_file_exits_two(self, tmp_path):
+        done = run_module("verify", str(tmp_path / "absent.json"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot read")
 
 
 def program_output(path: str) -> str:

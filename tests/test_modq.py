@@ -255,9 +255,9 @@ class TestTracks:
             t = random_track(ext, x, y, rng)
             u = random_morphism(ext.ring, w, x, rng)
             g = random_morphism(ext.ring, y, z, rng)
-            lt = track_left_whisker(u, t)
+            lt = track_left_whisker(u, t, modq_compose)
             assert lt.f0 == modq_compose(u, t.f0) and lt.f1 == modq_compose(u, t.f1)
-            rt = track_right_whisker(t, g)
+            rt = track_right_whisker(t, g, modq_compose)
             assert rt.f0 == modq_compose(t.f0, g) and rt.f1 == modq_compose(t.f1, g)
 
     def test_interchange_of_the_two_horizontal_routes(self, word_extension):
@@ -268,10 +268,12 @@ class TestTracks:
             alpha = random_track(ext, x, y, rng)
             beta = random_track(ext, y, z, rng)
             first = track_vcomp(
-                track_right_whisker(alpha, beta.f0), track_left_whisker(alpha.f1, beta)
+                track_right_whisker(alpha, beta.f0, modq_compose),
+                track_left_whisker(alpha.f1, beta, modq_compose),
             )
             second = track_vcomp(
-                track_left_whisker(alpha.f0, beta), track_right_whisker(alpha, beta.f1)
+                track_left_whisker(alpha.f0, beta, modq_compose),
+                track_right_whisker(alpha, beta.f1, modq_compose),
             )
             assert first.h == second.h, f"trial {trial}"
             assert first.f0 == second.f0 == modq_compose(alpha.f0, beta.f0)
@@ -301,9 +303,9 @@ class TestTracks:
         t = matrix_extension.first_track(ModQMor.identity(Q, 1), ModQMor.identity(Q, 1))
         u = ModQMor.identity(Q, 2)
         with pytest.raises(ShapeMismatch, match="does not compose"):
-            track_left_whisker(u, t)
+            track_left_whisker(u, t, modq_compose)
         with pytest.raises(ShapeMismatch, match="does not compose"):
-            track_right_whisker(t, u)
+            track_right_whisker(t, u, modq_compose)
 
 
 class TestTauAndFirstTrack:
@@ -556,10 +558,10 @@ class TestMatrixTrackExtension:
         # over Z/8 with boundary 4 both sections have a nonzero cocycle
         class Recomposing(ModQTrackExtension):
             def left_whisker(self, F, t):
-                return track_left_whisker(F, t)
+                return track_left_whisker(F, t, modq_compose)
 
             def right_whisker(self, t, G):
-                return track_right_whisker(t, G)
+                return track_right_whisker(t, G, modq_compose)
 
         ext = cyclic_ring_extension(8, 4)
         te, again = ModQTrackExtension(ext, max_rank=1), Recomposing(ext, max_rank=1)
@@ -598,6 +600,10 @@ class TestMatrixTrackExtension:
         quadratic = dataclasses.replace(base, kind="qpa", ring=cyclic_ring(4, "quadratic"))
         with pytest.raises(TypeError, match="square-ring extension"):
             ModQTrackExtension(quadratic)
+        # a quotient of order 4 over a ring whose quotient has order 2
+        wider = dataclasses.replace(base.quot, carrier=FgAbGroup((4,)))
+        with pytest.raises(SectionInvalid, match="has no ring preimage"):
+            ModQTrackExtension(dataclasses.replace(base, quot=wider))
 
     def test_obstruction_refuses_before_the_first_lift_product(self):
         # rank <= 2 over the quotient Z/4: 19.3 M composable triples, most
