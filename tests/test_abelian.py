@@ -178,10 +178,13 @@ class TestFiniteAbelianInvariants:
         with pytest.raises(TooLarge, match="group of order 6 is beyond the enumeration limit"):
             finite_abelian_invariants(elements, add, 0)
 
-    @pytest.mark.parametrize("factors, additions", [((4096,), 4095), ((2, 2048), 6131)])
-    def test_orders_are_found_by_cyclic_subgroup_walks(self, factors, additions):
+    @pytest.mark.parametrize("factors", [(4096,), (2, 2048)])
+    def test_orders_are_found_by_doubling(self, factors):
         # a walk adds an unlabelled element to itself until zero and labels
-        # its whole cyclic subgroup, so a generator of Z/4,096 is walked once
+        # its whole cyclic subgroup, so a generator of Z/4,096 is walked once;
+        # adding each element to itself until zero made about 11 million
+        # additions on Z/4,096
+        additions = {(4096,): 4095, (2, 2048): 6131}[factors]
         g = FgAbGroup(factors)
         calls = 0
 
