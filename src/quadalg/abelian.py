@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CompositionNonzero, ShapeMismatch, TooLarge
+from .errors import CompositionNonzero, NotInKernel, ShapeMismatch, TooLarge
 
 IntMatrix = list[list[int]]
 
@@ -499,6 +499,29 @@ def validate_factors(factors) -> tuple[int, ...]:
     return fs
 
 
+def draw_below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, bit for bit, read straight from
+    ``rng.getrandbits``: ``n.bit_length()`` bits, drawn again while at
+    least ``n``. The carriers' bounded draws go through here or through
+    :meth:`FgAbGroup.sample`'s copy of the loop.
+
+    >>> [draw_below(random.Random(7), n) for n in (1, 8, 10**20)] == [
+    ...     random.Random(7).randrange(n) for n in (1, 8, 10**20)]
+    True
+    >>> draw_below(random.Random(7), 0)
+    Traceback (most recent call last):
+    ...
+    ValueError: cannot draw below 0
+    """
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class FgAbGroup:
     """A finitely generated abelian group in invariant-factor form.
 
@@ -506,8 +529,9 @@ class FgAbGroup:
     dividing the next and ``d_i = 0`` meaning an infinite cyclic summand;
     zeros come last. Elements are coordinate tuples, stored reduced
     (``0 <= c_i < d_i`` on finite coordinates). ``sample`` draws each
-    coordinate in order with ``rng.randrange(0, d_i)``, or with
-    ``rng.randrange(-9, 10)`` on a free one.
+    coordinate in order and reads the same bits as
+    ``rng.randrange(0, d_i)``, or as ``rng.randrange(-9, 10)`` on a free
+    one.
 
     >>> FgAbGroup.from_factors([2, 3])
     FgAbGroup((6,))
@@ -517,7 +541,7 @@ class FgAbGroup:
     FgAbGroup((0, 0))
     """
 
-    __slots__ = ("invariant_factors", "ngens", "_zero", "_finite", "_free", "_starts", "_stops")
+    __slots__ = ("invariant_factors", "ngens", "_zero", "_finite", "_free", "_draws")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
         factors = self.invariant_factors = validate_factors(invariant_factors)
@@ -525,9 +549,11 @@ class FgAbGroup:
         self._zero = (0,) * self.ngens
         self._finite = 0 not in factors
         self._free = not any(factors)
-        # the draw bounds of ``sample``, one pair per coordinate
-        self._starts = tuple(0 if d else -9 for d in factors)
-        self._stops = tuple(d or 10 for d in factors)
+        # the (start, width, bits) of ``sample``'s draw, one per coordinate
+        self._draws = tuple(
+            (start, width, width.bit_length())
+            for start, width in ((0, d) if d else (-9, 19) for d in factors)
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -630,8 +656,16 @@ class FgAbGroup:
         return [tuple(t) for t in itertools.product(*ranges)]
 
     def sample(self, rng: random.Random) -> tuple[int, ...]:
-        """A random element; free coordinates come from ``-9..9``."""
-        return tuple(map(rng.randrange, self._starts, self._stops))
+        """A random element; free coordinates come from ``-9..9``. Each
+        coordinate is ``start + draw_below(rng, width)``, written out."""
+        getrandbits = rng.getrandbits
+        out = []
+        for start, width, bits in self._draws:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            out.append(start + r)
+        return tuple(out)
 
     # -- the rest of the nil2 carrier interface -----------------------------
 
@@ -817,7 +851,7 @@ class HomologyResult:
         v = self.middle.reduce(coords)
         (sol,) = self._kernel.column_coordinates([v])
         if sol is None:
-            raise ShapeMismatch(f"element {v} is not in the kernel")
+            raise NotInKernel(f"element {v} is not in the kernel")
         return self.group.reduce(mat_vec(self._project, sol))
 
     def representative(self, class_coords) -> tuple[int, ...]:

@@ -43,7 +43,7 @@ from .abelian import (
     quotient_presentation,
     zeros,
 )
-from .errors import DegreeTooHigh, NotIdentityOnObjects, NotSurjective, TooLarge
+from .errors import DegreeTooHigh, NotIdentityOnObjects, NotSurjective, ShapeMismatch, TooLarge
 from .reports import Report
 
 MAX_ABSOLUTE_DEGREE = 3
@@ -337,7 +337,7 @@ def bimodule_system(
     def act(nu, alpha, psi):
         (x, y, _), (yn, y2, nmat), (x2, xp, pmat) = alpha, nu, psi
         if yn != y or xp != x:
-            raise ValueError("action factors do not align with the morphism")
+            raise ShapeMismatch("action factors do not align with the morphism")
         src, dst = group(alpha), group((x2, y2, None))
         rows = zeros(dst.ngens, src.ngens)
         for i, k, p, q in itertools.product(range(x), range(y), range(x2), range(y2)):

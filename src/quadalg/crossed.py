@@ -28,6 +28,7 @@ from .abelian import (
     DEFAULT_ENUM_BOUND,
     AbMap,
     FgAbGroup,
+    draw_below,
     finite_abelian_invariants,
     from_columns,
     mat_hstack,
@@ -411,8 +412,9 @@ class Mod2WordsCarrier(Carrier):
         return a
 
     def sample(self, rng: random.Random):
+        """Up to two pool words; the size draw equals ``rng.randint(0, 2)``."""
         return tuple(sorted(
-            rng.sample(self.pool, min(len(self.pool), rng.randint(0, 2))), key=self._rank.get,
+            rng.sample(self.pool, min(len(self.pool), draw_below(rng, 3))), key=self._rank.get,
         ))
 
     def elements(self) -> list:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .abelian import from_columns
+from .abelian import draw_below, from_columns
 from .bwcoh import MAX_COMPOSABLE_TRIPLES, FinCat, bimodule_system
 from .crossed import CrossedExtension
 from .errors import (
@@ -274,8 +274,9 @@ class _Morphisms:
     parallel: bool = False
 
     def sample(self, rng) -> tuple:
+        """The morphisms; each dimension draw equals ``rng.randint(1, max_dim)``."""
         ndims = 2 if self.parallel else self.count + 1
-        dims = [rng.randint(1, self.max_dim) for _ in range(ndims)]
+        dims = [1 + draw_below(rng, self.max_dim) for _ in range(ndims)]
         shapes = [dims] * self.count if self.parallel else zip(dims, dims[1:])
         return tuple(random_morphism(self.ring, x, y, rng) for x, y in shapes)
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, finite_abelian_invariants
+from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, draw_below, finite_abelian_invariants
 from .errors import (
     ActionShapeMismatch,
     BasisMismatch,
@@ -183,7 +183,8 @@ class SubgroupCarrier(Carrier):
         return self.parent.neg(a)
 
     def sample(self, rng: random.Random):
-        return rng.choice(self._members)
+        """A member; the draw equals ``rng.choice(members)``."""
+        return self._members[draw_below(rng, len(self._members))]
 
     def elements(self) -> list:
         n = len(self._members)
@@ -331,15 +332,17 @@ class FreeNil2Carrier(Carrier):
         return self.make(lin, cm)
 
     def sample(self, rng: random.Random):
+        """Up to three pool symbols and two pool commutators, coefficients
+        in ``-3..3``; each bounded draw equals ``rng.randint``'s."""
         pool = self.pool
         lin = {}
-        for s in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
-            lin[s] = rng.randint(-3, 3)
+        for s in rng.sample(pool, min(len(pool), draw_below(rng, 4))):
+            lin[s] = -3 + draw_below(rng, 7)
         cm = {}
         if len(pool) >= 2:
-            for _ in range(rng.randint(0, 2)):
+            for _ in range(draw_below(rng, 3)):
                 u, v = sorted(rng.sample(pool, 2), key=self._rank.get)
-                cm[(u, v)] = rng.randint(-3, 3)
+                cm[(u, v)] = -3 + draw_below(rng, 7)
         return self.make(lin, cm)
 
     def elements(self) -> list:
@@ -392,9 +395,11 @@ class FreeAbelianCarrier(Carrier):
         return self.make({s: -n for s, n in a})
 
     def sample(self, rng: random.Random):
+        """Up to three pool symbols, coefficients in ``-3..3``; each bounded
+        draw equals ``rng.randint``'s."""
         out = {}
-        for s in rng.sample(self.pool, min(len(self.pool), rng.randint(0, 3))):
-            out[s] = rng.randint(-3, 3)
+        for s in rng.sample(self.pool, min(len(self.pool), draw_below(rng, 4))):
+            out[s] = -3 + draw_below(rng, 7)
         return self.make(out)
 
     def elements(self) -> list:
@@ -429,11 +434,14 @@ class FreePairsCarrier(FreeAbelianCarrier):
         return self.make({(u, v): n})
 
     def sample(self, rng: random.Random):
+        """Up to three pool pairs, coefficients in ``-3..3``; each draw
+        equals ``rng.randint``'s or, for a pair's entry, ``rng.choice``'s."""
+        pool = self.pool
         out = {}
-        for _ in range(rng.randint(0, 3)):
-            u = rng.choice(self.pool)
-            v = rng.choice(self.pool)
-            out[(u, v)] = out.get((u, v), 0) + rng.randint(-3, 3)
+        for _ in range(draw_below(rng, 4)):
+            u = pool[draw_below(rng, len(pool))]
+            v = pool[draw_below(rng, len(pool))]
+            out[(u, v)] = out.get((u, v), 0) - 3 + draw_below(rng, 7)
         return self.make(out)
 
 

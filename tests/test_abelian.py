@@ -14,6 +14,7 @@ from quadalg.abelian import (
     SnfResult,
     canonical_factors,
     columns,
+    draw_below,
     exact_at,
     finite_abelian_invariants,
     from_columns,
@@ -27,7 +28,7 @@ from quadalg.abelian import (
     solve_integer,
     validate_factors,
 )
-from quadalg.errors import CompositionNonzero, ShapeMismatch, TooLarge
+from quadalg.errors import CompositionNonzero, NotInKernel, ShapeMismatch, TooLarge
 
 from .oracles import (
     ReferenceGroupArithmetic,
@@ -268,7 +269,7 @@ class TestHomology:
         with pytest.raises(ShapeMismatch):
             homology_at(AbMap(Z, Z, [[2]]), AbMap.zero_map(FgAbGroup((2,)), Z))
         # a cycle is expressed in the homology only when d2 kills it
-        with pytest.raises(ShapeMismatch, match="is not in the kernel"):
+        with pytest.raises(NotInKernel, match="is not in the kernel"):
             homology_at(AbMap.zero_map(Z, Z), AbMap(Z, Z, [[1]])).express((1,))
 
     def test_against_coset_enumeration_oracle(self):
@@ -438,6 +439,44 @@ class TestGroupArithmetic:
                 assert _mismatch(method, *args) == (
                     f"element of length {len(bad)} in group with {g.ngens} generators"
                 )
+
+
+def widths(top: int):
+    """Widths ``1 .. 2**top``, half of them powers of two: there
+    ``n.bit_length()`` and ``(n - 1).bit_length()`` part ways."""
+    return st.one_of(st.integers(1, 2**top), st.integers(0, top).map(lambda k: 1 << k))
+
+
+class TestDrawBelow:
+    """``draw_below`` returns what ``randrange``, ``randint`` and ``choice``
+    return and leaves the generator in the same state, so a Python whose
+    ``_randbelow`` differs fails here before any golden digest does."""
+
+    @PROPERTY
+    @given(st.integers(0, 2**64), widths(80))
+    def test_equals_randrange(self, seed, n):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert draw_below(rng, n) == ref.randrange(n)
+            assert rng.getstate() == ref.getstate()
+
+    @PROPERTY
+    @given(st.integers(0, 2**64), st.integers(-(2**80), 2**80), widths(80))
+    def test_shifted_equals_randint(self, seed, a, n):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert a + draw_below(rng, n) == ref.randint(a, a + n - 1)
+            assert rng.getstate() == ref.getstate()
+
+    @PROPERTY
+    @given(st.integers(0, 2**64), widths(62))
+    def test_index_equals_choice(self, seed, n):
+        # len() of a sequence stops at sys.maxsize, so choice's widths do too
+        seq = range(-n, 2 * n, 3)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert seq[draw_below(rng, len(seq))] == ref.choice(seq)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestKernelsAndExactness:

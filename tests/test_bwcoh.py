@@ -39,6 +39,7 @@ from quadalg.errors import (
     DegreeTooHigh,
     NotIdentityOnObjects,
     NotSurjective,
+    ShapeMismatch,
     TooLarge,
 )
 from quadalg.modq import ModQTrackExtension
@@ -551,7 +552,7 @@ class TestMatrixBimodule:
         assert report.passed, report.render()
         # nu: 1 -> 1 cannot extend alpha: 0 -> 1 on the right
         one, row = (1, 1, ((1,),)), (1, 0, ((),))
-        with pytest.raises(ValueError, match="do not align"):
+        with pytest.raises(ShapeMismatch, match="do not align"):
             D.map_for(one, row, one)
 
     def test_cohomology_values(self):

@@ -325,3 +325,37 @@ def test_the_check_sees_shared_state():
         "cache (line 2)",
         "functools.lru_cache (line 15)",
     ]
+
+
+BOUNDED_DRAWS = ("randrange", "randint", "choice")
+
+
+def bounded_draw_calls(tree: ast.Module) -> list[str]:
+    """Calls of a method named ``randrange``, ``randint`` or ``choice``, as
+    ``name (line n)``. A carrier draws a bounded integer with
+    ``abelian.draw_below``, or with the copy of its loop in
+    ``FgAbGroup.sample``, which read the same bits from ``getrandbits``
+    without ``random.Random``'s Python layers."""
+    return [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in BOUNDED_DRAWS
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_bounded_draws_read_getrandbits(path):
+    assert bounded_draw_calls(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_bounded_draw():
+    tree = ast.parse(
+        "n = rng.randint(0, 3)\n"
+        "x = random.choice(xs)\n"
+        "ys = rng.sample(xs, 2)\n"
+        "k = draw_below(rng, 4)\n"
+        "def f(self):\n    return self.rng.randrange(5)\n"
+    )
+    assert bounded_draw_calls(tree) == ["randint (line 1)", "choice (line 2)", "randrange (line 6)"]
