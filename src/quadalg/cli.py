@@ -49,6 +49,12 @@ from .sqring import znil
 # at 28 and 7.6 s at 32, where U has 170,961-bit entries (2-vCPU container).
 MAX_SNF_DIM = 24
 
+# quadalg verify and nu refuse more samples than this before any draw: every
+# tuple is held at once, and verify on the znil square-ring document peaks at
+# 41 MB RSS at 30,000 samples and 152 MB at 300,000 (0.41 KB a sample), and
+# on the one-letter word model of length 6 at 201 MB at 100,000 (2-vCPU container).
+MAX_SAMPLES = 300_000
+
 
 def _emit(report: Report, fmt: str) -> int:
     print(report.render() if fmt == "human" else report.render_jsonl())
@@ -67,6 +73,8 @@ def _emit_records(records: list[dict], lines: list[str], fmt: str) -> None:
 def _check_samples(args) -> None:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise TooLarge(f"--samples {args.samples} exceeds the bound of {MAX_SAMPLES}")
 
 
 def _cmd_verify(args) -> int:

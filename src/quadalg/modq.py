@@ -316,16 +316,15 @@ def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
     # prod[i][k][s] = f_ik . g_ks, read by both layers
     prod = [[[Q.mul(a, b) for b in g.fi[k]] for k, a in enumerate(row)] for row in f.fi]
 
+    # each entry lists its closed-formula terms in order and sums them once
     fi = []
     for i in range(x):
         row = []
         for s in range(z):
-            acc = e.zero()
-            for k in range(y):
-                acc = e.add(acc, prod[i][k][s])
+            terms = [prod[i][k][s] for k in range(y)]
             for (k, l), col in g_pairs:
-                acc = e.add(acc, Q.P(Q.act_pair(f.fi[i][k], f.fi[i][l], col[s])))
-            row.append(acc)
+                terms.append(Q.P(Q.act_pair(f.fi[i][k], f.fi[i][l], col[s])))
+            row.append(e.sum(terms))
         fi.append(tuple(row))
 
     fij = {}
@@ -333,19 +332,17 @@ def _compose_closed(f: ModQMor, g: ModQMor) -> ModQMor:
         for j in range(i + 1, x):
             col_out = []
             for s in range(z):
-                acc = ee.zero()
+                terms = []
                 for k in range(y):
-                    acc = ee.add(acc, Q.act_right(f.pair_entry(i, j, k), g.fi[k][s]))
-                    acc = ee.add(
-                        acc, Q.act_pair(f.fi[i][k], f.fi[j][k], Q.H(g.fi[k][s]))
-                    )
+                    terms.append(Q.act_right(f.pair_entry(i, j, k), g.fi[k][s]))
+                    terms.append(Q.act_pair(f.fi[i][k], f.fi[j][k], Q.H(g.fi[k][s])))
                 for (k, l), col in g_pairs:
-                    acc = ee.add(acc, Q.act_pair(f.fi[i][k], f.fi[j][l], col[s]))
-                    acc = ee.add(acc, Q.act_pair(f.fi[i][l], f.fi[j][k], tmap(col[s])))
+                    terms.append(Q.act_pair(f.fi[i][k], f.fi[j][l], col[s]))
+                    terms.append(Q.act_pair(f.fi[i][l], f.fi[j][k], tmap(col[s])))
                 for k in range(y):
                     for l in range(k + 1, y):
-                        acc = ee.add(acc, Q.act_pair(prod[i][l][s], prod[j][k][s], h2))
-                col_out.append(acc)
+                        terms.append(Q.act_pair(prod[i][l][s], prod[j][k][s], h2))
+                col_out.append(ee.sum(terms))
             fij[(i, j)] = tuple(col_out)
     return ModQMor(Q, x, z, tuple(fi), fij)
 

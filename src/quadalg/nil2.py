@@ -53,6 +53,10 @@ class Carrier:
     Elements are canonical hashable values, so ``==`` is equality in the
     group.
 
+    The word carriers ``FreeNil2Carrier``, ``FreeAbelianCarrier`` and
+    ``FreePairsCarrier`` override ``sum``, the last two also ``sub``, so
+    that a result is canonicalised once.
+
     A finitely generated abelian group is its own carrier:
     :class:`~quadalg.abelian.FgAbGroup` has every method listed here, with
     coordinate tuples as elements and a zero commutator.
@@ -320,6 +324,23 @@ class FreeNil2Carrier(Carrier):
                     cm[(u, v)] = cm.get((u, v), 0) + m * n
         return self.make(lin, cm)
 
+    def sum(self, items: Iterable) -> Nil2Element:
+        """The ordered sum in one ``make``: each term picks up ``add``'s
+        commutator corrections against the linear part summed before it."""
+        rank = self._rank
+        lin, cm = {}, {}
+        for b in items:
+            for u, m in b.linear:
+                ru = rank[u]
+                for v, n in lin.items():
+                    if ru < rank[v]:
+                        cm[(u, v)] = cm.get((u, v), 0) + m * n
+            for s, n in b.linear:
+                lin[s] = lin.get(s, 0) + n
+            for p, n in b.comm:
+                cm[p] = cm.get(p, 0) + n
+        return self.make(lin, cm)
+
     def neg(self, a: Nil2Element) -> Nil2Element:
         la = a.linear_dict()
         lin = {s: -n for s, n in la.items()}
@@ -389,6 +410,19 @@ class FreeAbelianCarrier(Carrier):
         out = dict(a)
         for s, n in b:
             out[s] = out.get(s, 0) + n
+        return self.make(out)
+
+    def sum(self, items: Iterable) -> tuple:
+        out: dict = {}
+        for a in items:
+            for s, n in a:
+                out[s] = out.get(s, 0) + n
+        return self.make(out)
+
+    def sub(self, a, b) -> tuple:
+        out = dict(a)
+        for s, n in b:
+            out[s] = out.get(s, 0) - n
         return self.make(out)
 
     def neg(self, a):
@@ -516,12 +550,13 @@ def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> li
 def counterexample(
     carriers: Sequence[Carrier], holds: Callable[..., bool], samples: int, rng: random.Random
 ) -> tuple | None:
-    """The first tuple from :func:`_tuples` on which ``holds`` fails, or ``None``.
+    """The first tuple from :func:`_tuples`, in draw order, on which ``holds`` fails, or ``None``.
 
     Every tuple is drawn before any is checked, so where a law fails
-    never changes what later laws draw from ``rng``.
+    never changes what later laws draw from ``rng``; each distinct tuple
+    is checked once, at its first draw.
     """
-    return next((t for t in _tuples(carriers, samples, rng) if not holds(*t)), None)
+    return next((t for t in dict.fromkeys(_tuples(carriers, samples, rng)) if not holds(*t)), None)
 
 
 @dataclass(frozen=True)
@@ -546,7 +581,8 @@ def _witness(names: str, values: Sequence) -> str:
 
 
 def check_laws(report: Report, laws: Iterable[Law], samples: int, rng: random.Random) -> None:
-    """Add one check per law, in order, witnessed by its first failing tuple."""
+    """Add one check per law, in order, witnessed by its first failing tuple
+    in draw order; every tuple is drawn, each distinct one checked once."""
     for law in laws:
         bad = counterexample(law.carriers, law.holds, samples, rng)
         report.add(law.name, bad is None, bad and _witness(law.names, bad))

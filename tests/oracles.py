@@ -19,10 +19,11 @@ the matrix track machinery is checked against, and
 routes rebuilt for every triple, which the route-sharing one must
 reproduce; :func:`monoid_mul_reference`, the free word model's product by the
 recursion through law (ii), which its closed form must reproduce exactly;
-and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples` and
-:class:`ReferenceWordMake`, frozen copies of the group arithmetic and
-sampler, the law driver's sampling loop and the word normal forms that
-their faster rewrites must reproduce. :func:`quotient_matrix` and
+and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples`,
+:func:`reference_counterexample` and :class:`ReferenceWordMake`, frozen
+copies of the group arithmetic and sampler, the law driver's sampling loop,
+the law driver that checked every drawn tuple, and the word normal forms
+that their faster rewrites must reproduce. :func:`quotient_matrix` and
 :func:`track_tau` are matrix-category helpers that only tests use.
 """
 from __future__ import annotations
@@ -55,7 +56,7 @@ from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.crossed import CrossedExtension
 from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
 from quadalg.modq import ModQMor, Track
-from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements
+from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements, _tuples
 from quadalg.sqring import _comb2
 
 
@@ -1014,6 +1015,12 @@ def reference_tuples(carriers: Sequence, samples: int, rng: random.Random) -> li
     if all(p is not None for p in pools) and 0 < total <= DEFAULT_ENUM_BOUND:
         return list(itertools.product(*pools))
     return [tuple(c.sample(rng) for c in carriers) for _ in range(samples)]
+
+
+def reference_counterexample(carriers: Sequence, holds, samples: int, rng: random.Random):
+    """``nil2.counterexample`` before it checked each distinct tuple once,
+    copied verbatim."""
+    return next((t for t in _tuples(carriers, samples, rng) if not holds(*t)), None)
 
 
 class ReferenceWordMake:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from quadalg.cli import _nu_report, main
+from quadalg.cli import MAX_SAMPLES, _nu_report, main
 from quadalg.crossed import cyclic_ring_extension
 
 from .test_documents import (
@@ -121,6 +121,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 30_000_000])
+    def test_samples_above_the_bound_exit_three_at_once(self, docs, capsys, samples):
+        assert main_within_a_second(["verify", docs["ring"], "--samples", str(samples)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples {samples} exceeds the bound of {MAX_SAMPLES}\n"
 
     @pytest.mark.parametrize("name", ["modq", "map_ok"])
     def test_kinds_that_sample_nothing_take_any_samples(self, docs, capsys, name):
@@ -339,6 +346,13 @@ class TestNu:
     def test_samples_below_one_exit_two(self, docs, capsys):
         assert main(["nu", docs["ztilde"], "--samples", "0"]) == 2
         assert "--samples must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 30_000_000])
+    def test_samples_above_the_bound_exit_three_at_once(self, docs, capsys, samples):
+        assert main_within_a_second(["nu", docs["ztilde"], "--samples", str(samples)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples {samples} exceeds the bound of {MAX_SAMPLES}\n"
 
     def test_needs_an_extension_document(self, docs, capsys):
         code = main(["nu", docs["ring"]])

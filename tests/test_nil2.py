@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.abelian import FgAbGroup, smith, from_columns
 from quadalg.errors import BasisMismatch, NotFinite
+from quadalg import nil2
 from quadalg.nil2 import (
+    Carrier,
     DirectSumCarrier,
     FreeAbelianCarrier,
     FreeNil2Carrier,
@@ -17,14 +20,15 @@ from quadalg.nil2 import (
     TwistedProductCarrier,
     SquareGroup,
     SubgroupCarrier,
+    counterexample,
     morphism_is_bijective,
     morphism_verify,
     square_group_verify,
     _tuples,
 )
-from quadalg.sqring import znil, znil_monoid
+from quadalg.sqring import verify_ring, znil, znil_monoid
 
-from .oracles import ReferenceWordMake, reference_tuples
+from .oracles import ReferenceWordMake, reference_counterexample, reference_tuples
 
 
 def mod4_square_group() -> SquareGroup:
@@ -353,3 +357,81 @@ class TestFlatSampling:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert _tuples(carriers, samples, rng) == reference_tuples(carriers, samples, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+
+class TestDistinctTuples:
+    """``counterexample`` against the frozen driver in ``reference_counterexample``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(SAMPLED_CARRIERS), max_size=3),
+        st.integers(0, 2**64),
+        st.integers(0, 20),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    def test_driver_matches_the_reference(self, carriers, seed, samples, modulus, raising):
+        """The same witness, exception and final stream; ``holds`` fails
+        (or raises) on the tuples whose CRC is a multiple of ``modulus``."""
+        def run(driver):
+            calls = []
+
+            def holds(*t):
+                calls.append(t)
+                if zlib.crc32(repr(t).encode()) % modulus:
+                    return True
+                if raising:
+                    raise ArithmeticError(repr(t))
+                return False
+
+            rng = random.Random(seed)
+            try:
+                outcome = driver(carriers, holds, samples, rng)
+            except ArithmeticError as exc:
+                outcome = ("raised", str(exc))
+            return outcome, rng.getstate(), calls
+
+        got, state, calls = run(counterexample)
+        want, ref_state, ref_calls = run(reference_counterexample)
+        assert got == want
+        assert state == ref_state
+        assert calls == list(dict.fromkeys(ref_calls))
+
+    def test_znil_checks_each_distinct_tuple_once(self, monkeypatch):
+        calls = 0
+
+        def counting(carriers, holds, samples, rng):
+            def counted(*t):
+                nonlocal calls
+                calls += 1
+                return holds(*t)
+            return counterexample(carriers, counted, samples, rng)
+
+        monkeypatch.setattr(nil2, "counterexample", counting)
+        assert verify_ring(znil(), 3000, seed=0).passed
+        assert calls == 47_160  # of 32 laws x 3000 = 96,000 tuples drawn
+
+
+WORD_CARRIERS = [
+    FreeAbelianCarrier(["s", "t", "u"], ["s", "t", "u"]),
+    FreePairsCarrier(["s", "t", "u"], ["s", "t", "u"]),
+    FreeNil2Carrier(["s", "t", "u"], ["s", "t", "u"]),
+]
+
+
+class TestOnePassArithmetic:
+    """The word carriers' ``sum`` and ``sub`` against ``Carrier``'s folds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(WORD_CARRIERS), st.integers(0, 2**32), st.integers(0, 6),
+           st.integers(0, 4))
+    def test_sum_and_sub_match_the_folds(self, car, seed, count, at):
+        rng = random.Random(seed)
+        xs = [car.sample(rng) for _ in range(count)]
+        if count >= 2:  # a pair x, -x that cancels
+            at %= count - 1
+            xs[at + 1] = car.neg(xs[at])
+        assert car.sum(iter(xs)) == Carrier.sum(car, xs)
+        for a in xs:
+            for b in xs:
+                assert car.sub(a, b) == Carrier.sub(car, a, b)
