@@ -503,7 +503,9 @@ def draw_below(rng: random.Random, n: int) -> int:
     """``rng.randrange(n)``, bit for bit, read straight from
     ``rng.getrandbits``: ``n.bit_length()`` bits, drawn again while at
     least ``n``. The carriers' bounded draws go through here or through
-    :meth:`FgAbGroup.sample`'s copy of the loop.
+    the copies of the loop in :meth:`FgAbGroup.sample` and in the law
+    driver's draw of a tuple of one-coordinate groups (in
+    :mod:`quadalg.nil2`).
 
     >>> [draw_below(random.Random(7), n) for n in (1, 8, 10**20)] == [
     ...     random.Random(7).randrange(n) for n in (1, 8, 10**20)]
@@ -531,7 +533,8 @@ class FgAbGroup:
     (``0 <= c_i < d_i`` on finite coordinates). ``sample`` draws each
     coordinate in order and reads the same bits as
     ``rng.randrange(0, d_i)``, or as ``rng.randrange(-9, 10)`` on a free
-    one.
+    one; the law driver draws a tuple of one-coordinate groups from the
+    same ``_draws`` in one loop, without calling ``sample``.
 
     >>> FgAbGroup.from_factors([2, 3])
     FgAbGroup((6,))

@@ -366,10 +366,9 @@ def composition_report(
     """Random agreement of the two composition routes, plus category laws.
 
     Each law draws ``samples`` tuples of matrices with 1 to ``max_dim``
-    rows and columns; both must be at least 1.
+    rows and columns; both must be at least 1 (``samples`` is checked by
+    the law driver, :func:`~quadalg.nil2.counterexample`).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     rng = random.Random(seed)

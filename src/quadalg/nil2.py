@@ -17,7 +17,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, draw_below, finite_abelian_invariants
 from .errors import (
@@ -60,6 +60,10 @@ class Carrier:
     A finitely generated abelian group is its own carrier:
     :class:`~quadalg.abelian.FgAbGroup` has every method listed here, with
     coordinate tuples as elements and a zero commutator.
+
+    The law driver draws a tuple whose slots are all one-coordinate
+    ``FgAbGroup``s in one loop, without calling ``sample``, and every
+    other tuple slot by slot, through each carrier's ``sample``.
     """
 
     def zero(self):
@@ -535,16 +539,45 @@ def _coset_labels(elements: list, add: Callable, image: Iterable) -> tuple[dict,
     return labels, sorted(set(labels.values()), key=position.__getitem__)
 
 
-def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> list[tuple]:
-    """Either every tuple from the product of the carriers or a sample."""
+def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> Iterator[tuple]:
+    """Either every tuple from the product of the carriers or ``samples``
+    tuples drawn from ``rng``, one slot after another, each drawn as the
+    slot's ``sample`` draws it; the draws are made as the iterator is read."""
     pools = [_finite_elements(c) for c in carriers]
     total = 1
     for p in pools:
         total = total * len(p) if p is not None else 0
     if all(p is not None for p in pools) and 0 < total <= DEFAULT_ENUM_BOUND:
-        return list(itertools.product(*pools))
+        return itertools.product(*pools)
+    if (all(type(c) is FgAbGroup and c.ngens == 1 for c in carriers)
+            and sum(c._draws[0][1] for c in carriers) <= samples):
+        return _group_tuples(carriers, samples, rng)
     samplers = [c.sample for c in carriers]
-    return [tuple([draw(rng) for draw in samplers]) for _ in range(samples)]
+    return (tuple([draw(rng) for draw in samplers]) for _ in range(samples))
+
+
+def _group_tuples(
+    groups: Sequence[FgAbGroup], samples: int, rng: random.Random
+) -> Iterator[tuple]:
+    """``samples`` tuples of elements of one-coordinate ``groups``, drawn in
+    one loop with the bits of ``FgAbGroup.sample`` per slot. Each draw
+    picks its element from a table of the slot's values, which is why
+    :func:`_tuples` sends here only slots with no more values in all than
+    there are samples."""
+    getrandbits = rng.getrandbits
+    tables = [
+        (tuple((start + r,) for r in range(width)), width, bits)
+        for g in groups
+        for start, width, bits in g._draws
+    ]
+    for _ in range(samples):
+        t = []
+        for elements, width, bits in tables:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            t.append(elements[r])
+        yield tuple(t)
 
 
 def counterexample(
@@ -552,10 +585,14 @@ def counterexample(
 ) -> tuple | None:
     """The first tuple from :func:`_tuples`, in draw order, on which ``holds`` fails, or ``None``.
 
-    Every tuple is drawn before any is checked, so where a law fails
+    ``samples`` must be at least 1, even where the carriers are
+    enumerated, and is checked before any draw. Every tuple is drawn, as
+    :func:`_tuples` draws it, before any is checked, so where a law fails
     never changes what later laws draw from ``rng``; each distinct tuple
     is checked once, at its first draw.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     return next((t for t in dict.fromkeys(_tuples(carriers, samples, rng)) if not holds(*t)), None)
 
 
@@ -582,7 +619,8 @@ def _witness(names: str, values: Sequence) -> str:
 
 def check_laws(report: Report, laws: Iterable[Law], samples: int, rng: random.Random) -> None:
     """Add one check per law, in order, witnessed by its first failing tuple
-    in draw order; every tuple is drawn, each distinct one checked once."""
+    in draw order; every tuple is drawn by :func:`_tuples`, each distinct
+    one checked once by :func:`counterexample`."""
     for law in laws:
         bad = counterexample(law.carriers, law.holds, samples, rng)
         report.add(law.name, bad is None, bad and _witness(law.names, bad))
@@ -1029,7 +1067,7 @@ def groupoid_verify(gpd: SquareGroupoid, samples: int = 400, seed: int = 0) -> R
         return lhs == arr.add(compose(f1, g1), compose(f2, g2))
 
     # the first two composition laws read one shared draw
-    pairs = _tuples([arr, arr], samples, rng)
+    pairs = list(_tuples([arr, arr], samples, rng))
     bad = next((p for p in pairs if not gpd.composable(p[0], mate(*p))), None)
     r.add("composable mates align", bad is None, bad and _witness("f h", bad))
     bad = next((p for p in pairs if not endpoints(p[0], mate(*p))), None)

@@ -56,7 +56,7 @@ from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.crossed import CrossedExtension
 from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
 from quadalg.modq import ModQMor, Track
-from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements, _tuples
+from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements
 from quadalg.sqring import _comb2
 
 
@@ -1019,8 +1019,9 @@ def reference_tuples(carriers: Sequence, samples: int, rng: random.Random) -> li
 
 def reference_counterexample(carriers: Sequence, holds, samples: int, rng: random.Random):
     """``nil2.counterexample`` before it checked each distinct tuple once,
-    copied verbatim."""
-    return next((t for t in _tuples(carriers, samples, rng) if not holds(*t)), None)
+    copied verbatim but for ``reference_tuples`` in place of the list that
+    ``nil2._tuples`` returned then."""
+    return next((t for t in reference_tuples(carriers, samples, rng) if not holds(*t)), None)
 
 
 class ReferenceWordMake:

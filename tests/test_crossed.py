@@ -50,6 +50,12 @@ class TestCyclicExtensions:
         report = verify_crossed(cyclic_ring_extension(m, d), samples=300, seed=0)
         assert report.passed, report.render()
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        # the carriers are enumerated, but a count below one is still refused
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            verify_crossed(cyclic_ring_extension(4, 2), samples)
+
     def test_check_count_is_stable(self):
         report = verify_crossed(cyclic_ring_extension(4, 2), samples=120, seed=0)
         assert report.passed

@@ -333,9 +333,9 @@ BOUNDED_DRAWS = ("randrange", "randint", "choice")
 def bounded_draw_calls(tree: ast.Module) -> list[str]:
     """Calls of a method named ``randrange``, ``randint`` or ``choice``, as
     ``name (line n)``. A carrier draws a bounded integer with
-    ``abelian.draw_below``, or with the copy of its loop in
-    ``FgAbGroup.sample``, which read the same bits from ``getrandbits``
-    without ``random.Random``'s Python layers."""
+    ``abelian.draw_below``, or with a copy of its loop (in
+    ``FgAbGroup.sample`` and ``nil2._group_tuples``), which read the same
+    bits from ``getrandbits`` without ``random.Random``'s Python layers."""
     return [
         f"{node.func.attr} (line {node.lineno})"
         for node in ast.walk(tree)

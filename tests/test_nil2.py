@@ -26,7 +26,8 @@ from quadalg.nil2 import (
     square_group_verify,
     _tuples,
 )
-from quadalg.sqring import verify_ring, znil, znil_monoid
+from quadalg.crossed import Mod2WordsCarrier
+from quadalg.sqring import _shortlex_words, verify_ring, znil, znil_monoid
 
 from .oracles import ReferenceWordMake, reference_counterexample, reference_tuples
 
@@ -146,6 +147,12 @@ class TestSquareGroupVerify:
     def test_binomial_fixture_passes_exhaustively(self):
         report = square_group_verify(mod4_square_group(), samples=50, seed=0)
         assert report.passed, report.render()
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        # the laws on Z would otherwise pass without a single tuple drawn
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            square_group_verify(znil().square_group, samples)
 
     def test_broken_p_is_caught_with_witness(self):
         sg = mod4_square_group()
@@ -339,8 +346,16 @@ class TestOnePassMake:
             FreePairsCarrier(["s"], ["s"]).make({("u", "s"): 0})
 
 
+# 31 words of length at most 2 on five letters: more than the 21 pool
+# items up to which ``random.Random.sample`` draws from a shrinking copy
+WORDS = _shortlex_words(list("abcde"), 2)
+
 SAMPLED_CARRIERS = [FgAbGroup(factors) for factors in [(0,), (0, 0), (2, 6), (3, 0), (), (5,)]] + [
-    FreeNil2Carrier(["s", "t"], ["s", "t"])
+    FreeNil2Carrier(["s", "t"], ["s", "t"]),
+    FreeNil2Carrier(WORDS, WORDS),
+    FreeAbelianCarrier(["s", "t", "u"], ["s", "t"]),
+    FreePairsCarrier(["s", "t", "u"], ["s", "t"]),
+    Mod2WordsCarrier(FreePairsCarrier(WORDS, WORDS)),
 ]
 
 
@@ -355,7 +370,22 @@ class TestFlatSampling:
     )
     def test_tuples_match_the_reference(self, carriers, seed, samples):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert _tuples(carriers, samples, rng) == reference_tuples(carriers, samples, ref_rng)
+        want = reference_tuples(carriers, samples, ref_rng)
+        assert list(_tuples(carriers, samples, rng)) == want
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([[FgAbGroup((0,))] * 3, [FgAbGroup((5,)), FgAbGroup((0,))],
+                         [FgAbGroup((97,)), FgAbGroup((89,))]]),
+        st.integers(0, 2**64),
+        st.integers(0, 300),
+    )
+    def test_one_coordinate_slots_match_the_reference(self, groups, seed, samples):
+        """Slots of one coordinate, on both sides of the sample count (the
+        slots' total width) from which each element comes from a table."""
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert list(_tuples(groups, samples, rng)) == reference_tuples(groups, samples, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -366,7 +396,7 @@ class TestDistinctTuples:
     @given(
         st.lists(st.sampled_from(SAMPLED_CARRIERS), max_size=3),
         st.integers(0, 2**64),
-        st.integers(0, 20),
+        st.integers(1, 20),
         st.integers(1, 8),
         st.booleans(),
     )
@@ -396,6 +426,16 @@ class TestDistinctTuples:
         assert got == want
         assert state == ref_state
         assert calls == list(dict.fromkeys(ref_calls))
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("carriers", [[FgAbGroup((0,))], [FgAbGroup((2,))], []],
+                             ids=["sampled", "enumerated", "empty"])
+    def test_refuses_fewer_than_one_sample_before_any_draw(self, carriers, samples):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            counterexample(carriers, lambda *t: True, samples, rng)
+        assert rng.getstate() == state
 
     def test_znil_checks_each_distinct_tuple_once(self, monkeypatch):
         calls = 0

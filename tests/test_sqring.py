@@ -50,6 +50,12 @@ class TestZnil:
         with pytest.raises(ValueError, match="unknown ring kind"):
             znil("cubic")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        # every law on Z would otherwise pass without a single tuple drawn
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            verify_ring(znil(), samples)
+
 
 class TestCyclicRing:
     @pytest.mark.parametrize("n", [1, 2, 6])
