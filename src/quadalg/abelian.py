@@ -13,12 +13,16 @@ Conventions
   ``j``-th generator of the source.
 * A relation matrix for a presentation has one column per relation.
 
-One :func:`smith` record, :class:`SnfResult`, answers every lattice
-question about a matrix: ``solve(b)``, ``contains(b)``, and the free basis
-of the column lattice with the coordinates in it. :func:`smith` eliminates
-on sparse rows, visiting only nonzero entries, and logs its elementary
-operations; answers replay the logs on the vectors asked about, and each
-certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` is built only when read.
+One Smith record, :class:`SnfResult`, answers every lattice question
+about a matrix: ``solve(b)``, ``contains(b)``, the kernel, and the free
+basis of the column lattice with the coordinates in it. One core,
+:func:`smith_rows`, eliminates on the sparse rows it is handed, visiting
+only nonzero entries, and logs its elementary operations; answers replay
+the logs on sparse rows of the vectors asked about, and ``S`` and each
+certificate ``U``, ``V``, ``Uinv`` or ``Vinv`` are built only when read.
+:func:`smith` is its wrapper for a dense matrix, and
+:func:`stacked_rows` sets columns beside a group's relations as sparse
+rows, without the dense stack.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
 Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are both
@@ -57,10 +61,6 @@ def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_copy(M: IntMatrix) -> IntMatrix:
-    return [row[:] for row in M]
-
-
 def mat_shape(M: IntMatrix) -> tuple[int, int]:
     return (len(M), len(M[0]) if M else 0)
 
@@ -94,17 +94,6 @@ def mat_vec(A: IntMatrix, v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
 
-def mat_hstack(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Concatenate columns; the two blocks must have the same row count."""
-    if not A:
-        return mat_copy(B)
-    if not B:
-        return mat_copy(A)
-    if len(A) != len(B):
-        raise ShapeMismatch("hstack row counts differ")
-    return [ra + rb for ra, rb in zip(A, B)]
-
-
 def columns(M: IntMatrix) -> list[tuple[int, ...]]:
     m, n = mat_shape(M)
     return [tuple(M[i][j] for i in range(m)) for j in range(n)]
@@ -130,44 +119,65 @@ def from_columns(cols: list[tuple[int, ...]] | list[list[int]], nrows: int) -> I
 _SWAP, _ADD, _NEG = range(3)
 
 
-def _apply(ops: list, X: IntMatrix, inverse: bool, transpose: bool) -> IntMatrix:
+def _apply(ops: list, X: list[dict[int, int]], inverse: bool, transpose: bool) -> list[dict]:
     """``X`` times ``P``, ``P^-1``, ``P^T`` or ``P^-T`` on the left, in place,
     for ``P = E_k ... E_1`` the logged row operations: each operation, its
     inverse (``-q``), transpose (``i <-> j``) or inverse transpose, first to
-    last for ``P`` and ``P^-T``, last to first otherwise. The columns of
-    ``X`` are the vectors multiplied; zero entries of an added row are free.
+    last for ``P`` and ``P^-T``, last to first otherwise. ``X`` is held as
+    sparse rows, one ``{column: value}`` dict of nonzeros per row, and its
+    columns are the vectors multiplied.
     """
     sign = -1 if inverse else 1
     for kind, i, j, q in reversed(ops) if inverse != transpose else ops:
         if kind == _ADD:
             if transpose:
                 i, j = j, i
-            Xi, Xj = X[i], X[j]
+            Xi = X[i]
             q *= sign
-            for k in itertools.compress(range(len(Xj)), Xj):
-                Xi[k] += q * Xj[k]
+            for k, x in X[j].items():
+                y = Xi.get(k, 0) + q * x
+                if y:
+                    Xi[k] = y
+                else:
+                    del Xi[k]
         elif kind == _SWAP:
             X[i], X[j] = X[j], X[i]
         else:
-            X[i] = [-a for a in X[i]]
+            X[i] = {k: -x for k, x in X[i].items()}
     return X
 
 
-def _units(n: int, cols) -> IntMatrix:
-    """The columns ``e_c`` of ``identity(n)``, for ``c`` in ``cols``."""
-    return [[int(i == c) for c in cols] for i in range(n)]
+def _units(n: int, cols) -> list[dict[int, int]]:
+    """Sparse rows of the ``n``-row matrix whose ``k``-th column is ``e_c``,
+    for ``c`` the ``k``-th of ``cols``."""
+    X: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, c in enumerate(cols):
+        X[c][k] = 1
+    return X
+
+
+def _columns_of(X: list[dict[int, int]], width: int) -> list[tuple[int, ...]]:
+    """The first ``width`` columns of the sparse rows ``X``."""
+    return [tuple(row.get(c, 0) for row in X) for c in range(width)]
+
+
+def _dense(X: list[dict[int, int]], width: int) -> IntMatrix:
+    return [[row.get(c, 0) for c in range(width)] for row in X]
 
 
 @dataclass
 class SnfResult:
-    """Smith normal form ``S = U @ M @ V`` of ``M``, and every solve against it.
+    """Smith normal form ``S = U @ M @ V`` of an ``m x n`` matrix ``M``, and
+    every solve against it.
 
-    ``U`` is the product of the row log ``row_ops`` and ``V`` the transpose
-    of that of the column log ``col_ops``; each certificate is built the
-    first time it is read, and no answer reads one. ``diagonal`` lists the
-    ``d_j`` of ``S``, the ``rank`` nonzero ones first. The column lattice of
-    ``M`` is that of ``M V = Uinv S``, with free basis ``d_j Uinv e_j``,
-    ``j < rank``, in which ``b`` has the coordinates ``(U b)_j / d_j``.
+    It stores the ``shape`` ``(m, n)``, the ``diagonal`` of ``S`` (its
+    ``min(m, n)`` entries ``d_j``, the ``rank`` nonzero ones first) and the
+    two operation logs. ``U`` is the product of the row log ``row_ops`` and
+    ``V`` the transpose of that of the column log ``col_ops``. ``S`` and
+    each certificate are built the first time they are read, and no answer
+    reads one. The column lattice of ``M`` is that of ``M V = Uinv S``, with
+    free basis ``d_j Uinv e_j``, ``j < rank``, in which ``b`` has the
+    coordinates ``(U b)_j / d_j``.
 
     >>> r = smith([[2, 4], [0, 6]])
     >>> r.solve((4, 12)), r.contains((1, 0)), r.column_basis()
@@ -176,30 +186,37 @@ class SnfResult:
     [(2, 1), None]
     """
 
-    S: IntMatrix
+    shape: tuple[int, int]
+    diagonal: list[int]
     row_ops: list[tuple[int, int, int, int]] = field(repr=False)
     col_ops: list[tuple[int, int, int, int]] = field(repr=False)
 
     @cached_property
+    def S(self) -> IntMatrix:
+        S = zeros(*self.shape)
+        for i, d in enumerate(self.diagonal):
+            S[i][i] = d
+        return S
+
+    @cached_property
     def U(self) -> IntMatrix:
-        return _apply(self.row_ops, identity(len(self.S)), False, False)
+        m = self.shape[0]
+        return _dense(_apply(self.row_ops, _units(m, range(m)), False, False), m)
 
     @cached_property
     def Uinv(self) -> IntMatrix:
-        return _apply(self.row_ops, identity(len(self.S)), True, False)
+        m = self.shape[0]
+        return _dense(_apply(self.row_ops, _units(m, range(m)), True, False), m)
 
     @cached_property
     def V(self) -> IntMatrix:
-        return _apply(self.col_ops, identity(mat_shape(self.S)[1]), False, True)
+        n = self.shape[1]
+        return _dense(_apply(self.col_ops, _units(n, range(n)), False, True), n)
 
     @cached_property
     def Vinv(self) -> IntMatrix:
-        return _apply(self.col_ops, identity(mat_shape(self.S)[1]), True, True)
-
-    @property
-    def diagonal(self) -> list[int]:
-        m, n = mat_shape(self.S)
-        return [self.S[i][i] for i in range(min(m, n))]
+        n = self.shape[1]
+        return _dense(_apply(self.col_ops, _units(n, range(n)), True, True), n)
 
     @property
     def rank(self) -> int:
@@ -207,24 +224,50 @@ class SnfResult:
 
     def column_basis(self) -> list[tuple[int, ...]]:
         """The free basis ``d_j Uinv e_j``, ``j < rank``, of the column lattice."""
-        X = _apply(self.row_ops, _units(len(self.S), range(self.rank)), True, False)
-        return [tuple(d * x for x in col) for d, col in zip(self.diagonal, zip(*X))]
+        rank = self.rank
+        X = _apply(self.row_ops, _units(self.shape[0], range(rank)), True, False)
+        return [tuple(d * x for x in col) for d, col in zip(self.diagonal, _columns_of(X, rank))]
+
+    def kernel_rows(self) -> list[dict[int, int]]:
+        """Sparse rows of the ``n x (n - rank)`` matrix whose columns, the
+        last ``n - rank`` columns of ``V``, are a basis of the kernel lattice
+        ``{x : M @ x = 0}``. ``V`` is never built: the column log is applied
+        to those ``n - rank`` unit vectors alone."""
+        n, rank = self.shape[1], self.rank
+        return _apply(self.col_ops, _units(n, range(rank, n)), False, True)
+
+    def coordinate_rows(self, B: list[dict[int, int]]) -> tuple[list[dict[int, int]], set[int]]:
+        """The coordinates in :meth:`column_basis` of the columns of the
+        sparse rows ``B``, which are consumed, as sparse rows, one per basis
+        vector, and the set of columns outside the lattice: ``U b`` must be
+        ``c_j d_j`` at each ``j < rank`` and zero after. The coordinate
+        rows mean nothing in the columns outside."""
+        rank = self.rank
+        UB = _apply(self.row_ops, B, False, False)
+        outside = set().union(*UB[rank:])
+        coords = []
+        for row, d in zip(UB[:rank], self.diagonal):
+            q = {}
+            for c, x in row.items():
+                q[c], r = divmod(x, d)
+                if r:
+                    outside.add(c)
+            coords.append(q)
+        return coords, outside
 
     def column_coordinates(self, vectors) -> list[tuple[int, ...] | None]:
         """The unique coordinates in :meth:`column_basis` of each of
-        ``vectors``, or ``None`` outside the lattice: ``U b`` must be
-        ``c_j d_j`` at each ``j < rank`` and zero after."""
-        m, rank, diag = len(self.S), self.rank, self.diagonal
+        ``vectors``, or ``None`` outside the lattice."""
+        m = self.shape[0]
         if any(len(b) != m for b in vectors):
             raise ShapeMismatch("right-hand side length does not match row count")
-        UB = _apply(self.row_ops, [[b[i] for b in vectors] for i in range(m)], False, False)
-        out = []
-        for c in range(len(vectors)):
-            Ub = [row[c] for row in UB]
-            qr = [divmod(x, d) for x, d in zip(Ub[:rank], diag)]
-            ok = not any(Ub[rank:]) and not any(r for _, r in qr)
-            out.append(tuple(q for q, _ in qr) if ok else None)
-        return out
+        coords, outside = self.coordinate_rows(
+            [{c: b[i] for c, b in enumerate(vectors) if b[i]} for i in range(m)]
+        )
+        return [
+            None if c in outside else col
+            for c, col in enumerate(_columns_of(coords, len(vectors)))
+        ]
 
     def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
         """One integer solution ``x`` of ``M @ x = b``, or ``None``: ``V y``
@@ -232,25 +275,51 @@ class SnfResult:
         (y,) = self.column_coordinates([b])
         if y is None:
             return None
-        Y = [[c] for c in y] + [[0] for _ in range(mat_shape(self.S)[1] - len(y))]
-        return tuple(x for x, in _apply(self.col_ops, Y, False, True))
+        Y = [{0: c} if c else {} for c in y] + [{} for _ in range(self.shape[1] - len(y))]
+        return _columns_of(_apply(self.col_ops, Y, False, True), 1)[0]
 
     def contains(self, b: tuple[int, ...] | list[int]) -> bool:
         """Whether ``b`` lies in the lattice spanned by the columns of ``M``."""
         return self.column_coordinates([b])[0] is not None
 
 
-def smith(M: IntMatrix) -> SnfResult:
-    """Smith normal form of ``M``, with certificates built on demand.
+def stacked_rows(M: IntMatrix, rels, first: bool) -> tuple[list[dict[int, int]], int]:
+    """Sparse rows and column count of ``[M | R]``, or of ``[R | M]`` when
+    ``first``, for ``R`` the relation columns ``d e_i``, one per ``(i, d)``
+    of ``rels``, in order. This is the one place where columns are set
+    beside a group's relations; the dense stack is never built.
 
-    The elimination works on sparse rows, one ``{column: value}`` dict of
-    nonzeros per row, with an index from each column to the set of rows
+    >>> stacked_rows([[0, 3], [1, 0]], [(0, 2)], False)
+    ([{1: 3, 2: 2}, {0: 1}], 3)
+    """
+    n = len(M[0]) if M else 0
+    at, shift = (0, len(rels)) if first else (n, 0)
+    rows = [{j: x for j, x in enumerate(row, shift) if x} for row in M]
+    for k, (i, d) in enumerate(rels, at):
+        rows[i][k] = d
+    return rows, n + len(rels)
+
+
+def smith(M: IntMatrix) -> SnfResult:
+    """Smith normal form of the dense matrix ``M``: :func:`smith_rows` of
+    its nonzero entries. It serves callers that hold a dense matrix (the
+    ``quadalg snf`` command, :func:`canonical_factors`, the tests); the
+    library's stacks go to :func:`smith_rows` as sparse rows.
+    """
+    return smith_rows([{j: x for j, x in enumerate(row) if x} for row in M], mat_shape(M)[1])
+
+
+def smith_rows(A: list[dict[int, int]], n: int) -> SnfResult:
+    """Smith normal form of the ``len(A) x n`` matrix with sparse rows ``A``,
+    one ``{column: value}`` dict of nonzeros per row; ``A`` is consumed.
+
+    The elimination keeps an index from each column to the set of rows
     holding it; every swap, row addition and column addition keeps both up
     to date, so the pivot search, the reductions and the divisibility sweep
-    visit stored nonzeros only. ``S`` is made dense once, at the end. Each
-    elementary row and column operation is logged; :class:`SnfResult`
-    builds ``U``, ``V``, ``Uinv`` and ``Vinv`` from the logs when a caller
-    first reads them.
+    visit stored nonzeros only. Only the diagonal is read off at the end;
+    :class:`SnfResult` builds ``S`` on demand. Each elementary row and
+    column operation is logged; :class:`SnfResult` builds ``U``, ``V``,
+    ``Uinv`` and ``Vinv`` from the logs when a caller first reads them.
 
     The pivot rule is deterministic: among nonzero entries of the working
     submatrix pick one of minimal absolute value, breaking ties by smallest
@@ -270,8 +339,7 @@ def smith(M: IntMatrix) -> SnfResult:
     stops at a unit, and a pivot of size ``floor`` skips the sweep, which
     could find nothing. Neither changes a pivot or a logged operation.
     """
-    m, n = mat_shape(M)
-    A = [{j: x for j, x in enumerate(row) if x} for row in M]
+    m = len(A)
     rows_of: list[set[int]] = [set() for _ in range(n)]  # column -> rows holding it
     for i, row in enumerate(A):
         for j in row:
@@ -401,11 +469,8 @@ def smith(M: IntMatrix) -> SnfResult:
         if A[t][t] < 0:
             row_neg(t)
         t += 1
-    S = zeros(m, n)
-    for Si, row in zip(S, A):
-        for j, x in row.items():
-            Si[j] = x
-    return SnfResult(S, row_ops, col_ops)
+    diagonal = [A[i].get(i, 0) for i in range(min(m, n))]
+    return SnfResult((m, n), diagonal, row_ops, col_ops)
 
 
 def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
@@ -422,19 +487,14 @@ def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ..
 
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice ``{x : A @ x = 0}``.
-
-    The basis is the last ``n - rank`` columns of the Smith certificate
-    ``V``, but ``V`` is never built: the column log is applied to those
-    ``n - rank`` unit vectors alone, held as the columns of an
-    ``n x (n - rank)`` array.
+    """Basis of the integer kernel lattice ``{x : A @ x = 0}``: the columns
+    of :meth:`SnfResult.kernel_rows` of ``smith(A)``.
 
     >>> kernel_basis([[1, 1]])
     [(-1, 1)]
     """
     r = smith(A)
-    n, rank = mat_shape(A)[1], r.rank
-    return list(zip(*_apply(r.col_ops, _units(n, range(rank, n)), False, True)))
+    return _columns_of(r.kernel_rows(), r.shape[1] - r.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +653,10 @@ class FgAbGroup:
             return None
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def relation_matrix(self) -> IntMatrix:
-        """One column ``d_i * e_i`` per finite factor."""
-        finite = [i for i, d in enumerate(self.invariant_factors) if d]
-        M = zeros(self.ngens, len(finite))
-        for k, i in enumerate(finite):
-            M[i][k] = self.invariant_factors[i]
-        return M
+    def relations(self) -> list[tuple[int, int]]:
+        """The relation column ``d_i e_i`` of each finite factor, as
+        ``(i, d_i)``, for :func:`stacked_rows`."""
+        return [(i, d) for i, d in enumerate(self.invariant_factors) if d]
 
     # -- element arithmetic -------------------------------------------------
 
@@ -821,8 +878,9 @@ def quotient_presentation(
     diag = rels.diagonal + [0] * (rank - len(rels.diagonal))
     kept = [i for i, d in enumerate(diag) if d != 1]
     group = FgAbGroup(tuple(diag[i] for i in kept))
-    project = [list(col) for col in zip(*_apply(rels.row_ops, _units(rank, kept), False, True))]
-    lift = _apply(rels.row_ops, _units(rank, kept), True, False)
+    X = _apply(rels.row_ops, _units(rank, kept), False, True)
+    project = [list(col) for col in _columns_of(X, len(kept))]
+    lift = _dense(_apply(rels.row_ops, _units(rank, kept), True, False), len(kept))
     return group, project, lift
 
 
@@ -836,9 +894,9 @@ class HomologyResult:
 
     ``kernel_basis`` lists middle-group coordinate tuples generating the
     kernel; :meth:`express` sends a kernel element to its class through
-    its coordinates in that basis, read off ``_kernel``, the :func:`smith`
-    record the basis came from; :meth:`representative` solves against one
-    more record, made on its first call.
+    its coordinates in that basis, read off ``_kernel``, the Smith record
+    the basis came from; :meth:`representative` solves against one more
+    record, of ``[_project | relations of group]``, made on its first call.
     """
 
     group: FgAbGroup
@@ -867,7 +925,7 @@ class HomologyResult:
         if self.group.is_trivial():
             return self.middle.zero()
         if self._classes is None:
-            self._classes = smith(mat_hstack(self._project, self.group.relation_matrix()))
+            self._classes = smith_rows(*stacked_rows(self._project, self.group.relations(), False))
         sol = self._classes.solve(h)
         if sol is None:
             raise ShapeMismatch(f"class {h} has no kernel representative")
@@ -876,6 +934,13 @@ class HomologyResult:
 
 def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     """Homology at the middle of ``A --d1--> B --d2--> C``.
+
+    Three :func:`smith_rows` forms, each of sparse rows that no dense matrix
+    precedes: the kernel stack ``[d2 | relations of C]`` from
+    :func:`stacked_rows`, whose kernel rows, cut to the first ``b``, span
+    ``ker d2``; that spanning set, whose record gives the kernel's free
+    basis and the coordinates in it; and the coordinate rows of
+    ``[d1 | relations of B]`` in that basis, which present the homology.
 
     Raises :class:`ShapeMismatch` if the middle groups disagree and
     :class:`CompositionNonzero` (with a witness generator) if ``d2 . d1`` is
@@ -895,31 +960,26 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
         image = d2.target.reduce(col)
         if any(image):
             raise CompositionNonzero(f"d2(d1(generator {j})) = {image} != 0")
-    B = d1.target
+    B, C = d1.target, d2.target
     b = B.ngens
-    A2 = mat_hstack(d2.matrix, d2.target.relation_matrix())
-    if not A2 or b == 0:
-        ker_span = [B.generator(i) for i in range(b)]
+    if C.ngens == 0 or b == 0:
+        kernel = smith_rows(_units(b, range(b)), b)
     else:
-        ker_span = [v[:b] for v in kernel_basis(A2)]
-    # one Smith form of a spanning set: the free basis, and coordinates in it
-    kernel = smith(from_columns(ker_span, b))
+        stack = smith_rows(*stacked_rows(d2.matrix, C.relations(), False))
+        kernel = smith_rows(stack.kernel_rows()[:b], stack.shape[1] - stack.rank)
     basis = kernel.column_basis()
-    BK = from_columns(basis, b)
     k = len(basis)
-    den = columns(mat_hstack(d1.matrix, B.relation_matrix()))
-    rel_cols = kernel.column_coordinates(den)
-    for c, sol in zip(den, rel_cols):
-        if sol is None:
-            raise CompositionNonzero(
-                f"image element {c} does not lie in the kernel lattice"
-            )
-    rels = from_columns(rel_cols, k)
-    grp, project, _lift = quotient_presentation(k, smith(rels))
+    image, width = stacked_rows(d1.matrix, B.relations(), False)
+    rel_rows, outside = kernel.coordinate_rows(image)
+    if outside:
+        j = min(outside)
+        column = _columns_of(stacked_rows(d1.matrix, B.relations(), False)[0], j + 1)[j]
+        raise CompositionNonzero(f"image element {column} does not lie in the kernel lattice")
+    grp, project, _lift = quotient_presentation(k, smith_rows(rel_rows, width))
     return HomologyResult(
         group=grp,
         kernel_basis=[B.reduce(v) for v in basis],
-        _basis_matrix=BK,
+        _basis_matrix=from_columns(basis, b),
         _project=project,
         middle=B,
         _kernel=kernel,

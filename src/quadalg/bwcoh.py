@@ -37,10 +37,10 @@ from .abelian import (
     exact_at,
     homology_at,
     identity as identity_matrix,
-    mat_hstack,
     mat_vec,
     matmul,
     quotient_presentation,
+    stacked_rows,
     zeros,
 )
 from .errors import DegreeTooHigh, NotIdentityOnObjects, NotSurjective, ShapeMismatch, TooLarge
@@ -454,20 +454,18 @@ class _Level:
     factored: SnfResult | None = None
 
     @property
-    def rels(self) -> list:
-        """One column per finite block factor, in key order, then ``extra``."""
-        cols = []
+    def rels(self) -> tuple[list[dict[int, int]], int]:
+        """Sparse rows and column count of the level's relations: one column
+        per finite block factor, in key order, then the columns of ``extra``."""
+        rels = []
         for k in self.keys:
-            cols += [(i, d) for i, d in zip(self.index[k], self.block[k].invariant_factors) if d]
-        M = zeros(self.ngens, len(cols))
-        for j, (i, d) in enumerate(cols):
-            M[i][j] = d
-        return M if self.extra is None else mat_hstack(M, self.extra)
+            rels += [(i, d) for i, d in zip(self.index[k], self.block[k].invariant_factors) if d]
+        return stacked_rows(zeros(self.ngens, 0) if self.extra is None else self.extra, rels, True)
 
     def presented(self, extra: list | None = None) -> "_Level":
         """This level modulo its block relations and the columns of ``extra``."""
         level = replace(self, extra=extra)
-        level.factored = abelian.smith(level.rels)
+        level.factored = abelian.smith_rows(*level.rels)
         level.grp, level.proj, level.lift = quotient_presentation(self.ngens, level.factored)
         return level
 
@@ -554,6 +552,11 @@ def _coboundary_terms(C: FinCat, T: tuple):
 
 
 def _d_presented(C: FinCat, D: NatSystem, src: _Level, tgt: _Level) -> list:
+    """The coboundary from ``src`` to ``tgt`` on level coordinates, as a
+    dense matrix (an :class:`AbMap` is dense). Each face of a target chain
+    adds ``sign`` times its action into the block of its source chain; a
+    face with no action, which merges two morphisms, adds ``sign`` on the
+    block's diagonal."""
     M = zeros(tgt.ngens, src.ngens)
     for T in tgt.keys:
         rows = tgt.index[T]
@@ -561,11 +564,15 @@ def _d_presented(C: FinCat, D: NatSystem, src: _Level, tgt: _Level) -> list:
             if arg not in src.index:
                 continue
             cols = src.index[arg]
-            amat = identity_matrix(len(cols)) if act3 is None else D.map_for(*act3).matrix
-            for r, arow in zip(rows, amat):
+            if act3 is None:
+                for r, c in zip(rows, cols):
+                    M[r][c] += sign
+                continue
+            for r, arow in zip(rows, D.map_for(*act3).matrix):
+                Mr = M[r]
                 for c, a in zip(cols, arow):
                     if a:
-                        M[r][c] += sign * a
+                        Mr[c] += sign * a
     return M
 
 

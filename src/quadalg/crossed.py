@@ -31,10 +31,10 @@ from .abelian import (
     draw_below,
     finite_abelian_invariants,
     from_columns,
-    mat_hstack,
     mat_vec,
     quotient_presentation,
-    smith,
+    smith_rows,
+    stacked_rows,
 )
 from .errors import (
     NotASquareRing,
@@ -279,7 +279,7 @@ def linearly_generated(ext: CrossedExtension) -> tuple[bool, str | None]:
     images = [ext.quot.q(x) for x in pool]
     carrier = ext.quot.carrier
     if isinstance(carrier, FgAbGroup):
-        rank, cols, rels = carrier.ngens, [list(v) for v in images], carrier.relation_matrix()
+        rank, cols, rels = carrier.ngens, [list(v) for v in images], carrier.relations()
     elif isinstance(carrier, FreeAbelianCarrier):
         index = {s: i for i, s in enumerate(carrier.symbols)}
         rank, cols, rels = len(index), [], []
@@ -290,7 +290,8 @@ def linearly_generated(ext: CrossedExtension) -> tuple[bool, str | None]:
             cols.append(v)
     else:
         return (False, f"cannot decide generation for {type(carrier).__name__}")
-    grp, _, _ = quotient_presentation(rank, smith(mat_hstack(from_columns(cols, rank), rels)))
+    stack = stacked_rows(from_columns(cols, rank), rels, False)
+    grp, _, _ = quotient_presentation(rank, smith_rows(*stack))
     if grp.is_trivial():
         return (True, None)
     return (False, f"quotient by the image is {grp.describe()}")
@@ -471,7 +472,7 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> tuple:
     tmat_cols = [sg.tmap(G.generator(i)) for i in range(n)]
     one_minus_t = [[int(i == j) - tmat_cols[j][i] for j in range(n)] for i in range(n)]
     grp, project, lift = quotient_presentation(
-        n, smith(mat_hstack(G.relation_matrix(), one_minus_t))
+        n, smith_rows(*stacked_rows(one_minus_t, G.relations(), True))
     )
 
     def proj(a):
@@ -484,7 +485,7 @@ def _ztilde_abelian(R: SquareRing, sg: SquareGroup) -> tuple:
     image_cols = [list(R.P(lift_el(grp.generator(i)))) for i in range(grp.ngens)]
     rgrp, rproject, rlift = quotient_presentation(
         base.ngens,
-        smith(mat_hstack(base.relation_matrix(), from_columns(image_cols, base.ngens))),
+        smith_rows(*stacked_rows(from_columns(image_cols, base.ngens), base.relations(), True)),
     )
 
     def q(x):

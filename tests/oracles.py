@@ -23,7 +23,10 @@ and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples`,
 :func:`reference_counterexample` and :class:`ReferenceWordMake`, frozen
 copies of the group arithmetic and sampler, the law driver's sampling loop,
 the law driver that checked every drawn tuple, and the word normal forms
-that their faster rewrites must reproduce. :func:`quotient_matrix` and
+that their faster rewrites must reproduce; and :func:`reference_homology_at`
+and :func:`reference_representative`, the homology on dense relation
+stacks (:func:`mat_hstack`, :func:`relation_matrix`) that the sparse
+stacks must reproduce. :func:`quotient_matrix` and
 :func:`track_tau` are matrix-category helpers that only tests use.
 """
 from __future__ import annotations
@@ -42,10 +45,12 @@ from quadalg.abelian import (
     _SWAP,
     AbMap,
     FgAbGroup,
+    HomologyResult,
     SnfResult,
+    columns,
     from_columns,
     identity,
-    mat_copy,
+    kernel_basis,
     mat_shape,
     mat_vec,
     quotient_presentation,
@@ -54,7 +59,13 @@ from quadalg.abelian import (
 )
 from quadalg.bwcoh import FinCat, NatSystem
 from quadalg.crossed import CrossedExtension
-from quadalg.errors import BasisMismatch, BoundaryMismatch, SectionInvalid, ShapeMismatch
+from quadalg.errors import (
+    BasisMismatch,
+    BoundaryMismatch,
+    CompositionNonzero,
+    SectionInvalid,
+    ShapeMismatch,
+)
 from quadalg.modq import ModQMor, Track
 from quadalg.nil2 import DEFAULT_ENUM_BOUND, Nil2Element, SquareGroup, _finite_elements
 from quadalg.sqring import _comb2
@@ -536,7 +547,7 @@ def smith_sparse_reference(M: IntMatrix) -> SnfResult:
     for Si, row in zip(S, A):
         for j, x in row.items():
             Si[j] = x
-    return SnfResult(S, row_ops, col_ops)
+    return SnfResult((m, n), [S[i][i] for i in range(min(m, n))], row_ops, col_ops)
 
 
 def dense_solve(r: SnfResult, b) -> tuple[int, ...] | None:
@@ -557,6 +568,111 @@ def dense_solve(r: SnfResult, b) -> tuple[int, ...] | None:
         elif c:
             return None
     return mat_vec(r.V, tuple(y))
+
+
+# ---------------------------------------------------------------------------
+# Dense relation stacks and the homology built on them
+# ---------------------------------------------------------------------------
+#
+# The library sets columns beside a group's relations as sparse rows, with
+# ``abelian.stacked_rows``. These are the dense helpers it used before, and
+# ``reference_homology_at`` and ``reference_representative`` are its
+# ``homology_at`` and ``HomologyResult.representative`` on them, copied
+# verbatim but for the helpers' new homes. The sparse ones must reproduce
+# them exactly.
+
+def mat_copy(M: IntMatrix) -> IntMatrix:
+    return [row[:] for row in M]
+
+
+def mat_hstack(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """Concatenate columns; the two blocks must have the same row count."""
+    if not A:
+        return mat_copy(B)
+    if not B:
+        return mat_copy(A)
+    if len(A) != len(B):
+        raise ShapeMismatch("hstack row counts differ")
+    return [ra + rb for ra, rb in zip(A, B)]
+
+
+def relation_matrix(G: FgAbGroup) -> IntMatrix:
+    """One column ``d_i * e_i`` per finite factor of ``G``.
+
+    >>> relation_matrix(FgAbGroup((2, 0)))
+    [[2], [0]]
+    """
+    finite = [i for i, d in enumerate(G.invariant_factors) if d]
+    M = zeros(G.ngens, len(finite))
+    for k, i in enumerate(finite):
+        M[i][k] = G.invariant_factors[i]
+    return M
+
+
+def dense_rows(rows, n: int) -> IntMatrix:
+    """The dense matrix with sparse rows ``rows`` and ``n`` columns.
+
+    >>> dense_rows([{1: 3}, {}], 2)
+    [[0, 3], [0, 0]]
+    """
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def reference_homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
+    """Homology at the middle of ``A --d1--> B --d2--> C``.
+
+    Raises :class:`ShapeMismatch` if the middle groups disagree and
+    :class:`CompositionNonzero` (with a witness generator) if ``d2 . d1`` is
+    not the zero homomorphism.
+    """
+    if d1.target != d2.source:
+        raise ShapeMismatch(
+            f"middle group mismatch: {d1.target.describe()} vs {d2.source.describe()}"
+        )
+    for j, col in enumerate(columns(d2.compose(d1).matrix)):
+        image = d2.target.reduce(col)
+        if any(image):
+            raise CompositionNonzero(f"d2(d1(generator {j})) = {image} != 0")
+    B = d1.target
+    b = B.ngens
+    A2 = mat_hstack(d2.matrix, relation_matrix(d2.target))
+    if not A2 or b == 0:
+        ker_span = [B.generator(i) for i in range(b)]
+    else:
+        ker_span = [v[:b] for v in kernel_basis(A2)]
+    # one Smith form of a spanning set: the free basis, and coordinates in it
+    kernel = smith(from_columns(ker_span, b))
+    basis = kernel.column_basis()
+    BK = from_columns(basis, b)
+    k = len(basis)
+    den = columns(mat_hstack(d1.matrix, relation_matrix(B)))
+    rel_cols = kernel.column_coordinates(den)
+    for c, sol in zip(den, rel_cols):
+        if sol is None:
+            raise CompositionNonzero(
+                f"image element {c} does not lie in the kernel lattice"
+            )
+    rels = from_columns(rel_cols, k)
+    grp, project, _lift = quotient_presentation(k, smith(rels))
+    return HomologyResult(
+        group=grp,
+        kernel_basis=[B.reduce(v) for v in basis],
+        _basis_matrix=BK,
+        _project=project,
+        middle=B,
+        _kernel=kernel,
+    )
+
+
+def reference_representative(h: HomologyResult, class_coords) -> tuple[int, ...]:
+    """A middle-group cocycle representing the given class of ``h``."""
+    c = h.group.reduce(class_coords)
+    if h.group.is_trivial():
+        return h.middle.zero()
+    sol = smith(mat_hstack(h._project, relation_matrix(h.group))).solve(c)
+    if sol is None:
+        raise ShapeMismatch(f"class {c} has no kernel representative")
+    return h.middle.reduce(mat_vec(h._basis_matrix, sol[: len(h.kernel_basis)]))
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,38 @@ def test_the_check_sees_a_bounded_draw():
         "def f(self):\n    return self.rng.randrange(5)\n"
     )
     assert bounded_draw_calls(tree) == ["randint (line 1)", "choice (line 2)", "randrange (line 6)"]
+
+
+DENSE_STACKS = ("mat_hstack", "relation_matrix")
+
+
+def dense_relation_stacks(tree: ast.Module) -> list[str]:
+    """Calls of a function or method named ``mat_hstack`` or
+    ``relation_matrix``, as ``name (line n)``. Columns are set beside a
+    group's relations in one place, ``abelian.stacked_rows``, as sparse
+    rows; the dense stack and its dense relation block live in the tests'
+    oracles only."""
+    return [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in DENSE_STACKS
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_relations_are_stacked_as_sparse_rows(path):
+    assert dense_relation_stacks(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_dense_relation_stack():
+    tree = ast.parse(
+        "A = mat_hstack(d2.matrix, C.relation_matrix())\n"
+        "B = abelian.mat_hstack(rel, M)\n"
+        "rows, n = stacked_rows(M, G.relations(), False)\n"
+    )
+    assert dense_relation_stacks(tree) == [
+        "mat_hstack (line 1)",
+        "mat_hstack (line 2)",
+        "relation_matrix (line 1)",
+    ]
