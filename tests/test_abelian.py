@@ -594,8 +594,6 @@ def beside_a_group(draw):
     R = zeros(G.ngens, len(rels))
     for j, (i, d) in enumerate(rels):
         R[i][j] = d
-    if list(rels) == G.relations():
-        assert R == relation_matrix(G)
     return M, rels, R
 
 
