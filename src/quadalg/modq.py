@@ -27,7 +27,9 @@ from .bwcoh import MAX_COMPOSABLE_TRIPLES, FinCat, bimodule_system
 from .crossed import CrossedExtension
 from .errors import (
     BoundaryMismatch,
+    NotExact,
     NotFinite,
+    NotInKernel,
     SectionInvalid,
     ShapeMismatch,
     TooLarge,
@@ -174,6 +176,8 @@ class ModQMor:
             raise ShapeMismatch(
                 f"entry matrix is not {self.nrows} by {self.ncols}"
             )
+        if not self.fij:
+            return
         ee = self.ring.ee
         zero_col = tuple(ee.zero() for _ in range(self.ncols))
         clean = {}
@@ -426,6 +430,10 @@ class Track:
     track re-certifies its own correction terms, also a whisker whose
     target composite was read from a lifting problem's products. Tracks
     are hashable on their source and entries, which equal tracks share.
+
+    One composite is read without being built: the loop ``invert(a)``
+    then ``b`` of two parallel certified tracks, whose boundary condition
+    follows from theirs (see :meth:`ModQTrackExtension.loop_value`).
     """
 
     ext: CrossedExtension
@@ -563,6 +571,11 @@ class ModQTrackExtension:
     the extension's degree one. The whiskers take their targets'
     composites from ``compose_lifts``, which keeps every lift product,
     and still build certified tracks.
+
+    The constructor checks once that ``include`` is injective on the
+    kernel module and lands in the kernel of the boundary (else
+    ``NotExact`` or ``NotInKernel``), so a track entry found in its
+    image has boundary zero and reads back to one module element.
     """
 
     def __init__(self, ext: CrossedExtension, max_rank: int = 1):
@@ -578,6 +591,24 @@ class ModQTrackExtension:
             f"matrices over the quotient of {ext.name}",
         )
 
+        mg = ext.module
+        if not mg.is_finite():
+            raise NotFinite("the kernel module must be finite for track values")
+        self._mg = mg
+        self._inc: dict = {}
+        zero = ext.c0.zero()
+        for m in mg.elements():
+            c = ext.include(m)
+            if c in self._inc:
+                raise NotExact(
+                    f"include is not injective: {m!r} and {self._inc[c]!r} both map to {c!r}"
+                )
+            if ext.boundary(c) != zero:
+                raise NotInKernel(
+                    f"include sends {m!r} to {c!r}, whose boundary {ext.boundary(c)!r} is not zero"
+                )
+            self._inc[c] = m
+
         self._pre: dict = {}
         for v in ext.c0.elements():
             self._pre.setdefault(ext.quot.q(v), []).append(v)
@@ -589,11 +620,6 @@ class ModQTrackExtension:
             self._bnd.setdefault(ext.boundary(c), c)
         self._products: dict = {}
 
-        mg = ext.module
-        if not mg.is_finite():
-            raise NotFinite("the kernel module must be finite for track values")
-        self._mg = mg
-        self._inc = {ext.include(m): m for m in ext.module.elements()}
         left = {rv: self._module_action(rv, left=True) for rv in relems}
         right = {rv: self._module_action(rv, left=False) for rv in relems}
         self.system = bimodule_system(
@@ -663,12 +689,38 @@ class ModQTrackExtension:
         :func:`~quadalg.bwcoh.bimodule_system`."""
         if t.f0 != t.f1:
             raise ValueError("only automorphism tracks carry module values")
-        cells = [v for row in t.h for v in row]
+        return self._module_value(t.shape, [v for row in t.h for v in row])
+
+    def loop_value(self, a: Track, b: Track) -> tuple:
+        """``value(vcomp(invert(a), b))`` for parallel tracks ``a`` and
+        ``b``, with the same exceptions, but building no track.
+
+        The entries are ``-a + b``. The paste's certificate would check
+        that their boundary is ``a.f1 - b.f1``, which is zero here. Since
+        the boundary is a homomorphism and ``a`` and ``b`` are certified
+        with ``a.f0 = b.f0``, it is ``-(a.f0 - a.f1) + (b.f0 - b.f1) =
+        a.f1 - b.f1`` already. Each entry is then looked up in the image
+        of ``include``, which the constructor showed to be injective and
+        to lie in the kernel of the boundary, as :meth:`value` does.
+        """
+        if a.f0 != b.f0:
+            raise ShapeMismatch("vertical composition needs matching middle morphisms")
+        if a.f1 != b.f1:
+            raise ValueError("only automorphism tracks carry module values")
+        c1 = self.ext.c1
+        cells = [
+            c1.add(c1.neg(u), v) for ra, rb in zip(a.h, b.h) for u, v in zip(ra, rb)
+        ]
+        return self._module_value(a.shape, cells)
+
+    def _module_value(self, shape: tuple, cells: list) -> tuple:
+        inc = self._inc
         for v in cells:
-            if v not in self._inc:
+            if v not in inc:
                 raise ValueError(f"track entry {v!r} is not in the kernel module image")
-        coords = [self._inc[v][j] for j in range(self._mg.ngens) for v in cells]
-        return self.system.group_at((t.f0.nrows, t.f0.ncols, None)).reduce(coords)
+        # module elements are listed reduced, and the group at a y -> x
+        # morphism is M^(x*y) with generator j of cell c at j*x*y + c
+        return tuple([inc[v][j] for j in range(self._mg.ngens) for v in cells])
 
 
 def obstruction_cocycle(te, section: Callable | None = None) -> dict:
@@ -680,18 +732,20 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     two ways of rebracketing a triple then differ by an automorphism
     track whose value is the cochain. Missing keys are zero.
 
-    Each distinct pair track gets an integer id, so ``te``'s tracks must
-    be hashable. The route ``(phi psi) chi`` is built once per key
-    ``(id of mu[phi, psi], phi psi, chi)`` and the inverse of the route
-    ``phi (psi chi)`` once per ``(phi, id of mu[psi, chi], psi chi)``;
-    each key holds the composites because the route reads the pair
-    tracks there, so it is right for any section. Only pasting the two
-    routes and reading the value are left per triple, and every track
-    that is built is still certified. The whiskers' targets
-    ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]`` are lift products of
-    the pair loop, which ``te`` may reuse. A base with more than
-    ``MAX_COMPOSABLE_TRIPLES`` composable triples raises ``TooLarge``
-    before any lift is chosen.
+    Each distinct pair track gets an integer id, kept with the pair's
+    composite, so ``te``'s tracks must be hashable. The route
+    ``(phi psi) chi`` is built once per key ``(id of mu[phi, psi], phi psi,
+    chi)`` and the route ``phi (psi chi)`` once per ``(phi, id of
+    mu[psi, chi], psi chi)``; each key holds the composites because the
+    route reads the pair tracks there, so it is right for any section. The
+    pair tracks, whiskers and routes are certified tracks. Per triple
+    only the two key lookups and ``te.loop_value(route2, route1)`` are
+    left, which reads ``value(vcomp(invert(route2), route1))`` from the
+    two routes without building the paste, whose certificate theirs
+    imply. The whiskers' targets ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]`` are
+    lift products of the pair loop, which ``te`` may reuse. A base with
+    more than ``MAX_COMPOSABLE_TRIPLES`` composable triples raises
+    ``TooLarge`` before any lift is chosen.
 
     >>> from quadalg.crossed import cyclic_ring_extension
     >>> te = ModQTrackExtension(cyclic_ring_extension(4, 2), max_rank=1)
@@ -705,29 +759,34 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     if triples > MAX_COMPOSABLE_TRIPLES:
         raise TooLarge(f"{triples} composable triples exceed the cap {MAX_COMPOSABLE_TRIPLES}")
     s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}
-    mu, tid, ids = {}, {}, {}
-    for phi, psi in C.composable_tuples(2):
-        prod = te.compose_lifts(s[phi], s[psi])
-        t = mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
-        tid[(phi, psi)] = ids.setdefault(t, len(ids))
-    routes1, inverses2, out = {}, {}, {}
-    for T in C.composable_tuples(3):
-        phi, psi, chi = T
+    pairs = C.composable_tuples(2)
+    mu, pair_ids, ids = {}, {}, {}
+    for phi, psi in pairs:
         phipsi = C.compose(phi, psi)
-        psichi = C.compose(psi, chi)
-        key = (tid[(phi, psi)], phipsi, chi)
-        route1 = routes1.get(key)
-        if route1 is None:
-            route1 = routes1[key] = te.vcomp(
-                te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)]
-            )
-        key = (phi, tid[(psi, chi)], psichi)
-        inverse2 = inverses2.get(key)
-        if inverse2 is None:
-            inverse2 = inverses2[key] = te.invert(
-                te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
-            )
-        coords = te.value(te.vcomp(inverse2, route1))
-        if any(coords):
-            out[T] = coords
+        prod = te.compose_lifts(s[phi], s[psi])
+        t = mu[(phi, psi)] = te.first_track(prod, s[phipsi])
+        pair_ids[(phi, psi)] = (phipsi, ids.setdefault(t, len(ids)))
+    # chi runs over the morphisms into dom psi, so the triples come in the
+    # order of C.composable_tuples(3)
+    into = {o: [chi for chi in C.morphisms if C.cod[chi] == o] for o in C.objects}
+    routes1, routes2, out = {}, {}, {}
+    for phi, psi in pairs:
+        phipsi, id12 = pair_ids[(phi, psi)]
+        for chi in into[C.dom[psi]]:
+            psichi, id23 = pair_ids[(psi, chi)]
+            key = (id12, phipsi, chi)
+            route1 = routes1.get(key)
+            if route1 is None:
+                route1 = routes1[key] = te.vcomp(
+                    te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)]
+                )
+            key = (phi, id23, psichi)
+            route2 = routes2.get(key)
+            if route2 is None:
+                route2 = routes2[key] = te.vcomp(
+                    te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)]
+                )
+            coords = te.loop_value(route2, route1)
+            if any(coords):
+                out[(phi, psi, chi)] = coords
     return out

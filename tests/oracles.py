@@ -753,9 +753,20 @@ class CyclicTrackExtension:
     def value(self, t: "CycTrack") -> tuple:
         if t.f0 != t.f1:
             raise ValueError("only automorphism tracks carry module values")
-        if t.r % self.stride:
-            raise ValueError(f"track value {t.r} is not in the kernel module image")
-        return ((t.r // self.stride) % self.g,) if self.g > 1 else ()
+        return self._module_value(t.r)
+
+    def loop_value(self, a: "CycTrack", b: "CycTrack") -> tuple:
+        """``value(vcomp(invert(a), b))``, building no track."""
+        if a.f0 != b.f0:
+            raise ShapeMismatch("vertical composition needs matching middles")
+        if a.f1 != b.f1:
+            raise ValueError("only automorphism tracks carry module values")
+        return self._module_value((b.r - a.r) % self.m)
+
+    def _module_value(self, r: int) -> tuple:
+        if r % self.stride:
+            raise ValueError(f"track value {r} is not in the kernel module image")
+        return ((r // self.stride) % self.g,) if self.g > 1 else ()
 
 
 @dataclass(frozen=True)
@@ -776,24 +787,42 @@ class CycTrack:
 def reference_obstruction_cocycle(te, section=None) -> dict:
     """The obstruction cocycle with both routes rebuilt for every triple,
     frozen from before :func:`~quadalg.modq.obstruction_cocycle` built each
-    route once per distinct pair track; the size guard is left out."""
+    route once per distinct pair track, and with each value read from the
+    pasted track ``vcomp(invert(route2), route1)`` rather than from
+    ``loop_value``; the size guard is left out."""
+    C = te.base
+    s, mu = reference_pair_tracks(te, section)
+    out = {}
+    for T in C.composable_tuples(3):
+        route1, route2 = reference_routes(te, s, mu, T)
+        coords = te.value(te.vcomp(te.invert(route2), route1))
+        if any(coords):
+            out[T] = coords
+    return out
+
+
+def reference_pair_tracks(te, section=None) -> tuple:
+    """The lifts ``s`` of a section and the first tracks ``mu[phi, psi]``
+    from each composed pair of lifts to the lifted composite."""
     C = te.base
     s = {phi: (section(phi) if section else te.section(phi)) for phi in C.morphisms}
     mu = {}
     for phi, psi in C.composable_tuples(2):
         prod = te.compose_lifts(s[phi], s[psi])
         mu[(phi, psi)] = te.first_track(prod, s[C.compose(phi, psi)])
-    out = {}
-    for T in C.composable_tuples(3):
-        phi, psi, chi = T
-        phipsi = C.compose(phi, psi)
-        psichi = C.compose(psi, chi)
-        route1 = te.vcomp(te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)])
-        route2 = te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
-        coords = te.value(te.vcomp(te.invert(route2), route1))
-        if any(coords):
-            out[T] = coords
-    return out
+    return s, mu
+
+
+def reference_routes(te, s, mu, T) -> tuple:
+    """The routes ``(phi psi) chi`` and ``phi (psi chi)`` of a triple, both
+    from the lifted triple product to the lifted composite."""
+    C = te.base
+    phi, psi, chi = T
+    phipsi = C.compose(phi, psi)
+    psichi = C.compose(psi, chi)
+    route1 = te.vcomp(te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)])
+    route2 = te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
+    return route1, route2
 
 
 def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:

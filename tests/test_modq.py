@@ -7,6 +7,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg import modq
 from quadalg.abelian import FgAbGroup
@@ -14,7 +15,10 @@ from quadalg.bwcoh import coboundary, cohomology, natsystem_verify
 from quadalg.crossed import cyclic_ring_extension, ztilde_construction
 from quadalg.errors import (
     BoundaryMismatch,
+    NotExact,
     NotFinite,
+    NotInKernel,
+    QuadAlgError,
     SectionInvalid,
     ShapeMismatch,
     TooLarge,
@@ -40,6 +44,8 @@ from .oracles import (
     CyclicTrackExtension,
     quotient_matrix,
     reference_obstruction_cocycle,
+    reference_pair_tracks,
+    reference_routes,
     track_tau,
 )
 
@@ -340,7 +346,10 @@ class TestTauAndFirstTrack:
     def test_tau_inv_rejects_values_outside_the_module_image(self, cyclic4):
         f = ModQMor.identity(cyclic4.ring, 1)
         t = track_tau(cyclic4, f, (((1,),),))
-        crushed = dataclasses.replace(cyclic4, include=lambda mm: cyclic4.c1.zero())
+        # an injective include of the trivial module: its image misses 2
+        crushed = dataclasses.replace(
+            cyclic4, module=FgAbGroup.trivial(), include=lambda mm: cyclic4.c1.zero()
+        )
         te = ModQTrackExtension(crushed, max_rank=1)
         with pytest.raises(ValueError, match="not in the kernel module image"):
             te.value(Track(crushed, f, f, t.h))
@@ -406,6 +415,17 @@ class TestCyclicTrackExtension:
             te.value(te.first_track(3, 1))
         with pytest.raises(ValueError, match="not in the kernel module image"):
             CyclicTrackExtension(8, 2).value(CycTrack(4, 2, 1, 1, 2))
+
+    def test_loop_value_guards(self):
+        te = CyclicTrackExtension(4, 2)
+        t = te.first_track(3, 1)
+        assert te.loop_value(t, CycTrack(4, 2, 3, 1, 3)) == (1,)
+        with pytest.raises(ShapeMismatch, match="matching middles"):
+            te.loop_value(t, te.first_track(1, 3))
+        with pytest.raises(ValueError, match="only automorphism tracks"):
+            te.loop_value(t, CycTrack(4, 2, 3, 3, 0))
+        with pytest.raises(ValueError, match="track value 2 is not in the kernel module image"):
+            CyclicTrackExtension(8, 2).loop_value(CycTrack(4, 2, 1, 1, 0), CycTrack(4, 2, 1, 1, 2))
 
     def test_track_certificates_are_enforced(self):
         te = CyclicTrackExtension(4, 2)
@@ -585,6 +605,40 @@ class TestMatrixTrackExtension:
         assert len(shifted) == 3176
         assert digest == "33015ccaaaeb03470e785e36aa4a8d42e204d26cf3ce6b73b080cdc996e6dd0e"
 
+    def test_track_count_per_cocycle(self, monkeypatch):
+        # pair tracks, whiskers and route sums only: pasting the two routes
+        # of every triple as a track gave 12,744 and 13,339
+        te = ModQTrackExtension(cyclic_ring_extension(256, 16), max_rank=1)
+        built = [0]
+        post_init = Track.__post_init__
+
+        def counted(track):
+            built[0] += 1
+            post_init(track)
+
+        monkeypatch.setattr(Track, "__post_init__", counted)
+        for section, tracks, nonzero in [(None, 6497, 0), (te.second_section, 6973, 202)]:
+            built[0] = 0
+            assert len(obstruction_cocycle(te, section)) == nonzero
+            assert built[0] == tracks
+
+    def test_refuses_an_include_that_is_not_injective(self):
+        base = cyclic_ring_extension(4, 2)
+        collapsed = dataclasses.replace(base, include=lambda m: base.c1.zero())
+        with pytest.raises(
+            NotExact, match=r"^include is not injective: \(1,\) and \(0,\) both map to \(0,\)$"
+        ):
+            ModQTrackExtension(collapsed)
+
+    def test_refuses_an_include_outside_the_boundary_kernel(self):
+        base = cyclic_ring_extension(4, 2)
+        # 1 -> 1 in Z/4, whose boundary under multiplication by 2 is 2
+        stray = dataclasses.replace(base, include=lambda m: base.c1.reduce(m))
+        with pytest.raises(
+            NotInKernel, match=r"^include sends \(1,\) to \(1,\), whose boundary \(2,\) is not zero$"
+        ):
+            ModQTrackExtension(stray)
+
     def test_rejects_a_negative_rank(self):
         # an empty base would give a vacuous zero obstruction
         with pytest.raises(ValueError, match="max_rank must be at least 0, got -1"):
@@ -628,3 +682,107 @@ class TestMatrixTrackExtension:
         monkeypatch.setattr(rank2_extension, "compose_lifts", compose_lifts)
         with pytest.raises(Admitted):
             obstruction_cocycle(rank2_extension)
+
+
+def narrowed_extension():
+    """``Z/8`` over boundary 4 with the kernel module cut to ``Z/2``: the
+    kernel of the boundary is {0, 2, 4, 6}, only 0 and 4 are included, so
+    an automorphism track with an entry 2 or 6 has no module value."""
+    base = cyclic_ring_extension(8, 4)
+    return dataclasses.replace(
+        base, module=FgAbGroup((2,)), include=lambda m: base.c1.reduce((4 * m[0],))
+    )
+
+
+LIFTING_MODELS = [
+    ("matrix", 4, 2), ("matrix", 8, 4), ("matrix", 9, 3), ("matrix", 12, 6),
+    ("narrowed", 8, 4), ("integer", 4, 2), ("integer", 12, 6), ("integer", 16, 8),
+]
+
+
+@pytest.fixture(scope="module")
+def liftings():
+    """``(te, lifts, pair tracks, triples)`` per model and section, built once."""
+    built = {}
+
+    def get(model, second):
+        if (model, second) not in built:
+            kind, m, d = model
+            if kind == "integer":
+                te = CyclicTrackExtension(m, d)
+            else:
+                ext = narrowed_extension() if kind == "narrowed" else cyclic_ring_extension(m, d)
+                te = ModQTrackExtension(ext, max_rank=1)
+            s, mu = reference_pair_tracks(te, te.second_section if second else None)
+            built[model, second] = (te, s, mu, te.base.composable_tuples(3))
+        return built[model, second]
+    return get
+
+
+def read_or_raise(read, a, b) -> tuple:
+    try:
+        return "value", read(a, b)
+    except (QuadAlgError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def pasted_value(te):
+    return lambda a, b: te.value(te.vcomp(te.invert(a), b))
+
+
+def track_from(te, f0, pick):
+    """A track out of ``f0`` with entries ``pick(choices)`` and the target
+    they force."""
+    if isinstance(te, CyclicTrackExtension):
+        r = pick(range(te.m))
+        return CycTrack(te.m, te.d, f0, (f0 - te.d * r) % te.m, r)
+    ext, elems = te.ext, te.ext.c1.elements()
+    h = tuple(tuple(pick(elems) for _ in range(f0.ncols)) for _ in range(f0.nrows))
+    fi = tuple(
+        tuple(ext.c0.sub(a, ext.boundary(c)) for a, c in zip(row, hrow))
+        for row, hrow in zip(f0.fi, h)
+    )
+    return Track(ext, f0, ModQMor(ext.ring, f0.nrows, f0.ncols, fi, {}), h)
+
+
+class TestLoopValue:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(LIFTING_MODELS),
+        second=st.booleans(),
+        partner=st.sampled_from(["own route", "another triple's route", "a drawn track"]),
+        data=st.data(),
+    )
+    def test_reads_the_pasted_track(self, liftings, model, second, partner, data):
+        # route 2 of a triple against its own route 1 (parallel), the route
+        # 1 of another triple (often from another source), or a drawn track
+        # from the same source (often to another target)
+        te, s, mu, triples = liftings(model, second)
+        route1, route2 = reference_routes(te, s, mu, data.draw(st.sampled_from(triples)))
+        if partner == "another triple's route":
+            route1 = reference_routes(te, s, mu, data.draw(st.sampled_from(triples)))[0]
+        elif partner == "a drawn track":
+            route1 = track_from(te, route2.f0, lambda seq: data.draw(st.sampled_from(seq)))
+        got = read_or_raise(te.loop_value, route2, route1)
+        assert got == read_or_raise(pasted_value(te), route2, route1)
+
+    def test_each_outcome_matches_the_paste(self, liftings):
+        # every outcome the differential test above compares, reached on
+        # purpose: a value, another source, another target, and a loop
+        # outside the narrowed module's image
+        te, s, mu, triples = liftings(("narrowed", 8, 4), True)
+        routes = [reference_routes(te, s, mu, T) for T in triples]
+        seen = []
+        for route1, route2 in routes:
+            drawn = track_from(te, route2.f0, lambda seq: seq[1])
+            for partner in (route1, routes[0][0], drawn):
+                got = read_or_raise(te.loop_value, route2, partner)
+                assert got == read_or_raise(pasted_value(te), route2, partner)
+                seen.append(got)
+        assert any(kind == "value" and any(res) for kind, res in seen)
+        assert ("ShapeMismatch", "vertical composition needs matching middle morphisms") in seen
+        assert ("ValueError", "only automorphism tracks carry module values") in seen
+        assert any(
+            kind == "ValueError" and res.endswith("is not in the kernel module image")
+            for kind, res in seen
+        )
