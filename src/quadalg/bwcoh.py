@@ -23,9 +23,11 @@ projection) and the long exact sequence all read theirs from one.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from . import abelian
@@ -73,7 +75,10 @@ class FinCat:
     """A finite category as explicit tables.
 
     ``table[(f, g)]`` is the composite ``f . g`` (``g`` applied first),
-    defined exactly when ``dom[f] == cod[g]``.
+    defined exactly when ``dom[f] == cod[g]``. :attr:`into` lists the
+    morphisms into each object in ``morphisms`` order, and every chain walk
+    reads it: a chain ``(a_1, ..., a_n)`` extends through ``into[dom(a_n)]``,
+    so chains come in the lexicographic order of ``morphisms``.
     """
 
     objects: tuple
@@ -83,6 +88,14 @@ class FinCat:
     table: dict
     ids: dict
     name: str = "category"
+
+    @cached_property
+    def into(self) -> dict:
+        """The morphisms into each object, in ``morphisms`` order."""
+        into: dict = {o: [] for o in self.objects}
+        for f in self.morphisms:
+            into[self.cod[f]].append(f)
+        return into
 
     def identity(self, obj: Hashable):
         return self.ids[obj]
@@ -105,15 +118,13 @@ class FinCat:
     def composable_tuples(self, n: int, normalized: bool = False) -> list[tuple]:
         """All chains ``(a_1, ..., a_n)`` with ``dom(a_i) = cod(a_(i+1))``."""
         if n == 0:
-            return [() for _ in range(1)]
-        pool = [
-            f for f in self.morphisms if not (normalized and self.is_identity(f))
-        ]
-        chains = [(f,) for f in pool]
+            return [()]
+        into = self.into
+        if normalized:
+            into = {o: [g for g in fs if not self.is_identity(g)] for o, fs in into.items()}
+        chains = [(f,) for f in self.morphisms if not (normalized and self.is_identity(f))]
         for _ in range(n - 1):
-            chains = [
-                t + (g,) for t in chains for g in pool if self.dom[t[-1]] == self.cod[g]
-            ]
+            chains = [t + (g,) for t in chains for g in into[self.dom[t[-1]]]]
         return chains
 
     def count_chains(self, n: int) -> int:
@@ -126,12 +137,12 @@ class FinCat:
         """
         if n == 0:
             return 1
-        hom = Counter((self.cod[f], self.dom[f]) for f in self.morphisms)
         ends = Counter(self.dom[f] for f in self.morphisms)
         for _ in range(n - 1):
             longer: Counter = Counter()
-            for (c, d), k in hom.items():
-                longer[d] += ends[c] * k
+            for c, k in ends.items():
+                for g in self.into[c]:
+                    longer[self.dom[g]] += k
             ends = longer
         return sum(ends.values())
 
@@ -168,12 +179,8 @@ class FinCat:
         if not closed:
             r.note("associativity not checked because the table is not closed")
             return r
-        # the triples of composable_tuples(3), in its order, joined from the pairs
-        after: dict = {}
-        for g, h in pairs:
-            after.setdefault(g, []).append(h)
         ok, witness = True, None
-        for f, g, h in ((f, g, h) for f, g in pairs for h in after.get(g, ())):
+        for f, g, h in ((f, g, h) for f, g in pairs for h in self.into[self.dom[g]]):
             if self.compose(self.compose(f, g), h) != self.compose(f, self.compose(g, h)):
                 ok, witness = False, f"triple ({f!r}, {g!r}, {h!r})"
                 break
@@ -186,7 +193,7 @@ class FinCat:
         ``mul``. More than ``MAX_COMPOSABLE_PAIRS`` composable pairs raise
         ``TooLarge`` before any product is taken."""
         obj = "*"
-        elems = tuple(elements)
+        elems = tuple(itertools.islice(elements, math.isqrt(MAX_COMPOSABLE_PAIRS) + 1))
         if len(elems) ** 2 > MAX_COMPOSABLE_PAIRS:
             raise TooLarge(f"{name}: more than {MAX_COMPOSABLE_PAIRS} composable pairs")
         table = {(f, g): mul(f, g) for f in elems for g in elems}
@@ -209,9 +216,11 @@ class FinCat:
         ``(x, y, rows)``. Composition is the matrix product whose entries
         are ``dot(row, column)``; identities have ``one`` on the diagonal
         and ``zero`` elsewhere. More than ``MAX_COMPOSABLE_PAIRS`` composable
-        pairs raise ``TooLarge`` before any matrix is built."""
+        pairs raise ``TooLarge`` before any matrix is built, and before more
+        entries are read than the bound admits at rank 1."""
         if max_rank < 0:
             raise ValueError(f"max_rank must be at least 0, got {max_rank}")
+        entries = tuple(itertools.islice(entries, math.isqrt(MAX_COMPOSABLE_PAIRS) + 1))
         # pairs through y: (matrices with y columns) * (matrices with y rows)
         pairs = 0
         for y in range(max_rank + 1):
@@ -230,30 +239,28 @@ class FinCat:
                 for flat in itertools.product(entries, repeat=x * y):
                     rows = tuple(tuple(flat[i * y + k] for k in range(y)) for i in range(x))
                     morphisms.append((x, y, rows))
-        cols = {
-            m: tuple(tuple(m[2][k][j] for k in range(m[0])) for j in range(m[1]))
-            for m in morphisms
-        }
-        table = {}
-        for x, y, a in morphisms:
-            for b in morphisms:
-                if b[0] != y:
-                    continue
-                rows = tuple(tuple(dot(row, col) for col in cols[b]) for row in a)
-                table[((x, y, a), b)] = (x, b[1], rows)
         ids = {
             x: (x, x, tuple(tuple(one if i == j else zero for j in range(x)) for i in range(x)))
             for x in objects
         }
-        return cls(
+        cat = cls(
             objects=objects,
             morphisms=tuple(morphisms),
             dom={m: m[1] for m in morphisms},
             cod={m: m[0] for m in morphisms},
-            table=table,
+            table={},
             ids=ids,
             name=name,
         )
+        cols = {
+            m: tuple(tuple(m[2][k][j] for k in range(m[0])) for j in range(m[1]))
+            for m in morphisms
+        }
+        for x, y, a in morphisms:
+            for b in cat.into[y]:
+                rows = tuple(tuple(dot(row, col) for col in cols[b]) for row in a)
+                cat.table[((x, y, a), b)] = (x, b[1], rows)
+        return cat
 
     @classmethod
     def mod_r(cls, modulus: int, max_rank: int) -> "FinCat":
@@ -363,9 +370,11 @@ def dm_natural_system(
     :func:`bimodule_system` of ``Z/coeff`` on :meth:`FinCat.mod_r`, with
     cell ``(i, k)`` of ``alpha: y -> x`` at coordinate ``i*y + k``.
 
-    The coefficient modulus must be at least 2, and must divide the matrix
-    modulus so the action is independent of entry representatives.
+    Both moduli must be at least 2, and the coefficient modulus must divide
+    the matrix modulus so the action is independent of entry representatives.
     """
+    if modulus < 2:
+        raise ValueError(f"the matrix modulus must be at least 2, got {modulus}")
     coeff = modulus if coeff_modulus is None else coeff_modulus
     if coeff_modulus is not None and coeff_modulus < 2:
         raise ValueError(f"the coefficient modulus must be at least 2, got {coeff_modulus}")
@@ -410,7 +419,7 @@ def natsystem_verify(D: NatSystem) -> Report:
     r.add("identity extension acts as the identity", ok, witness)
 
     def around(f):
-        return [(nu, psi) for nu in C.morphisms if C.cod[nu] == C.dom[f]
+        return [(nu, psi) for nu in C.into[C.dom[f]]
                 for psi in C.morphisms if C.dom[psi] == C.cod[f]]
 
     triples = [(nu, alpha, psi) for alpha in C.morphisms for nu, psi in around(alpha)]
@@ -495,14 +504,12 @@ def _level_size(C: FinCat, D: NatSystem, n: int, normalized: bool) -> int:
     """
     if n == 0:
         return sum(D.group_at(C.identity(o)).ngens for o in C.objects)
-    pool = [f for f in C.morphisms if not (normalized and C.is_identity(f))]
-    counts = Counter(pool)
+    counts = Counter(f for f in C.morphisms if not (normalized and C.is_identity(f)))
     for _ in range(n - 1):
         longer: Counter = Counter()
         for h, k in counts.items():
-            d = C.dom[h]
-            for g in pool:
-                if d == C.cod[g]:
+            for g in C.into[C.dom[h]]:
+                if not (normalized and C.is_identity(g)):
                     longer[C.compose(h, g)] += k
         counts = longer
     return sum(k * D.group_at(h).ngens for h, k in counts.items())
@@ -966,7 +973,7 @@ def one_object_cyclic(m: int) -> FinCat:
     (0, 1, 2)
     """
     if m < 1:
-        raise ValueError("the cyclic order must be positive")
+        raise ValueError("modulus must be positive")
     return FinCat.from_monoid(
-        tuple(range(m)), lambda a, b: (a + b) % m, 0, name=f"Z/{m} (one object)"
+        range(m), lambda a, b: (a + b) % m, 0, name=f"Z/{m} (one object)"
     )

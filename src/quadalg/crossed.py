@@ -543,14 +543,15 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
     'Z/2'
     """
     ring = cyclic_ring(m)
-    g = math.gcd(d, m) if d else m
-    c1 = FgAbGroup((m,)) if m > 1 else FgAbGroup.trivial()
-    mgrp = FgAbGroup((g,)) if g > 1 else FgAbGroup.trivial()
-    rgrp = FgAbGroup((g,)) if g > 1 else FgAbGroup.trivial()
+    if m < 2:
+        raise ValueError(f"the extension needs a modulus of at least 2, got {m}")
+    g = math.gcd(d, m)
+    c1 = FgAbGroup((m,))
+    zg = FgAbGroup.cyclic(g)
     stride = m // g
 
     def q(x):
-        return rgrp.reduce((x[0],)) if g > 1 else ()
+        return zg.reduce((x[0],)) if g > 1 else ()
 
     return CrossedExtension(
         kind="ring",
@@ -560,11 +561,11 @@ def cyclic_ring_extension(m: int, d: int) -> CrossedExtension:
         boundary=lambda r7: ring.e.reduce((d * r7[0],)),
         act_left=lambda x, r7: c1.reduce((x[0] * r7[0],)),
         act_right=lambda r7, y: c1.reduce((r7[0] * y[0],)),
-        module=mgrp,
+        module=zg,
         include=lambda mm: c1.reduce((stride * mm[0],)) if g > 1 else c1.zero(),
         quot=QuotientRing(
-            carrier=rgrp,
-            mul=lambda u, v: rgrp.reduce((u[0] * v[0],)) if g > 1 else (),
+            carrier=zg,
+            mul=lambda u, v: zg.reduce((u[0] * v[0],)) if g > 1 else (),
             one=q(ring.one),
             q=q,
         ),

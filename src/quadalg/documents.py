@@ -101,6 +101,11 @@ def _field(doc: dict, key: str, types, where: str):
     return value
 
 
+def _optional_list(doc: dict, key: str, where: str) -> list:
+    """The list at ``key``, or an empty one when ``doc`` has no ``key``."""
+    return _field(doc, key, list, where) if key in doc else []
+
+
 def _factors(raw, where: str) -> FgAbGroup:
     if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise DocumentError(f"{where}: invariant factors must be a list of integers")
@@ -295,9 +300,7 @@ def _build_extension(doc: dict) -> CrossedExtension:
 def _build_qpm(doc: dict) -> Qpm:
     construction = _field(doc, "construction", str, "qpm")
     if construction in ("cyclic_ring", "ztilde"):
-        inner = dict(doc)
-        inner["kind"] = "extension"
-        return _build_extension(inner).qpm()
+        return _build_extension(doc).qpm()
     if construction != "explicit":
         raise DocumentError(f"unknown qpm construction: {construction!r}")
     g0 = _factors(_field(doc, "c0", list, "qpm"), "qpm c0")
@@ -326,16 +329,12 @@ def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
     is checked here, once, and refused if it fails; a construction's report
     is ``None``, as nothing was checked."""
     construction = _field(doc, "construction", str, "category")
-    if construction == "one_object_cyclic":
+    if construction in ("one_object_cyclic", "dm"):
         modulus = _field(doc, "modulus", int, "category")
-        if modulus < 1:
-            raise DocumentError("category: modulus must be positive")
-        return one_object_cyclic(modulus), None
-    if construction == "dm":
-        modulus = _field(doc, "modulus", int, "category")
-        max_rank = _field(doc, "max_rank", int, "category")
         try:
-            return FinCat.mod_r(modulus, max_rank), None
+            if construction == "dm":
+                return FinCat.mod_r(modulus, _field(doc, "max_rank", int, "category")), None
+            return one_object_cyclic(modulus), None
         except ValueError as exc:
             raise DocumentError(f"category: {exc}") from exc
     if construction != "explicit":
@@ -348,26 +347,21 @@ def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
         raise DocumentError("category: objects and morphisms must be strings")
     if len(set(objects)) != len(objects) or len(set(morphisms)) != len(morphisms):
         raise DocumentError("category: objects and morphisms must be distinct")
-    mor_set = set(morphisms)
-    obj_set = set(objects)
+    names = {"object": set(objects), "morphism": set(morphisms)}
 
-    def endpoint_map(key: str) -> dict:
+    def name_map(key: str, source: str, target: str) -> dict:
+        """The map at ``key`` from every ``source`` name to a ``target`` name."""
         raw = _field(doc, key, dict, "category")
-        if set(raw) != mor_set:
-            raise DocumentError(f"category: {key} must cover every morphism exactly once")
-        for f, o in raw.items():
-            if o not in obj_set:
-                raise DocumentError(f"category: {key}[{f!r}] names an unknown object")
+        if set(raw) != names[source]:
+            raise DocumentError(f"category: {key} must cover every {source} exactly once")
+        for k, v in raw.items():
+            if not isinstance(v, str) or v not in names[target]:
+                raise DocumentError(f"category: {key}[{k!r}] names an unknown {target}")
         return dict(raw)
 
-    dom = endpoint_map("dom")
-    cod = endpoint_map("cod")
-    ids_raw = _field(doc, "identities", dict, "category")
-    if set(ids_raw) != obj_set:
-        raise DocumentError("category: identities must cover every object exactly once")
-    for o, i in ids_raw.items():
-        if i not in mor_set:
-            raise DocumentError(f"category: identities[{o!r}] names an unknown morphism")
+    dom, cod = name_map("dom", "morphism", "object"), name_map("cod", "morphism", "object")
+    ids = name_map("identities", "object", "morphism")
+    mor_set = names["morphism"]
     table = {}
     for row in _field(doc, "composition", list, "category"):
         if not (isinstance(row, list) and len(row) == 3 and all(isinstance(v, str) for v in row)):
@@ -386,7 +380,7 @@ def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
         dom=dom,
         cod=cod,
         table=table,
-        ids=dict(ids_raw),
+        ids=ids,
         name=doc.get("name", "explicit category"),
     )
     tables = cat.validate()
@@ -483,12 +477,12 @@ def _element_decoders(ring_doc: dict, ring):
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object with linear and comm parts")
         linear = {}
-        for row in raw.get("linear", []):
+        for row in _optional_list(raw, "linear", where):
             if not (isinstance(row, list) and len(row) == 2 and _is_int(row[1])):
                 raise DocumentError(f"{where}: linear rows must be [word, coefficient]")
             linear[word(row[0], where)] = row[1]
         comm = {}
-        for row in raw.get("comm", []):
+        for row in _optional_list(raw, "comm", where):
             if not (isinstance(row, list) and len(row) == 3 and _is_int(row[2])):
                 raise DocumentError(f"{where}: comm rows must be [word, word, coefficient]")
             comm[(word(row[0], where), word(row[1], where))] = row[2]
@@ -539,7 +533,7 @@ def _build_modq_program(doc: dict) -> ModQProgram:
             for i, row in enumerate(entries)
         )
         fij = {}
-        for block in raw.get("pairs", []):
+        for block in _optional_list(raw, "pairs", where):
             if not isinstance(block, dict):
                 raise DocumentError(f"{where}: pairs must be objects")
             idx = _field(block, "rows", list, where)

@@ -766,13 +766,10 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
         prod = te.compose_lifts(s[phi], s[psi])
         t = mu[(phi, psi)] = te.first_track(prod, s[phipsi])
         pair_ids[(phi, psi)] = (phipsi, ids.setdefault(t, len(ids)))
-    # chi runs over the morphisms into dom psi, so the triples come in the
-    # order of C.composable_tuples(3)
-    into = {o: [chi for chi in C.morphisms if C.cod[chi] == o] for o in C.objects}
     routes1, routes2, out = {}, {}, {}
     for phi, psi in pairs:
         phipsi, id12 = pair_ids[(phi, psi)]
-        for chi in into[C.dom[psi]]:
+        for chi in C.into[C.dom[psi]]:
             psichi, id23 = pair_ids[(psi, chi)]
             key = (id12, phipsi, chi)
             route1 = routes1.get(key)

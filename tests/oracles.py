@@ -23,10 +23,13 @@ and :class:`ReferenceGroupArithmetic`, :func:`reference_tuples`,
 :func:`reference_counterexample` and :class:`ReferenceWordMake`, frozen
 copies of the group arithmetic and sampler, the law driver's sampling loop,
 the law driver that checked every drawn tuple, and the word normal forms
-that their faster rewrites must reproduce; and :func:`reference_homology_at`
+that their faster rewrites must reproduce; :func:`reference_homology_at`
 and :func:`reference_representative`, the homology on dense relation
 stacks (:func:`mat_hstack`, :func:`relation_matrix`) that the sparse
-stacks must reproduce. :func:`quotient_matrix` and
+stacks must reproduce; and :func:`reference_chains` and
+:func:`reference_matrix_table`, the endpoint scans that listed chains and
+matrix composites before ``FinCat.into``, whose order every chain walk must
+reproduce. :func:`quotient_matrix` and
 :func:`track_tau` are matrix-category helpers that only tests use.
 """
 from __future__ import annotations
@@ -823,6 +826,37 @@ def reference_routes(te, s, mu, T) -> tuple:
     route1 = te.vcomp(te.right_whisker(mu[(phi, psi)], s[chi]), mu[(phipsi, chi)])
     route2 = te.vcomp(te.left_whisker(s[phi], mu[(psi, chi)]), mu[(phi, psichi)])
     return route1, route2
+
+
+def reference_chains(C: FinCat, n: int, normalized: bool = False) -> list[tuple]:
+    """The composable ``n``-chains by the endpoint scan that
+    :meth:`~quadalg.bwcoh.FinCat.composable_tuples` used before
+    ``FinCat.into``: each chain is extended by every morphism of the pool,
+    in ``morphisms`` order, whose codomain is its last morphism's domain."""
+    if n == 0:
+        return [()]
+    pool = [f for f in C.morphisms if not (normalized and C.is_identity(f))]
+    chains = [(f,) for f in pool]
+    for _ in range(n - 1):
+        chains = [t + (g,) for t in chains for g in pool if C.dom[t[-1]] == C.cod[g]]
+    return chains
+
+
+def reference_matrix_table(C: FinCat, dot) -> dict:
+    """The composition table of a matrix category by the scan that
+    :meth:`~quadalg.bwcoh.FinCat.matrices` used before ``FinCat.into``:
+    ``a`` after every morphism, in ``morphisms`` order, with as many rows
+    as ``a`` has columns."""
+    cols = {
+        m: tuple(tuple(m[2][k][j] for k in range(m[0])) for j in range(m[1]))
+        for m in C.morphisms
+    }
+    table = {}
+    for x, y, a in C.morphisms:
+        for b in C.morphisms:
+            if b[0] == y:
+                table[((x, y, a), b)] = (x, b[1], tuple(tuple(dot(r, c) for c in cols[b]) for r in a))
+    return table
 
 
 def quotient_matrix(ext: CrossedExtension, f: ModQMor) -> tuple:

@@ -1,12 +1,15 @@
 """Cohomology of finite categories, checked against the bar resolution."""
 from __future__ import annotations
 
+import operator
 import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg import abelian, bwcoh
 from quadalg.abelian import AbMap, FgAbGroup, columns, exact_at, identity, mat_vec
@@ -44,7 +47,9 @@ from quadalg.errors import (
 )
 from quadalg.modq import ModQTrackExtension
 
-from .oracles import CyclicTrackExtension, dense_rows
+from .oracles import CyclicTrackExtension, dense_rows, reference_chains, reference_matrix_table
+
+PROPERTY = settings(max_examples=100, deadline=None)
 
 
 def cyclic_setup(m: int):
@@ -222,6 +227,7 @@ class TestFinCat:
         C = make()
         for n in range(4):
             assert C.count_chains(n) == len(C.composable_tuples(n)), n
+        assert_walks_follow_the_scan(C)
 
     def test_monoid_guard_counts_pairs_before_building(self, monkeypatch):
         def mul(a, b):
@@ -265,6 +271,92 @@ class TestFinCat:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_huge_cyclic_order_is_refused_before_listing(self):
+        # listing the elements first would ask for a tuple of 10^12 entries
+        with pytest.raises(TooLarge, match="more than 500000 composable pairs"):
+            one_object_cyclic(10**12)
+
+    def test_dm_system_checks_the_matrix_modulus_first(self):
+        with pytest.raises(ValueError, match="matrix modulus must be at least 2, got 0"):
+            dm_natural_system(0, 1)
+
+
+@st.composite
+def shuffled_categories(draw) -> FinCat:
+    """A preorder on up to three objects times the monoid ``Z/m``, with its
+    morphisms ``(i, j, a): i -> j`` listed in a drawn order, so that the
+    morphisms into one object are interleaved with the others."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    arrows = {(i, i) for i in range(k)}
+    arrows |= {(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())}
+    arrows |= {(i, l) for i, j in arrows for j2, l in arrows if j == j2}  # transitive for k <= 3
+    order = draw(st.permutations([(i, j, a) for i, j in sorted(arrows) for a in range(m)]))
+    return FinCat(
+        objects=tuple(range(k)),
+        morphisms=tuple(order),
+        dom={f: f[0] for f in order},
+        cod={f: f[1] for f in order},
+        table={(f, g): (g[0], f[1], (f[2] + g[2]) % m) for f in order for g in order if f[0] == g[1]},
+        ids={o: (o, o, 0) for o in range(k)},
+        name=f"shuffled preorder on {k} objects times Z/{m}",
+    )
+
+
+def assert_walks_follow_the_scan(C: FinCat) -> None:
+    """Chains, counts and level sizes in the order and number of the
+    endpoint scan, on a system whose group varies with the morphism."""
+    D = NatSystem(C, lambda a: FgAbGroup((2,) * (C.morphisms.index(a) % 3)), None)
+    for n in range(4):
+        assert C.count_chains(n) == len(reference_chains(C, n)), n
+        for normalized in (False, True):
+            chains = reference_chains(C, n, normalized)
+            assert C.composable_tuples(n, normalized) == chains, (n, normalized)
+            assert _level_size(C, D, n, normalized) == (
+                sum(D.group_at(C.product(t)).ngens for t in chains) if n
+                else sum(D.group_at(C.identity(o)).ngens for o in C.objects)
+            ), (n, normalized)
+
+
+def assert_validate_follows_the_scan(C: FinCat, f, g, h) -> None:
+    """With ``f . g`` set to ``h``, the associativity witness is the first
+    failing triple in the order of the endpoint scan."""
+    C = replace(C, table={**C.table, (f, g): h})
+    failing = (T for T in reference_chains(C, 3)
+               if C.compose(C.compose(*T[:2]), T[2]) != C.compose(T[0], C.compose(*T[1:])))
+    first = next(failing, None)
+    failed = {c.name: c.witness for c in C.validate().failures}
+    assert failed.get("composition associative") == (None if first is None else f"triple {first!r}")
+
+
+class TestChainOrder:
+    """Every chain walk reads ``FinCat.into`` and must list, count and
+    order what the endpoint scan of ``tests/oracles.py`` does; the fixtures
+    are checked in ``TestFinCat::test_count_chains_counts_the_listed_chains``."""
+
+    @PROPERTY
+    @given(shuffled_categories())
+    def test_walks_on_shuffled_categories(self, C):
+        assert C.validate().passed
+        assert_walks_follow_the_scan(C)
+
+    @PROPERTY
+    @given(st.one_of(shuffled_categories(), st.sampled_from(
+        [cyclic_setup(4)[0], arrow_fixture()[0], pair_projection_fixture()[1]])), st.data())
+    def test_validate_walks_triples_in_scan_order(self, C, data):
+        f, g = data.draw(st.sampled_from(reference_chains(C, 2)))
+        h = data.draw(st.sampled_from(
+            [k for k in C.morphisms if (C.dom[k], C.cod[k]) == (C.dom[g], C.cod[f])]))
+        assert_validate_follows_the_scan(C, f, g, h)
+
+    @pytest.mark.parametrize("modulus, max_rank", [(2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_matrix_table_follows_the_scan(self, modulus, max_rank):
+        C = FinCat.mod_r(modulus, max_rank)
+
+        def dot(row, col):
+            return sum(map(operator.mul, row, col)) % modulus
+
+        assert list(C.table.items()) == list(reference_matrix_table(C, dot).items())
 
 
 class TestBarAgreement:

@@ -193,14 +193,39 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "4001 words give more than 16384 word pairs" in err and "Traceback" not in err
 
-    def test_oversized_monoid_category_exits_three_at_once(self, tmp_path, capsys):
-        doc = {"schema_version": 1, "kind": "category", "construction": "one_object_cyclic",
-               "modulus": 10000}
-        path = write_json(tmp_path, "cyclic_big.json", doc)
-        # the table would hold 10^8 entries
-        assert main_within_a_second(["verify", path]) == 3
+    def test_oversized_monoid_category_exits_three_at_once(self, tmp_path, capsys, docs):
+        # the table would hold 10^8 entries; listing the 10^12 elements before
+        # the guard raised MemoryError
+        for modulus in (10000, 10**12):
+            doc = {"schema_version": 1, "kind": "category", "construction": "one_object_cyclic",
+                   "modulus": modulus}
+            path = write_json(tmp_path, "cyclic_big.json", doc)
+            assert main_within_a_second(["verify", path]) == 3
+            assert main_within_a_second(["cohomology", path, docs["coeff"], "--degree", "1"]) == 3
+            err = capsys.readouterr().err
+            assert err.splitlines() == [
+                f"error: Z/{modulus} (one object): more than 500000 composable pairs"
+            ] * 2
+
+    def test_dm_system_with_modulus_zero_exits_two(self, tmp_path, capsys, docs):
+        doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",
+               "modulus": 0, "max_rank": 1}
+        path = write_json(tmp_path, "dm_zero.json", doc)
+        assert main(["verify", path]) == 2
+        assert main(["cohomology", docs["cat"], path, "--degree", "1"]) == 2
         err = capsys.readouterr().err
-        assert "more than 500000 composable pairs" in err and "Traceback" not in err
+        assert err.splitlines() == ["error: natural_system: the matrix modulus must be at least 2, got 0"] * 2
+
+    @pytest.mark.parametrize("kind", ["extension", "qpm"])
+    def test_cyclic_extension_of_modulus_one_exits_two(self, tmp_path, capsys, kind):
+        path = write_json(tmp_path, "ext_one.json", dict(EXT_C42, kind=kind, modulus=1))
+        commands = [["verify", path]] + ([["nu", path]] if kind == "extension" else [])
+        for argv in commands:
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: extension: the extension needs a modulus of at least 2, got 1"
+        ] * len(commands)
 
     def test_oversized_natural_system_exits_three_at_once(self, tmp_path, capsys):
         doc = {"schema_version": 1, "kind": "natural_system", "construction": "dm",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 
 import pytest
@@ -500,12 +501,21 @@ class TestCategoryDocuments:
             build_document(
                 tampered(CAT_EXPLICIT, dom={"ix": "x", "iy": "y", "a": "z"})
             )
+        # a list or an object is no name, and cannot be looked up as one
+        for key, value in itertools.product(("dom", "cod"), (["y"], {"y": "y"})):
+            doc = copy.deepcopy(CAT_EXPLICIT)
+            doc[key]["a"] = value
+            with pytest.raises(DocumentError, match=rf"{key}\['a'\] names an unknown object"):
+                build_document(doc)
 
     def test_explicit_identity_guards(self):
         with pytest.raises(DocumentError, match="cover every object"):
             build_document(tampered(CAT_EXPLICIT, identities={"x": "ix"}))
         with pytest.raises(DocumentError, match="unknown morphism"):
             build_document(tampered(CAT_EXPLICIT, identities={"x": "ix", "y": "b"}))
+        for value in (["iy"], {"iy": "iy"}):
+            with pytest.raises(DocumentError, match=r"identities\['y'\] names an unknown morphism"):
+                build_document(tampered(CAT_EXPLICIT, identities={"x": "ix", "y": value}))
 
     def test_explicit_composition_guards(self):
         base = CAT_EXPLICIT["composition"]
@@ -613,6 +623,11 @@ class TestModqProgramDocuments:
         doc["morphisms"]["f"]["pairs"] = [7]
         with pytest.raises(DocumentError, match="pairs must be objects"):
             build_document(doc)
+        for pairs in (7, 2.5, None):
+            doc = copy.deepcopy(MODQ_ZNIL)
+            doc["morphisms"]["f"]["pairs"] = pairs
+            with pytest.raises(DocumentError, match="field 'pairs' has the wrong type"):
+                build_document(doc)
         doc = copy.deepcopy(MODQ_ZNIL)
         doc["morphisms"]["f"]["pairs"] = [{"rows": [1, 0], "entries": [3, -1]}]
         with pytest.raises(DocumentError, match="ordered row indices"):
@@ -656,6 +671,11 @@ class TestModqProgramDocuments:
         ]
         with pytest.raises(DocumentError, match=r"comm rows must be \[word, word, coefficient\]"):
             build_document(doc)
+        for part in ("linear", "comm"):
+            doc = copy.deepcopy(MODQ_WORDS)
+            doc["morphisms"]["g"]["entries"][0][0][part] = True
+            with pytest.raises(DocumentError, match=f"field {part!r} has the wrong type"):
+                build_document(doc)
 
     def test_word_pair_decoder_guards(self):
         doc = copy.deepcopy(MODQ_WORDS)
