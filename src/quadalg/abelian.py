@@ -486,17 +486,6 @@ def solve_integer(A: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ..
     return smith(A).solve(b)
 
 
-def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice ``{x : A @ x = 0}``: the columns
-    of :meth:`SnfResult.kernel_rows` of ``smith(A)``.
-
-    >>> kernel_basis([[1, 1]])
-    [(-1, 1)]
-    """
-    r = smith(A)
-    return _columns_of(r.kernel_rows(), r.shape[1] - r.rank)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -582,6 +571,45 @@ def draw_below(rng: random.Random, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(k)
     return r
+
+
+def draw_sample(rng: random.Random, pool, k: int) -> list:
+    """``rng.sample(pool, k)``, bit for bit, with each index drawn by
+    :func:`draw_below`: on a pool of at most ``setsize`` items (21, more
+    for ``k`` above 5) a pool copy from which each pick is swapped out, and
+    on a larger pool picks drawn again while already taken.
+
+    >>> pool = [chr(97 + i) for i in range(25)]
+    >>> all(draw_sample(random.Random(s), pool[:n], 3) == random.Random(s).sample(pool[:n], 3)
+    ...     for s in range(20) for n in (3, 21, 22, 25))
+    True
+    >>> draw_sample(random.Random(7), "ab", 3)
+    Traceback (most recent call last):
+    ...
+    ValueError: Sample larger than population or is negative
+    """
+    n = len(pool)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        rest = list(pool)
+        for i in range(k):
+            j = draw_below(rng, n - i)
+            out.append(rest[j])
+            rest[j] = rest[n - i - 1]
+    else:
+        taken = set()
+        for _ in range(k):
+            j = draw_below(rng, n)
+            while j in taken:
+                j = draw_below(rng, n)
+            taken.add(j)
+            out.append(pool[j])
+    return out
 
 
 class FgAbGroup:

@@ -364,11 +364,15 @@ def bimodule_system(
 
 
 def dm_natural_system(
-    modulus: int, max_rank: int, coeff_modulus: int | None = None
+    modulus: int,
+    max_rank: int,
+    coeff_modulus: int | None = None,
+    cat: FinCat | None = None,
 ) -> tuple[FinCat, NatSystem]:
     """Matrix groups over ``Z/coeff`` as coefficients on the matrix category:
     :func:`bimodule_system` of ``Z/coeff`` on :meth:`FinCat.mod_r`, with
-    cell ``(i, k)`` of ``alpha: y -> x`` at coordinate ``i*y + k``.
+    cell ``(i, k)`` of ``alpha: y -> x`` at coordinate ``i*y + k``. A given
+    ``cat`` must be ``FinCat.mod_r(modulus, max_rank)``, built already.
 
     Both moduli must be at least 2, and the coefficient modulus must divide
     the matrix modulus so the action is independent of entry representatives.
@@ -382,7 +386,9 @@ def dm_natural_system(
         raise ValueError(
             f"coefficient modulus {coeff} must divide the matrix modulus {modulus}"
         )
-    cat = FinCat.mod_r(modulus, max_rank)
+    if cat is None:
+        cat = FinCat.mod_r(modulus, max_rank)
+
     def scalar(r):
         return [[r]]
 

@@ -91,7 +91,7 @@ def _cmd_cohomology(args) -> int:
         raise DocumentError(f"{args.category}: expected a category document")
     cat = build_document(cat_doc)
     coeff_doc = load_document(args.coefficients)
-    cat, system = build_natural_system_over(coeff_doc, cat)
+    cat, system = build_natural_system_over(coeff_doc, cat, cat_doc)
     normalized = {"auto": None, "normalized": True, "full": False}[args.chains]
     result = cohomology(
         cat,

@@ -29,6 +29,7 @@ from .abelian import (
     AbMap,
     FgAbGroup,
     draw_below,
+    draw_sample,
     finite_abelian_invariants,
     from_columns,
     mat_vec,
@@ -386,14 +387,30 @@ class ZtildePairsCarrier(DirectSumCarrier):
         off = _fold_pairs(rank, coeffs.items(), {})
         return (self.left.make(off), tuple(sorted(diag, key=rank.get)))
 
-    def lift(self, el: tuple) -> dict:
-        out = {p: c for p, c in el[0]}
-        for w in el[1]:
-            out[(w, w)] = 1
+    def lift(self, el: tuple):
+        """The pairs of ``offdiag`` plus ``(w, w)`` once for each diagonal
+        word, in ``ee.make``'s order, which is rank order of the first word
+        and then of the second: a diagonal pair goes before the off-diagonal
+        pairs whose first word is not below it. Equal to that ``make``, but
+        built without it."""
+        off, diag = el
+        if not diag:
+            return off
+        rank = self.left._rank
+        out = []
+        i, n = 0, len(off)
+        for w in diag:
+            r = rank[w]
+            while i < n and rank[off[i][0][0]] < r:
+                out.append(off[i])
+                i += 1
+            out.append(((w, w), 1))
+        out.extend(off[i:])
         return out
 
     def sample(self, rng: random.Random):
-        return self.reduce(dict(self.left.sample(rng)))
+        """A drawn pair element reduced; the draw equals ``ee.sample``'s."""
+        return self.reduce(self.left.draw_coeffs(rng))
 
 
 class Mod2WordsCarrier(Carrier):
@@ -413,9 +430,11 @@ class Mod2WordsCarrier(Carrier):
         return a
 
     def sample(self, rng: random.Random):
-        """Up to two pool words; the size draw equals ``rng.randint(0, 2)``."""
+        """Up to two pool words; the size draw equals ``rng.randint(0, 2)``
+        and the draw of words ``rng.sample``'s."""
         return tuple(sorted(
-            rng.sample(self.pool, min(len(self.pool), draw_below(rng, 3))), key=self._rank.get,
+            draw_sample(rng, self.pool, min(len(self.pool), draw_below(rng, 3))),
+            key=self._rank.get,
         ))
 
     def elements(self) -> list:
@@ -513,9 +532,6 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> tuple:
     def proj(a):
         return c1.reduce(dict(a))
 
-    def lift_el(r7):
-        return R.ee.make(c1.lift(r7))
-
     rcar = FreeAbelianCarrier(words, R.ee.pool)
 
     def q(x):
@@ -525,7 +541,7 @@ def _ztilde_pairs(R: SquareRing, sg: SquareGroup) -> tuple:
         return q(R.mul(R.e.make(dict(u)), R.e.make(dict(v))))
 
     quot = QuotientRing(carrier=rcar, mul=rmul, one=rcar.atom(()), q=q)
-    return c1, proj, lift_el, c1.right, lambda m: ((), m), quot
+    return c1, proj, c1.lift, c1.right, lambda m: ((), m), quot
 
 
 # ---------------------------------------------------------------------------

@@ -391,10 +391,14 @@ def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
 
 
 def _build_natural_system(
-    doc: dict, default_category: FinCat | None = None
+    doc: dict, default_category: FinCat | None = None, default_dm: tuple | None = None
 ) -> tuple[FinCat, NatSystem, Report | None]:
     """The category, the system, and the category's table report as
-    :func:`_build_category` gives it (``None`` unless checked here)."""
+    :func:`_build_category` gives it (``None`` unless checked here).
+
+    ``default_dm`` is the ``(modulus, max_rank)`` of a ``dm`` document that
+    ``default_category`` was built from; a ``dm`` system of the same two
+    numbers is built over ``default_category`` instead of a new one."""
     construction = _field(doc, "construction", str, "natural_system")
     if construction == "trivial":
         tables = None
@@ -417,8 +421,9 @@ def _build_natural_system(
         coeff = doc.get("coefficient_modulus")
         if coeff is not None and not _is_int(coeff):
             raise DocumentError("natural_system: coefficient_modulus must be an integer")
+        cat = default_category if (modulus, max_rank) == default_dm else None
         try:
-            return *dm_natural_system(modulus, max_rank, coeff), None
+            return *dm_natural_system(modulus, max_rank, coeff, cat), None
         except ValueError as exc:
             raise DocumentError(f"natural_system: {exc}") from exc
     raise DocumentError(f"unknown natural_system construction: {construction!r}")
@@ -598,13 +603,21 @@ def build_document(doc: dict):
     return build(doc)
 
 
-def build_natural_system_over(doc: dict, category: FinCat) -> tuple[FinCat, NatSystem]:
+def build_natural_system_over(
+    doc: dict, category: FinCat, category_doc: dict | None = None
+) -> tuple[FinCat, NatSystem]:
     """Build a natural system, supplying ``category`` when the document
     names none of its own. A document that does carry its own category
-    must agree with the supplied one on all tables."""
+    must agree with the supplied one on all tables. A ``dm`` system is
+    built over ``category`` itself when ``category_doc``, the document
+    ``category`` was built from, is a ``dm`` category of the same modulus
+    and max_rank, so the matrix category is built once."""
     if check_envelope(doc) != "natural_system":
         raise DocumentError("expected a natural_system document")
-    cat, system, _ = _build_natural_system(doc, default_category=category)
+    dm = None
+    if category_doc is not None and category_doc.get("construction") == "dm":
+        dm = (category_doc["modulus"], category_doc["max_rank"])
+    cat, system, _ = _build_natural_system(doc, category, dm)
     if cat is not category and (
         cat.objects != category.objects
         or cat.morphisms != category.morphisms

@@ -431,7 +431,7 @@ class Track:
     target composite was read from a lifting problem's products. Tracks
     are hashable on their source and entries, which equal tracks share.
 
-    One composite is read without being built: the loop ``invert(a)``
+    One composite is read without being built: the loop ``a^-1``
     then ``b`` of two parallel certified tracks, whose boundary condition
     follows from theirs (see :meth:`ModQTrackExtension.loop_value`).
     """
@@ -476,12 +476,6 @@ def track_vcomp(first: Track, second: Track) -> Track:
         for ra, rb in zip(first.h, second.h)
     )
     return Track(first.ext, first.f0, second.f1, h)
-
-
-def track_invert(t: Track) -> Track:
-    c1 = t.ext.c1
-    h = tuple(tuple(c1.neg(v) for v in row) for row in t.h)
-    return Track(t.ext, t.f1, t.f0, h)
 
 
 def _pair_keys(f: ModQMor, g: ModQMor):
@@ -675,9 +669,6 @@ class ModQTrackExtension:
     def vcomp(self, t1: Track, t2: Track) -> Track:
         return track_vcomp(t1, t2)
 
-    def invert(self, t: Track) -> Track:
-        return track_invert(t)
-
     def left_whisker(self, F: ModQMor, t: Track) -> Track:
         return track_left_whisker(F, t, self.compose_lifts)
 
@@ -692,8 +683,9 @@ class ModQTrackExtension:
         return self._module_value(t.shape, [v for row in t.h for v in row])
 
     def loop_value(self, a: Track, b: Track) -> tuple:
-        """``value(vcomp(invert(a), b))`` for parallel tracks ``a`` and
-        ``b``, with the same exceptions, but building no track.
+        """``value(vcomp(a^-1, b))`` for parallel tracks ``a`` and ``b``,
+        where ``a^-1`` is ``a`` with its entries negated and its ends
+        swapped, with the same exceptions, but building no track.
 
         The entries are ``-a + b``. The paste's certificate would check
         that their boundary is ``a.f1 - b.f1``, which is zero here. Since
@@ -740,7 +732,7 @@ def obstruction_cocycle(te, section: Callable | None = None) -> dict:
     route reads the pair tracks there, so it is right for any section. The
     pair tracks, whiskers and routes are certified tracks. Per triple
     only the two key lookups and ``te.loop_value(route2, route1)`` are
-    left, which reads ``value(vcomp(invert(route2), route1))`` from the
+    left, which reads ``value(vcomp(route2^-1, route1))`` from the
     two routes without building the paste, whose certificate theirs
     imply. The whiskers' targets ``s[phi psi] s[chi]`` and ``s[phi] s[psi chi]`` are
     lift products of the pair loop, which ``te`` may reuse. A base with

@@ -14,12 +14,17 @@ Carriers are explicit group implementations; all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, draw_below, finite_abelian_invariants
+from .abelian import (
+    DEFAULT_ENUM_BOUND,
+    FgAbGroup,
+    draw_below,
+    draw_sample,
+    finite_abelian_invariants,
+)
 from .errors import (
     ActionShapeMismatch,
     BasisMismatch,
@@ -224,16 +229,6 @@ class Nil2Element:
         return dict(self.comm)
 
 
-_RANK = operator.itemgetter(0)
-_ITEM = operator.itemgetter(1)
-
-
-def _in_rank_order(ranked: list) -> tuple:
-    """The items of ``(rank, item)`` pairs with distinct ranks, sorted by rank."""
-    ranked.sort(key=_RANK)
-    return tuple(map(_ITEM, ranked))
-
-
 def _fold_pairs(rank: dict, pairs: Iterable, out: dict) -> dict:
     """Add the terms ``((u, v), c)`` of ``pairs`` to ``out`` on strictly
     ordered pairs: ``c`` at ``(u, v)`` when ``u`` comes first in ``rank``,
@@ -284,6 +279,8 @@ class FreeNil2Carrier(Carrier):
         """Canonical element from coefficient dictionaries.
 
         Raises ``BasisMismatch`` on unknown symbols or unordered pairs.
+        Terms are sorted as ``(rank, ..., key, n)`` tuples, whose ranks
+        differ, so that no two keys are ever compared.
         """
         rank = self._rank.get
         lin = []
@@ -292,17 +289,22 @@ class FreeNil2Carrier(Carrier):
             if r is None:
                 raise BasisMismatch(f"unknown symbol {s!r}")
             if n:
-                lin.append((r, (s, n)))
+                lin.append((r, s, n))
         cm = []
-        for (u, v), n in (comm or {}).items():
+        for p, n in (comm or {}).items():
+            u, v = p
             ru, rv = rank(u), rank(v)
             if ru is None or rv is None:
                 raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
             if ru >= rv:
                 raise BasisMismatch(f"pair ({u!r}, {v!r}) is not strictly ordered")
             if n:
-                cm.append(((ru, rv), ((u, v), n)))
-        return Nil2Element(_in_rank_order(lin), _in_rank_order(cm))
+                cm.append((ru, rv, p, n))
+        lin.sort()
+        cm.sort()
+        return Nil2Element(
+            tuple([(s, n) for _, s, n in lin]), tuple([(p, n) for _, _, p, n in cm])
+        )
 
     def atom(self, symbol: Hashable) -> Nil2Element:
         return self.make({symbol: 1})
@@ -358,15 +360,16 @@ class FreeNil2Carrier(Carrier):
 
     def sample(self, rng: random.Random):
         """Up to three pool symbols and two pool commutators, coefficients
-        in ``-3..3``; each bounded draw equals ``rng.randint``'s."""
+        in ``-3..3``; each bounded draw equals ``rng.randint``'s and each
+        draw of symbols ``rng.sample``'s."""
         pool = self.pool
         lin = {}
-        for s in rng.sample(pool, min(len(pool), draw_below(rng, 4))):
+        for s in draw_sample(rng, pool, min(len(pool), draw_below(rng, 4))):
             lin[s] = -3 + draw_below(rng, 7)
         cm = {}
         if len(pool) >= 2:
             for _ in range(draw_below(rng, 3)):
-                u, v = sorted(rng.sample(pool, 2), key=self._rank.get)
+                u, v = sorted(draw_sample(rng, pool, 2), key=self._rank.get)
                 cm[(u, v)] = -3 + draw_below(rng, 7)
         return self.make(lin, cm)
 
@@ -394,6 +397,8 @@ class FreeAbelianCarrier(Carrier):
             raise ValueError("symbols are not distinct")
 
     def make(self, coeffs: dict) -> tuple:
+        """Canonical element from a coefficient dictionary, sorted as
+        ``FreeNil2Carrier.make`` sorts; ``BasisMismatch`` on unknown symbols."""
         rank = self._rank.get
         out = []
         for s, n in coeffs.items():
@@ -401,8 +406,9 @@ class FreeAbelianCarrier(Carrier):
             if r is None:
                 raise BasisMismatch(f"unknown symbol {s!r}")
             if n:
-                out.append((r, (s, n)))
-        return _in_rank_order(out)
+                out.append((r, s, n))
+        out.sort()
+        return tuple([(s, n) for _, s, n in out])
 
     def atom(self, symbol: Hashable, n: int = 1) -> tuple:
         return self.make({symbol: n})
@@ -434,9 +440,10 @@ class FreeAbelianCarrier(Carrier):
 
     def sample(self, rng: random.Random):
         """Up to three pool symbols, coefficients in ``-3..3``; each bounded
-        draw equals ``rng.randint``'s."""
+        draw equals ``rng.randint``'s and the draw of symbols
+        ``rng.sample``'s."""
         out = {}
-        for s in rng.sample(self.pool, min(len(self.pool), draw_below(rng, 4))):
+        for s in draw_sample(rng, self.pool, min(len(self.pool), draw_below(rng, 4))):
             out[s] = -3 + draw_below(rng, 7)
         return self.make(out)
 
@@ -458,15 +465,20 @@ class FreePairsCarrier(FreeAbelianCarrier):
     """
 
     def make(self, coeffs: dict) -> tuple:
+        """Canonical element from a coefficient dictionary over pairs,
+        sorted as ``FreeNil2Carrier.make`` sorts; ``BasisMismatch`` on
+        unknown symbols."""
         rank = self._rank.get
         out = []
-        for (u, v), n in coeffs.items():
+        for p, n in coeffs.items():
+            u, v = p
             ru, rv = rank(u), rank(v)
             if ru is None or rv is None:
                 raise BasisMismatch(f"unknown symbol pair ({u!r}, {v!r})")
             if n:
-                out.append(((ru, rv), ((u, v), n)))
-        return _in_rank_order(out)
+                out.append((ru, rv, p, n))
+        out.sort()
+        return tuple([(p, n) for _, _, p, n in out])
 
     def pair(self, u: Hashable, v: Hashable, n: int = 1) -> tuple:
         return self.make({(u, v): n})
@@ -474,13 +486,18 @@ class FreePairsCarrier(FreeAbelianCarrier):
     def sample(self, rng: random.Random):
         """Up to three pool pairs, coefficients in ``-3..3``; each draw
         equals ``rng.randint``'s or, for a pair's entry, ``rng.choice``'s."""
+        return self.make(self.draw_coeffs(rng))
+
+    def draw_coeffs(self, rng: random.Random) -> dict:
+        """The coefficient dictionary that :meth:`sample` makes into an
+        element, zero coefficients included."""
         pool = self.pool
         out = {}
         for _ in range(draw_below(rng, 4)):
             u = pool[draw_below(rng, len(pool))]
             v = pool[draw_below(rng, len(pool))]
             out[(u, v)] = out.get((u, v), 0) - 3 + draw_below(rng, 7)
-        return self.make(out)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -402,18 +402,26 @@ class _MonoidRing:
 
     def _shift_left(self, out: dict, u: tuple, v: tuple, k: int, pairs) -> None:
         """Add ``k (u | v) pairs`` to ``out``: the pair ``(p, q)`` goes to
-        ``(u p, v q)``."""
-        concat = self.concat
+        ``(u p, v q)``. A word past the bound is formed again by
+        :meth:`concat`, which raises."""
+        bound = self.length_bound
         for (p, q), c in pairs:
-            key = (concat(u, p), concat(v, q))
+            up, vq = u + p, v + q
+            if len(up) > bound or len(vq) > bound:
+                up, vq = self.concat(u, p), self.concat(v, q)
+            key = (up, vq)
             out[key] = out.get(key, 0) + k * c
 
     def _shift_right(self, out: dict, pairs, w: tuple, k: int) -> None:
         """Add ``pairs . k w`` to ``out``: the pair ``(p, q)`` goes to
-        ``(p w, q w)``."""
-        concat = self.concat
+        ``(p w, q w)``. A word past the bound is formed again by
+        :meth:`concat`, which raises."""
+        bound = self.length_bound
         for (p, q), c in pairs:
-            key = (concat(p, w), concat(q, w))
+            pw, qw = p + w, q + w
+            if len(pw) > bound or len(qw) > bound:
+                pw, qw = self.concat(p, w), self.concat(q, w)
+            key = (pw, qw)
             out[key] = out.get(key, 0) + k * c
 
     def eemul(self, a, b):
@@ -460,16 +468,22 @@ class _MonoidRing:
         cm: dict = {}
         pairs: dict = {}  # T, on ordered pairs of words
         hy = self.H(y) if x.linear else ()
+        # y's words are in rank order, which is shortlex: its last is longest
+        longest = len(y.linear[-1][0]) if y.linear else 0
         for i, (s, n) in enumerate(x.linear):
-            row = [(concat(s, t), m) for t, m in y.linear]
+            if len(s) + longest <= self.length_bound:
+                row = [(s + t, m) for t, m in y.linear]
+            else:
+                row = [(concat(s, t), m) for t, m in y.linear]
             c2 = _comb2(n)
             for j, (u, m) in enumerate(row):
+                ru = rank[u]
                 # moving n m u left past the earlier rows' later words
                 for v, k in lin.items():
-                    if rank[u] < rank[v]:
+                    if ru < rank[v]:
                         cm[(u, v)] = cm.get((u, v), 0) + n * m * k
                 for v, m_v in row[j + 1:]:
-                    key = (u, v) if rank[u] < rank[v] else (v, u)
+                    key = (u, v) if ru < rank[v] else (v, u)
                     cm[key] = cm.get(key, 0) + c2 * m * m_v
             for u, m in row:
                 lin[u] = lin.get(u, 0) + n * m

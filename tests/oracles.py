@@ -29,8 +29,9 @@ stacks (:func:`mat_hstack`, :func:`relation_matrix`) that the sparse
 stacks must reproduce; and :func:`reference_chains` and
 :func:`reference_matrix_table`, the endpoint scans that listed chains and
 matrix composites before ``FinCat.into``, whose order every chain walk must
-reproduce. :func:`quotient_matrix` and
-:func:`track_tau` are matrix-category helpers that only tests use.
+reproduce. :func:`quotient_matrix`,
+:func:`track_tau` and :func:`track_invert` are matrix-category helpers
+and :func:`kernel_basis` a lattice helper that only tests use.
 """
 from __future__ import annotations
 
@@ -50,10 +51,10 @@ from quadalg.abelian import (
     FgAbGroup,
     HomologyResult,
     SnfResult,
+    _columns_of,
     columns,
     from_columns,
     identity,
-    kernel_basis,
     mat_shape,
     mat_vec,
     quotient_presentation,
@@ -584,6 +585,17 @@ def dense_solve(r: SnfResult, b) -> tuple[int, ...] | None:
 # verbatim but for the helpers' new homes. The sparse ones must reproduce
 # them exactly.
 
+def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel lattice ``{x : A @ x = 0}``: the columns
+    of :meth:`SnfResult.kernel_rows` of ``smith(A)``.
+
+    >>> kernel_basis([[1, 1]])
+    [(-1, 1)]
+    """
+    r = smith(A)
+    return _columns_of(r.kernel_rows(), r.shape[1] - r.rank)
+
+
 def mat_copy(M: IntMatrix) -> IntMatrix:
     return [row[:] for row in M]
 
@@ -740,9 +752,6 @@ class CyclicTrackExtension:
             raise ShapeMismatch("vertical composition needs matching middles")
         return CycTrack(self.m, self.d, t1.f0, t2.f1, (t1.r + t2.r) % self.m)
 
-    def invert(self, t: "CycTrack") -> "CycTrack":
-        return CycTrack(self.m, self.d, t.f1, t.f0, (-t.r) % self.m)
-
     def left_whisker(self, u: int, t: "CycTrack") -> "CycTrack":
         return CycTrack(
             self.m, self.d, (u * t.f0) % self.m, (u * t.f1) % self.m, (u * t.r) % self.m
@@ -787,18 +796,33 @@ class CycTrack:
             )
 
 
+def track_invert(t):
+    """The inverse ``f1 => f0`` of a matrix ``Track`` or a ``CycTrack``
+    ``f0 => f1``: its entries negated.
+
+    >>> t = CycTrack(4, 2, 3, 1, 1)
+    >>> track_invert(t)
+    CycTrack(m=4, d=2, f0=1, f1=3, r=3)
+    """
+    if isinstance(t, CycTrack):
+        return CycTrack(t.m, t.d, t.f1, t.f0, (-t.r) % t.m)
+    c1 = t.ext.c1
+    h = tuple(tuple(c1.neg(v) for v in row) for row in t.h)
+    return Track(t.ext, t.f1, t.f0, h)
+
+
 def reference_obstruction_cocycle(te, section=None) -> dict:
     """The obstruction cocycle with both routes rebuilt for every triple,
     frozen from before :func:`~quadalg.modq.obstruction_cocycle` built each
     route once per distinct pair track, and with each value read from the
-    pasted track ``vcomp(invert(route2), route1)`` rather than from
+    pasted track ``vcomp(track_invert(route2), route1)`` rather than from
     ``loop_value``; the size guard is left out."""
     C = te.base
     s, mu = reference_pair_tracks(te, section)
     out = {}
     for T in C.composable_tuples(3):
         route1, route2 = reference_routes(te, s, mu, T)
-        coords = te.value(te.vcomp(te.invert(route2), route1))
+        coords = te.value(te.vcomp(track_invert(route2), route1))
         if any(coords):
             out[T] = coords
     return out

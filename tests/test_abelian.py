@@ -17,12 +17,12 @@ from quadalg.abelian import (
     canonical_factors,
     columns,
     draw_below,
+    draw_sample,
     exact_at,
     finite_abelian_invariants,
     from_columns,
     homology_at,
     identity,
-    kernel_basis,
     mat_vec,
     matmul,
     quotient_presentation,
@@ -42,6 +42,7 @@ from .oracles import (
     homology_oracle,
     group_from_order_counts,
     invariant_chains,
+    kernel_basis,
     mat_hstack,
     reference_homology_at,
     reference_orders,
@@ -487,6 +488,37 @@ class TestDrawBelow:
         for _ in range(3):
             assert seq[draw_below(rng, len(seq))] == ref.choice(seq)
             assert rng.getstate() == ref.getstate()
+
+
+class TestDrawSample:
+    """``draw_sample`` returns what ``random.Random.sample`` returns and
+    leaves the generator in the same state, on pools on either side of the
+    21 items where ``sample`` turns from its pool-swap branch to its set
+    branch, and refuses a draw larger than its pool as ``sample`` does."""
+
+    @PROPERTY
+    @given(st.integers(0, 2**64), st.integers(0, 40), st.integers(0, 3))
+    def test_equals_sample(self, seed, n, k):
+        pool = [f"w{i}" for i in range(n)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            if k > n:
+                with pytest.raises(ValueError, match="Sample larger than population"):
+                    draw_sample(rng, pool, k)
+                with pytest.raises(ValueError, match="Sample larger than population"):
+                    ref.sample(pool, k)
+            else:
+                assert draw_sample(rng, pool, k) == ref.sample(pool, k)
+            assert rng.getstate() == ref.getstate()
+
+    @PROPERTY
+    @given(st.integers(0, 2**64), st.integers(12, 90), st.integers(4, 12))
+    def test_equals_sample_on_larger_draws(self, seed, n, k):
+        # above 5 picks ``sample`` moves its branch point from 21 to 85 items
+        pool = range(n)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert draw_sample(rng, pool, k) == ref.sample(pool, k)
+        assert rng.getstate() == ref.getstate()
 
 
 class TestKernelsAndExactness:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from quadalg.bwcoh import FinCat
 from quadalg.cli import MAX_SAMPLES, _nu_report, main
 from quadalg.crossed import cyclic_ring_extension
 
@@ -351,6 +352,61 @@ class TestCohomology:
         assert main_within_a_second(["cohomology", cat, coeff, "--degree", "1"]) == 3
         err = capsys.readouterr().err
         assert "composable pairs" in err and "Traceback" not in err
+
+
+    @staticmethod
+    def count_matrix_categories(monkeypatch) -> list:
+        built = []
+        mod_r = FinCat.mod_r.__func__
+
+        def counted(cls, modulus, max_rank):
+            built.append((modulus, max_rank))
+            return mod_r(cls, modulus, max_rank)
+
+        monkeypatch.setattr(FinCat, "mod_r", classmethod(counted))
+        return built
+
+    def test_a_dm_system_over_its_own_dm_category_builds_it_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        doc = {"schema_version": 1, "kind": "category", "construction": "dm",
+               "modulus": 4, "max_rank": 1}
+        cat = write_json(tmp_path, "dm41.json", doc)
+        coeff = write_json(tmp_path, "dm41_coeff.json", dict(doc, kind="natural_system"))
+        built = self.count_matrix_categories(monkeypatch)
+        assert main(["cohomology", cat, coeff, "--degree", "2"]) == 0
+        assert built == [(4, 1)]
+        assert main(["cohomology", cat, coeff, "--degree", "2", "--format", "machine"]) == 0
+        assert built == [(4, 1)] * 2
+        # the bytes written when each document built its own category
+        assert capsys.readouterr().out == (
+            "== cohomology: degree 2 ==\n"
+            "category: mod-Z/4 ranks <= 1\n"
+            "coefficients: bimodule Z/4 matrices\n"
+            "chains: full\n"
+            "H^2 = [2, 4] (Z/2 + Z/4)\n"
+            '{"category": "mod-Z/4 ranks <= 1", "chains": "full", '
+            '"coefficients": "bimodule Z/4 matrices", "degree": 2, '
+            '"description": "Z/2 + Z/4", "invariant_factors": [2, 4], "record": "cohomology"}\n'
+        )
+
+    @pytest.mark.parametrize("system", [(2, 1), (4, 2)], ids=["modulus", "max_rank"])
+    def test_a_dm_system_over_another_dm_category_exits_two(
+        self, tmp_path, capsys, monkeypatch, system
+    ):
+        doc = {"schema_version": 1, "kind": "category", "construction": "dm",
+               "modulus": 4, "max_rank": 1}
+        cat = write_json(tmp_path, "dm41.json", doc)
+        modulus, max_rank = system
+        coeff = write_json(tmp_path, "dm_coeff.json", dict(
+            doc, kind="natural_system", modulus=modulus, max_rank=max_rank, coefficient_modulus=2,
+        ))
+        built = self.count_matrix_categories(monkeypatch)
+        assert main(["cohomology", cat, coeff, "--degree", "1"]) == 2
+        assert built == [(4, 1), system]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the coefficient document is built over a different category\n"
 
 
 class TestNu:

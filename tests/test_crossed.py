@@ -12,6 +12,7 @@ from quadalg.crossed import (
     MAX_WORD_PAIRS,
     Mod2WordsCarrier,
     PullbackCarrier,
+    ZtildePairsCarrier,
     cyclic_ring_extension,
     linearly_generated,
     nu_class,
@@ -217,6 +218,20 @@ class TestZtildeOverWords:
         # the largest word model in use, 127 words, goes on to the checks
         with pytest.raises(Checked):
             ztilde_construction(znil_monoid(["s", "t"], 6))
+
+    def test_the_lift_is_the_made_pair_element(self):
+        # the lift hands its pairs on without ``make``, in ``make``'s order
+        ee = znil_monoid(["s", "t"], 6).ee
+        c1 = ZtildePairsCarrier(ee, Mod2WordsCarrier(ee))
+        rng = random.Random(5)
+        mixed = 0
+        for _ in range(300):
+            el = c1.add(c1.sample(rng), ((), c1.right.sample(rng)))
+            made = ee.make({**dict(el[0]), **{(w, w): 1 for w in el[1]}})
+            assert tuple(c1.lift(el)) == made
+            assert c1.reduce(dict(made)) == el
+            mixed += bool(el[0]) and bool(el[1])
+        assert mixed > 50
 
     def test_diagonal_classes_are_listed_up_to_twelve_words(self):
         words = [("s",) * k for k in range(13)]

@@ -331,17 +331,22 @@ BOUNDED_DRAWS = ("randrange", "randint", "choice")
 
 
 def bounded_draw_calls(tree: ast.Module) -> list[str]:
-    """Calls of a method named ``randrange``, ``randint`` or ``choice``, as
-    ``name (line n)``. A carrier draws a bounded integer with
-    ``abelian.draw_below``, or with a copy of its loop (in
-    ``FgAbGroup.sample`` and ``nil2._group_tuples``), which read the same
-    bits from ``getrandbits`` without ``random.Random``'s Python layers."""
+    """Calls of a method named ``randrange``, ``randint`` or ``choice``, and
+    two-argument calls of one named ``sample``, as ``name (line n)``. A
+    carrier draws a bounded integer with ``abelian.draw_below``, or with a
+    copy of its loop (in ``FgAbGroup.sample`` and ``nil2._group_tuples``),
+    and distinct pool items with ``abelian.draw_sample``, which read the
+    same bits from ``getrandbits`` without ``random.Random``'s Python
+    layers. A carrier's own ``sample(rng)`` takes one argument."""
     return [
         f"{node.func.attr} (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in BOUNDED_DRAWS
+        and (
+            node.func.attr in BOUNDED_DRAWS
+            or node.func.attr == "sample" and len(node.args) + len(node.keywords) == 2
+        )
     ]
 
 
@@ -356,9 +361,15 @@ def test_the_check_sees_a_bounded_draw():
         "x = random.choice(xs)\n"
         "ys = rng.sample(xs, 2)\n"
         "k = draw_below(rng, 4)\n"
+        "zs = rng.sample(xs, k=2)\n"
+        "a = carrier.sample(rng)\n"
+        "bs = draw_sample(rng, xs, 2)\n"
         "def f(self):\n    return self.rng.randrange(5)\n"
     )
-    assert bounded_draw_calls(tree) == ["randint (line 1)", "choice (line 2)", "randrange (line 6)"]
+    assert bounded_draw_calls(tree) == [
+        "randint (line 1)", "choice (line 2)", "sample (line 3)", "sample (line 5)",
+        "randrange (line 9)",
+    ]
 
 
 DENSE_STACKS = ("mat_hstack", "relation_matrix")

@@ -32,7 +32,6 @@ from quadalg.modq import (
     modq_compose,
     obstruction_cocycle,
     random_morphism,
-    track_invert,
     track_left_whisker,
     track_right_whisker,
     track_vcomp,
@@ -46,6 +45,7 @@ from .oracles import (
     reference_obstruction_cocycle,
     reference_pair_tracks,
     reference_routes,
+    track_invert,
     track_tau,
 )
 
@@ -399,7 +399,7 @@ class TestCyclicTrackExtension:
         t = te.first_track(3, 1)
         assert (t.f0, t.f1) == (3, 1)
         assert (te.d * t.r - (3 - 1)) % te.m == 0
-        loop = te.vcomp(t, te.invert(t))
+        loop = te.vcomp(t, track_invert(t))
         assert loop.f0 == loop.f1 == 3 and loop.r == 0
         assert (te.left_whisker(2, t).f0, te.left_whisker(2, t).f1) == (2, 2)
         assert (te.right_whisker(t, 2).f0, te.right_whisker(t, 2).f1) == (2, 2)
@@ -727,7 +727,7 @@ def read_or_raise(read, a, b) -> tuple:
 
 
 def pasted_value(te):
-    return lambda a, b: te.value(te.vcomp(te.invert(a), b))
+    return lambda a, b: te.value(te.vcomp(track_invert(a), b))
 
 
 def track_from(te, f0, pick):

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from quadalg.abelian import FgAbGroup
-from quadalg.crossed import Mod2WordsCarrier
+from quadalg.crossed import Mod2WordsCarrier, ZtildePairsCarrier
 from quadalg.modq import ModQMor, _Morphisms
 from quadalg.nil2 import (
     DirectSumCarrier,
@@ -37,6 +37,9 @@ DRAWS = 2000
 
 _SYMBOLS = ["s", "t", "u"]
 _POOL = ["s", "t"]
+# more than 21 pool words, so that ``random.Random.sample`` takes its set
+# branch instead of its pool-swap branch
+_WIDE = [f"w{i}" for i in range(25)]
 
 CARRIERS = {
     "fgab_free": lambda: FgAbGroup.free(2),
@@ -45,11 +48,19 @@ CARRIERS = {
     "free_nil2": lambda: FreeNil2Carrier(_SYMBOLS, _POOL),
     "free_abelian": lambda: FreeAbelianCarrier(_SYMBOLS, _POOL),
     "free_pairs": lambda: FreePairsCarrier(_SYMBOLS, _POOL),
+    "free_nil2_wide": lambda: FreeNil2Carrier(_WIDE, _WIDE),
+    "free_abelian_wide": lambda: FreeAbelianCarrier(_WIDE, _WIDE),
     "direct_sum": lambda: DirectSumCarrier(FgAbGroup((4,)), FgAbGroup.free(1)),
     "subgroup": lambda: SubgroupCarrier(FgAbGroup((6,)), [(0,), (2,), (4,)]),
     "mod2_words": lambda: Mod2WordsCarrier(FreePairsCarrier(_SYMBOLS, _POOL)),
+    "mod2_words_wide": lambda: Mod2WordsCarrier(FreePairsCarrier(_WIDE, _WIDE)),
+    "ztilde_pairs": lambda: _ztilde_carrier(FreePairsCarrier(_SYMBOLS, _POOL)),
     "modq_morphisms": lambda: _Morphisms(znil(), max_dim=2, count=2),
 }
+
+
+def _ztilde_carrier(ee: FreePairsCarrier) -> ZtildePairsCarrier:
+    return ZtildePairsCarrier(ee, Mod2WordsCarrier(ee))
 
 
 def _plain(x):

@@ -108,6 +108,38 @@ class TestWordModel:
         with pytest.raises(TooLarge, match="length 5 exceeds the bound 4"):
             R.mul(long_left, long_right)
 
+    @pytest.mark.parametrize("site, length", [
+        ("mul row", 6),
+        ("mul central part of y", 5),
+        ("mul central part of x", 5),
+        ("eemul first word", 5),
+        ("eemul second word", 6),
+        ("act_pair", 5),
+        ("act_right", 5),
+    ])
+    def test_an_overflow_names_the_first_word_past_the_bound(self, site, length):
+        # the words are formed by ``+`` and only re-formed by ``concat`` past
+        # the bound; the message names the first overflowing word ``concat``
+        # met when it formed every word, as pinned before that change
+        R = znil_monoid(["s", "t"], length_bound=4, sample_length=1)
+        e, ee, w = R.e, R.ee, tuple
+        products = {
+            "mul row": lambda: R.mul(e.atom(w("sss")), e.make({w("t"): 1, w("ttt"): 1})),
+            "mul central part of y":
+                lambda: R.mul(e.atom(w("ss")), e.make({w("t"): 1}, {(w("t"), w("ttt")): 1})),
+            "mul central part of x":
+                lambda: R.mul(e.make({}, {(w("s"), w("sss")): 1}), e.atom(w("tt"))),
+            "eemul first word":
+                lambda: R.eemul(ee.pair(w("ss"), w("tt")), ee.pair(w("ttt"), w("ssss"))),
+            "eemul second word":
+                lambda: R.eemul(ee.pair(w("s"), w("tt")), ee.pair(w("tt"), w("ssss"))),
+            "act_pair": lambda: R.act_pair(e.atom(w("ss")), e.atom(w("t")), ee.pair((), w("tttt"))),
+            "act_right": lambda: R.act_right(ee.pair(w("s"), w("ttt")), e.atom(w("ss"))),
+        }
+        with pytest.raises(TooLarge) as info:
+            products[site]()
+        assert str(info.value) == f"product word of length {length} exceeds the bound 4"
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="at least one symbol"):
             znil_monoid([], length_bound=6)
