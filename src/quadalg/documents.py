@@ -390,6 +390,11 @@ def _build_category(doc: dict) -> tuple[FinCat, Report | None]:
     return cat, tables
 
 
+def _dm_numbers(doc: dict, where: str) -> tuple[int, int]:
+    """The ``(modulus, max_rank)`` of a ``dm`` document."""
+    return _field(doc, "modulus", int, where), _field(doc, "max_rank", int, where)
+
+
 def _build_natural_system(
     doc: dict, default_category: FinCat | None = None, default_dm: tuple | None = None
 ) -> tuple[FinCat, NatSystem, Report | None]:
@@ -397,8 +402,9 @@ def _build_natural_system(
     :func:`_build_category` gives it (``None`` unless checked here).
 
     ``default_dm`` is the ``(modulus, max_rank)`` of a ``dm`` document that
-    ``default_category`` was built from; a ``dm`` system of the same two
-    numbers is built over ``default_category`` instead of a new one."""
+    ``default_category`` was built from; a ``dm`` system, or a ``trivial``
+    system whose own category is ``dm``, of the same two numbers is built
+    over ``default_category`` instead of a new one."""
     construction = _field(doc, "construction", str, "natural_system")
     if construction == "trivial":
         tables = None
@@ -406,7 +412,14 @@ def _build_natural_system(
             cat_doc = _field(doc, "category", dict, "natural_system")
             if check_envelope(cat_doc) != "category":
                 raise DocumentError("natural_system: the category field must hold a category")
-            cat, tables = _build_category(cat_doc)
+            if (
+                default_dm is not None
+                and cat_doc.get("construction") == "dm"
+                and _dm_numbers(cat_doc, "category") == default_dm
+            ):
+                cat = default_category
+            else:
+                cat, tables = _build_category(cat_doc)
         elif default_category is not None:
             cat = default_category
         else:
@@ -416,8 +429,7 @@ def _build_natural_system(
         )
         return cat, trivial_system(cat, group), tables
     if construction == "dm":
-        modulus = _field(doc, "modulus", int, "natural_system")
-        max_rank = _field(doc, "max_rank", int, "natural_system")
+        modulus, max_rank = _dm_numbers(doc, "natural_system")
         coeff = doc.get("coefficient_modulus")
         if coeff is not None and not _is_int(coeff):
             raise DocumentError("natural_system: coefficient_modulus must be an integer")

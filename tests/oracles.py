@@ -399,6 +399,14 @@ def smith_reference(M: IntMatrix) -> ReferenceSnf:
 def smith_sparse_reference(M: IntMatrix) -> SnfResult:
     """Smith normal form of ``M``, with certificates built on demand.
 
+    This is the physical-swap oracle that ``abelian.smith_rows`` must match
+    log for log: a column swap here rewrites every row holding either
+    column, where the core only permutes its column keys; and every pivot
+    here is reduced with remainder checks and, unless it is a unit, swept,
+    where the core clears a pivot of the divisor floor's size in one exact
+    pass. The same ``row_ops``, ``col_ops`` and ``diagonal`` give the same
+    certificates and kernel rows.
+
     The elimination works on sparse rows, one ``{column: value}`` dict of
     nonzeros per row, with an index from each column to the set of rows
     holding it; every swap, row addition and column addition keeps both up

@@ -408,6 +408,52 @@ class TestCohomology:
         assert captured.out == ""
         assert captured.err == "error: the coefficient document is built over a different category\n"
 
+    def test_a_trivial_system_over_its_own_dm_category_builds_it_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        doc = {"schema_version": 1, "kind": "category", "construction": "dm",
+               "modulus": 4, "max_rank": 1}
+        cat = write_json(tmp_path, "dm41.json", doc)
+        coeff = write_json(tmp_path, "constant2.json", {
+            "schema_version": 1, "kind": "natural_system", "construction": "trivial",
+            "category": doc, "coefficients": [2],
+        })
+        built = self.count_matrix_categories(monkeypatch)
+        assert main(["cohomology", cat, coeff, "--degree", "1"]) == 0
+        assert built == [(4, 1)]
+        assert main(["cohomology", cat, coeff, "--degree", "1", "--format", "machine"]) == 0
+        assert built == [(4, 1)] * 2
+        # the bytes written when the embedded category was built anew
+        assert capsys.readouterr().out == (
+            "== cohomology: degree 1 ==\n"
+            "category: mod-Z/4 ranks <= 1\n"
+            "coefficients: constant Z/2\n"
+            "chains: full\n"
+            "H^1 = [] (0)\n"
+            '{"category": "mod-Z/4 ranks <= 1", "chains": "full", '
+            '"coefficients": "constant Z/2", "degree": 1, '
+            '"description": "0", "invariant_factors": [], "record": "cohomology"}\n'
+        )
+
+    @pytest.mark.parametrize("embedded", [(2, 1), (4, 2)], ids=["modulus", "max_rank"])
+    def test_a_trivial_system_over_another_dm_category_exits_two(
+        self, tmp_path, capsys, monkeypatch, embedded
+    ):
+        doc = {"schema_version": 1, "kind": "category", "construction": "dm",
+               "modulus": 4, "max_rank": 1}
+        cat = write_json(tmp_path, "dm41.json", doc)
+        modulus, max_rank = embedded
+        coeff = write_json(tmp_path, "constant2.json", {
+            "schema_version": 1, "kind": "natural_system", "construction": "trivial",
+            "category": dict(doc, modulus=modulus, max_rank=max_rank), "coefficients": [2],
+        })
+        built = self.count_matrix_categories(monkeypatch)
+        assert main(["cohomology", cat, coeff, "--degree", "1"]) == 2
+        assert built == [(4, 1), embedded]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the coefficient document is built over a different category\n"
+
 
 class TestNu:
     def test_ordinary_ring_extension_has_zero_class(self, docs, capsys):
