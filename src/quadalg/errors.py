@@ -40,28 +40,8 @@ class NotAQuadraticRing(QuadAlgError):
     """The input failed the quadratic-ring contract."""
 
 
-class NotAQpm(QuadAlgError):
-    """The input failed the quadratic pair module identities."""
-
-
-class ActionShapeMismatch(QuadAlgError):
-    """An action's carriers do not match the structures it is attached to."""
-
-
-class NotASection(QuadAlgError):
-    """The supplied splitting is not a section of the projection."""
-
-
 class NotExact(QuadAlgError):
     """A sequence required to be exact is not."""
-
-
-class NotEeAntidiscrete(QuadAlgError):
-    """The groupoid is not antidiscrete on ee-parts, so no pair module exists."""
-
-
-class IllDefinedMultiplication(QuadAlgError):
-    """A quotient multiplication does not descend to the quotient."""
 
 
 class NotInKernel(QuadAlgError):

@@ -1,4 +1,4 @@
-"""Groups of nilpotency class two, square groups, and their morphisms.
+"""Groups of nilpotency class two, square groups and quadratic pair modules.
 
 A square group is a diagram ``H: e -> ee, P: ee -> e`` where ``e`` is a
 group of nilpotency class at most two, ``ee`` is abelian, ``P`` is a
@@ -10,6 +10,10 @@ homomorphism, and ``H`` is a quadratic function subject to three laws:
 
 with ``(x | y)_H = H(x + y) - H(y) - H(x)`` the cross effect of ``H``.
 Carriers are explicit group implementations; all arithmetic is exact.
+
+The module holds the carriers (direct sums and the free word models), the
+law driver that every verifier runs its identities through, the
+square-group verifier and the quadratic pair modules with their verifier.
 """
 from __future__ import annotations
 
@@ -18,23 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .abelian import (
-    DEFAULT_ENUM_BOUND,
-    FgAbGroup,
-    draw_below,
-    draw_sample,
-    finite_abelian_invariants,
-)
-from .errors import (
-    ActionShapeMismatch,
-    BasisMismatch,
-    NotAQpm,
-    NotASection,
-    NotEeAntidiscrete,
-    NotExact,
-    NotFinite,
-    TooLarge,
-)
+from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup, draw_below, draw_sample
+from .errors import BasisMismatch, NotFinite, TooLarge
 from .reports import Report
 
 
@@ -140,70 +129,6 @@ class DirectSumCarrier(Carrier):
         if n > DEFAULT_ENUM_BOUND:
             raise TooLarge(f"direct sum has {n} elements, bound {DEFAULT_ENUM_BOUND}")
         return [(a, b) for a in ls for b in rs]
-
-
-class TwistedProductCarrier(DirectSumCarrier):
-    """Pairs ``(g, x)`` with addition twisted by a central cocycle.
-
-    ``(g, x) + (h, y) = (g + h, x + y + twist(x, h))`` where ``twist``
-    lands in the centre of the second factor and is biadditive. Used to
-    realize semidirect sums; the biadditivity itself is validated by the
-    square-group verifier, not here.
-    """
-
-    def __init__(self, left: Carrier, right: Carrier, twist: Callable):
-        super().__init__(left, right)
-        self.twist = twist
-
-    def add(self, a, b):
-        g, x = a
-        h, y = b
-        return (
-            self.left.add(g, h),
-            self.right.add(self.right.add(x, y), self.twist(x, h)),
-        )
-
-    def neg(self, a):
-        g, x = a
-        return (self.left.neg(g), self.right.add(self.right.neg(x), self.twist(x, g)))
-
-
-class SubgroupCarrier(Carrier):
-    """A subgroup of a finite carrier given by its element list."""
-
-    def __init__(self, parent: Carrier, members: Sequence):
-        self.parent = parent
-        self._members = list(members)
-        member_set = set(self._members)
-        if len(member_set) != len(self._members):
-            raise ValueError("subgroup members are not distinct")
-        if parent.zero() not in member_set:
-            raise ValueError("subgroup does not contain zero")
-        for a in self._members:
-            if parent.neg(a) not in member_set:
-                raise ValueError(f"subgroup not closed under negation at {a!r}")
-            for b in self._members:
-                if parent.add(a, b) not in member_set:
-                    raise ValueError(f"subgroup not closed under addition at ({a!r}, {b!r})")
-
-    def zero(self):
-        return self.parent.zero()
-
-    def add(self, a, b):
-        return self.parent.add(a, b)
-
-    def neg(self, a):
-        return self.parent.neg(a)
-
-    def sample(self, rng: random.Random):
-        """A member; the draw equals ``rng.choice(members)``."""
-        return self._members[draw_below(rng, len(self._members))]
-
-    def elements(self) -> list:
-        n = len(self._members)
-        if n > DEFAULT_ENUM_BOUND:
-            raise TooLarge(f"subgroup has {n} elements, bound {DEFAULT_ENUM_BOUND}")
-        return list(self._members)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +426,7 @@ class FreePairsCarrier(FreeAbelianCarrier):
 
 
 # ---------------------------------------------------------------------------
-# Square groups
+# Square groups and the law driver
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -538,7 +463,6 @@ class SgMorphism:
 
     e: Callable
     ee: Callable
-    name: str = ""
 
 
 def _finite_elements(carrier: Carrier) -> list | None:
@@ -546,14 +470,6 @@ def _finite_elements(carrier: Carrier) -> list | None:
         return carrier.elements()
     except (NotFinite, TooLarge):
         return None
-
-
-def _coset_labels(elements: list, add: Callable, image: Iterable) -> tuple[dict, list]:
-    """Label each of ``elements`` by the first listed element of its coset
-    ``x + image``; return the labels and the distinct labels in listing order."""
-    position = {x: i for i, x in enumerate(elements)}
-    labels = {x: min((add(x, w) for w in image), key=position.__getitem__) for x in elements}
-    return labels, sorted(set(labels.values()), key=position.__getitem__)
 
 
 def _tuples(carriers: Sequence[Carrier], samples: int, rng: random.Random) -> Iterator[tuple]:
@@ -685,195 +601,6 @@ def square_group_verify(
     return r
 
 
-def morphism_verify(
-    dom: SquareGroup, cod: SquareGroup, f: SgMorphism, samples: int = 500, seed: int = 0
-) -> Report:
-    """Check that ``f`` preserves addition and commutes with ``H`` and ``P``."""
-    rng = random.Random(seed)
-    r = Report(
-        title=f"morphism: {f.name or dom.name + ' -> ' + cod.name}",
-        samples=samples,
-        seed=seed,
-    )
-    check_laws(r, [
-        Law("e-level additive", [dom.e, dom.e],
-            lambda x, y: f.e(dom.e.add(x, y)) == cod.e.add(f.e(x), f.e(y)), "x y"),
-        Law("ee-level additive", [dom.ee, dom.ee],
-            lambda a, b: f.ee(dom.ee.add(a, b)) == cod.ee.add(f.ee(a), f.ee(b)), "a b"),
-        Law("commutes with H", [dom.e], lambda x: f.ee(dom.H(x)) == cod.H(f.e(x)), "x"),
-        Law("commutes with P", [dom.ee], lambda a: f.e(dom.P(a)) == cod.P(f.ee(a)), "a"),
-    ], samples, rng)
-    return r
-
-
-def morphism_is_bijective(dom: SquareGroup, cod: SquareGroup, f: SgMorphism) -> bool:
-    """Bijectivity on both levels, for finite carriers only."""
-    for (src, tgt, fn) in [(dom.e, cod.e, f.e), (dom.ee, cod.ee, f.ee)]:
-        source = src.elements()
-        images = {fn(x) for x in source}
-        if len(images) != len(source) or images != set(tgt.elements()):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Semidirect sums and splittings
-# ---------------------------------------------------------------------------
-
-def semidirect(
-    G: SquareGroup,
-    A: SquareGroup,
-    action: Callable,
-) -> SquareGroup:
-    """The semidirect sum of ``G`` acting on ``A`` through ``action``.
-
-    ``action(x, g)`` takes ``x`` in ``A.e`` and ``g`` in ``G.e`` to
-    ``A.ee``; it must be biadditive and must kill ``P``-images in either
-    slot, since it only depends on the abelianized quotients. Violations
-    raise ``ActionShapeMismatch`` with a witness.
-
-    The result has elements ``(g, x)`` with addition twisted by
-    ``P(action(x, h))`` and ``H(g, x) = (H(g), H(x) - T(action(x, g)))``.
-    """
-    rng = random.Random(0)
-    for law in [
-        Law("action not additive in the module slot", [A.e, A.e, G.e],
-            lambda x, y, g: action(A.e.add(x, y), g) == A.ee.add(action(x, g), action(y, g)),
-            "x y g"),
-        Law("action not additive in the group slot", [A.e, G.e, G.e],
-            lambda x, g, h: action(x, G.e.add(g, h)) == A.ee.add(action(x, g), action(x, h)),
-            "x g h"),
-        Law("action does not kill P-images on the left", [A.ee, G.e],
-            lambda a, g: A.ee.is_zero(action(A.P(a), g)), "a g"),
-        Law("action does not kill P-images on the right", [A.e, G.ee],
-            lambda x, u: A.ee.is_zero(action(x, G.P(u))), "x u"),
-    ]:
-        bad = counterexample(law.carriers, law.holds, 400, rng)
-        if bad is not None:
-            raise ActionShapeMismatch(f"{law.name}: {_witness(law.names, bad)}")
-
-    e = TwistedProductCarrier(G.e, A.e, lambda x, h: A.P(action(x, h)))
-    ee = DirectSumCarrier(G.ee, A.ee)
-
-    def H(el):
-        g, x = el
-        return (G.H(g), A.ee.sub(A.H(x), A.tmap(action(x, g))))
-
-    def P(c):
-        u, a = c
-        return (G.P(u), A.P(a))
-
-    return SquareGroup(e=e, ee=ee, H=H, P=P, name=f"{G.name} |x {A.name}")
-
-
-@dataclass
-class SplitExtension:
-    """A reconstructed action together with the comparison isomorphism."""
-
-    action: Callable
-    total: SquareGroup
-    iso: SgMorphism
-
-
-def splitting_to_action(
-    B: SquareGroup,
-    G: SquareGroup,
-    A: SquareGroup,
-    include: SgMorphism,
-    section: SgMorphism,
-    retract: SgMorphism,
-) -> SplitExtension:
-    """Recover the action from a split inclusion ``A -> B`` over ``G``.
-
-    ``include: A -> B`` and ``section: G -> B`` are square-group
-    morphisms, ``retract: B -> G`` satisfies ``retract . section = id``
-    (else ``NotASection``). The kernel of ``retract`` must coincide with
-    the image of ``include`` on both levels (else ``NotExact``). The
-    action is ``action(x, g) = include_ee^(-1)((include(x) | section(g))_H)``
-    and the returned isomorphism sends ``(g, x)`` to
-    ``section(g) + include(x)``.
-
-    All carriers must be finite; a carrier too large to enumerate raises
-    its own error.
-    """
-    for g in G.e.elements():
-        if retract.e(section.e(g)) != g:
-            raise NotASection(f"retract(section(g)) != g at g={g!r}")
-    for u in G.ee.elements():
-        if retract.ee(section.ee(u)) != u:
-            raise NotASection(f"retract(section(u)) != u at u={u!r} on ee")
-
-    a_elements = A.e.elements()
-    image_e = {}
-    for x in a_elements:
-        y = include.e(x)
-        if y in image_e:
-            raise NotExact(f"inclusion is not injective: {x!r} and {image_e[y]!r} collide")
-        image_e[y] = x
-    kernel_e = {b for b in B.e.elements() if G.e.is_zero(retract.e(b))}
-    if set(image_e) != kernel_e:
-        stray = (kernel_e - set(image_e)) or (set(image_e) - kernel_e)
-        raise NotExact(f"kernel of the retraction differs from the image at {next(iter(stray))!r}")
-
-    image_ee = {}
-    for a in A.ee.elements():
-        c = include.ee(a)
-        if c in image_ee:
-            raise NotExact(f"inclusion is not injective on ee: {a!r} collides")
-        image_ee[c] = a
-
-    def action(x, g):
-        value = B.cross(include.e(x), section.e(g))
-        if value not in image_ee:
-            raise NotExact(f"cross effect {value!r} escapes the included ee part")
-        return image_ee[value]
-
-    total = semidirect(G, A, action)
-
-    def iso_e(el):
-        g, x = el
-        return B.e.add(section.e(g), include.e(x))
-
-    def iso_ee(c):
-        u, a = c
-        return B.ee.add(section.ee(u), include.ee(a))
-
-    return SplitExtension(
-        action=action,
-        total=total,
-        iso=SgMorphism(e=iso_e, ee=iso_ee, name=f"{total.name} -> {B.name}"),
-    )
-
-
-def crossed_square_group_verify(
-    G: SquareGroup,
-    A: SquareGroup,
-    action: Callable,
-    boundary: SgMorphism,
-    samples: int = 400,
-    seed: int = 0,
-) -> Report:
-    """Check a boundary ``A -> G`` equivariant for the action.
-
-    Beyond both square-group structures and the action shape this checks
-    the two compatibility laws
-    ``boundary_ee(action(x, g)) = (boundary(x) | g)_H`` and
-    ``action(x, boundary(y)) = (x | y)_H``.
-    """
-    rng = random.Random(seed)
-    r = Report(title=f"crossed square group: {A.name} -> {G.name}", samples=samples, seed=seed)
-    r.extend(square_group_verify(G, samples, seed), prefix="base: ")
-    r.extend(square_group_verify(A, samples, seed), prefix="fibre: ")
-    r.extend(morphism_verify(A, G, boundary, samples, seed), prefix="boundary: ")
-    check_laws(r, [
-        Law("boundary of action is a cross effect", [A.e, G.e],
-            lambda x, g: boundary.ee(action(x, g)) == G.cross(boundary.e(x), g), "x g"),
-        Law("action along the boundary is the cross effect", [A.e, A.e],
-            lambda x, y: action(x, boundary.e(y)) == A.cross(x, y), "x y"),
-    ], samples, rng)
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Quadratic pair modules
 # ---------------------------------------------------------------------------
@@ -952,220 +679,4 @@ def qpm_verify(Q: Qpm, samples: int = 500, seed: int = 0) -> Report:
                 break
         else:
             r.add("kernel of boundary is central", True)
-    return r
-
-
-def qpm_homology(Q: Qpm) -> tuple[FgAbGroup, FgAbGroup]:
-    """``(cokernel of d, kernel of d)`` as abelian groups, by enumeration.
-
-    Raises ``NotAQpm`` when the data fails to be a quadratic pair module
-    in a way the enumeration notices (non-normal image, non-central
-    kernel, non-abelian cokernel).
-    """
-    c0 = Q.c0.elements()
-    c1 = Q.c1.elements()
-    image = {Q.boundary(x) for x in c1}
-    for g in c0:
-        for w in image:
-            conj = Q.c0.add(Q.c0.add(g, w), Q.c0.neg(g))
-            if conj not in image:
-                raise NotAQpm(f"image of the boundary is not normal at {w!r} conjugated by {g!r}")
-    labels, classes = _coset_labels(c0, Q.c0.add, image)
-    for g in c0:
-        for h in c0:
-            left = labels[Q.c0.add(g, h)]
-            right = labels[Q.c0.add(h, g)]
-            if left != right:
-                raise NotAQpm(f"cokernel is not abelian at ({g!r}, {h!r})")
-
-    def coker_add(u, v):
-        return labels[Q.c0.add(u, v)]
-
-    h0 = finite_abelian_invariants(classes, coker_add, labels[Q.c0.zero()])
-
-    kernel = [x for x in c1 if Q.c0.is_zero(Q.boundary(x))]
-    for k in kernel:
-        for x in c1:
-            if Q.c1.add(k, x) != Q.c1.add(x, k):
-                raise NotAQpm(f"kernel element {k!r} is not central against {x!r}")
-    h1 = finite_abelian_invariants(kernel, Q.c1.add, Q.c1.zero())
-    return FgAbGroup(h0), FgAbGroup(h1)
-
-
-# ---------------------------------------------------------------------------
-# The groupoid attached to a quadratic pair module
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SquareGroupoid:
-    """A groupoid internal to square groups.
-
-    Arrows and objects are square groups, ``source``/``target``/``unit``
-    are morphisms, and ``compose`` pastes arrows diagrammatically (the
-    first argument is traversed first).
-    """
-
-    obj: SquareGroup
-    arr: SquareGroup
-    source: SgMorphism
-    target: SgMorphism
-    unit: SgMorphism
-    compose: Callable
-
-    def composable(self, f, g) -> bool:
-        return self.target.e(f) == self.source.e(g)
-
-
-def qpm_to_groupoid(Q: Qpm) -> SquareGroupoid:
-    """Arrows ``(g, x)`` from ``g`` to ``g + d(x)`` with twisted addition.
-
-    The arrow square group is the semidirect sum of level 0 acting on
-    level 1 through ``action(x, g) = (d(x) | g)_H``.
-    """
-    level0 = Q.level0()
-    level1 = Q.level1()
-    arr = semidirect(level0, level1, lambda x, g: level0.cross(Q.boundary(x), g))
-
-    source = SgMorphism(e=lambda el: el[0], ee=lambda c: c[0], name="source")
-    target = SgMorphism(
-        e=lambda el: Q.c0.add(el[0], Q.boundary(el[1])),
-        ee=lambda c: Q.cee.add(c[0], c[1]),
-        name="target",
-    )
-    unit = SgMorphism(
-        e=lambda g: (g, Q.c1.zero()),
-        ee=lambda u: (u, Q.cee.zero()),
-        name="unit",
-    )
-
-    def compose(f, g):
-        if Q.c0.add(f[0], Q.boundary(f[1])) != g[0]:
-            raise ValueError("arrows are not composable")
-        return (f[0], Q.c1.add(f[1], g[1]))
-
-    return SquareGroupoid(
-        obj=level0, arr=arr, source=source, target=target, unit=unit, compose=compose
-    )
-
-
-def groupoid_verify(gpd: SquareGroupoid, samples: int = 400, seed: int = 0) -> Report:
-    """Check the internal-groupoid laws on top of both square groups."""
-    rng = random.Random(seed)
-    r = Report(title="square groupoid", samples=samples, seed=seed)
-    r.extend(square_group_verify(gpd.obj, samples, seed), prefix="objects: ")
-    r.extend(square_group_verify(gpd.arr, samples, seed), prefix="arrows: ")
-    r.extend(morphism_verify(gpd.arr, gpd.obj, gpd.source, samples, seed), prefix="source: ")
-    r.extend(morphism_verify(gpd.arr, gpd.obj, gpd.target, samples, seed), prefix="target: ")
-    r.extend(morphism_verify(gpd.obj, gpd.arr, gpd.unit, samples, seed), prefix="unit: ")
-
-    arr, src, tgt, unit, compose = gpd.arr.e, gpd.source.e, gpd.target.e, gpd.unit.e, gpd.compose
-    check_laws(r, [
-        Law("unit arrows are endo", [gpd.obj.e],
-            lambda g: src(unit(g)) == g and tgt(unit(g)) == g, "g"),
-    ], samples, rng)
-
-    def mate(f, h):
-        """Adjust ``h`` so that it composes after ``f``."""
-        return arr.add(unit(tgt(f)), arr.sub(h, unit(src(h))))
-
-    def endpoints(f, g):
-        m = compose(f, g)
-        return src(m) == src(f) and tgt(m) == tgt(g)
-
-    def chain(f, h, k):
-        g = mate(f, h)
-        return f, g, mate(g, k)
-
-    def associative(f, g, w):
-        return compose(compose(f, g), w) == compose(f, compose(g, w))
-
-    def additive(f1, g1, f2, g2):
-        lhs = compose(arr.add(f1, f2), arr.add(g1, g2))
-        return lhs == arr.add(compose(f1, g1), compose(f2, g2))
-
-    # the first two composition laws read one shared draw
-    pairs = list(_tuples([arr, arr], samples, rng))
-    bad = next((p for p in pairs if not gpd.composable(p[0], mate(*p))), None)
-    r.add("composable mates align", bad is None, bad and _witness("f h", bad))
-    bad = next((p for p in pairs if not endpoints(p[0], mate(*p))), None)
-    r.add("composition endpoints", bad is None, bad and _witness("f g", (bad[0], mate(*bad))))
-    check_laws(r, [
-        Law("unit laws", [arr],
-            lambda f: (compose(unit(src(f)), f) == f) & (compose(f, unit(tgt(f))) == f), "f"),
-    ], samples, rng)
-    bad = counterexample([arr] * 3, lambda *t: associative(*chain(*t)), samples, rng)
-    r.add("composition associative", bad is None, bad and _witness("f g w", chain(*bad)))
-    bad = counterexample(
-        [arr] * 4, lambda f1, h1, f2, h2: additive(f1, mate(f1, h1), f2, mate(f2, h2)), samples, rng
-    )
-    r.add("composition additive", bad is None, bad and _witness("f1 f2", bad[::2]))
-    return r
-
-
-def groupoid_to_qpm(gpd: SquareGroupoid) -> Qpm:
-    """Extract the boundary ``ker(source) -> objects`` from a groupoid.
-
-    Needs the target map to restrict to a bijection from the kernel of
-    the source on the quadratic level onto the object quadratic level;
-    otherwise the groupoid has no single shared quadratic part and
-    ``NotEeAntidiscrete`` is raised.
-    """
-    arrows = gpd.arr.e.elements()
-    zero_obj = gpd.obj.e.zero()
-    members = [b for b in arrows if gpd.source.e(b) == zero_obj]
-    c1 = SubgroupCarrier(gpd.arr.e, members)
-
-    ee_kernel = [
-        c for c in gpd.arr.ee.elements() if gpd.obj.ee.is_zero(gpd.source.ee(c))
-    ]
-    back = {}
-    for c in ee_kernel:
-        v = gpd.target.ee(c)
-        if v in back:
-            raise NotEeAntidiscrete(
-                f"target is not injective on the source kernel: {c!r} and {back[v]!r}"
-            )
-        back[v] = c
-    missing = [u for u in gpd.obj.ee.elements() if u not in back]
-    if missing:
-        raise NotEeAntidiscrete(
-            f"target misses {missing[0]!r} on the quadratic level"
-        )
-
-    return Qpm(
-        c0=gpd.obj.e,
-        c1=c1,
-        cee=gpd.obj.ee,
-        H=gpd.obj.H,
-        P=lambda u: gpd.arr.P(back[u]),
-        boundary=lambda x: gpd.target.e(x),
-        name="qpm from groupoid",
-    )
-
-
-def qpm_groupoid_roundtrip(Q: Qpm, samples: int = 400, seed: int = 0) -> Report:
-    """Translate to the groupoid and back, then compare with the original."""
-    rng = random.Random(seed)
-    r = Report(title=f"groupoid round trip: {Q.name}", samples=samples, seed=seed)
-    gpd = qpm_to_groupoid(Q)
-    r.extend(groupoid_verify(gpd, samples, seed), prefix="groupoid: ")
-    back = groupoid_to_qpm(gpd)
-
-    embed = lambda x: (Q.c0.zero(), x)
-
-    check_laws(r, [
-        Law("kernel embedding additive", [Q.c1, Q.c1],
-            lambda x, y: embed(Q.c1.add(x, y)) == back.c1.add(embed(x), embed(y)), "x y"),
-        Law("boundary preserved", [Q.c1], lambda x: back.boundary(embed(x)) == Q.boundary(x), "x"),
-        Law("P preserved", [Q.cee], lambda a: back.P(a) == embed(Q.P(a)), "a"),
-        Law("H preserved", [Q.c0], lambda g: back.H(g) == Q.H(g), "g"),
-    ], samples, rng)
-
-    members, elements = _finite_elements(back.c1), _finite_elements(Q.c1)
-    if members is None or elements is None:
-        r.note("kernel carrier comparison skipped on infinite carriers")
-    else:
-        members, expected = set(members), {embed(x) for x in elements}
-        r.add("kernel carrier matches", members == expected,
-              None if members == expected else f"difference {members ^ expected!r}")
     return r

@@ -22,12 +22,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .abelian import DEFAULT_ENUM_BOUND, FgAbGroup
-from .errors import (
-    IllDefinedMultiplication,
-    NotAQuadraticRing,
-    NotFinite,
-    TooLarge,
-)
+from .errors import NotAQuadraticRing, NotFinite, TooLarge
 from .nil2 import (
     Carrier,
     FreeNil2Carrier,
@@ -35,7 +30,6 @@ from .nil2 import (
     Law,
     Nil2Element,
     SquareGroup,
-    _coset_labels,
     _finite_elements,
     _fold_pairs,
     check_laws,
@@ -543,7 +537,7 @@ def znil_monoid(
 
 
 # ---------------------------------------------------------------------------
-# Linear elements and the abelianized quotient ring
+# Linear elements
 # ---------------------------------------------------------------------------
 
 def linear_elements(R) -> list:
@@ -570,43 +564,3 @@ def _small_box(n: int, radius: int):
     for rest in _small_box(n - 1, radius):
         for v in range(-radius, radius + 1):
             yield (v,) + rest
-
-
-@dataclass
-class AdRing:
-    """The quotient of the multiplicative level by the ``P`` images."""
-
-    representatives: list
-    add: Callable
-    mul: Callable
-    one: object
-    zero: object
-
-
-def ad_ring(R) -> AdRing:
-    """Quotient ring ``e / P(ee)`` for finite carriers.
-
-    Raises ``IllDefinedMultiplication`` when the induced product depends
-    on the chosen representatives, which happens exactly when the input
-    fails the square-ring laws tying ``P`` to the multiplication.
-    """
-    elements = R.e.elements()
-    image = {R.P(a) for a in R.ee.elements()}
-    label, reps = _coset_labels(elements, R.e.add, image)
-    for x in reps:
-        for y in reps:
-            base = label[R.mul(x, y)]
-            for w in image:
-                for v in image:
-                    other = label[R.mul(R.e.add(x, w), R.e.add(y, v))]
-                    if other != base:
-                        raise IllDefinedMultiplication(
-                            f"product of classes of {x!r} and {y!r} depends on representatives"
-                        )
-    return AdRing(
-        representatives=reps,
-        add=lambda x, y: label[R.e.add(x, y)],
-        mul=lambda x, y: label[R.mul(x, y)],
-        one=label[R.one],
-        zero=label[R.e.zero()],
-    )

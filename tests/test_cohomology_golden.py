@@ -161,6 +161,11 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def test_golden_keys_are_the_cases(golden):
+    projection_keys = [f"{kind}_{name}" for name in PROJECTION_CASES for kind in ("les", "relative")]
+    assert sorted(golden) == sorted([*COHOMOLOGY_CASES, *projection_keys, "cyc4_z2z4"])
+
+
 @pytest.mark.parametrize("name", sorted(COHOMOLOGY_CASES))
 def test_cohomology_witnesses(golden, name):
     got = {key: digest(v) for key, v in cohomology_witnesses(name).items()}

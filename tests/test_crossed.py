@@ -41,7 +41,6 @@ def augmentation() -> SgMorphism:
     return SgMorphism(
         e=lambda x: (sum(n for _, n in x.linear),),
         ee=lambda a: (sum(n for _, n in a),),
-        name="augmentation",
     )
 
 
@@ -285,7 +284,6 @@ class TestPullback:
         crushed = SgMorphism(
             e=lambda x: (sum(n for _, n in x.linear),),
             ee=lambda a: (0,),
-            name="crushed augmentation",
         )
         with pytest.raises(PullbackDegenerate, match="H images disagree"):
             pullback_extension(base, ring_new, crushed, section,
@@ -295,7 +293,7 @@ class TestPullback:
 class TestFinitePullback:
     @pytest.fixture(scope="class")
     def ext(self):
-        identity = SgMorphism(e=lambda x: x, ee=lambda a: a, name="identity")
+        identity = SgMorphism(e=lambda x: x, ee=lambda a: a)
         return pullback_extension(cyclic_ring_extension(4, 2), cyclic_ring(4), identity,
                                   lambda c: c)
 

@@ -3,6 +3,7 @@ call every private helper, and keep no state between calls."""
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -92,6 +93,78 @@ def test_the_check_sees_an_unread_helper():
     assert unread_private_helpers({"a.py": a, "b.py": b}) == [
         "a.py: _recursive (line 3)",
         "b.py: _Unread (line 1)",
+    ]
+
+
+# Public names that nothing reaches yet, each with the roadmap item that
+# will reach it; no other public name may wait.
+WAITING = {
+    "relative_cohomology": "item 10, one pullback along a functor",
+    "les_report": "item 10, one pullback along a functor",
+    "pullback_extension": "item 8, Baer sums of crossed extensions",
+    "forget_U": "item 11, quadratic-ring extensions",
+}
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """Names read or bound as plain names, and attribute names, in ``tree``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _named_in(tree: ast.AST) -> set[str]:
+    """Every identifier in ``tree``, inside string constants too: the bench
+    tracer names its targets in strings such as ``"abelian.smith"``."""
+    names = set(_referenced_names(tree))
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", n.value))
+    return names
+
+
+def unreached_public_names(sources: dict[str, ast.Module], bench: list[ast.Module]) -> list[str]:
+    """Module-level public functions and classes in ``sources`` that no
+    source references outside their own definition and that ``bench``
+    never names, as ``module: name (line n)``."""
+    refs = sum((_referenced_names(tree) for tree in sources.values()), Counter())
+    named = set().union(*map(_named_in, bench))
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and refs[node.name] == _referenced_names(node)[node.name]
+        and node.name not in named
+    ]
+
+
+def test_every_public_name_is_reached():
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    bench = [ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))]
+    unreached = {line.split()[1]: line for line in unreached_public_names(sources, bench)}
+    assert [line for name, line in unreached.items() if name not in WAITING] == []
+    assert [name for name in WAITING if name not in unreached] == []
+
+
+def test_the_check_sees_an_unreached_public_name():
+    a = ast.parse(
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n)\n"
+        "class Shape:\n    def grow(self):\n        return Shape()\n"
+        "def traced():\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    b = ast.parse("from a import used\nused()\ndef unread():\n    pass\n")
+    bench = ast.parse('TARGETS = (("a.traced", "a", "traced", "span"),)\n')
+    assert unreached_public_names({"a.py": a, "b.py": b}, [bench]) == [
+        "a.py: recursive (line 3)",
+        "a.py: Shape (line 5)",
+        "b.py: unread (line 3)",
     ]
 
 

@@ -16,13 +16,8 @@ from quadalg.nil2 import (
     FreeAbelianCarrier,
     FreeNil2Carrier,
     FreePairsCarrier,
-    SgMorphism,
-    TwistedProductCarrier,
     SquareGroup,
-    SubgroupCarrier,
     counterexample,
-    morphism_is_bijective,
-    morphism_verify,
     square_group_verify,
     _tuples,
 )
@@ -228,32 +223,6 @@ class TestDerivedIdentities:
             assert sg.tmap(sg.delta(x)) == sg.ee.neg(sg.delta(x))
 
 
-class TestMorphisms:
-    def test_identity_morphism_verifies(self):
-        sg = mod4_square_group()
-        ident = SgMorphism(e=lambda x: x, ee=lambda a: a, name="id")
-        report = morphism_verify(sg, sg, ident, samples=50, seed=0)
-        assert report.passed, report.render()
-        assert morphism_is_bijective(sg, sg, ident)
-
-    def test_augmentation_to_the_integer_model(self):
-        R = znil_monoid(["s"], length_bound=4, sample_length=1)
-        f = SgMorphism(
-            e=lambda x: (sum(c for _, c in x.linear),),
-            ee=lambda a: (sum(c for _, c in a),),
-            name="augmentation",
-        )
-        report = morphism_verify(R.square_group, znil().square_group, f, samples=200, seed=0)
-        assert report.passed, report.render()
-
-    def test_non_additive_map_fails_with_witness(self):
-        sg = mod4_square_group()
-        broken = SgMorphism(e=lambda x: ((x[0] * x[0]) % 4,), ee=lambda a: a)
-        report = morphism_verify(sg, sg, broken, samples=60, seed=0)
-        assert not report.passed
-        assert report.first_failure().witness
-
-
 class TestSmallCarrierUtilities:
     def test_direct_sum_and_free_abelian(self):
         d = DirectSumCarrier(FgAbGroup((2,)), FgAbGroup((3,)))
@@ -262,28 +231,6 @@ class TestSmallCarrierUtilities:
         assert d.neg(a) == ((1,), (1,))
         f = FreeAbelianCarrier(["s", "t"], ["s", "t"])
         assert f.add(f.atom("s"), f.atom("s", -1)) == f.zero()
-
-    def test_zero_twist_is_the_direct_sum(self):
-        left, right = FgAbGroup((2,)), FgAbGroup((3,))
-        d = DirectSumCarrier(left, right)
-        t = TwistedProductCarrier(left, right, lambda x, h: right.zero())
-        elements = d.elements()
-        assert t.elements() == elements and len(elements) == 6
-        for a in elements:
-            assert t.neg(a) == d.neg(a)
-            for b in elements:
-                assert t.add(a, b) == d.add(a, b)
-
-    @pytest.mark.parametrize("members, message", [
-        ([(0,), (2,), (2,), (4,)], "subgroup members are not distinct"),
-        ([(2,), (4,)], "subgroup does not contain zero"),
-        ([(0,), (2,)], "subgroup not closed under negation at (2,)"),
-        ([(0,), (1,), (5,)], "subgroup not closed under addition at ((1,), (1,))"),
-    ])
-    def test_subgroup_refusals(self, members, message):
-        with pytest.raises(ValueError) as info:
-            SubgroupCarrier(FgAbGroup((6,)), members)
-        assert str(info.value) == message
 
     def test_free_pairs_carrier(self):
         c = FreePairsCarrier(["s", "t"], ["s", "t"])

@@ -10,12 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadalg.errors import IllDefinedMultiplication, NotAQuadraticRing, TooLarge
-from quadalg.abelian import FgAbGroup
+from quadalg.errors import NotAQuadraticRing, TooLarge
 from quadalg.sqring import (
-    QuadraticRing,
-    SquareRing,
-    ad_ring,
     cyclic_ring,
     forget_U,
     linear_elements,
@@ -243,52 +239,6 @@ class TestLinearElements:
         assert pool == [R.e.atom(w) for w in R.e.symbols]
         assert len(pool) == 31
         assert R.one in pool
-
-
-class TestAdRing:
-    def test_trivial_p_leaves_the_ring_alone(self):
-        A = ad_ring(cyclic_ring(6))
-        assert len(A.representatives) == 6
-        assert A.mul((5,), (5,)) == (1,)
-        assert A.add(A.one, A.one) == (2,)
-
-    def test_quotients_by_the_p_image(self):
-        e = FgAbGroup((4,))
-        ee = FgAbGroup((2,))
-        R = SquareRing(
-            e=e,
-            ee=ee,
-            H=lambda x: (x[0] * (x[0] - 1) // 2 % 2,),
-            P=lambda a: ((2 * a[0]) % 4,),
-            one=(1,),
-            mul=lambda x, y: ((x[0] * y[0]) % 4,),
-            eemul=lambda a, b: ((a[0] * b[0]) % 2,),
-            act_pair=lambda x, y, a: ((x[0] * y[0] * a[0]) % 2,),
-            act_right=lambda a, z: ((a[0] * z[0]) % 2,),
-            name="Z/4 with doubling P",
-        )
-        A = ad_ring(R)
-        assert A.representatives == [(0,), (1,)]
-        assert A.mul((1,), (1,)) == (1,)
-        assert A.add((1,), (1,)) == (0,)
-
-    def test_rejects_a_multiplication_that_depends_on_representatives(self):
-        e = FgAbGroup((4,))
-        ee = FgAbGroup((2,))
-        R = SquareRing(
-            e=e,
-            ee=ee,
-            H=lambda x: (0,),
-            P=lambda a: ((2 * a[0]) % 4,),
-            one=(1,),
-            mul=lambda x, y: ((x[0] // 2) * y[0] % 4,),
-            eemul=lambda a, b: (0,),
-            act_pair=lambda x, y, a: (0,),
-            act_right=lambda a, z: (0,),
-            name="broken quotient",
-        )
-        with pytest.raises(IllDefinedMultiplication):
-            ad_ring(R)
 
 
 # ---------------------------------------------------------------------------
