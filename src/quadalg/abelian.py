@@ -14,8 +14,8 @@ Conventions
 * A relation matrix for a presentation has one column per relation.
 
 One Smith record, :class:`SnfResult`, answers every lattice question
-about a matrix: ``solve(b)``, ``contains(b)``, the kernel, and the free
-basis of the column lattice with the coordinates in it. One core,
+about a matrix: ``solve(b)``, the kernel, and the free basis of the
+column lattice with the coordinates in it (``None`` outside it). One core,
 :func:`smith_rows`, eliminates on the sparse rows it is handed and logs
 its elementary operations. Rows keep their column keys: a column swap
 exchanges two entries of a logical-column permutation, and an index from
@@ -30,8 +30,8 @@ only when read.
 rows, without the dense stack.
 Membership in the relation lattice of a group in invariant-factor form
 needs no factorization at all; it is :meth:`FgAbGroup.reduce` to zero.
-Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are both
-read off :func:`homology_at`, the one routine that computes a kernel.
+Kernels (:meth:`AbMap.kernel`) and exactness (:func:`exact_at`) are read off
+:func:`homology_at`, whose result lists a kernel basis only for a representative.
 """
 from __future__ import annotations
 
@@ -185,8 +185,8 @@ class SnfResult:
     coordinates ``(U b)_j / d_j``.
 
     >>> r = smith([[2, 4], [0, 6]])
-    >>> r.solve((4, 12)), r.contains((1, 0)), r.column_basis()
-    ((-2, 2), False, [(2, 0), (0, 6)])
+    >>> r.solve((4, 12)), r.column_basis()
+    ((-2, 2), [(2, 0), (0, 6)])
     >>> r.column_coordinates([(4, 6), (1, 0)])
     [(2, 1), None]
     """
@@ -283,10 +283,6 @@ class SnfResult:
         Y = [{0: c} if c else {} for c in y] + [{} for _ in range(self.shape[1] - len(y))]
         return _columns_of(_apply(self.col_ops, Y, False, True), 1)[0]
 
-    def contains(self, b: tuple[int, ...] | list[int]) -> bool:
-        """Whether ``b`` lies in the lattice spanned by the columns of ``M``."""
-        return self.column_coordinates([b])[0] is not None
-
 
 def stacked_rows(M: IntMatrix, rels, first: bool) -> tuple[list[dict[int, int]], int]:
     """Sparse rows and column count of ``[M | R]``, or of ``[R | M]`` when
@@ -308,8 +304,8 @@ def stacked_rows(M: IntMatrix, rels, first: bool) -> tuple[list[dict[int, int]],
 def smith(M: IntMatrix) -> SnfResult:
     """Smith normal form of the dense matrix ``M``: :func:`smith_rows` of
     its nonzero entries. It serves callers that hold a dense matrix (the
-    ``quadalg snf`` command, :func:`canonical_factors`, the tests); the
-    library's stacks go to :func:`smith_rows` as sparse rows.
+    ``quadalg snf`` command, :func:`solve_integer`, the tests); the library's
+    stacks and :func:`canonical_factors`' diagonal go to :func:`smith_rows`.
     """
     return smith_rows([{j: x for j, x in enumerate(row) if x} for row in M], mat_shape(M)[1])
 
@@ -567,9 +563,7 @@ def canonical_factors(factors) -> tuple[int, ...]:
         fs = [d for d in fs if d != 1]
     if not fs:
         return ()
-    n = len(fs)
-    D = [[fs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = smith(D).diagonal
+    diag = smith_rows([{i: d} if d else {} for i, d in enumerate(fs)], len(fs)).diagonal
     finite = sorted(d for d in diag if d not in (0, 1))
     nfree = sum(1 for d in diag if d == 0)
     return tuple(finite) + (0,) * nfree
@@ -976,18 +970,15 @@ def quotient_presentation(
 
 @dataclass
 class HomologyResult:
-    """``ker(d2)/im(d1)`` together with a witness.
-
-    ``kernel_basis`` lists middle-group coordinate tuples generating the
-    kernel; :meth:`express` sends a kernel element to its class through
-    its coordinates in that basis, read off ``_kernel``, the Smith record
-    the basis came from; :meth:`representative` solves against one more
-    record, of ``[_project | relations of group]``, made on its first call.
+    """``ker(d2)/im(d1)`` together with a witness, read through ``group``,
+    :meth:`express` and :meth:`representative`. :meth:`express` sends a
+    kernel element to its class through its coordinates in the kernel's free
+    basis, read off ``_kernel``, the Smith record of a spanning set; on its
+    first call :meth:`representative` lists that basis (``_basis``) and makes
+    one more record, of ``[_project | relations of group]``, to solve against.
     """
 
     group: FgAbGroup
-    kernel_basis: list[tuple[int, ...]]
-    _basis_matrix: IntMatrix
     _project: IntMatrix
     middle: FgAbGroup
     _kernel: SnfResult = field(repr=False, compare=False)
@@ -1015,7 +1006,12 @@ class HomologyResult:
         sol = self._classes.solve(h)
         if sol is None:
             raise ShapeMismatch(f"class {h} has no kernel representative")
-        return self.middle.reduce(mat_vec(self._basis_matrix, sol[: len(self.kernel_basis)]))
+        basis = from_columns(self._basis, self.middle.ngens)
+        return self.middle.reduce(mat_vec(basis, sol[: len(self._basis)]))
+
+    @cached_property
+    def _basis(self) -> list[tuple[int, ...]]:
+        return self._kernel.column_basis()
 
 
 def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
@@ -1024,8 +1020,8 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     Three :func:`smith_rows` forms, each of sparse rows that no dense matrix
     precedes: the kernel stack ``[d2 | relations of C]`` from
     :func:`stacked_rows`, whose kernel rows, cut to the first ``b``, span
-    ``ker d2``; that spanning set, whose record gives the kernel's free
-    basis and the coordinates in it; and the coordinate rows of
+    ``ker d2``; that spanning set, whose record gives coordinates in the
+    kernel's free basis without listing it; and the coordinate rows of
     ``[d1 | relations of B]`` in that basis, which present the homology.
 
     Raises :class:`ShapeMismatch` if the middle groups disagree and
@@ -1053,8 +1049,7 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     else:
         stack = smith_rows(*stacked_rows(d2.matrix, C.relations(), False))
         kernel = smith_rows(stack.kernel_rows()[:b], stack.shape[1] - stack.rank)
-    basis = kernel.column_basis()
-    k = len(basis)
+    k = kernel.rank
     image, width = stacked_rows(d1.matrix, B.relations(), False)
     rel_rows, outside = kernel.coordinate_rows(image)
     if outside:
@@ -1064,8 +1059,6 @@ def homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
     grp, project, _lift = quotient_presentation(k, smith_rows(rel_rows, width))
     return HomologyResult(
         group=grp,
-        kernel_basis=[B.reduce(v) for v in basis],
-        _basis_matrix=from_columns(basis, b),
         _project=project,
         middle=B,
         _kernel=kernel,

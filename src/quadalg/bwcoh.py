@@ -75,10 +75,11 @@ class FinCat:
     """A finite category as explicit tables.
 
     ``table[(f, g)]`` is the composite ``f . g`` (``g`` applied first),
-    defined exactly when ``dom[f] == cod[g]``. :attr:`into` lists the
-    morphisms into each object in ``morphisms`` order, and every chain walk
-    reads it: a chain ``(a_1, ..., a_n)`` extends through ``into[dom(a_n)]``,
-    so chains come in the lexicographic order of ``morphisms``.
+    defined exactly when ``dom[f] == cod[g]``. :attr:`into` and
+    :attr:`out_of` list the morphisms into and out of each object in
+    ``morphisms`` order, and every chain walk reads ``into``: a chain
+    ``(a_1, ..., a_n)`` extends through ``into[dom(a_n)]``, so chains come
+    in the lexicographic order of ``morphisms``.
     """
 
     objects: tuple
@@ -96,6 +97,14 @@ class FinCat:
         for f in self.morphisms:
             into[self.cod[f]].append(f)
         return into
+
+    @cached_property
+    def out_of(self) -> dict:
+        """The morphisms out of each object, in ``morphisms`` order."""
+        out: dict = {o: [] for o in self.objects}
+        for f in self.morphisms:
+            out[self.dom[f]].append(f)
+        return out
 
     def identity(self, obj: Hashable):
         return self.ids[obj]
@@ -425,8 +434,7 @@ def natsystem_verify(D: NatSystem) -> Report:
     r.add("identity extension acts as the identity", ok, witness)
 
     def around(f):
-        return [(nu, psi) for nu in C.into[C.dom[f]]
-                for psi in C.morphisms if C.dom[psi] == C.cod[f]]
+        return [(nu, psi) for nu in C.into[C.dom[f]] for psi in C.out_of[C.cod[f]]]
 
     triples = [(nu, alpha, psi) for alpha in C.morphisms for nu, psi in around(alpha)]
     pairs = (
@@ -662,13 +670,16 @@ class CochainComplex:
 
 @dataclass
 class CohomologyResult:
-    """One cohomology group with enough context to classify cocycles."""
+    """One cohomology group, read in cochains ``{chain: coords}`` (objects in
+    degree zero) through a contract that reads no private field: ``class_of``
+    inverts ``representative``, is 0 on a :func:`coboundary` (a cocycle) and
+    raises ``NotInKernel`` on a cochain that ``is_cocycle`` refuses."""
 
     degree: int
     normalized: bool
     group: FgAbGroup
-    hom: HomologyResult
-    level: _Level
+    _hom: HomologyResult
+    _level: _Level
     d_in: AbMap
     d_out: AbMap
 
@@ -677,12 +688,17 @@ class CohomologyResult:
         return self.group.invariant_factors
 
     def class_of(self, cochain: dict) -> tuple[int, ...]:
-        """Cohomology class of a cocycle given as ``{index: coords}``."""
-        return self.hom.express(self.level.to_group(self.level.assemble(cochain)))
+        """Cohomology class of a cocycle."""
+        return self._hom.express(self._level.to_group(self._level.assemble(cochain)))
 
     def is_cocycle(self, cochain: dict) -> bool:
-        v = self.level.to_group(self.level.assemble(cochain))
+        v = self._level.to_group(self._level.assemble(cochain))
         return not any(self.d_out.apply(v))
+
+    def representative(self, class_coords) -> dict:
+        """A cocycle of the class ``class_coords``, one entry per chain."""
+        v = self._level.from_group(self._hom.representative(class_coords))
+        return {k: tuple(v[i] for i in self._level.index[k]) for k in self._level.keys}
 
 
 def _check_degree(degree: int, what: str) -> None:
@@ -714,8 +730,8 @@ def cohomology(
     cx.check_sizes([degree, degree + 1] + ([degree - 1] if degree else []))
     hom = cx.homology(degree)
     return CohomologyResult(
-        degree=degree, normalized=normalized, group=hom.group, hom=hom,
-        level=cx.level(degree), d_in=cx.d(degree - 1), d_out=cx.d(degree),
+        degree=degree, normalized=normalized, group=hom.group, _hom=hom,
+        _level=cx.level(degree), d_in=cx.d(degree - 1), d_out=cx.d(degree),
     )
 
 

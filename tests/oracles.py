@@ -31,7 +31,8 @@ stacks must reproduce; and :func:`reference_chains` and
 matrix composites before ``FinCat.into``, whose order every chain walk must
 reproduce. :func:`quotient_matrix`,
 :func:`track_tau` and :func:`track_invert` are matrix-category helpers
-and :func:`kernel_basis` a lattice helper that only tests use.
+and :func:`kernel_basis` and :func:`homology_basis` lattice helpers that
+only tests use.
 """
 from __future__ import annotations
 
@@ -590,8 +591,9 @@ def dense_solve(r: SnfResult, b) -> tuple[int, ...] | None:
 # ``abelian.stacked_rows``. These are the dense helpers it used before, and
 # ``reference_homology_at`` and ``reference_representative`` are its
 # ``homology_at`` and ``HomologyResult.representative`` on them, copied
-# verbatim but for the helpers' new homes. The sparse ones must reproduce
-# them exactly.
+# verbatim but for the helpers' new homes and the kernel basis, which a
+# result lists only for a representative (read here by ``homology_basis``).
+# The sparse ones must reproduce them exactly.
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice ``{x : A @ x = 0}``: the columns
@@ -665,9 +667,7 @@ def reference_homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
         ker_span = [v[:b] for v in kernel_basis(A2)]
     # one Smith form of a spanning set: the free basis, and coordinates in it
     kernel = smith(from_columns(ker_span, b))
-    basis = kernel.column_basis()
-    BK = from_columns(basis, b)
-    k = len(basis)
+    k = kernel.rank
     den = columns(mat_hstack(d1.matrix, relation_matrix(B)))
     rel_cols = kernel.column_coordinates(den)
     for c, sol in zip(den, rel_cols):
@@ -677,14 +677,15 @@ def reference_homology_at(d1: AbMap, d2: AbMap) -> HomologyResult:
             )
     rels = from_columns(rel_cols, k)
     grp, project, _lift = quotient_presentation(k, smith(rels))
-    return HomologyResult(
-        group=grp,
-        kernel_basis=[B.reduce(v) for v in basis],
-        _basis_matrix=BK,
-        _project=project,
-        middle=B,
-        _kernel=kernel,
-    )
+    return HomologyResult(group=grp, _project=project, middle=B, _kernel=kernel)
+
+
+def homology_basis(h: HomologyResult) -> tuple[list[tuple[int, ...]], IntMatrix]:
+    """The kernel basis of ``h`` as ``homology_at`` once stored it: the
+    basis vectors reduced in the middle group, and the dense matrix of the
+    vectors as they are. ``h`` lists the basis itself, as ``_basis``, only
+    for a representative; this is the one place the tests read it."""
+    return [h.middle.reduce(v) for v in h._basis], from_columns(h._basis, h.middle.ngens)
 
 
 def reference_representative(h: HomologyResult, class_coords) -> tuple[int, ...]:
@@ -695,7 +696,8 @@ def reference_representative(h: HomologyResult, class_coords) -> tuple[int, ...]
     sol = smith(mat_hstack(h._project, relation_matrix(h.group))).solve(c)
     if sol is None:
         raise ShapeMismatch(f"class {c} has no kernel representative")
-    return h.middle.reduce(mat_vec(h._basis_matrix, sol[: len(h.kernel_basis)]))
+    kernel_basis, basis_matrix = homology_basis(h)
+    return h.middle.reduce(mat_vec(basis_matrix, sol[: len(kernel_basis)]))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .oracles import (
     ReferenceGroupArithmetic,
     binary_functor,
     dense_rows,
+    homology_basis,
     homology_oracle,
     group_from_order_counts,
     invariant_chains,
@@ -104,9 +105,9 @@ class TestSmithNormalForm:
         basis = smith(A).column_basis()
         B = from_columns(basis, 2)
         for c in columns(A):
-            assert smith(B).contains(c)
+            assert smith(B).column_coordinates([c])[0] is not None
         for c in basis:
-            assert smith(A).contains(c)
+            assert smith(A).column_coordinates([c])[0] is not None
 
 
 class TestFgAbGroup:
@@ -268,7 +269,7 @@ class TestHomology:
     def test_trivial_homology_with_a_nonzero_kernel(self):
         Z = FgAbGroup.free(1)
         h = homology_at(AbMap(Z, Z, [[1]]), AbMap.zero_map(Z, Z))
-        assert h.group.is_trivial() and h.kernel_basis == [(1,)]
+        assert h.group.is_trivial() and homology_basis(h)[0] == [(1,)]
         assert h.representative(()) == (0,)
         assert h.express((3,)) == ()
 
@@ -302,7 +303,7 @@ class TestHomology:
             h = homology_at(d1, d2)
             assert h.group.invariant_factors == homology_oracle(d1, d2)
             # the witness projection sends every kernel basis vector to a class
-            for v in h.kernel_basis:
+            for v in homology_basis(h)[0]:
                 h.express(v)
             trials += 1
 
@@ -608,7 +609,7 @@ class TestSmithAgainstSparseReference:
         Z = FgAbGroup.free(b)
         h = homology_at(AbMap.zero_map(FgAbGroup.trivial(), Z), AbMap(Z, FgAbGroup((4,) * c), d2))
         assert h.group == FgAbGroup.free(b)
-        assert all(x % 4 == 0 for k in h.kernel_basis for x in mat_vec(d2, k))
+        assert all(x % 4 == 0 for k in homology_basis(h)[0] for x in mat_vec(d2, k))
 
 
 @st.composite
@@ -704,8 +705,7 @@ class TestSparseStacks:
             return
         h = homology_at(d1, d2)
         assert h.group == ref.group
-        assert h.kernel_basis == ref.kernel_basis
-        assert h._basis_matrix == ref._basis_matrix
+        assert homology_basis(h) == homology_basis(ref)
         assert h._project == ref._project
         for g in h.group.generators():
             assert h.representative(g) == reference_representative(ref, g)

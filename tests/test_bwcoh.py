@@ -78,13 +78,6 @@ def cyclic_projection_fixture():
     return C, K, {a: a % 2 for a in K.morphisms}
 
 
-def cochain_of(res, coords) -> dict:
-    """The cochain ``{chain: block coordinates}`` lifting group coordinates."""
-    level = res.level
-    v = level.from_group(coords)
-    return {k: tuple(v[i] for i in level.index[k]) for k in level.keys}
-
-
 def _arrows(arrows: tuple, name: str) -> FinCat:
     """Objects a and b, their identities, and the given arrows a -> b."""
     table = {("ia", "ia"): "ia", ("ib", "ib"): "ib"}
@@ -349,6 +342,13 @@ class TestChainOrder:
             [k for k in C.morphisms if (C.dom[k], C.cod[k]) == (C.dom[g], C.cod[f])]))
         assert_validate_follows_the_scan(C, f, g, h)
 
+    @PROPERTY
+    @given(st.one_of(shuffled_categories(), st.sampled_from(
+        [cyclic_setup(4)[0], arrow_fixture()[0], FinCat.mod_r(2, 1)])))
+    def test_out_of_follows_the_scan(self, C):
+        # natsystem_verify's witness and truncation point follow this order
+        assert C.out_of == {o: [f for f in C.morphisms if C.dom[f] == o] for o in C.objects}
+
     @pytest.mark.parametrize("modulus, max_rank", [(2, 1), (2, 2), (3, 1), (4, 1)])
     def test_matrix_table_follows_the_scan(self, modulus, max_rank):
         C = FinCat.mod_r(modulus, max_rank)
@@ -487,7 +487,7 @@ class TestLevelLayout:
             parts = res([2], n).invariant_factors + res([4], n).invariant_factors
             assert both.group == FgAbGroup.from_factors(parts), n
             for g in both.group.generators():
-                assert both.class_of(cochain_of(both, both.hom.representative(g))) == g
+                assert both.class_of(both.representative(g)) == g
 
 
 class TestDifferential:
@@ -690,7 +690,7 @@ class TestMatrixBimodule:
             assert got.group == FgAbGroup.from_factors(parts[0] + parts[1]), n
             assert got.invariant_factors == expected[n], n
             for g in got.group.generators():
-                assert got.class_of(cochain_of(got, got.hom.representative(g))) == g
+                assert got.class_of(got.representative(g)) == g
 
 
 class TestExactPair:

@@ -20,7 +20,9 @@ After a deliberate change to these values, rewrite
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,9 @@ import pytest
 from quadalg.abelian import FgAbGroup
 from quadalg.crossed import cyclic_ring_extension
 from quadalg.bwcoh import (
+    CochainComplex,
     _pulled_system,
+    coboundary,
     cohomology,
     dm_natural_system,
     les_report,
@@ -36,11 +40,12 @@ from quadalg.bwcoh import (
     relative_cohomology,
     trivial_system,
 )
+from quadalg.errors import NotInKernel
 from quadalg.modq import ModQTrackExtension
 
+from tests.oracles import homology_basis
 from tests.test_bwcoh import (
     arrow_fixture,
-    cochain_of,
     cyclic_projection_fixture,
     cyclic_setup,
     pair_projection_fixture,
@@ -88,14 +93,15 @@ def cohomology_witnesses(name: str) -> dict:
     setup, degree, normalized = COHOMOLOGY_CASES[name]
     C, D = setup()
     res = cohomology(C, D, degree, normalized=normalized)
-    hom = res.hom
+    hom = CochainComplex(C, D, res.normalized).homology(degree)
     reps = [hom.representative(g) for g in res.group.generators()]
-    classes = [res.class_of(cochain_of(res, r)) for r in reps]
+    classes = [res.class_of(res.representative(g)) for g in res.group.generators()]
     assert classes == res.group.generators()
+    kernel_basis, basis_matrix = homology_basis(hom)
     return {
         "invariant_factors": res.invariant_factors,
-        "kernel_basis": hom.kernel_basis,
-        "basis_matrix": hom._basis_matrix,
+        "kernel_basis": kernel_basis,
+        "basis_matrix": basis_matrix,
         "project": hom._project,
         "d_in": res.d_in.matrix,
         "d_out": res.d_out.matrix,
@@ -170,6 +176,45 @@ def test_golden_keys_are_the_cases(golden):
 def test_cohomology_witnesses(golden, name):
     got = {key: digest(v) for key, v in cohomology_witnesses(name).items()}
     assert got == golden[name]
+
+
+def chain_groups(C, D, n: int, normalized: bool) -> dict:
+    """The coefficient group of each degree-``n`` chain (each object in
+    degree zero)."""
+    if n == 0:
+        return {o: D.group_at(C.identity(o)) for o in C.objects}
+    return {t: D.group_at(C.product(t)) for t in C.composable_tuples(n, normalized)}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_CASES))
+def test_cohomology_contract(name):
+    """The contract of a cohomology result, read through its public names
+    alone: representatives classify back to their classes, coboundaries of
+    seeded random cochains (the dict route) are cocycles of class 0, and a
+    cochain that is not a cocycle is refused."""
+    setup, degree, normalized = COHOMOLOGY_CASES[name]
+    C, D = setup()
+    res = cohomology(C, D, degree, normalized=normalized)
+    for g in res.group.generators():
+        assert res.class_of(res.representative(g)) == g
+    rng = random.Random(11)
+    if degree:
+        below = chain_groups(C, D, degree - 1, res.normalized)
+        for _ in range(3):
+            x = {k: G.sample(rng) for k, G in below.items()}
+            z = coboundary(C, D, degree - 1, x, res.normalized)
+            assert res.is_cocycle(z)
+            assert res.class_of(z) == res.group.zero()
+    units = (
+        {k: G.generator(i)}
+        for k, G in chain_groups(C, D, degree, res.normalized).items()
+        for i in range(G.ngens)
+    )
+    broken = list(itertools.islice((u for u in units if not res.is_cocycle(u)), 3))
+    assert bool(broken) != res.d_out.is_zero_map()
+    for u in broken:
+        with pytest.raises(NotInKernel):
+            res.class_of(u)
 
 
 def test_long_exact_sequence_report(golden):

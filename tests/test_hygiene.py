@@ -1,5 +1,6 @@
 """Source hygiene: ``quadalg`` modules import at the top, use every import,
-call every private helper, and keep no state between calls."""
+call every private helper, reach every public name and method, and keep
+no state between calls."""
 from __future__ import annotations
 
 import ast
@@ -165,6 +166,57 @@ def test_the_check_sees_an_unreached_public_name():
         "a.py: recursive (line 3)",
         "a.py: Shape (line 5)",
         "b.py: unread (line 3)",
+    ]
+
+
+def unreached_public_methods(sources: dict[str, ast.Module], bench: list[ast.Module]) -> list[str]:
+    """Public methods and properties of module-level classes in ``sources``
+    that no source reads as an attribute outside their own definition and
+    that ``bench`` never names, as ``module: Class.name (line n)``. An
+    attribute is matched by name alone, whatever object it is read on."""
+    attrs = Counter(
+        n.attr for tree in sources.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    )
+    named = set().union(*map(_named_in, bench))
+    return [
+        f"{module}: {cls.name}.{fn.name} (line {fn.lineno})"
+        for module, tree in sources.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and attrs[fn.name] == sum(
+            1 for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == fn.name
+        )
+        and fn.name not in named
+    ]
+
+
+def test_every_public_method_is_reached():
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    bench = [ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))]
+    assert unreached_public_methods(sources, bench) == []
+
+
+def test_the_check_sees_an_unreached_public_method():
+    a = ast.parse(
+        "class Shape:\n"
+        "    def grow(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def walk(self, n):\n        return self.walk(n)\n"
+        "    def traced(self):\n        pass\n"
+        "    def unread(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "def helper():\n    pass\n"
+    )
+    b = ast.parse("from a import Shape\nShape().grow()\nclass Other:\n    def spare(self):\n        pass\n")
+    bench = ast.parse('TARGETS = (("a.traced", "a", "Shape.traced", "span"),)\n')
+    assert unreached_public_methods({"a.py": a, "b.py": b}, [bench]) == [
+        "a.py: Shape.walk (line 7)",
+        "a.py: Shape.unread (line 11)",
+        "b.py: Other.spare (line 4)",
     ]
 
 
